@@ -68,8 +68,6 @@ from .rewrite import (
     RewriteTemplate,
     RuleSpec,
     apply_rule,
-    facts_for_source,
-    generate_facts,
     load_fact_spec,
     parse_fact_spec,
     parse_rewrite_template,
@@ -83,9 +81,7 @@ from .templates import (
     Match,
     MatchEnvironment,
     Template,
-    first_match,
     iter_matches,
-    match_all,
     parse_template,
 )
 

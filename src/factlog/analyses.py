@@ -12,6 +12,8 @@ files:
     fact_relations = edge
     graph_relation = edge
 
+The ``specs`` and ``program`` paths are relative to the preset directory and
+may name a sibling preset's file (``../callgraph-c/program.dl``).
 ``fact_relations`` lists the relations counted as generated facts in run
 statistics; ``graph_relation`` (optional) names the edge relation for graph
 export.  The bundled directory can be overridden with the FACTLOG_PRESET_DIR
@@ -188,14 +190,7 @@ def _process_file(
     except OSError as exc:
         return path, Database(), {}, [f"{path}: {exc}"], 0
     smap = classify(source, lang)
-    db = Database()
-    matches: dict[str, int] = {}
-    diagnostics = [f"{path}: {w}" for w in smap.warnings]
-    for spec in specs:
-        result = facts_for_smap(spec, smap, path)
-        db.merge(result.facts)
-        matches[spec.name] = matches.get(spec.name, 0) + result.match_count
-        diagnostics.extend(result.diagnostics)
+    db, matches, diagnostics = facts_for_smap(specs, smap, path)
     return path, db, matches, diagnostics, smap.line_count()
 
 

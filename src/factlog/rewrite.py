@@ -23,22 +23,21 @@ substitution time (``next($x.line, $x.line + 1)``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Union
 
-from .errors import MalformedFact, MalformedHole, SpecFormatError, UnbalancedInput, UnboundHole
+from .errors import MalformedFact, MalformedHole, SpecFormatError, UnboundHole
 from .facts import Database, parse_fact_line
-from .languages import LanguageDefinition, Region, SourceMap, classify, scan_balanced
+from .languages import SourceMap
 from .templates import (
     Binding,
-    Match,
     MatchEnvironment,
     Property,
     Template,
-    first_match,
     iter_matches,
+    iter_nested_matches,
     parse_template,
 )
 
@@ -421,10 +420,11 @@ def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> MatchE
         elif cond.hole not in inner_names:
             raise UnboundHole(f"condition names unbound hole ${cond.hole}")
     bindings = dict(env.bindings)
+    inner_matches = iter_nested_matches if rule.nested else iter_matches
     for nr in rule.nested_rewrites:
         target = env[nr.target]
         lines: list[str] = []
-        for m in _collect_inner(nr.inner_match, smap, target.start, target.end, rule.nested):
+        for m in inner_matches(nr.inner_match, smap, target.start, target.end):
             combined = MatchEnvironment({**bindings, **m.env.bindings})
             vetoed = False
             for cond in rule.conditions:
@@ -440,118 +440,38 @@ def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> MatchE
     return MatchEnvironment(bindings)
 
 
-def _collect_inner(
-    template: Template, smap: SourceMap, lo: int, hi: int, nested: bool
-) -> list[Match]:
-    """Inner matches inside a bound span.
-
-    Plain mode is the ordinary non-overlapping scan.  Nested mode additionally
-    descends into every balanced subspan, emitting each enclosing match before
-    the matches nested inside it, in source order otherwise.
-    """
-    if not nested:
-        return list(iter_matches(template, smap, lo, hi))
-    out: list[Match] = []
-    pos = lo
-    while pos < hi:
-        m = first_match(template, smap, pos, hi)
-        g = _next_group(smap, pos, hi)
-        if m is None and g is None:
-            break
-        if m is not None and (g is None or m.start <= g[0]):
-            out.append(m)
-            for gs, ge in _iter_groups(smap, m.start, m.end):
-                out.extend(_collect_inner(template, smap, gs + 1, ge - 1, True))
-            pos = m.end
-        else:
-            gs, ge = g
-            out.extend(_collect_inner(template, smap, gs + 1, ge - 1, True))
-            pos = ge
-    return out
-
-
-def _next_group(smap: SourceMap, lo: int, hi: int) -> tuple[int, int] | None:
-    return next(_iter_groups(smap, lo, hi), None)
-
-
-def _iter_groups(smap: SourceMap, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """Top-level balanced groups within a window, skipping strings/comments."""
-    opens = set(smap.language.open_chars)
-    src = smap.source
-    pos = lo
-    while pos < hi:
-        found = -1
-        for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
-            if s >= hi:
-                break
-            if kind is not Region.CODE:
-                continue
-            for i in range(max(s, pos), min(e, hi)):
-                if src[i] in opens:
-                    found = i
-                    break
-            if found != -1:
-                break
-        if found == -1:
-            return
-        try:
-            end = scan_balanced(smap, found, hi)
-        except UnbalancedInput:
-            pos = found + 1
-            continue
-        yield found, end
-        pos = end
-
-
 # ---------------------------------------------------------------------------
 # Fact generation
 
 
-@dataclass
-class FileFacts:
-    """Per-file generation result."""
+def facts_for_smap(
+    specs: tuple[FactSpec, ...], smap: SourceMap, path: str
+) -> tuple[Database, dict[str, int], list[str]]:
+    """Run fact specs over one classified source file.
 
-    path: str
-    facts: Database
-    match_count: int
-    diagnostics: list[str] = field(default_factory=list)
-
-
-def facts_for_source(spec: FactSpec, lang: LanguageDefinition, path: str, source: str) -> FileFacts:
-    """Run one fact spec over one source text."""
-    smap = classify(source, lang)
-    result = facts_for_smap(spec, smap, path)
-    result.diagnostics[:0] = [f"{path}: {w}" for w in smap.warnings]
-    return result
-
-
-def facts_for_smap(spec: FactSpec, smap: SourceMap, path: str = "<memory>") -> FileFacts:
-    """Run one fact spec over an already-classified source."""
-    result = FileFacts(path, Database(), 0)
-    for m in iter_matches(spec.match, smap):
-        result.match_count += 1
-        env = apply_rule(spec.rule, m.env, smap)
-        if env is None:
-            continue
-        text = substitute(spec.rewrite, env)
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                result.facts.add_fact(parse_fact_line(line))
-            except MalformedFact as exc:
-                where = smap.line_of(m.start)
-                result.diagnostics.append(f"{path}:{where}: dropped bad fact line: {exc}")
-    return result
-
-
-def generate_facts(spec: FactSpec, files: list[tuple[str, str]], lang: LanguageDefinition) -> tuple[Database, list[str]]:
-    """Apply one spec to (path, source) pairs; returns merged facts and diagnostics."""
+    Returns the file's facts, the outer-template match count per spec name,
+    and diagnostics (classifier warnings, then dropped fact lines), each
+    prefixed with the path.
+    """
     db = Database()
-    diagnostics: list[str] = []
-    for path, source in files:
-        result = facts_for_source(spec, lang, path, source)
-        db.merge(result.facts)
-        diagnostics.extend(result.diagnostics)
-    return db, diagnostics
+    matches: dict[str, int] = {}
+    diagnostics = [f"{path}: {w}" for w in smap.warnings]
+    for spec in specs:
+        count = 0
+        for m in iter_matches(spec.match, smap):
+            count += 1
+            env = apply_rule(spec.rule, m.env, smap)
+            if env is None:
+                continue
+            text = substitute(spec.rewrite, env)
+            for raw in text.splitlines():
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    db.add_fact(parse_fact_line(line))
+                except MalformedFact as exc:
+                    where = smap.line_of(m.start)
+                    diagnostics.append(f"{path}:{where}: dropped bad fact line: {exc}")
+        matches[spec.name] = matches.get(spec.name, 0) + count
+    return db, matches, diagnostics

@@ -154,16 +154,6 @@ class MatchEnvironment:
             raise UnboundHole(f"hole ${name} is not bound") from None
 
 
-def get_property(env: MatchEnvironment, name: str, prop: Property) -> str | int:
-    """Value, line, or column of a bound hole."""
-    b = env[name]
-    if prop is Property.VALUE:
-        return b.text
-    if prop is Property.LINE:
-        return b.line
-    return b.column
-
-
 @dataclass(frozen=True)
 class Match:
     start: int
@@ -242,62 +232,46 @@ def _event_re(lang: LanguageDefinition, anchor: str) -> re.Pattern[str]:
 
 
 class _Matcher:
-    """Backtracking matcher for one template over one SourceMap window."""
+    """Backtracking matcher for one template over one span of a SourceMap.
 
-    def __init__(self, template: Template, smap: SourceMap):
-        self.template = template
+    next_candidate and match_at are the only entry points; iter_matches and
+    iter_nested_matches are both loops over them.
+    """
+
+    def __init__(self, template: Template, smap: SourceMap, end: int):
         self.smap = smap
         self.src = smap.source
         self.lang = smap.language
         self.atoms = template.atoms
         self.pieces, self.strategy = _compiled(template, smap.language)
-        self.hi = len(self.src)
+        self.end = end
+        self.hi = end
         self.env: dict[str, tuple[int, int]] = {}
         self._opens = set(self.lang.open_chars)
         self._closes = set(self.lang.close_chars)
         self._string_opens = {o[0]: o for o, _, _ in self.lang.string_delimiters}
 
-    # -- candidate scan ----------------------------------------------------
-
-    def candidates(self, lo: int, hi: int) -> Iterator[int]:
-        kind = self.strategy[0]
-        if kind == "none":
-            return
+    def next_candidate(self, pos: int) -> int:
+        """First offset at or after pos where a match may start, or the span end."""
+        kind, end = self.strategy[0], self.end
+        if pos >= end or kind == "none":
+            return end
         if kind == "find":
-            chunk = self.strategy[1]
-            pos = lo
-            while pos < hi:
-                c = self.src.find(chunk, pos, hi)
-                if c == -1:
-                    return
-                yield c
-                pos = max(c + 1, self._resume)
-        elif kind == "regex":
-            pat = self.strategy[1]
-            pos = lo
-            while pos < hi:
-                m = pat.search(self.src, pos, hi)
-                if m is None:
-                    return
-                yield m.start()
-                pos = max(m.start() + 1, self._resume)
-        else:  # scan: every offset (rare templates)
-            pos = lo
-            while pos < hi:
-                yield pos
-                pos = max(pos + 1, self._resume)
+            c = self.src.find(self.strategy[1], pos, end)
+            return end if c == -1 else c
+        if kind == "regex":
+            m = self.strategy[1].search(self.src, pos, end)
+            return end if m is None else m.start()
+        return pos  # scan: every offset (rare templates)
 
-    def iter_matches(self, lo: int, hi: int) -> Iterator[Match]:
+    def match_at(self, start: int, hi: int) -> Match | None:
+        """The nonempty match starting exactly at start and ending by hi, if any."""
         self.hi = hi
-        self._resume = lo
-        for cand in self.candidates(lo, hi):
-            self.env.clear()
-            end = self._match_atoms(0, cand, True)
-            if end is not None and end > cand:
-                yield self._build(cand, end)
-                self._resume = end
-            else:
-                self._resume = cand + 1
+        self.env.clear()
+        end = self._match_atoms(0, start, True)
+        if end is None or end <= start:
+            return None
+        return self._build(start, end)
 
     def _build(self, start: int, end: int) -> Match:
         bindings = {}
@@ -621,13 +595,82 @@ class _Matcher:
 
 def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> Iterator[Match]:
     """Non-overlapping matches in source order within [lo, hi)."""
-    matcher = _Matcher(template, smap)
-    yield from matcher.iter_matches(lo, len(smap.source) if hi is None else hi)
+    hi = len(smap.source) if hi is None else hi
+    matcher = _Matcher(template, smap, hi)
+    cand = matcher.next_candidate(lo)
+    while cand < hi:
+        m = matcher.match_at(cand, hi)
+        if m is None:
+            cand = matcher.next_candidate(cand + 1)
+        else:
+            yield m
+            cand = matcher.next_candidate(m.end)
 
 
-def match_all(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> list[Match]:
-    return list(iter_matches(template, smap, lo, hi))
+def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -> Iterator[Match]:
+    """Matches within [lo, hi) and, recursively, inside every balanced group.
+
+    Each match comes before the matches nested inside it; otherwise matches
+    come in source order.  At each level a match that starts at or before
+    the next balanced group's open wins, and the walk then visits only the
+    groups inside that match.  Otherwise the walk descends into the group
+    and resumes after its close.  An open without a close inside the level's
+    window is plain text, and so is a mismatched close.
+
+    One matcher serves the whole walk and an explicit stack of windows
+    replaces recursion.  The offsets tried only ever increase, so a single
+    cached next candidate serves every level and each offset is tried once.
+    """
+    matcher = _Matcher(template, smap, hi)
+    cand = matcher.next_candidate(lo)
+    # frame: [pos, window hi, try matches at this level, cached next group]
+    stack: list[list] = [[lo, hi, True, None]]
+    while stack:
+        frame = stack[-1]
+        pos, top, tries, group = frame
+        if group is None or group[0] < pos:
+            group = frame[3] = _next_group(smap, pos, top)
+        gs, ge = group
+        if tries:
+            if cand < pos:
+                cand = matcher.next_candidate(pos)
+            m = None
+            while m is None and cand <= gs and cand < top:
+                m = matcher.match_at(cand, top)
+                if m is None:
+                    cand = matcher.next_candidate(cand + 1)
+            if m is not None:
+                yield m
+                frame[0] = m.end
+                stack.append([m.start, m.end, False, None])
+                continue
+        if gs == top:
+            stack.pop()
+        else:
+            frame[0] = ge
+            stack.append([gs + 1, ge - 1, True, None])
 
 
-def first_match(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> Match | None:
-    return next(iter_matches(template, smap, lo, hi), None)
+@lru_cache(maxsize=256)
+def _open_re(lang: LanguageDefinition) -> re.Pattern[str]:
+    cls = _char_class(lang.open_chars)
+    return re.compile(f"[{cls}]") if cls else re.compile(r"(?!)")
+
+
+def _next_group(smap: SourceMap, pos: int, hi: int) -> tuple[int, int]:
+    """(open, one past close) of the first balanced group at or after pos that
+    closes by hi, skipping strings, comments and unclosed opens; (hi, hi) if none."""
+    src, intervals = smap.source, smap.intervals
+    opens = _open_re(smap.language)
+    for idx in range(smap.interval_index(pos), len(intervals)):
+        s, e, kind = intervals[idx]
+        if s >= hi:
+            break
+        if kind is not Region.CODE:
+            continue
+        for m in opens.finditer(src, max(s, pos), min(e, hi)):
+            try:
+                return m.start(), scan_balanced(smap, m.start(), hi)
+            except UnbalancedInput:
+                pass
+    return hi, hi

@@ -3,15 +3,22 @@
 These deliberately share no evaluation machinery with the package: the
 Datalog oracle recomputes every rule from scratch each round (no deltas,
 no indexes) and derives stratum levels by longest-path relaxation instead
-of SCC condensation.  Agreement between the two implementations is the
+of SCC condensation.  The inner-match oracle shares only the first-match
+search (iter_matches) and scan_balanced with the package; it finds each
+level's next match and next group afresh at every position and recurses
+once per nesting level.  Agreement between the two implementations is the
 point, so keep this file boring.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator
 
 from factlog.datalog import DatalogProgram, Variable
+from factlog.errors import UnbalancedInput
+from factlog.languages import Region, SourceMap, scan_balanced
+from factlog.templates import Match, Template, iter_matches
 
 
 _UNBOUND = object()
@@ -119,3 +126,70 @@ def reachability(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
             closure.add((start, node))
             queue.extend(adjacency.get(node, ()))
     return closure
+
+
+def collect_inner(
+    template: Template, smap: SourceMap, lo: int, hi: int, nested: bool
+) -> list[Match]:
+    """Inner matches inside a bound span.
+
+    Plain mode is the ordinary non-overlapping scan.  Nested mode additionally
+    descends into every balanced subspan, emitting each enclosing match before
+    the matches nested inside it, in source order otherwise.
+    """
+    out: list[Match] = []
+    pos = lo
+    if not nested:
+        # a fresh first-match search after every match, no resumed scan
+        while (m := next(iter_matches(template, smap, pos, hi), None)) is not None:
+            out.append(m)
+            pos = m.end
+        return out
+    while pos < hi:
+        m = next(iter_matches(template, smap, pos, hi), None)
+        g = _next_group(smap, pos, hi)
+        if m is None and g is None:
+            break
+        if m is not None and (g is None or m.start <= g[0]):
+            out.append(m)
+            for gs, ge in _iter_groups(smap, m.start, m.end):
+                out.extend(collect_inner(template, smap, gs + 1, ge - 1, True))
+            pos = m.end
+        else:
+            gs, ge = g
+            out.extend(collect_inner(template, smap, gs + 1, ge - 1, True))
+            pos = ge
+    return out
+
+
+def _next_group(smap: SourceMap, lo: int, hi: int) -> tuple[int, int] | None:
+    return next(_iter_groups(smap, lo, hi), None)
+
+
+def _iter_groups(smap: SourceMap, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Top-level balanced groups within a window, skipping strings/comments."""
+    opens = set(smap.language.open_chars)
+    src = smap.source
+    pos = lo
+    while pos < hi:
+        found = -1
+        for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
+            if s >= hi:
+                break
+            if kind is not Region.CODE:
+                continue
+            for i in range(max(s, pos), min(e, hi)):
+                if src[i] in opens:
+                    found = i
+                    break
+            if found != -1:
+                break
+        if found == -1:
+            return
+        try:
+            end = scan_balanced(smap, found, hi)
+        except UnbalancedInput:
+            pos = found + 1
+            continue
+        yield found, end
+        pos = end

@@ -219,7 +219,8 @@ def test_c09_determinism_across_runs_and_jobs(samples_dir, tmp_path):
 
 def test_c10_bench_sanity_on_every_sample(samples_dir):
     """C10: bench reports function_count > 0 and a finite facts-per-function ratio on every bundled sample, and fact_count sums per-file unique facts."""
-    from factlog import facts_for_source
+    from factlog import classify
+    from factlog.rewrite import facts_for_smap
 
     cases = [
         ("callgraph-go", [samples_dir / "example.go", samples_dir / "go" / "upgrade.go"]),
@@ -238,9 +239,7 @@ def test_c10_bench_sanity_on_every_sample(samples_dir):
         lang = preset.language_def()
         expected = 0
         for path in paths:
-            per_file = Database()
-            for spec in preset.fact_specs:
-                got = facts_for_source(spec, lang, str(path), path.read_text(encoding="utf-8"))
-                per_file.merge(got.facts)
+            smap = classify(path.read_text(encoding="utf-8"), lang)
+            per_file, _, _ = facts_for_smap(preset.fact_specs, smap, str(path))
             expected += per_file.fact_count(preset.fact_relations or None)
         assert stats.fact_count == expected, preset_name

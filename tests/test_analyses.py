@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from factlog import (
@@ -21,6 +23,23 @@ EXPECTED_PRESETS = {
     "liveness-arith",
     "liveness-arith-classical",
 }
+
+# Per bundled preset: spec names, then sha256 prefixes of repr(fact_specs)
+# (the parsed [match], [rule] and [rewrite] of every spec) and of
+# program_text.  Presets share files through relative paths in preset.cfg;
+# these pins show that sharing changed nothing a preset loads.
+PRESET_CONTENT = {
+    "callgraph-c": (["functions"], "d596791d145a9d91", "a830cbbe3e857c87"),
+    "callgraph-go": (["functions"], "b7ed702acd02509c", "a830cbbe3e857c87"),
+    "callgraph-go-methods": (["functions", "methods"], "b9f188866ca8d280", "12ca70040ef3dac7"),
+    "callgraph-zig": (["functions"], "1ddc18d336106135", "a830cbbe3e857c87"),
+    "liveness-arith": (["add", "sub"], "b163e801e85dd3bb", "7873fda97c61b12f"),
+    "liveness-arith-classical": (["add", "sub"], "b163e801e85dd3bb", "c4ec607572299616"),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 class TestPresets:
@@ -58,6 +77,14 @@ class TestPresets:
         )
         monkeypatch.setenv("FACTLOG_PRESET_DIR", str(tmp_path))
         assert "alt" in list_presets()
+
+    def test_bundled_preset_content_pinned(self):
+        assert set(PRESET_CONTENT) == EXPECTED_PRESETS
+        for name, (spec_names, specs_digest, program_digest) in PRESET_CONTENT.items():
+            preset = load_preset(name)
+            assert [s.name for s in preset.fact_specs] == spec_names, name
+            assert _digest(repr(preset.fact_specs)) == specs_digest, name
+            assert _digest(preset.program_text) == program_digest, name
 
     def test_every_bundled_program_parses(self):
         for name in EXPECTED_PRESETS:

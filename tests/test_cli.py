@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -76,6 +77,26 @@ class TestFacts:
             capsys, "facts", example_go, "--spec", "x.spec", "--out", str(tmp_path)
         )
         assert code == EXIT_USAGE
+
+    def test_nesting_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # The nested descent keeps its own stack of windows, so a call nested
+        # deeper than Python's recursion limit still yields its one edge.
+        limit = len(inspect.stack(0)) + 200
+        depth = limit + 100
+        source = tmp_path / "deep.c"
+        source.write_text(
+            "int main() {\n  " + "f(" * depth + "1" + ")" * depth + ";\n}\n", encoding="utf-8"
+        )
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            code, _, _ = run(
+                capsys, "facts", str(source), "--preset", "callgraph-c", "--out", str(tmp_path / "out")
+            )
+        finally:
+            sys.setrecursionlimit(saved)
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "facts.dl").read_text(encoding="utf-8") == 'edge("main", "f").\n'
 
 
 class TestSolve:

@@ -13,11 +13,14 @@ from factlog import (
     classify,
     evaluate,
     format_fact,
+    iter_matches,
     parse_program,
+    parse_template,
     query,
 )
 from factlog.facts import Fact, parse_fact_line
-from oracles import naive_evaluate, reachability
+from factlog.templates import iter_nested_matches
+from oracles import collect_inner, naive_evaluate, reachability
 
 # ---------------------------------------------------------------------------
 # Random Datalog programs
@@ -192,3 +195,42 @@ class TestClassifierInvariants:
             line, col = smap.line_col(offset)
             lines = source.splitlines(keepends=True) or [""]
             assert source[offset] == (lines[line - 1] + "\n")[col - 1]
+
+
+# ---------------------------------------------------------------------------
+# Inner matches of a rewrite rule against the recursive descent
+
+def _bracketed(children):
+    return st.builds(
+        lambda callee, pair, args: callee + pair[0] + ", ".join(args) + pair[1],
+        st.sampled_from(("", "f", "g")),
+        st.sampled_from(("()", "[]", "{}")),
+        st.lists(children, max_size=3),
+    )
+
+
+# Balanced calls and groups of all three bracket kinds, brackets inside
+# strings and comments, and loose noise: unclosed opens and mismatched closes.
+NESTED_LEAVES = st.sampled_from(("f", "x1", "1", '"(]"', '"a)"', "'('", "`[`", "/* [ ) */", "// (x\n"))
+NESTED_NOISE = st.sampled_from(("(", "[", "{", ")", "]", "}", "(]", "[)", " ", "\n"))
+NESTED_SOURCE = st.lists(
+    st.one_of(st.recursive(NESTED_LEAVES, _bracketed, max_leaves=12), NESTED_NOISE), max_size=6
+).map("".join)
+INNER_TEMPLATES = st.sampled_from(("$c(...)", "($x)", "[$x]")).map(parse_template)
+
+
+def _match_keys(matches) -> list[tuple]:
+    return [(m.start, m.end, sorted(m.env.bindings.items())) for m in matches]
+
+
+class TestInnerMatchesAgainstOracle:
+    @given(NESTED_SOURCE, INNER_TEMPLATES, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_walk_equals_recursive_descent(self, source, template, data):
+        smap = classify(source, GO)
+        n = len(source)
+        lo, hi = data.draw(st.one_of(st.just((0, n)), st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)))
+        nested = list(iter_nested_matches(template, smap, lo, hi))
+        plain = list(iter_matches(template, smap, lo, hi))
+        assert _match_keys(nested) == _match_keys(collect_inner(template, smap, lo, hi, True))
+        assert _match_keys(plain) == _match_keys(collect_inner(template, smap, lo, hi, False))

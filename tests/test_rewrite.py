@@ -6,14 +6,15 @@ import pytest
 
 from factlog import (
     GO,
+    AnalysisPreset,
     SpecFormatError,
     UnboundHole,
-    facts_for_source,
-    generate_facts,
+    classify,
     parse_fact_spec,
     parse_rewrite_template,
+    run_fact_generation,
 )
-from factlog.rewrite import Property, Substitution, substitute
+from factlog.rewrite import Property, Substitution, facts_for_smap, substitute
 from factlog.templates import Binding, MatchEnvironment
 
 
@@ -109,40 +110,42 @@ class TestParseFactSpec:
         bad = '[match]\nf($x)\n\n[rule]\nwhere $nope == "y"\n\n[rewrite]\np("$x").\n'
         spec = parse_fact_spec(bad, name="t", language="go")
         with pytest.raises(UnboundHole):
-            facts_for_source(spec, GO, "mem.go", "f(a)\n")
+            facts_for_smap((spec,), classify("f(a)\n", GO), "mem.go")
 
 
 class TestEmission:
     def run(self, spec_text: str, source: str):
+        """(facts, outer match count, diagnostics) of spec "t" over source."""
         spec = parse_fact_spec(spec_text, name="t", language="go")
-        return facts_for_source(spec, GO, "mem.go", source)
+        db, matches, diagnostics = facts_for_smap((spec,), classify(source, GO), "mem.go")
+        return db, matches["t"], diagnostics
 
     def test_flat_emission(self):
-        got = self.run(
+        facts, match_count, _ = self.run(
             '[match]\nf($x)\n\n[rewrite]\nseen("$x", $x.line).\n',
             "f(a)\nf(b)\n",
         )
-        assert got.facts.tuples("seen") == {("a", 1), ("b", 2)}
-        assert got.match_count == 2
+        assert facts.tuples("seen") == {("a", 1), ("b", 2)}
+        assert match_count == 2
 
     def test_nested_walk_descends_into_groups(self):
         # b() sits inside a's argument list and must still be found
-        got = self.run(SPEC, "func main() {\n\ta(b())\n\tc()\n}\n")
-        assert got.facts.tuples("edge") == {
+        facts, _, _ = self.run(SPEC, "func main() {\n\ta(b())\n\tc()\n}\n")
+        assert facts.tuples("edge") == {
             ("main", "a"),
             ("main", "b"),
             ("main", "c"),
         }
 
     def test_condition_filters_inner_matches(self):
-        got = self.run(SPEC, "func f() {\n\tif (x) {}\n\tg()\n}\n")
-        assert got.facts.tuples("edge") == {("f", "g")}
+        facts, _, _ = self.run(SPEC, "func f() {\n\tif (x) {}\n\tg()\n}\n")
+        assert facts.tuples("edge") == {("f", "g")}
 
     def test_outer_condition_gates_rule(self):
         spec_text = '[match]\nf($x)\n\n[rule]\nwhere $x == "keep"\n\n[rewrite]\nk("$x").\n'
-        got = self.run(spec_text, "f(keep)\nf(drop)\n")
-        assert got.facts.tuples("k") == {("keep",)}
-        assert got.match_count == 2
+        facts, match_count, _ = self.run(spec_text, "f(keep)\nf(drop)\n")
+        assert facts.tuples("k") == {("keep",)}
+        assert match_count == 2
 
     def test_multi_line_rewrite_emits_multiple_facts(self):
         spec_text = (
@@ -152,30 +155,31 @@ class TestEmission:
         spec = parse_fact_spec(spec_text, name="t", language="arith")
         from factlog import get_language
 
-        got = facts_for_source(spec, get_language("arith"), "m.arith", "a = b + c\n")
-        assert got.facts.tuples("read") == {("b", 1), ("c", 1)}
-        assert got.facts.tuples("write") == {("a", 1)}
+        facts, _, _ = facts_for_smap((spec,), classify("a = b + c\n", get_language("arith")), "m.arith")
+        assert facts.tuples("read") == {("b", 1), ("c", 1)}
+        assert facts.tuples("write") == {("a", 1)}
 
     def test_bad_fact_line_becomes_diagnostic(self):
-        got = self.run("[match]\nf($x)\n\n[rewrite]\noops $x\n", "f(a)\n")
-        assert got.facts.fact_count() == 0
-        assert got.diagnostics and "mem.go:1" in got.diagnostics[0]
+        facts, _, diagnostics = self.run("[match]\nf($x)\n\n[rewrite]\noops $x\n", "f(a)\n")
+        assert facts.fact_count() == 0
+        assert diagnostics and "mem.go:1" in diagnostics[0]
 
     def test_comments_and_strings_not_matched(self):
-        got = self.run(
+        facts, _, _ = self.run(
             '[match]\nf($x)\n\n[rewrite]\nseen("$x").\n',
             '// f(no)\ns := "f(nope)"\nf(yes)\n',
         )
-        assert got.facts.tuples("seen") == {("yes",)}
+        assert facts.tuples("seen") == {("yes",)}
 
 
 class TestGenerateFacts:
-    def test_merges_files_and_reports_diagnostics(self):
+    def test_merges_files_and_reports_diagnostics(self, tmp_path):
         spec = parse_fact_spec(
             '[match]\nf($x)\n\n[rewrite]\nseen("$x").\n', name="t", language="go"
         )
-        db, diagnostics = generate_facts(
-            spec, [("a.go", "f(one)\n"), ("b.go", "f(two)\nf(one)\n")], GO
-        )
+        preset = AnalysisPreset("t", "go", (spec,), "", "", ())
+        (tmp_path / "a.go").write_text("f(one)\n", encoding="utf-8")
+        (tmp_path / "b.go").write_text("f(two)\nf(one)\n", encoding="utf-8")
+        db, _, diagnostics = run_fact_generation(preset, [tmp_path / "a.go", tmp_path / "b.go"])
         assert db.tuples("seen") == {("one",), ("two",)}
         assert diagnostics == []

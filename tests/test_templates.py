@@ -10,27 +10,26 @@ from factlog import (
     HoleKind,
     MalformedHole,
     classify,
-    first_match,
     get_language,
-    match_all,
+    iter_matches,
     parse_template,
 )
 from factlog.templates import Hole, Literal
 
 
 def go_match(template: str, source: str):
-    return first_match(parse_template(template), classify(source, GO))
+    return next(iter_matches(parse_template(template), classify(source, GO)), None)
 
 
 def go_all(template: str, source: str):
-    return match_all(parse_template(template), classify(source, GO))
+    return list(iter_matches(parse_template(template), classify(source, GO)))
 
 
 def binding(template: str, source: str, hole: str | None = None) -> str:
     parsed = parse_template(template)
     if hole is None:
         (hole,) = parsed.hole_names()
-    m = first_match(parsed, classify(source, GO))
+    m = next(iter_matches(parsed, classify(source, GO)), None)
     assert m is not None, f"{template!r} found no match in {source!r}"
     return m.env[hole].text
 
@@ -206,5 +205,5 @@ class TestPositions:
 class TestZigSigils:
     def test_error_union_prefix(self):
         smap = classify("fn f() !void {", get_language("zig"))
-        m = first_match(parse_template("fn f() $r? {"), smap)
+        m = next(iter_matches(parse_template("fn f() $r? {"), smap), None)
         assert m is not None and m.env["r"].text == "!void"
