@@ -18,6 +18,14 @@ declarations are inferred: arity from first use, and a column is numeric only
 when every constant observed in it is an integer, with types propagated
 through rule variables.  Negation must be stratified; evaluation runs one
 semi-naive fixpoint per stratum and returns the least model.
+
+Each rule is compiled, once per stratum, into one Python function per delta
+literal plus one for the seeding round: nested ``for`` loops that read
+variables straight from tuple slots.  The join order is the delta literal,
+then the body order, then the negations as ``not in`` tests.  A literal with
+bound columns probes a hash index on them; an index is built on the first
+probe of a non-empty relation and extended as tuples are inserted, never
+rebuilt.  Queries run through the same compiler.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, Iterator, NamedTuple, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -559,111 +568,132 @@ def _tarjan(nodes: list[str], deps: dict[str, set[str]]) -> list[set[str]]:
 # Evaluation
 
 
-_EMPTY: frozenset = frozenset()
-_MISSING = object()
-
-
-class _IndexCache:
-    """Hash indexes per (relation, bound positions), rebuilt when a relation
-    has grown since the index was built."""
+class _Indexes:
+    """Hash indexes over the live relation sets, one per (relation, key
+    positions).  An index is built the first time a plan asks for it while
+    the relation is non-empty; ``insert`` then extends it in place, so it is
+    never rebuilt.
+    A one-column key is the value itself, a longer key is a tuple."""
 
     def __init__(self, relations: dict[str, set[tuple]]):
         self.relations = relations
-        self.store: dict[tuple[str, tuple[int, ...]], tuple[int, dict]] = {}
+        self.built: dict[str, dict[tuple[int, ...], dict]] = {}
 
-    def lookup(self, rel: str, positions: tuple[int, ...], key: tuple) -> list[tuple] | tuple:
-        tuples = self.relations.get(rel)
+    def get(self, rel: str, positions: tuple[int, ...]) -> dict:
+        tuples = self.relations[rel]
         if not tuples:
-            return ()
-        entry = self.store.get((rel, positions))
-        if entry is None or entry[0] != len(tuples):
-            mapping: dict[tuple, list[tuple]] = {}
-            for t in tuples:
-                mapping.setdefault(tuple(t[i] for i in positions), []).append(t)
-            entry = (len(tuples), mapping)
-            self.store[(rel, positions)] = entry
-        return entry[1].get(key, ())
+            return {}
+        by_positions = self.built.setdefault(rel, {})
+        index = by_positions.get(positions)
+        if index is None:
+            index = by_positions[positions] = {}
+            _extend(index, positions, tuples)
+        return index
+
+    def insert(self, rel: str, fresh: set[tuple]) -> None:
+        """Add tuples not yet in the relation, to it and to its indexes."""
+        self.relations[rel].update(fresh)
+        for positions, index in self.built.get(rel, {}).items():
+            _extend(index, positions, fresh)
 
 
-def _ground(atom: Atom, env: dict[str, object]) -> tuple:
-    return tuple(env[t.name] if isinstance(t, Variable) else t for t in atom.terms)
-
-
-def _eval_rule(
-    relations: dict[str, set[tuple]],
-    index: _IndexCache,
-    rule: DatalogRule,
-    delta_pos: int | None = None,
-    delta_tuples: set[tuple] | None = None,
-) -> Iterator[tuple]:
-    """Yield head tuples derivable now.  With delta_pos set, the positive
-    literal at that body position ranges over delta_tuples instead of its
-    full relation (the semi-naive substitution)."""
-    positives = [(i, lit.atom) for i, lit in enumerate(rule.body) if lit.positive]
-    negatives = [lit.atom for lit in rule.body if not lit.positive]
-    if delta_pos is not None:
-        positives = [p for p in positives if p[0] == delta_pos] + [
-            p for p in positives if p[0] != delta_pos
-        ]
-
-    def visit(k: int, env: dict[str, object]) -> Iterator[tuple]:
-        if k == len(positives):
-            for natom in negatives:
-                if _ground(natom, env) in relations.get(natom.relation, _EMPTY):
-                    return
-            yield _ground(rule.head, env)
-            return
-        body_pos, atom = positives[k]
-        bound: list[tuple[int, object]] = []
-        free: list[tuple[int, str]] = []
-        for i, t in enumerate(atom.terms):
-            if isinstance(t, Variable):
-                if t.name == "_":
-                    continue
-                if t.name in env:
-                    bound.append((i, env[t.name]))
-                else:
-                    free.append((i, t.name))
-            else:
-                bound.append((i, t))
-        if delta_pos is not None and body_pos == delta_pos:
-            pool: Iterable = delta_tuples or ()
-        elif not free and len(bound) == atom.arity:
-            # fully ground: membership test
-            probe = tuple(v for _, v in bound)
-            if probe in relations.get(atom.relation, _EMPTY):
-                yield from visit(k + 1, env)
-            return
-        elif bound:
-            positions = tuple(i for i, _ in bound)
-            key = tuple(v for _, v in bound)
-            pool = index.lookup(atom.relation, positions, key)
+def _extend(index: dict, positions: tuple[int, ...], tuples: Iterable[tuple]) -> None:
+    key = itemgetter(*positions)
+    for t in tuples:
+        k = key(t)
+        bucket = index.get(k)
+        if bucket is None:
+            index[k] = [t]
         else:
-            pool = relations.get(atom.relation, _EMPTY)
-        for tup in pool:
-            if any(tup[i] != v for i, v in bound):
-                continue
-            updates: dict[str, object] = {}
-            clash = False
-            for i, name in free:
-                v = tup[i]
-                prev = updates.get(name, _MISSING)
-                if prev is not _MISSING and prev != v:
-                    clash = True
-                    break
-                updates[name] = v
-            if clash:
-                continue
-            yield from visit(k + 1, {**env, **updates} if updates else env)
+            bucket.append(t)
 
-    yield from visit(0, {})
+
+def _tuple_src(parts: list[str]) -> str:
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+
+
+def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., None]:
+    """Generate ``plan(relations, indexes, delta, known, new)`` for the rule:
+    nested loops that add each derived head tuple not in ``known`` to ``new``.
+
+    The positive literal at ``delta_pos`` ranges over the ``delta`` argument
+    (the semi-naive substitution) and comes first; the other positive
+    literals follow in body order, each a full scan, an index probe on its
+    bound positions, or a membership test when it is fully bound.  Negations
+    are ``not in`` tests after them.  Variables are read from tuple slots;
+    constants reach the code only through the namespace (``C0``, ``C1``...),
+    never as source text.
+    """
+    order = [i for i, lit in enumerate(rule.body) if lit.positive and i != delta_pos]
+    if delta_pos is not None:
+        order.insert(0, delta_pos)
+    consts: dict[str, Term] = {}
+    slots: dict[str, str] = {}  # variable -> the tuple slot that binds it
+    setup: list[str] = []
+    blocks: list[str] = []  # each line opens a block nested in the previous
+
+    def value(t: Term) -> str:
+        if isinstance(t, Variable):
+            return slots[t.name]
+        name = f"C{len(consts)}"
+        consts[name] = t
+        return name
+
+    for k, i in enumerate(order):
+        atom = rule.body[i].atom
+        row = f"t{k}"
+        keyed: list[tuple[int, str]] = []  # positions known before this literal
+        checks: list[str] = []
+        binds: dict[str, str] = {}
+        for j, t in enumerate(atom.terms):
+            if not isinstance(t, Variable) or t.name in slots:
+                keyed.append((j, value(t)))
+            elif t.name in binds:
+                checks.append(f"{row}[{j}] == {binds[t.name]}")
+            elif t.name != "_":
+                binds[t.name] = f"{row}[{j}]"
+        if i == delta_pos:
+            blocks.append(f"for {row} in D:")
+            checks = [f"{row}[{j}] == {e}" for j, e in keyed] + checks
+        elif not binds and len(keyed) == atom.arity:
+            setup.append(f"S{k} = R[{atom.relation!r}]")
+            blocks.append(f"if {_tuple_src([e for _, e in keyed])} in S{k}:")
+        elif keyed:
+            positions = tuple(j for j, _ in keyed)
+            setup.append(f"I{k} = X.get({atom.relation!r}, {positions!r}).get")
+            key = keyed[0][1] if len(keyed) == 1 else _tuple_src([e for _, e in keyed])
+            blocks.append(f"for {row} in I{k}({key}, ()):")
+        else:
+            setup.append(f"S{k} = R[{atom.relation!r}]")
+            blocks.append(f"for {row} in S{k}:")
+        if checks:
+            blocks.append(f"if {' and '.join(checks)}:")
+        slots.update(binds)
+    for n, lit in enumerate(rule.body):
+        if not lit.positive:
+            setup.append(f"N{n} = R[{lit.atom.relation!r}]")
+            blocks.append(f"if {_tuple_src([value(t) for t in lit.atom.terms])} not in N{n}:")
+
+    lines = ["def plan(R, X, D, known, new):", "    add = new.add"]
+    lines += ["    " + line for line in setup]
+    lines += ["    " * (depth + 1) + line for depth, line in enumerate(blocks)]
+    inner = "    " * (len(blocks) + 1)
+    lines.append(f"{inner}h = {_tuple_src([value(t) for t in rule.head.terms])}")
+    lines.append(f"{inner}if h not in known:")
+    lines.append(f"{inner}    add(h)")
+    namespace: dict[str, object] = dict(consts)
+    code = compile("\n".join(lines) + "\n", f"<rule at line {rule.head.line}>", "exec")
+    exec(code, namespace)
+    return namespace["plan"]  # type: ignore[return-value]
 
 
 def evaluate(program: DatalogProgram, edb: Database | None = None) -> Database:
     """Least model of the program over the given EDB (copied, not mutated).
 
     Per stratum: one naive seeding round, then semi-naive delta passes until
-    no rule derives a new tuple.  EDB relations unknown to the program are
+    no rule derives a new tuple.  Each rule's seeding plan and each of its
+    delta plans (one per body literal on a relation of the stratum) is
+    compiled once per stratum.  EDB relations unknown to the program are
     carried through unchanged.
     """
     db = Database()
@@ -677,47 +707,34 @@ def evaluate(program: DatalogProgram, edb: Database | None = None) -> Database:
         db.relations.setdefault(rel, set())
 
     strata = stratify(program)
-    index = _IndexCache(db.relations)
+    relations = db.relations
+    indexes = _Indexes(relations)
     for stratum in strata:
         rules = [r for r in program.rules if r.head.relation in stratum]
         if not rules:
             continue
-        recursive_positions = {
-            id(rule): [
-                i
-                for i, lit in enumerate(rule.body)
-                if lit.positive and lit.atom.relation in stratum
-            ]
+        delta_plans = [
+            (rule.head.relation, lit.atom.relation, _compile_rule(rule, i))
             for rule in rules
-        }
-        delta: dict[str, set[tuple]] = {}
+            for i, lit in enumerate(rule.body)
+            if lit.positive and lit.atom.relation in stratum
+        ]
+        derived: dict[str, set[tuple]] = {}
         for rule in rules:
-            rel = rule.head.relation
-            known = db.relations[rel]
-            fresh = {t for t in _eval_rule(db.relations, index, rule) if t not in known}
-            if fresh:
-                delta.setdefault(rel, set()).update(fresh)
-        for rel, fresh in delta.items():
-            db.relations[rel].update(fresh)
-
-        while delta:
-            derived: dict[str, set[tuple]] = {}
-            for rule in rules:
-                head_rel = rule.head.relation
-                for pos in recursive_positions[id(rule)]:
-                    dset = delta.get(rule.body[pos].atom.relation)
-                    if not dset:
-                        continue
-                    known = db.relations[head_rel]
-                    new_here = derived.get(head_rel)
-                    for t in _eval_rule(db.relations, index, rule, pos, dset):
-                        if t not in known and (new_here is None or t not in new_here):
-                            if new_here is None:
-                                new_here = derived.setdefault(head_rel, set())
-                            new_here.add(t)
-            delta = derived
+            head = rule.head.relation
+            plan = _compile_rule(rule, None)
+            plan(relations, indexes, None, relations[head], derived.setdefault(head, set()))
+        while True:
+            delta = {rel: fresh for rel, fresh in derived.items() if fresh}
+            if not delta:
+                break
             for rel, fresh in delta.items():
-                db.relations[rel].update(fresh)
+                indexes.insert(rel, fresh)
+            derived = {}
+            for head, body_rel, plan in delta_plans:
+                dset = delta.get(body_rel)
+                if dset:
+                    plan(relations, indexes, dset, relations[head], derived.setdefault(head, set()))
     return db
 
 
@@ -775,33 +792,14 @@ def query(db: Database, pattern: str | Atom) -> set[tuple]:
     if atom.relation not in db.relations:
         raise UnknownRelation(f"unknown relation {atom.relation!r}")
     tuples = db.relations[atom.relation]
-    if tuples:
-        sample = next(iter(tuples))
-        if len(sample) != atom.arity:
-            raise ArityMismatch(
-                f"{atom.relation!r} has arity {len(sample)}, query uses {atom.arity}"
-            )
-    var_order: list[str] = []
-    for t in atom.terms:
-        if isinstance(t, Variable) and t.name != "_" and t.name not in var_order:
-            var_order.append(t.name)
+    if not tuples:
+        return set()
+    arity = len(next(iter(tuples)))
+    if arity != atom.arity:
+        raise ArityMismatch(f"{atom.relation!r} has arity {arity}, query uses {atom.arity}")
+    # one positive literal, scanned as a delta, with the variables as the head
+    head = Atom(atom.relation, tuple(Variable(v) for v in dict.fromkeys(atom.variables())), atom.line)
+    plan = _compile_rule(DatalogRule(head, (BodyLiteral(atom),)), 0)
     out: set[tuple] = set()
-    for tup in tuples:
-        env: dict[str, object] = {}
-        ok = True
-        for i, t in enumerate(atom.terms):
-            if isinstance(t, Variable):
-                if t.name == "_":
-                    continue
-                seen = env.get(t.name, _MISSING)
-                if seen is _MISSING:
-                    env[t.name] = tup[i]
-                elif seen != tup[i]:
-                    ok = False
-                    break
-            elif t != tup[i]:
-                ok = False
-                break
-        if ok:
-            out.add(tuple(env[v] for v in var_order))
+    plan(db.relations, None, tuples, set(), out)
     return out

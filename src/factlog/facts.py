@@ -151,7 +151,15 @@ class Database:
         return self.relations.get(relation, set())
 
     def sorted_tuples(self, relation: str) -> list[tuple]:
-        return sorted(self.tuples(relation), key=_tuple_key)
+        tuples = self.tuples(relation)
+        try:
+            return sorted(tuples)
+        except TypeError:
+            # A column mixes symbols and integers.  Plain comparison raises
+            # only there: every comparison that returned agreed with
+            # _tuple_key (the tuples are distinct, so there are no ties),
+            # hence a plain sort that completes gives _tuple_key order.
+            return sorted(tuples, key=_tuple_key)
 
     def fact_count(self, relations: Iterable[str] | None = None) -> int:
         names = self.relations if relations is None else relations
@@ -177,7 +185,17 @@ class Database:
     # -- .dl fact text -------------------------------------------------------
 
     def to_dl_text(self) -> str:
-        lines = [format_fact(f) for f in self.iter_facts()]
+        text: dict[str | int, str] = {}  # each distinct value formatted once
+        lines: list[str] = []
+        for relation in sorted(self.relations):
+            for tup in self.sorted_tuples(relation):
+                args = []
+                for v in tup:
+                    s = text.get(v)
+                    if s is None:
+                        s = text[v] = format_value(v)
+                    args.append(s)
+                lines.append(f"{relation}({', '.join(args)}).")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod

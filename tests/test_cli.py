@@ -207,6 +207,16 @@ class TestQuery:
         )
         assert code == EXIT_ANALYSIS
 
+    def test_wrong_arity_on_empty_relation_is_analysis_error(self, capsys, tmp_path):
+        # no tuple to take the arity from: the program's declaration decides
+        empty = tmp_path / "empty.dl"
+        empty.write_text("", encoding="utf-8")
+        code, out, err = run(
+            capsys, "query", str(empty), "--preset", "callgraph-c", "-q", 'calls("a", X, Y)',
+        )
+        assert (code, out) == (EXIT_ANALYSIS, "")
+        assert "'calls' has arity 2, query uses 3" in err
+
 
 class TestGraph:
     def test_dot_to_stdout(self, capsys, example_go):

@@ -19,6 +19,8 @@ from factlog import (
     stratify,
 )
 from factlog.datalog import Variable
+from factlog.facts import format_value
+from oracles import naive_evaluate
 
 TC = """\
 .decl edge(x:symbol, y:symbol)
@@ -251,6 +253,37 @@ class TestEvaluate:
     def test_zero_arity_relations(self):
         prog = parse_program("go().\nready() :- go().")
         assert evaluate(prog).tuples("ready") == {()}
+
+    def test_indexes_follow_inserts(self):
+        # walk("b", 4, 3) and walk("b", 5, 4) arrive after the index on
+        # walk's first two columns is built; the later "a" walker finds
+        # them only if inserts extend that index
+        prog = parse_program(
+            'walk("a", 1, 0). walk("b", 3, 0). mover("a"). mover("b").\n'
+            "next(1, 2). next(2, 3). next(3, 4). next(4, 5).\n"
+            "walk(T, Y, X) :- walk(T, X, _), next(X, Y), mover(T).\n"
+            'walk("hit", X, 0) :- walk("a", X, _), walk("b", X, _).\n'
+        )
+        assert query(evaluate(prog), 'walk("hit", X, _)') == {(3,), (4,), (5,)}
+
+    def test_constants_stay_data_in_compiled_plans(self):
+        # pasted between quotes into a plan's source, the first constant
+        # would run code and the second would be a syntax error
+        code = 'x") or __import__("os") or ("'
+        broken = '\\"""\n'
+        prog = parse_program(
+            f"hit(Y) :- edge({format_value(code)}, Y).\n"
+            "hit(Y) :- hit(X), edge(X, Y).\n"
+            f"tag({format_value(code)}, X) :- hit(X), !edge(X, {format_value(broken)}).\n"
+        )
+        solved = evaluate(prog, edge_db((code, "a"), ("a", broken), ("b", "c")))
+        assert solved.tuples("hit") == {("a",), (broken,)}
+        assert solved.tuples("tag") == {(code, broken)}
+        oracle = naive_evaluate(prog, edge_db((code, "a"), ("a", broken), ("b", "c")))
+        assert {r: t for r, t in solved.relations.items() if t} == {
+            r: t for r, t in oracle.items() if t
+        }
+        assert query(solved, f"tag({format_value(code)}, X)") == {(broken,)}
 
 
 class TestQuery:

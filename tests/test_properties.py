@@ -18,7 +18,7 @@ from factlog import (
     parse_template,
     query,
 )
-from factlog.facts import Fact, parse_fact_line
+from factlog.facts import Fact, format_value, parse_fact_line
 from factlog.templates import iter_nested_matches
 from oracles import collect_inner, naive_evaluate, reachability
 
@@ -117,6 +117,111 @@ class TestEngineAgainstOracle:
         grown = normalized(evaluate(prog, extra))
         for name, rows in base.items():
             assert rows <= grown.get(name, set())
+
+
+# Typed programs: integer and symbol columns side by side, awkward symbols,
+# wildcards, 0-arity relations, repeated variables and EDB-seeded IDB.
+
+SYM_VALUES = ("1", "a", '"', "\\", "\n", '")', "é", "日本 x")
+INT_VALUES = (1, 0, -7, 12)
+POOLS = {"number": INT_VALUES, "symbol": SYM_VALUES, None: INT_VALUES + SYM_VALUES}
+TYPED_VARS = {"number": ("I", "J"), "symbol": ("X", "Y", "Z")}
+# query term text -> the constant it denotes (None for variables and _)
+QUERY_TERMS = {"X": None, "Y": None, "_": None, '"1"': "1", "1": 1, format_value('")'): '")'}
+
+
+@st.composite
+def typed_programs(draw):
+    """A safe, stratified, well-typed program as text, and EDB rows drawn
+    for every relation it uses, IDB relations included.
+
+    Each column is a number or a symbol column and each variable name has
+    one type, so a program such as ``p(1, "1")`` type-checks by
+    construction.  Relations are layered as in ``programs(negation=True)``.
+    A column no constant reaches stays untyped, and its EDB rows mix
+    ``1`` and ``"1"``.
+    """
+    columns = {
+        rel: draw(st.lists(st.sampled_from(("number", "symbol")), max_size=3)) for rel in RELS
+    }
+    layer = {rel: i for i, rel in enumerate(RELS)}
+
+    def const(kind):
+        return format_value(draw(st.sampled_from(POOLS[kind])))
+
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        head_rel = draw(st.sampled_from(RELS))
+        body = []
+        bound: dict[str, str] = {}
+        for _ in range(draw(st.integers(1, 3))):
+            rel = draw(st.sampled_from(RELS))
+            if layer[rel] > layer[head_rel]:
+                rel = head_rel
+            terms = []
+            for kind in columns[rel]:
+                how = draw(st.sampled_from(("var", "var", "const", "_")))
+                if how == "var":
+                    name = draw(st.sampled_from(TYPED_VARS[kind]))
+                    bound[name] = kind
+                    terms.append(name)
+                else:
+                    terms.append(const(kind) if how == "const" else "_")
+            body.append(f"{rel}({', '.join(terms)})")
+
+        def bound_or_const(kind):
+            names = tuple(v for v, k in bound.items() if k == kind)
+            return draw(st.sampled_from(names)) if names and draw(st.booleans()) else const(kind)
+
+        lower = RELS[: layer[head_rel]]
+        if lower and draw(st.booleans()):
+            rel = draw(st.sampled_from(lower))
+            body.append(f"!{rel}({', '.join(bound_or_const(k) for k in columns[rel])})")
+        head = ", ".join(bound_or_const(k) for k in columns[head_rel])
+        lines.append(f"{head_rel}({head}) :- {', '.join(body)}.")
+    text = "\n".join(lines) + "\n"
+    edb = Database()
+    for rel, decl in parse_program(text).declarations.items():
+        pools = [st.sampled_from(POOLS[kind]) for kind in decl.column_types()]
+        for row in draw(st.sets(st.tuples(*pools), max_size=4)):
+            edb.add(rel, row)
+    return text, edb
+
+
+class TestCompiledPlansAgainstOracle:
+    @given(typed_programs())
+    @settings(max_examples=300, deadline=None)
+    def test_typed_programs_match_naive(self, case):
+        text, edb = case
+        prog = parse_program(text)
+        engine = normalized(evaluate(prog, edb))
+        oracle = {rel: rows for rel, rows in naive_evaluate(prog, edb).items() if rows}
+        assert engine == oracle
+
+    @given(typed_programs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_query_matches_a_filter(self, case, data):
+        text, edb = case
+        solved = evaluate(parse_program(text), edb)
+        nonempty = sorted(rel for rel, rows in solved.relations.items() if rows)
+        assume(nonempty)
+        rel = data.draw(st.sampled_from(nonempty))
+        rows = solved.relations[rel]
+        arity = len(next(iter(rows)))
+        term = st.one_of(st.sampled_from(("X", "Y")), st.sampled_from(sorted(QUERY_TERMS)))
+        terms = data.draw(st.lists(term, min_size=arity, max_size=arity))
+        want = set()
+        for row in rows:
+            env: dict[str, object] = {}
+            for t, v in zip(terms, row):
+                if t in ("X", "Y"):
+                    if env.setdefault(t, v) != v:
+                        break
+                elif t != "_" and QUERY_TERMS[t] != v:
+                    break
+            else:
+                want.add(tuple(env.values()))
+        assert query(solved, f"{rel}({', '.join(terms)})") == want
 
 
 EDGES = st.sets(
