@@ -77,9 +77,6 @@ class Atom:
             if isinstance(t, Variable) and t.name != "_":
                 yield t.name
 
-    def is_ground(self) -> bool:
-        return not any(isinstance(t, Variable) for t in self.terms)
-
 
 @dataclass(frozen=True)
 class BodyLiteral:
@@ -118,9 +115,6 @@ class DatalogProgram:
 
     def idb_relations(self) -> set[str]:
         return {r.head.relation for r in self.rules}
-
-    def edb_relations(self) -> set[str]:
-        return self.all_relations() - self.idb_relations()
 
 
 # ---------------------------------------------------------------------------

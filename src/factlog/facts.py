@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ArityMismatch, FactlogError, MalformedFact
 
@@ -164,12 +164,6 @@ class Database:
     def fact_count(self, relations: Iterable[str] | None = None) -> int:
         names = self.relations if relations is None else relations
         return sum(len(self.relations.get(r, ())) for r in names)
-
-    def iter_facts(self) -> Iterator[Fact]:
-        """All facts ordered by (relation, args)."""
-        for relation in sorted(self.relations):
-            for tup in self.sorted_tuples(relation):
-                yield Fact(relation, tup)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Database):

@@ -1,11 +1,13 @@
 """Language definitions and comment/string-aware classification of source text.
 
 A LanguageDefinition is a small lexical profile: how comments start and stop,
-how strings are quoted and escaped, and which characters pair up for balance
-scanning.  classify() turns text plus a profile into a SourceMap that assigns
-every offset to exactly one region kind (code, comment, string body, string
-delimiter).  Template matching and balance scanning build on the partition so
-that a ')' inside "a )" or /* ) */ never confuses them.
+how strings are quoted and escaped, and which characters pair up as brackets.
+classify() turns text plus a profile into a SourceMap that assigns every
+offset to exactly one region kind (code, comment, string body, string
+delimiter) and pairs the brackets in code once, in one stack pass: brackets
+pair by kind, and a mismatched close or an open without a partner is plain
+text.  Template matching builds on both, so a ')' inside "a )" or /* ) */
+never confuses it and no group is scanned twice.
 
 Definitions for go, c, zig, and the toy arithmetic language are registered at
 import time.  Additional languages can be registered programmatically or
@@ -109,7 +111,11 @@ def _check_prefix_free(lang: str, what: str, openers: tuple[str, ...]) -> None:
 
 @dataclass
 class SourceMap:
-    """Source text plus its region partition and line table."""
+    """Source text plus its region partition, line table and bracket table.
+
+    group_ends maps the offset of every open bracket in code that has a
+    partner to one past its close (see _pair_brackets).
+    """
 
     source: str
     language: LanguageDefinition
@@ -119,6 +125,8 @@ class SourceMap:
     def __post_init__(self) -> None:
         self._starts = [iv[0] for iv in self.intervals]
         self._line_starts = _line_start_table(self.source)
+        self.group_ends = _pair_brackets(self.source, self.language, self.intervals)
+        self._group_opens = sorted(self.group_ends)
 
     def interval_index(self, offset: int) -> int:
         """Index into intervals of the interval containing offset."""
@@ -129,6 +137,22 @@ class SourceMap:
         if not 0 <= offset < len(self.source):
             raise IndexError(f"offset {offset} out of range")
         return self.intervals[self.interval_index(offset)]
+
+    def next_group(self, pos: int, hi: int) -> tuple[int, int]:
+        """(open, one past close) of the first paired group that opens at or
+        after pos and closes by hi; (hi, hi) if none.
+
+        The opens skipped on the way all enclose hi, so the walk is no longer
+        than the nesting depth at hi.
+        """
+        opens, ends = self._group_opens, self.group_ends
+        for i in range(bisect.bisect_left(opens, pos), len(opens)):
+            start = opens[i]
+            if start >= hi:
+                break
+            if ends[start] <= hi:
+                return start, ends[start]
+        return hi, hi
 
     def region_at(self, offset: int) -> Region:
         """Region kind of the byte at offset."""
@@ -275,52 +299,53 @@ def _string_end(source: str, pos: int, close: str, escape: str | None) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Balance scanning
+# Bracket pairing
 
 
-@lru_cache(maxsize=128)
-def _pair_maps(lang: LanguageDefinition):
+def _pair_brackets(source: str, lang: LanguageDefinition, intervals) -> dict[int, int]:
+    """Open offset -> one past its close, for every bracket in code that pairs.
+
+    One stack pass over the code regions.  Brackets pair by kind; a close
+    that does not match the innermost open is plain text; an open still on
+    the stack at the end has no partner.  While an open is on the stack each
+    step sees the same top that a scan started at that open would see, so
+    its recorded partner is exactly where such a scan stops.
+    """
     open_to_close = dict(lang.balanced_pairs)
-    close_set = frozenset(c for _, c in lang.balanced_pairs)
-    chars = "".join(open_to_close) + "".join(close_set)
-    finder = re.compile("[" + re.escape(chars) + "]") if chars else None
-    return open_to_close, close_set, finder
+    if not open_to_close:
+        return {}
+    finder = re.compile("[" + re.escape(lang.open_chars + lang.close_chars) + "]")
+    ends: dict[int, int] = {}
+    stack: list[tuple[str, int]] = []  # (expected close, open offset)
+    for s, e, kind in intervals:
+        if kind is not Region.CODE:
+            continue
+        for m in finder.finditer(source, s, e):
+            ch = m.group()
+            close = open_to_close.get(ch)
+            if close is not None:
+                stack.append((close, m.start()))
+            elif stack and stack[-1][0] == ch:
+                ends[stack.pop()[1]] = m.end()
+    return ends
 
 
 def scan_balanced(smap: SourceMap, start: int, limit: int | None = None) -> int:
-    """Offset one past the close matching the open delimiter at start.
+    """Offset one past the close paired with the open delimiter at start,
+    looked up in the SourceMap's bracket table.
 
-    Delimiters inside comment or string regions are ignored.  Nesting of all
-    pair kinds is honored via a stack; a close character that does not match
-    the innermost open is ignored (lenient).  Raises UnbalancedInput when the
-    limit is reached first.
+    Raises LanguageError when start is not an open delimiter in a code region
+    below the limit, and UnbalancedInput when the open has no partner or its
+    partner closes past the limit.
     """
     source = smap.source
     hi = len(source) if limit is None else limit
-    open_to_close, close_set, finder = _pair_maps(smap.language)
-    if start >= hi or smap.region_at(start) is not Region.CODE or source[start] not in open_to_close:
+    if start >= hi or smap.region_at(start) is not Region.CODE or source[start] not in smap.language.open_chars:
         raise LanguageError(f"offset {start} is not an open delimiter in a code region")
-    stack = [open_to_close[source[start]]]
-    idx = bisect.bisect_right(smap._starts, start) - 1
-    pos = start + 1
-    for s, e, kind in smap.intervals[idx:]:
-        if kind is not Region.CODE:
-            continue
-        lo = max(s, pos)
-        if lo >= hi:
-            break
-        for m in finder.finditer(source, lo, min(e, hi)):
-            ch = m.group(0)
-            if ch in open_to_close:
-                stack.append(open_to_close[ch])
-            elif ch == stack[-1]:
-                stack.pop()
-                if not stack:
-                    return m.start() + 1
-            # a mismatched close is treated as plain text
-        if e >= hi:
-            break
-    raise UnbalancedInput(f"no matching close for {source[start]!r} at offset {start}")
+    end = smap.group_ends.get(start)
+    if end is None or end > hi:
+        raise UnbalancedInput(f"no matching close for {source[start]!r} at offset {start}")
+    return end
 
 
 # ---------------------------------------------------------------------------

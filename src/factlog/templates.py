@@ -16,19 +16,24 @@ Matching is comment/string aware via SourceMap regions: literal template text
 never matches inside a comment, template whitespace matches runs of source
 whitespace and comments, and balance scanning ignores delimiters inside
 strings.  Matches are found by a non-overlapping leftmost scan.
+
+Balanced groups (an expression-hole unit, a level of the nested descent) come
+from the SourceMap's bracket table, where a mismatched close is plain text,
+while the depth counter behind $name* and ... takes any close as closing any
+open, so ``$c(...)`` finds no match in ``f(a]) x`` and ``{$b*}`` matches
+``{ ( ] }``.
 """
 
 from __future__ import annotations
 
-import bisect
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .errors import DuplicateHoleName, MalformedHole, UnbalancedInput, UnboundHole
-from .languages import LanguageDefinition, Region, SourceMap, scan_balanced
+from .errors import DuplicateHoleName, MalformedHole, UnboundHole
+from .languages import LanguageDefinition, Region, SourceMap
 
 
 class HoleKind(Enum):
@@ -330,7 +335,7 @@ class _Matcher:
 
     def _chunk_regions_ok(self, start: int, end: int) -> bool:
         smap = self.smap
-        idx = bisect.bisect_right(smap._starts, start) - 1
+        idx = smap.interval_index(start)
         s, e, kind = smap.intervals[idx]
         if kind is Region.COMMENT or kind is Region.STRING_BODY:
             return False
@@ -396,9 +401,8 @@ class _Matcher:
                 ends.append(k)
                 p = k
             elif ch in self._opens and j == p:
-                try:
-                    end = scan_balanced(self.smap, j, self.hi)
-                except UnbalancedInput:
+                end = self.smap.group_ends.get(j)
+                if end is None or end > hi:
                     break
                 ends.append(end)
                 p = end
@@ -410,7 +414,7 @@ class _Matcher:
     def _string_unit_end(self, pos: int) -> int | None:
         """End offset of the whole string literal whose open delimiter starts at pos."""
         smap = self.smap
-        idx = bisect.bisect_right(smap._starts, pos) - 1
+        idx = smap.interval_index(pos)
         intervals = smap.intervals
         # open delimiter, optional body, close delimiter
         s, e, kind = intervals[idx]
@@ -525,8 +529,7 @@ class _Matcher:
         opens, closes = self._opens, self._closes
         anchor_ws = anchor == " "
         depth = 0
-        idx = bisect.bisect_right(smap._starts, pos) - 1 if pos < len(src) else len(smap.intervals)
-        for s, e, kind in smap.intervals[idx:]:
+        for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
             if s >= hi:
                 break
             if kind is not Region.CODE:
@@ -572,8 +575,7 @@ class _Matcher:
         depth = 0
         if pos >= len(src):
             return pos
-        idx = bisect.bisect_right(smap._starts, pos) - 1
-        for s, e, kind in smap.intervals[idx:]:
+        for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
             if s >= hi:
                 break
             if kind is not Region.CODE:
@@ -629,7 +631,7 @@ def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -
         frame = stack[-1]
         pos, top, tries, group = frame
         if group is None or group[0] < pos:
-            group = frame[3] = _next_group(smap, pos, top)
+            group = frame[3] = smap.next_group(pos, top)
         gs, ge = group
         if tries:
             if cand < pos:
@@ -649,28 +651,3 @@ def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -
         else:
             frame[0] = ge
             stack.append([gs + 1, ge - 1, True, None])
-
-
-@lru_cache(maxsize=256)
-def _open_re(lang: LanguageDefinition) -> re.Pattern[str]:
-    cls = _char_class(lang.open_chars)
-    return re.compile(f"[{cls}]") if cls else re.compile(r"(?!)")
-
-
-def _next_group(smap: SourceMap, pos: int, hi: int) -> tuple[int, int]:
-    """(open, one past close) of the first balanced group at or after pos that
-    closes by hi, skipping strings, comments and unclosed opens; (hi, hi) if none."""
-    src, intervals = smap.source, smap.intervals
-    opens = _open_re(smap.language)
-    for idx in range(smap.interval_index(pos), len(intervals)):
-        s, e, kind = intervals[idx]
-        if s >= hi:
-            break
-        if kind is not Region.CODE:
-            continue
-        for m in opens.finditer(src, max(s, pos), min(e, hi)):
-            try:
-                return m.start(), scan_balanced(smap, m.start(), hi)
-            except UnbalancedInput:
-                pass
-    return hi, hi

@@ -4,20 +4,23 @@ These deliberately share no evaluation machinery with the package: the
 Datalog oracle recomputes every rule from scratch each round (no deltas,
 no indexes) and derives stratum levels by longest-path relaxation instead
 of SCC condensation.  The inner-match oracle shares only the first-match
-search (iter_matches) and scan_balanced with the package; it finds each
-level's next match and next group afresh at every position and recurses
-once per nesting level.  Agreement between the two implementations is the
-point, so keep this file boring.
+search (iter_matches) with the package; it finds each level's next match
+and next group afresh at every position, pairs each group by a fresh stack
+scan from its open (rescan_balanced, where the package looks the pair up in
+the SourceMap's per-file bracket table) and recurses once per nesting
+level.  Agreement between the two implementations is the point, so keep
+this file boring.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from typing import Iterator
 
 from factlog.datalog import DatalogProgram, Variable
-from factlog.errors import UnbalancedInput
-from factlog.languages import Region, SourceMap, scan_balanced
+from factlog.errors import LanguageError, UnbalancedInput
+from factlog.languages import Region, SourceMap
 from factlog.templates import Match, Template, iter_matches
 
 
@@ -187,9 +190,46 @@ def _iter_groups(smap: SourceMap, lo: int, hi: int) -> Iterator[tuple[int, int]]
         if found == -1:
             return
         try:
-            end = scan_balanced(smap, found, hi)
+            end = rescan_balanced(smap, found, hi)
         except UnbalancedInput:
             pos = found + 1
             continue
         yield found, end
         pos = end
+
+
+def rescan_balanced(smap: SourceMap, start: int, limit: int | None = None) -> int:
+    """Offset one past the close matching the open delimiter at start, by a
+    stack scan from start.
+
+    Delimiters inside comment or string regions are ignored.  Nesting of all
+    pair kinds is honored via a stack; a close character that does not match
+    the innermost open is ignored (lenient).  Raises UnbalancedInput when the
+    limit is reached first.
+    """
+    source = smap.source
+    hi = len(source) if limit is None else limit
+    open_to_close = dict(smap.language.balanced_pairs)
+    if start >= hi or smap.region_at(start) is not Region.CODE or source[start] not in open_to_close:
+        raise LanguageError(f"offset {start} is not an open delimiter in a code region")
+    finder = re.compile("[" + re.escape(smap.language.open_chars + smap.language.close_chars) + "]")
+    stack = [open_to_close[source[start]]]
+    pos = start + 1
+    for s, e, kind in smap.intervals[smap.interval_index(start) :]:
+        if kind is not Region.CODE:
+            continue
+        lo = max(s, pos)
+        if lo >= hi:
+            break
+        for m in finder.finditer(source, lo, min(e, hi)):
+            ch = m.group(0)
+            if ch in open_to_close:
+                stack.append(open_to_close[ch])
+            elif ch == stack[-1]:
+                stack.pop()
+                if not stack:
+                    return m.start() + 1
+            # a mismatched close is treated as plain text
+        if e >= hi:
+            break
+    raise UnbalancedInput(f"no matching close for {source[start]!r} at offset {start}")

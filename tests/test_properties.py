@@ -3,12 +3,17 @@ round-trip invariants for the text formats."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factlog import (
     GO,
+    C,
     Database,
+    FactlogError,
     Region,
     classify,
     evaluate,
@@ -17,10 +22,11 @@ from factlog import (
     parse_program,
     parse_template,
     query,
+    scan_balanced,
 )
 from factlog.facts import Fact, format_value, parse_fact_line
 from factlog.templates import iter_nested_matches
-from oracles import collect_inner, naive_evaluate, reachability
+from oracles import collect_inner, naive_evaluate, reachability, rescan_balanced
 
 # ---------------------------------------------------------------------------
 # Random Datalog programs
@@ -339,3 +345,42 @@ class TestInnerMatchesAgainstOracle:
         plain = list(iter_matches(template, smap, lo, hi))
         assert _match_keys(nested) == _match_keys(collect_inner(template, smap, lo, hi, True))
         assert _match_keys(plain) == _match_keys(collect_inner(template, smap, lo, hi, False))
+
+
+# ---------------------------------------------------------------------------
+# The per-file bracket table against a stack scan from each open
+
+
+def _outcome(scan, smap, start, limit):
+    try:
+        return scan(smap, start, limit)
+    except FactlogError as exc:  # compared by type: same value or same error
+        return type(exc)
+
+
+class TestBracketTableAgainstOracle:
+    @given(NESTED_SOURCE, st.sampled_from((GO, C)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_balanced_equals_rescan(self, source, lang, data):
+        smap = classify(source, lang)
+        n = len(source)
+        for limit in (n, data.draw(st.integers(0, n))):
+            for start in range(n):
+                assert _outcome(scan_balanced, smap, start, limit) == _outcome(rescan_balanced, smap, start, limit)
+
+
+class TestOracleIndependence:
+    # The references must not become the code they check.
+    CHECKED = {"scan_balanced", "iter_nested_matches", "next_group", "group_ends"}
+
+    def test_oracles_do_not_use_the_bracket_table(self):
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("factlog"):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                used.update(alias.name for alias in node.names if alias.name.startswith("factlog"))
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        assert not used & self.CHECKED

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from factlog import (
@@ -13,8 +15,9 @@ from factlog import (
     get_language,
     iter_matches,
     parse_template,
+    scan_balanced,
 )
-from factlog.templates import Hole, Literal
+from factlog.templates import Hole, Literal, iter_nested_matches
 
 
 def go_match(template: str, source: str):
@@ -135,6 +138,26 @@ class TestEverythingHole:
     def test_stops_at_first_atom_occurrence(self):
         assert binding("$pre* stop", "a b stop c stop") == "a b"
 
+    def test_starts_at_end_of_source(self):
+        m = go_match("a$x* ", "a")
+        assert (m.start, m.end, m.env["x"].text) == (0, 1, "")
+
+
+class TestBracketRules:
+    """Groups pair brackets by kind and a mismatched close is plain text, but
+    the depth counter behind $x* and ... takes any close against any open.
+    Unifying the two rules changes these outputs."""
+
+    def test_group_pairs_past_a_mismatched_close(self):
+        assert scan_balanced(classify("f(a])", GO), 1) == 5
+
+    def test_anonymous_hole_stops_at_a_mismatched_close(self):
+        assert go_all("$c(...)", "f(a]) x") == []
+
+    def test_everything_hole_spans_an_unpaired_open(self):
+        m = go_match("{$b*}", "{ ( ] }")
+        assert (m.start, m.end, m.env["b"].text) == (0, 7, " ( ] ")
+
 
 class TestOptionalHole:
     def test_absent(self):
@@ -207,3 +230,24 @@ class TestZigSigils:
         smap = classify("fn f() !void {", get_language("zig"))
         m = next(iter_matches(parse_template("fn f() $r? {"), smap), None)
         assert m is not None and m.env["r"].text == "!void"
+
+
+class TestNestedDescentGrowth:
+    def test_deep_nesting_grows_near_linearly(self):
+        # Depth d, then 2d, three times: linear growth reads 2, quadratic 4.
+        # Back-to-back pairs cancel a shared machine's drift, and dropping
+        # each match as it comes keeps page faults on a large list out.
+        template = parse_template("[$x]")
+
+        def run(depth: int) -> float:
+            source = "[" * depth + "x" + "]" * depth
+            smap = classify(source, GO)
+            t0 = time.perf_counter()
+            count = sum(1 for _ in iter_nested_matches(template, smap, 0, len(source)))
+            elapsed = time.perf_counter() - t0
+            assert count == depth
+            return elapsed
+
+        depth = 3000
+        ratios = sorted(run(2 * depth) / run(depth) for _ in range(3))
+        assert ratios[1] <= 2.5
