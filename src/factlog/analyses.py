@@ -26,7 +26,6 @@ import configparser
 import os
 import time
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 
 from .datalog import DatalogProgram, evaluate, parse_program
@@ -206,6 +205,8 @@ def run_fact_generation(
     lang = preset.language_def()
     tasks = [(str(p), preset.fact_specs, lang) for p in sorted(Path(p) for p in paths)]
     if jobs > 1 and len(tasks) > 1:
+        from multiprocessing import get_context  # imported here: ~5 ms every serial run would pay
+
         chunk = max(1, len(tasks) // (jobs * 4))
         with get_context("fork").Pool(jobs) as pool:
             results = pool.map(_process_file, tasks, chunksize=chunk)

@@ -36,7 +36,7 @@ from .errors import ArityMismatch, DatalogError, FactlogError, UnboundHole, Unkn
 from .facts import Database, _tuple_key
 from .languages import classify, get_language, load_language_file
 from .rewrite import load_fact_spec
-from .templates import iter_matches, parse_template
+from .templates import compile_template, iter_matches, parse_template
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -322,7 +322,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         raise UsageError("match requires --lang")
     lang = get_language(args.lang)
     if args.template:
-        template = parse_template(args.template)
+        template = compile_template(parse_template(args.template), lang)
     else:
         template = load_fact_spec(args.spec, language=args.lang).match
     files = discover_files(args.inputs, args.lang)

@@ -114,7 +114,9 @@ class SourceMap:
     """Source text plus its region partition, line table and bracket table.
 
     group_ends maps the offset of every open bracket in code that has a
-    partner to one past its close (see _pair_brackets).
+    partner to one past its close (see _pair_brackets).  candidate_tables
+    holds the offsets where a template that starts with a hole may match,
+    one sorted list per anchor text, each built by the matcher on first use.
     """
 
     source: str
@@ -127,6 +129,7 @@ class SourceMap:
         self._line_starts = _line_start_table(self.source)
         self.group_ends = _pair_brackets(self.source, self.language, self.intervals)
         self._group_opens = sorted(self.group_ends)
+        self.candidate_tables: dict[str, list[int]] = {}
 
     def interval_index(self, offset: int) -> int:
         """Index into intervals of the interval containing offset."""

@@ -23,19 +23,20 @@ substitution time (``next($x.line, $x.line + 1)``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Union
 
 from .errors import MalformedFact, MalformedHole, SpecFormatError, UnboundHole
 from .facts import Database, parse_fact_line
-from .languages import SourceMap
+from .languages import SourceMap, get_language
 from .templates import (
     Binding,
     MatchEnvironment,
     Property,
     Template,
+    compile_template,
     iter_matches,
     iter_nested_matches,
     parse_template,
@@ -354,10 +355,35 @@ _SECTIONS = ("match", "rule", "rewrite")
 
 
 def parse_fact_spec(text: str, name: str = "spec", language: str = "") -> FactSpec:
-    """Parse the three-section spec format ([match], [rule], [rewrite])."""
-    sections: dict[str, list[str]] = {}
+    """Parse the three-section spec format ([match], [rule], [rewrite]).
+
+    With a language, the match template and every inner template are
+    compiled for it here, once.
+    """
+    sections = _split_sections(text, name)
+    for required in ("match", "rewrite"):
+        if required not in sections:
+            raise SpecFormatError(f"{name}: missing [{required}] section")
+    match_text = _section_body(sections["match"])
+    rewrite_text = _section_body(sections["rewrite"])
+    rule_text = _section_body(sections.get("rule", []))
+    if not match_text:
+        raise SpecFormatError(f"{name}: [match] section is empty")
+    match = parse_template(match_text)
+    rule = parse_rule(rule_text)
+    if language:
+        lang = get_language(language)
+        match = compile_template(match, lang)
+        inner = tuple(replace(nr, inner_match=compile_template(nr.inner_match, lang)) for nr in rule.nested_rewrites)
+        rule = replace(rule, nested_rewrites=inner)
+    return FactSpec(name, language, match, rule, parse_rewrite_template(rewrite_text))
+
+
+def _split_sections(text: str, name: str) -> dict[str, list[tuple[int, str]]]:
+    """Section name -> its (1-based line number, raw line) pairs."""
+    sections: dict[str, list[tuple[int, str]]] = {}
     current: str | None = None
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if stripped.startswith("[") and stripped.endswith("]") and stripped[1:-1] in _SECTIONS:
             current = stripped[1:-1]
@@ -369,36 +395,52 @@ def parse_fact_spec(text: str, name: str = "spec", language: str = "") -> FactSp
             if stripped and not stripped.startswith("#"):
                 raise SpecFormatError(f"{name}: text before the first section header: {stripped!r}")
             continue
-        sections[current].append(raw)
-    for required in ("match", "rewrite"):
-        if required not in sections:
-            raise SpecFormatError(f"{name}: missing [{required}] section")
-    match_text = _section_body(sections["match"])
-    rewrite_text = _section_body(sections["rewrite"])
-    rule_text = _section_body(sections.get("rule", []))
-    if not match_text:
-        raise SpecFormatError(f"{name}: [match] section is empty")
-    return FactSpec(
-        name=name,
-        language=language,
-        match=parse_template(match_text),
-        rule=parse_rule(rule_text),
-        rewrite=parse_rewrite_template(rewrite_text),
-    )
+        sections[current].append((number, raw))
+    return sections
 
 
-def _section_body(lines: list[str]) -> str:
+def _section_body(lines: list[tuple[int, str]]) -> str:
     start, end = 0, len(lines)
-    while start < end and not lines[start].strip():
+    while start < end and not lines[start][1].strip():
         start += 1
-    while end > start and not lines[end - 1].strip():
+    while end > start and not lines[end - 1][1].strip():
         end -= 1
-    return "\n".join(lines[start:end])
+    return "\n".join(raw for _, raw in lines[start:end])
 
 
 def load_fact_spec(path: str | Path, language: str = "") -> FactSpec:
+    """Parse a spec file and check that every hole its [rule] and [rewrite]
+    name is bound, whether or not any source ever matches."""
     path = Path(path)
-    return parse_fact_spec(path.read_text(encoding="utf-8"), name=path.stem, language=language)
+    text = path.read_text(encoding="utf-8")
+    spec = parse_fact_spec(text, name=path.stem, language=language)
+    unbound = _unbound_holes(spec)
+    if unbound:
+        section, hole = unbound[0]
+        lines = _split_sections(text, spec.name)[section]
+        pattern = re.compile(rf"\${hole}(?![A-Za-z0-9_])")
+        number = next((n for n, raw in lines if pattern.search(raw)), lines[0][0])
+        raise SpecFormatError(f"{path}:{number}: hole ${hole} is bound by neither the match nor an inner template")
+    return spec
+
+
+def _unbound_holes(spec: FactSpec) -> list[tuple[str, str]]:
+    """(section, hole) for every hole the rule or rewrite reads that no
+    match binds at that point, in the order apply_rule reads them."""
+    bound = set(spec.match.hole_names())
+    inner = spec.rule.inner_hole_names()
+    out = [("rule", c.hole) for c in spec.rule.conditions if c.hole not in bound | inner]
+    for nr in spec.rule.nested_rewrites:
+        if nr.target not in bound:
+            out.append(("rule", nr.target))
+        visible = bound | set(nr.inner_match.hole_names())
+        out += [("rule", name) for name in _substituted(nr.inner_rewrite) if name not in visible]
+    out += [("rewrite", name) for name in _substituted(spec.rewrite) if name not in bound]
+    return out
+
+
+def _substituted(template: RewriteTemplate) -> list[str]:
+    return [a.name for a in template.atoms if isinstance(a, Substitution)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,27 @@ from the SourceMap's bracket table, where a mismatched close is plain text,
 while the depth counter behind $name* and ... takes any close as closing any
 open, so ``$c(...)`` finds no match in ``f(a]) x`` and ``{$b*}`` matches
 ``{ ( ] }``.
+
+compile_template binds a template to a language once, when its spec loads:
+literals split into whitespace and text chunks, the language's regexes, and
+a candidate strategy that says where a match may start.  A leading literal
+is found by its first text chunk.  A leading expression or optional hole
+followed by a literal (``$c(...)``, ``$l = $a + $b``) is anchored on that
+literal's first text chunk: a match can start only where a chain of
+adjoining units reaches an occurrence of the anchor, so the candidates are
+the left-maximal unit starts between each occurrence and the start of the
+chain that ends there.  Those come from a per-file table on the SourceMap,
+built on first use.  match_at itself accepts a leading hole only at a
+left-maximal unit start, so trying every offset finds what the candidates
+find.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, Union
 
 from .errors import DuplicateHoleName, MalformedHole, UnboundHole
@@ -68,10 +81,12 @@ Atom = Union[Literal, Hole]
 
 @dataclass(frozen=True)
 class Template:
-    """Parsed template: original text plus its atom sequence."""
+    """Parsed template: original text plus its atom sequence, and its
+    compiled form once compile_template has bound it to a language."""
 
     text: str
     atoms: tuple[Atom, ...]
+    compiled: CompiledTemplate | None = field(default=None, repr=False, compare=False)
 
     def hole_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.atoms if isinstance(a, Hole) and a.name)
@@ -194,42 +209,175 @@ def _char_class(chars: str) -> str:
     return "".join(re.escape(c) for c in sorted(set(chars)))
 
 
-@lru_cache(maxsize=256)
-def _unit_start_re(lang: LanguageDefinition) -> re.Pattern[str]:
-    """Positions where an expression-hole unit may begin, left-maximal."""
-    ident = _char_class(lang.identifier_extra)
-    starts = _char_class(lang.value_prefix_chars + lang.open_chars + "".join(o for o, _, _ in lang.string_delimiters))
-    return re.compile(rf"(?<![\w{ident}])[\w{ident}{starts}]")
+def _identifier_char_re(lang: LanguageDefinition) -> str:
+    """Pattern for exactly one character that is_identifier_char accepts."""
+    extra = _char_class(lang.identifier_extra.replace("_", ""))
+    if "_" in lang.identifier_extra:
+        return rf"[\w{extra}]"
+    return rf"(?:[^\W_]|[{extra}])" if extra else r"[^\W_]"
 
 
-@lru_cache(maxsize=512)
-def _compiled(template: Template, lang: LanguageDefinition):
-    pieces: dict[int, tuple[_Piece, ...]] = {}
-    for i, atom in enumerate(template.atoms):
-        if isinstance(atom, Literal):
-            pieces[i] = _split_literal(atom.text, lang)
+@dataclass(frozen=True, eq=False)
+class CompiledTemplate:
+    """A template's compiled form for one language, built once, when its
+    spec loads.
+
+    pieces holds each literal atom split into whitespace and text chunks.
+    strategy says where a match may start: "find" (the first text chunk of
+    a leading literal), "anchor" (a leading expression or optional hole
+    before a literal: the offsets in the SourceMap's per-file candidate
+    table under key, see _anchor_candidates), "units" (a leading hole with
+    no text chunk after it: every left-maximal unit start), "scan" (every
+    offset) or "none" (the empty template).
+    """
+
+    language: LanguageDefinition
+    pieces: tuple[tuple[_Piece, ...] | None, ...]
+    strategy: str
+    key: str  # "find": the chunk; "anchor": the chunk, after a space when whitespace precedes it
+    ident_re: re.Pattern[str]  # one identifier run
+    unit_start_re: re.Pattern[str]  # a left-maximal unit start
+    group_re: re.Pattern[str]  # any open or close delimiter
+    scan_res: tuple[re.Pattern[str] | None, ...]  # per everything hole: events up to its anchor
+    opens: frozenset[str]
+    closes: frozenset[str]
+    string_opens: frozenset[str]
+
+
+def compile_template(template: Template, lang: LanguageDefinition) -> Template:
+    """The template with its compiled form for lang: its literals split and
+    the places where its matches may start chosen."""
     atoms = template.atoms
+    pieces = tuple(_split_literal(a.text, lang) if isinstance(a, Literal) else None for a in atoms)
+    ident = _identifier_char_re(lang)
+    delims = _char_class(lang.open_chars + lang.close_chars)
+    string_opens = "".join(o[0] for o, _, _ in lang.string_delimiters)
+    starts = _char_class(lang.value_prefix_chars + lang.open_chars + string_opens)
+    first_chunk = next((p.text for p in pieces[1] if not p.ws), "") if len(atoms) > 1 and pieces[1] else ""
     if not atoms:
-        strategy: tuple = ("none",)
-    elif isinstance(atoms[0], Literal):
-        chunk = next((p.text for p in pieces[0] if not p.ws), None)
-        strategy = ("find", chunk) if chunk else ("scan",)
-    elif atoms[0].kind in (HoleKind.EXPRESSION, HoleKind.OPTIONAL):
-        strategy = ("regex", _unit_start_re(lang))
+        strategy, key = "none", ""
+    elif pieces[0]:
+        chunk = next((p.text for p in pieces[0] if not p.ws), "")
+        strategy, key = ("find", chunk) if chunk else ("scan", "")
+    elif atoms[0].kind not in (HoleKind.EXPRESSION, HoleKind.OPTIONAL):
+        strategy, key = "scan", ""
+    elif first_chunk:
+        strategy, key = "anchor", (" " if pieces[1][0].ws else "") + first_chunk
     else:
-        strategy = ("scan",)
-    return pieces, strategy
+        strategy, key = "units", ""
+    scan_res = []
+    for i, atom in enumerate(atoms):
+        nxt = pieces[i + 1] if i + 1 < len(atoms) else None
+        if isinstance(atom, Hole) and atom.kind in (HoleKind.EVERYTHING, HoleKind.ANONYMOUS) and nxt:
+            anchor = r"\s" if nxt[0].ws else "[" + re.escape(nxt[0].text[0]) + "]"
+            scan_res.append(re.compile(f"[{delims}]|{anchor}" if delims else anchor))
+        else:
+            scan_res.append(None)
+    compiled = CompiledTemplate(
+        language=lang,
+        pieces=pieces,
+        strategy=strategy,
+        key=key,
+        ident_re=re.compile(ident + "+"),
+        unit_start_re=re.compile(rf"(?<!{ident})(?:{ident}|[{starts}])" if starts else rf"(?<!{ident}){ident}"),
+        group_re=re.compile(f"[{delims}]" if delims else "(?!)"),
+        scan_res=tuple(scan_res),
+        opens=frozenset(lang.open_chars),
+        closes=frozenset(lang.close_chars),
+        string_opens=frozenset(string_opens),
+    )
+    return replace(template, compiled=compiled)
 
 
-@lru_cache(maxsize=512)
-def _event_re(lang: LanguageDefinition, anchor: str) -> re.Pattern[str]:
-    """Open/close delimiters plus the anchor's first character (or ws)."""
-    cls = _char_class(lang.open_chars + lang.close_chars)
-    if anchor == " ":
-        return re.compile(rf"[{cls}]|\s" if cls else r"\s")
-    if anchor:
-        cls = cls + _char_class(anchor)
-    return re.compile(rf"[{cls}]") if cls else re.compile(r"(?!)")
+def _compiled_for(template: Template, smap: SourceMap) -> Template:
+    if template.compiled is None or template.compiled.language is not smap.language:
+        return compile_template(template, smap.language)
+    return template
+
+
+_WS_RE = re.compile(r"\s+")
+_STRING_REGIONS = (Region.STRING_DELIMITER, Region.STRING_BODY)
+
+
+def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
+    """Sorted offsets where a template of the "anchor" strategy may match.
+
+    A match needs a unit chain from its start that ends right before the
+    anchor (or, when the anchor follows whitespace, before the whitespace
+    and comments that precede it).  So the candidates are the left-maximal
+    unit starts between each anchor occurrence and the start of the chain
+    that ends there, which a walk back over identifier runs, paired groups,
+    whole string literals and value-prefix characters finds.  The walk may
+    start further left than any chain does; it never starts right of one.
+    The anchor itself is a candidate too, for an empty optional hole.
+    """
+    src, intervals = smap.source, smap.intervals
+    n = len(src)
+    rev = src[::-1]  # a run that ends at p is a regex match in rev at n - p
+    ident_re = t.ident_re
+    group_starts = {end: start for start, end in smap.group_ends.items()}
+    prefix = t.language.value_prefix_chars
+    ws = t.key[0] == " "
+    chunk = t.key.lstrip(" ")
+    walked: dict[int, int] = {}  # walk start -> walk end, so long chains walk once
+    spans: list[tuple[int, int]] = []
+    for k, (s0, e0, kind0) in enumerate(intervals):
+        # the anchor can start in code, or exactly at a string delimiter
+        if kind0 is Region.CODE:
+            q = src.find(chunk, s0, e0 + len(chunk) - 1)
+        elif kind0 is Region.STRING_DELIMITER and src.startswith(chunk, s0):
+            q = s0
+        else:
+            continue
+        while q != -1:
+            p, i = q, (k if q > s0 else k - 1)  # i: the interval holding p - 1
+            while ws and p > 0:  # back over whitespace and comments
+                s, e, kind = intervals[i]
+                if kind is Region.CODE:
+                    m = _WS_RE.match(rev, n - p, n - s)
+                    if m is None:
+                        break
+                    p = n - m.end()
+                    if p > s:
+                        break
+                elif kind is not Region.COMMENT:
+                    break
+                p, i = s, i - 1
+            start = p
+            while p > 0 and p not in walked:  # back over the unit chain
+                if p in group_starts:
+                    p = group_starts[p]
+                    i = smap.interval_index(p - 1)
+                    continue
+                s, e, kind = intervals[i]
+                if kind is Region.CODE:
+                    m = ident_re.match(rev, n - p, n - s)
+                    if m is None:
+                        break
+                    p = n - m.end()
+                    if p > s and p not in group_starts:
+                        break
+                elif kind in _STRING_REGIONS:
+                    while i > 0 and intervals[i - 1][2] in _STRING_REGIONS:
+                        i -= 1
+                    p = intervals[i][0]
+                else:
+                    break
+                if p == intervals[i][0]:
+                    i -= 1
+            p = walked[start] = walked.get(p, p)
+            while p > 0 and src[p - 1] in prefix:
+                p -= 1
+            spans.append((p, q + 1))
+            q = src.find(chunk, q + 1, e0 + len(chunk) - 1) if kind0 is Region.CODE else -1
+    out: list[int] = []
+    lo = 0
+    for a, b in sorted(spans):
+        a = max(a, lo)
+        if a < b:
+            out.extend(m.start() for m in t.unit_start_re.finditer(src, a, b))
+            lo = b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,33 +392,48 @@ class _Matcher:
     """
 
     def __init__(self, template: Template, smap: SourceMap, end: int):
+        t = self.t = template.compiled
         self.smap = smap
         self.src = smap.source
-        self.lang = smap.language
+        self.lang = t.language
         self.atoms = template.atoms
-        self.pieces, self.strategy = _compiled(template, smap.language)
+        self.pieces = t.pieces
         self.end = end
         self.hi = end
         self.env: dict[str, tuple[int, int]] = {}
-        self._opens = set(self.lang.open_chars)
-        self._closes = set(self.lang.close_chars)
-        self._string_opens = {o[0]: o for o, _, _ in self.lang.string_delimiters}
+        self.table: list[int] | None = None  # the per-file candidate table, on first use
 
     def next_candidate(self, pos: int) -> int:
         """First offset at or after pos where a match may start, or the span end."""
-        kind, end = self.strategy[0], self.end
+        kind, end = self.t.strategy, self.end
         if pos >= end or kind == "none":
             return end
+        if kind == "anchor":
+            table = self.table
+            if table is None:
+                tables = self.smap.candidate_tables
+                table = tables.get(self.t.key)
+                if table is None:
+                    table = tables[self.t.key] = _anchor_candidates(self.t, self.smap)
+                self.table = table
+            i = bisect.bisect_left(table, pos)
+            return table[i] if i < len(table) and table[i] < end else end
         if kind == "find":
-            c = self.src.find(self.strategy[1], pos, end)
+            c = self.src.find(self.t.key, pos, end)
             return end if c == -1 else c
-        if kind == "regex":
-            m = self.strategy[1].search(self.src, pos, end)
+        if kind == "units":
+            m = self.t.unit_start_re.search(self.src, pos, end)
             return end if m is None else m.start()
         return pos  # scan: every offset (rare templates)
 
     def match_at(self, start: int, hi: int) -> Match | None:
-        """The nonempty match starting exactly at start and ending by hi, if any."""
+        """The nonempty match starting exactly at start and ending by hi, if any.
+
+        A leading expression or optional hole starts only at a left-maximal
+        unit start, whatever the window.
+        """
+        if self.t.strategy in ("anchor", "units") and not self.t.unit_start_re.match(self.src, start):
+            return None
         self.hi = hi
         self.env.clear()
         end = self._match_atoms(0, start, True)
@@ -370,13 +533,13 @@ class _Matcher:
     def _unit_chain_ends(self, pos: int) -> list[int]:
         """Ends of successive adjoining units starting exactly at pos."""
         ends: list[int] = []
-        src, hi, lang = self.src, self.hi, self.lang
+        src, hi, t = self.src, self.hi, self.t
         p = pos
         first = True
         while p < hi:
             s, e, kind = self.smap.interval_at(p)
             ch = src[p]
-            if kind is Region.STRING_DELIMITER and s == p and ch in self._string_opens:
+            if kind is Region.STRING_DELIMITER and s == p and ch in t.string_opens:
                 end = self._string_unit_end(p)
                 if end is None or end > hi:
                     break
@@ -388,19 +551,15 @@ class _Matcher:
                 break
             j = p
             if first:
-                while j < hi and src[j] in lang.value_prefix_chars:
+                while j < hi and src[j] in self.lang.value_prefix_chars:
                     j += 1
             if j >= hi:
                 break
-            ch = src[j]
-            if lang.is_identifier_char(ch):
-                stop = min(e, hi)
-                k = j
-                while k < stop and lang.is_identifier_char(src[k]):
-                    k += 1
-                ends.append(k)
-                p = k
-            elif ch in self._opens and j == p:
+            run = t.ident_re.match(src, j, min(e, hi))
+            if run is not None:
+                p = run.end()
+                ends.append(p)
+            elif src[j] in t.opens and j == p:
                 end = self.smap.group_ends.get(j)
                 if end is None or end > hi:
                     break
@@ -525,8 +684,8 @@ class _Matcher:
         src, hi = self.src, self.hi
         smap = self.smap
         name = self.atoms[i].name
-        pat = _event_re(self.lang, anchor)
-        opens, closes = self._opens, self._closes
+        pat = self.t.scan_res[i]
+        opens, closes = self.t.opens, self.t.closes
         anchor_ws = anchor == " "
         depth = 0
         for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
@@ -571,7 +730,7 @@ class _Matcher:
     def _depth_zero_extent(self, pos: int) -> int:
         src, hi = self.src, self.hi
         smap = self.smap
-        pat = _event_re(self.lang, "")
+        pat = self.t.group_re
         depth = 0
         if pos >= len(src):
             return pos
@@ -582,7 +741,7 @@ class _Matcher:
                 continue
             for m in pat.finditer(src, max(s, pos), min(e, hi)):
                 ch = m.group(0)
-                if ch in self._opens:
+                if ch in self.t.opens:
                     depth += 1
                 elif depth == 0:
                     return m.start()
@@ -595,10 +754,21 @@ class _Matcher:
 # Public matching API
 
 
-def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> Iterator[Match]:
-    """Non-overlapping matches in source order within [lo, hi)."""
+def match_at(template: Template, smap: SourceMap, start: int, hi: int | None = None) -> Match | None:
+    """The match starting exactly at start and ending by hi, if any: one try,
+    with no candidate search."""
     hi = len(smap.source) if hi is None else hi
-    matcher = _Matcher(template, smap, hi)
+    return _Matcher(_compiled_for(template, smap), smap, hi).match_at(start, hi)
+
+
+def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> Iterator[Match]:
+    """Non-overlapping matches in source order within [lo, hi).
+
+    A template not compiled for the SourceMap's language is compiled first;
+    compile once with compile_template to match many files.
+    """
+    hi = len(smap.source) if hi is None else hi
+    matcher = _Matcher(_compiled_for(template, smap), smap, hi)
     cand = matcher.next_candidate(lo)
     while cand < hi:
         m = matcher.match_at(cand, hi)
@@ -623,7 +793,7 @@ def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -
     replaces recursion.  The offsets tried only ever increase, so a single
     cached next candidate serves every level and each offset is tried once.
     """
-    matcher = _Matcher(template, smap, hi)
+    matcher = _Matcher(_compiled_for(template, smap), smap, hi)
     cand = matcher.next_candidate(lo)
     # frame: [pos, window hi, try matches at this level, cached next group]
     stack: list[list] = [[lo, hi, True, None]]

@@ -3,13 +3,14 @@
 These deliberately share no evaluation machinery with the package: the
 Datalog oracle recomputes every rule from scratch each round (no deltas,
 no indexes) and derives stratum levels by longest-path relaxation instead
-of SCC condensation.  The inner-match oracle shares only the first-match
-search (iter_matches) with the package; it finds each level's next match
-and next group afresh at every position, pairs each group by a fresh stack
-scan from its open (rescan_balanced, where the package looks the pair up in
-the SourceMap's per-file bracket table) and recurses once per nesting
-level.  Agreement between the two implementations is the point, so keep
-this file boring.
+of SCC condensation.  The inner-match oracle shares only match_at, one
+try at one offset, with the package: it finds each level's next match by
+trying every offset in turn (where the package tries only the candidates
+of the template's compiled strategy), finds the next group afresh at every
+position, pairs each group by a fresh stack scan from its open
+(rescan_balanced, where the package looks the pair up in the SourceMap's
+per-file bracket table) and recurses once per nesting level.  Agreement
+between the two implementations is the point, so keep this file boring.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator
 from factlog.datalog import DatalogProgram, Variable
 from factlog.errors import LanguageError, UnbalancedInput
 from factlog.languages import Region, SourceMap
-from factlog.templates import Match, Template, iter_matches
+from factlog.templates import Match, Template, compile_template, match_at
 
 
 _UNBOUND = object()
@@ -140,16 +141,17 @@ def collect_inner(
     descends into every balanced subspan, emitting each enclosing match before
     the matches nested inside it, in source order otherwise.
     """
+    template = compile_template(template, smap.language)
     out: list[Match] = []
     pos = lo
     if not nested:
         # a fresh first-match search after every match, no resumed scan
-        while (m := next(iter_matches(template, smap, pos, hi), None)) is not None:
+        while (m := first_match(template, smap, pos, hi)) is not None:
             out.append(m)
             pos = m.end
         return out
     while pos < hi:
-        m = next(iter_matches(template, smap, pos, hi), None)
+        m = first_match(template, smap, pos, hi)
         g = _next_group(smap, pos, hi)
         if m is None and g is None:
             break
@@ -163,6 +165,15 @@ def collect_inner(
             out.extend(collect_inner(template, smap, gs + 1, ge - 1, True))
             pos = ge
     return out
+
+
+def first_match(template: Template, smap: SourceMap, lo: int, hi: int) -> Match | None:
+    """The match that starts first in [lo, hi), trying every offset."""
+    for start in range(lo, hi):
+        m = match_at(template, smap, start, hi)
+        if m is not None:
+            return m
+    return None
 
 
 def _next_group(smap: SourceMap, lo: int, hi: int) -> tuple[int, int] | None:

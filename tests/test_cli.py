@@ -80,6 +80,30 @@ class TestFacts:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "rule, rewrite, line",
+        [
+            ('where nested, rewrite $body { $c(...) -> edge("$zz", "$f"). }', "$body", 6),
+            ("", 'edge("$f", "$zz").', 8),
+            ('where $zz != "if"', "p(\"$f\").", 6),
+        ],
+    )
+    def test_unbound_spec_hole_fails_at_load(self, capsys, tmp_path, rule, rewrite, line):
+        # The source matches nothing, so only a load-time check can see it.
+        spec = tmp_path / "bad.spec"
+        spec.write_text(
+            f"# a hole no template binds\n[match]\nfunc $f(...) {{$body*}}\n\n[rule]\n{rule}\n"
+            f"[rewrite]\n{rewrite}\n",
+            encoding="utf-8",
+        )
+        source = tmp_path / "empty.go"
+        source.write_text("package main\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "facts", str(source), "--lang", "go", "--spec", str(spec), "--out", str(tmp_path / "out")
+        )
+        assert code == EXIT_INPUT
+        assert f"bad.spec:{line}: hole $zz is bound by neither the match nor an inner template" in err
+
     def test_nesting_deeper_than_the_recursion_limit(self, capsys, tmp_path):
         # The nested descent keeps its own stack of windows, so a call nested
         # deeper than Python's recursion limit still yields its one edge.
@@ -351,6 +375,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "facts" in proc.stdout and "solve" in proc.stdout
+
+    def test_cli_import_leaves_out_multiprocessing(self):
+        # The worker pool imports it only when it runs, so serial runs skip its cost.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, factlog.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -334,17 +334,43 @@ def _match_keys(matches) -> list[tuple]:
     return [(m.start, m.end, sorted(m.env.bindings.items())) for m in matches]
 
 
+def _assert_walks_equal_oracle(template, smap, data):
+    """Plain and nested matches in a drawn window equal the oracle's."""
+    n = len(smap.source)
+    lo, hi = data.draw(st.one_of(st.just((0, n)), st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)))
+    nested = list(iter_nested_matches(template, smap, lo, hi))
+    plain = list(iter_matches(template, smap, lo, hi))
+    assert _match_keys(nested) == _match_keys(collect_inner(template, smap, lo, hi, True))
+    assert _match_keys(plain) == _match_keys(collect_inner(template, smap, lo, hi, False))
+
+
 class TestInnerMatchesAgainstOracle:
     @given(NESTED_SOURCE, INNER_TEMPLATES, st.data())
     @settings(max_examples=300, deadline=None)
     def test_walk_equals_recursive_descent(self, source, template, data):
-        smap = classify(source, GO)
-        n = len(source)
-        lo, hi = data.draw(st.one_of(st.just((0, n)), st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)))
-        nested = list(iter_nested_matches(template, smap, lo, hi))
-        plain = list(iter_matches(template, smap, lo, hi))
-        assert _match_keys(nested) == _match_keys(collect_inner(template, smap, lo, hi, True))
-        assert _match_keys(plain) == _match_keys(collect_inner(template, smap, lo, hi, False))
+        _assert_walks_equal_oracle(template, classify(source, GO), data)
+
+
+# Sources for templates that start with a hole, whose candidates come from
+# the per-file anchor tables: prefixed, chained, indexed, string and
+# qualified callees, comments between a unit and its anchor, anchors inside
+# strings and comments, mismatched brackets, and assignments for the
+# whitespace-anchored "$l = $a + $b".
+CHAIN_FRAGMENTS = st.sampled_from((
+    "*f(x)", "**p(y)", "f(a)(b)", "a[i + 1](x)", '"s"(x)', "'c'(x)", "`r`(x)", "pkg.F(x)",
+    "f/*c*/(x)", "f /* c */ (x)", "g // c\n(x)", '"f(x)"', "/* f(x) */", "// g(y)\n", "(]", "[)",
+    "x = y + z", "x /* c */ = y + z", "x\n= y + z", "x=y+z", "(a) = b + c", '"s" = t + u', "*x = y + z",
+    "f()", "_g(x)", "h.i()(j)", "(f)(x)", "f", "(", ")", "[", "]", "=", "+", " ", "\n",
+))
+CHAIN_SOURCE = st.lists(CHAIN_FRAGMENTS, max_size=8).map("".join)
+LEADING_HOLE_TEMPLATES = st.sampled_from(("$c(...)", "$l = $a + $b", "$x?(...)")).map(parse_template)
+
+
+class TestCandidatesAgainstEveryOffset:
+    @given(CHAIN_SOURCE, LEADING_HOLE_TEMPLATES, st.sampled_from((GO, C)), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_candidates_miss_no_match(self, source, template, lang, data):
+        _assert_walks_equal_oracle(template, classify(source, lang), data)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +397,16 @@ class TestBracketTableAgainstOracle:
 
 class TestOracleIndependence:
     # The references must not become the code they check.
-    CHECKED = {"scan_balanced", "iter_nested_matches", "next_group", "group_ends"}
+    CHECKED = {
+        "scan_balanced",
+        "iter_nested_matches",
+        "next_group",
+        "group_ends",
+        "iter_matches",
+        "next_candidate",
+        "candidate_tables",
+        "_anchor_candidates",
+    }
 
     def test_oracles_do_not_use_the_bracket_table(self):
         tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))

@@ -10,6 +10,7 @@ from factlog import (
     GO,
     DuplicateHoleName,
     HoleKind,
+    LanguageDefinition,
     MalformedHole,
     classify,
     get_language,
@@ -119,6 +120,14 @@ class TestExpressionHole:
 
     def test_no_crossing_comment(self):
         assert binding("x := $v", "x := a/*stop*/b") == "a"
+
+    def test_identifier_chars_are_the_languages_own(self):
+        # Without '_' in identifier_extra, '_' ends a run and does not keep
+        # the next run from being a left-maximal start.
+        bare = LanguageDefinition(name="bare", identifier_extra=".")
+        template = parse_template("$c(...)")
+        assert [m.env["c"].text for m in iter_matches(template, classify("a_b.c(x)", bare))] == ["b.c"]
+        assert [m.env["c"].text for m in iter_matches(template, classify("a_b.c(x)", GO))] == ["a_b.c"]
 
 
 class TestEverythingHole:
