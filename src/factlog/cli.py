@@ -31,7 +31,7 @@ from .analyses import (
     load_preset,
     run_fact_generation,
 )
-from .datalog import Variable, evaluate, parse_query, query
+from .datalog import Variable, evaluate, goal_directed, parse_query, query
 from .errors import ArityMismatch, DatalogError, FactlogError, UnboundHole, UnknownRelation
 from .facts import Database, _tuple_key
 from .languages import classify, get_language, load_language_file
@@ -229,17 +229,18 @@ def cmd_query(args: argparse.Namespace) -> int:
     pattern = parse_query(args.query)
     edb, _, diagnostics = _load_edb(args, preset)
     _emit_diagnostics(diagnostics)
-    db = edb
+    db, asked = edb, pattern
     if preset.program_text.strip():
         program = preset.program()
-        db = evaluate(program, edb)
+        goal = goal_directed(program, edb, pattern)
+        db, asked = evaluate(goal.program, goal.edb), goal.pattern
         # query() can only check the arity of a relation that holds tuples
         decl = program.declarations.get(pattern.relation)
         if decl is not None and decl.arity != pattern.arity:
             raise ArityMismatch(
                 f"{pattern.relation!r} has arity {decl.arity}, query uses {pattern.arity}"
             )
-    result = query(db, pattern)
+    result = query(db, asked)
     has_vars = any(isinstance(t, Variable) and t.name != "_" for t in pattern.terms)
     if not has_vars:
         print("true" if result else "false")

@@ -114,19 +114,18 @@ def parse_rewrite_template(text: str) -> RewriteTemplate:
 
 def substitute(template: RewriteTemplate, env: MatchEnvironment) -> str:
     """Instantiate a rewrite template against bound holes."""
-    parts: list[str] = []
-    for atom in template.atoms:
-        if isinstance(atom, SubstLiteral):
-            parts.append(atom.text)
-            continue
-        b = env[atom.name]
-        if atom.prop is Property.VALUE:
-            parts.append(b.text)
-        elif atom.prop is Property.LINE:
-            parts.append(str(b.line + atom.offset))
-        else:
-            parts.append(str(b.column + atom.offset))
-    return "".join(parts)
+    return "".join([
+        atom.text if isinstance(atom, SubstLiteral) else _render(atom, env[atom.name])
+        for atom in template.atoms
+    ])
+
+
+def _render(atom: Substitution, b: Binding) -> str:
+    if atom.prop is Property.VALUE:
+        return b.text
+    if atom.prop is Property.LINE:
+        return str(b.line + atom.offset)
+    return str(b.column + atom.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -465,21 +464,35 @@ def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> MatchE
     inner_matches = iter_nested_matches if rule.nested else iter_matches
     for nr in rule.nested_rewrites:
         target = env[nr.target]
+        names = set(nr.inner_match.hole_names())
+        # every inner match binds all of its holes, which hide the outer ones
+        conditions = [c for c in rule.conditions if c.hole in names]
+        rewrite = _bind_outer(nr.inner_rewrite, bindings, names)
         lines: list[str] = []
         for m in inner_matches(nr.inner_match, smap, target.start, target.end):
-            combined = MatchEnvironment({**bindings, **m.env.bindings})
-            vetoed = False
-            for cond in rule.conditions:
-                if cond.hole in m.env and not cond.holds(m.env[cond.hole].text):
-                    vetoed = True
+            inner = m.env.bindings
+            for cond in conditions:
+                if not cond.holds(inner[cond.hole].text):
                     break
-            if vetoed:
-                continue
-            lines.append(substitute(nr.inner_rewrite, combined))
+            else:
+                lines.append(substitute(rewrite, m.env))
         bindings[nr.target] = Binding(
             "\n".join(lines), target.start, target.end, target.line, target.column
         )
     return MatchEnvironment(bindings)
+
+
+def _bind_outer(template: RewriteTemplate, bindings: dict[str, Binding], inner: set[str]) -> RewriteTemplate:
+    """The template with each bound hole not named in ``inner`` replaced by
+    its text, and adjacent literals joined."""
+    atoms: list[RewriteAtom] = []
+    for atom in template.atoms:
+        if isinstance(atom, Substitution) and atom.name not in inner and atom.name in bindings:
+            atom = SubstLiteral(_render(atom, bindings[atom.name]))
+        if isinstance(atom, SubstLiteral) and atoms and isinstance(atoms[-1], SubstLiteral):
+            atom = SubstLiteral(atoms.pop().text + atom.text)
+        atoms.append(atom)
+    return RewriteTemplate(template.text, tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+TC_PROGRAM = "calls(X, Y) :- edge(X, Y).\ncalls(X, Y) :- edge(X, K), calls(K, Y).\n"
+
+
 @pytest.fixture()
 def example_go(samples_dir):
     return str(samples_dir / "example.go")
@@ -240,6 +243,39 @@ class TestQuery:
         )
         assert (code, out) == (EXIT_ANALYSIS, "")
         assert "'calls' has arity 2, query uses 3" in err
+
+    @pytest.mark.parametrize(
+        "rules, facts, pattern, message",
+        [
+            # the unstratifiable pair and the ill-typed relation lie outside calls' reach
+            ("p(X) :- edge(X, _), !q(X).\nq(X) :- p(X).\n", "", 'calls("a", X)',
+             "'p' depends negatively on 'q' inside a recursive cycle"),
+            (".decl w(n:number)\n", 'w("notnum").\n', 'calls("a", X)',
+             "'w' column 1 expects a number, got 'notnum'"),
+            ("", "", 'nope("a", X)', "unknown relation 'nope'"),
+            ("", "", 'calls("a", X, Y)', "'calls' has arity 2, query uses 3"),
+            # checks run in the order full evaluation runs them
+            ("p(X) :- edge(X, _), !q(X).\nq(X) :- p(X).\n", "", 'calls("a", X, Y)', "depends negatively"),
+            (".decl w(n:number)\np(X) :- edge(X, _), !q(X).\nq(X) :- p(X).\n", 'w("notnum").\n',
+             'calls("a", X)', "expects a number"),
+        ],
+    )
+    def test_bound_query_fails_as_full_evaluation(self, capsys, tmp_path, rules, facts, pattern, message):
+        edges = tmp_path / "in.dl"
+        edges.write_text('edge("a", "b").\nedge("b", "c").\n' + facts, encoding="utf-8")
+        program = tmp_path / "p.dl"
+        program.write_text(TC_PROGRAM + rules, encoding="utf-8")
+        code, out, err = run(
+            capsys, "query", str(edges), "--lang", "c", "--program", str(program), "-q", pattern,
+        )
+        assert (code, out) == (EXIT_ANALYSIS, "")
+        assert message in err
+
+    def test_edb_relation_query(self, capsys, tmp_path):
+        edges = tmp_path / "in.dl"
+        edges.write_text('edge("a", "b").\nedge("a", "c").\nedge("b", "c").\n', encoding="utf-8")
+        code, out, _ = run(capsys, "query", str(edges), "--preset", "callgraph-c", "-q", 'edge("a", X)')
+        assert (code, out) == (EXIT_OK, "b\nc\n")
 
 
 class TestGraph:

@@ -15,10 +15,11 @@ from factlog import (
     UnstratifiableProgram,
     evaluate,
     parse_program,
+    parse_query,
     query,
     stratify,
 )
-from factlog.datalog import Variable
+from factlog.datalog import Variable, goal_directed
 from factlog.facts import format_value
 from oracles import naive_evaluate
 
@@ -319,6 +320,43 @@ class TestQuery:
 
     def test_trailing_dot_optional(self, solved):
         assert query(solved, 'calls("a", X).') == query(solved, 'calls("a", X)')
+
+
+class TestGoalDirected:
+    def test_derives_only_the_query_reach(self):
+        # 50 disjoint 20-node chains: full evaluation derives 50 * 190 calls tuples
+        chains = [[f"c{i}_{j}" for j in range(20)] for i in range(50)]
+        edb = edge_db(*(pair for chain in chains for pair in zip(chain, chain[1:])))
+        goal = goal_directed(parse_program(TC), edb, parse_query('calls("c7_0", X)'))
+        solved = evaluate(goal.program, goal.edb)
+        derived = [t for rel in goal.program.idb_relations() for t in solved.tuples(rel)]
+        assert {v for t in derived for v in t} <= set(chains[7])
+        assert len(derived) == 20 + 190  # the bindings asked for, then the chain's pairs
+        assert query(solved, goal.pattern) == {(v,) for v in chains[7][1:]}
+
+    @pytest.mark.parametrize(
+        "program, pattern",
+        [
+            (TC, "calls(X, Y)"),
+            (TC, "calls(_, X)"),
+            (TC + "far(X, Y) :- edge(X, Y), !calls(Y, X).\n", 'far("a", X)'),
+        ],
+    )
+    def test_falls_back_to_full_evaluation(self, program, pattern):
+        prog, edb, asked = parse_program(program), edge_db(("a", "b")), parse_query(pattern)
+        assert goal_directed(prog, edb, asked) == (prog, edb, asked)
+
+    def test_edb_relation_needs_no_rules(self):
+        goal = goal_directed(parse_program(TC + 'edge("b", "c").\n'), edge_db(("a", "b")), parse_query("edge(X, Y)"))
+        assert goal.program.rules == []
+        assert query(evaluate(goal.program, goal.edb), goal.pattern) == {("a", "b"), ("b", "c")}
+
+    def test_negated_edb_relation_stays_goal_directed(self):
+        program = parse_program("live(X, L) :- read(X, L).\nlive(X, L) :- live(X, I), next(I, L), !write(X, L).\n")
+        edb = Database({"read": {("b", 1)}, "next": {(1, 2), (2, 3)}, "write": {("b", 3)}})
+        goal = goal_directed(program, edb, parse_query('live("b", L)'))
+        assert goal.program is not program
+        assert query(evaluate(goal.program, goal.edb), goal.pattern) == {(1,), (2,)}
 
 
 class TestVariableTerm:

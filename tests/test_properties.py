@@ -20,10 +20,12 @@ from factlog import (
     format_fact,
     iter_matches,
     parse_program,
+    parse_query,
     parse_template,
     query,
     scan_balanced,
 )
+from factlog.datalog import goal_directed
 from factlog.facts import Fact, format_value, parse_fact_line
 from factlog.templates import iter_nested_matches
 from oracles import collect_inner, naive_evaluate, reachability, rescan_balanced
@@ -229,6 +231,27 @@ class TestCompiledPlansAgainstOracle:
                 want.add(tuple(env.values()))
         assert query(solved, f"{rel}({', '.join(terms)})") == want
 
+    @given(typed_programs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_goal_directed_query_matches_full_evaluation(self, case, data):
+        text, edb = case
+        prog = parse_program(text)
+        solved = evaluate(prog, edb)
+        rel = data.draw(st.sampled_from(sorted(prog.declarations)))
+        # constants from a stored row, so that most answers are not empty
+        row = data.draw(st.sampled_from(sorted(solved.relations[rel], key=repr) or [None]))
+        variable = st.sampled_from(("X", "Y", "_"))
+        terms = [
+            data.draw(variable | st.just(format_value(row[i])) if row else st.sampled_from(sorted(QUERY_TERMS)))
+            for i in range(prog.declarations[rel].arity)
+        ]
+        pattern = parse_query(f"{rel}({', '.join(terms)})")
+        goal = goal_directed(prog, edb, pattern)
+        if goal.program is prog:
+            negated = {lit.atom.relation for rule in prog.rules for lit in rule.body if not lit.positive}
+            assert all(t in ("X", "Y", "_") for t in terms) or negated & prog.idb_relations()
+        assert query(evaluate(goal.program, goal.edb), goal.pattern) == query(solved, pattern)
+
 
 EDGES = st.sets(
     st.tuples(st.sampled_from("abcdefgh"), st.sampled_from("abcdefgh")),
@@ -261,6 +284,19 @@ class TestTransitiveClosure:
         got = query(solved, f'calls("{src}", X)')
         want = {(b,) for (a, b) in reachability(edges) if a == src}
         assert got == want
+
+    @given(EDGES, st.sampled_from("abcdefgh"), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_goal_directed_query_equals_bfs(self, edges, node, bound_source):
+        db = Database()
+        for pair in edges:
+            db.add("edge", pair)
+        if bound_source:
+            pattern, want = f'calls("{node}", X)', {(b,) for (a, b) in reachability(edges) if a == node}
+        else:
+            pattern, want = f'calls(X, "{node}")', {(a,) for (a, b) in reachability(edges) if b == node}
+        goal = goal_directed(parse_program(TC), db, parse_query(pattern))
+        assert query(evaluate(goal.program, goal.edb), goal.pattern) == want
 
 
 SYMBOLS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)

@@ -141,6 +141,17 @@ class TestEmission:
         facts, _, _ = self.run(SPEC, "func f() {\n\tif (x) {}\n\tg()\n}\n")
         assert facts.tuples("edge") == {("f", "g")}
 
+    def test_inner_bindings_hide_outer_ones(self):
+        # inner $x? is empty, then "k", then empty again: each inner match
+        # sees its own $x, neither the outer "outer" nor the previous match's
+        spec_text = (
+            "[match]\nfunc $f($x) {$body*}\n\n[rule]\n"
+            'where nested, $x != "drop", rewrite $body { $x?($c) -> arg("$f", "$x", "$c"). }\n\n'
+            "[rewrite]\n$body\n"
+        )
+        facts, _, _ = self.run(spec_text, "func main(outer) {\n\t(a)\n\tk(b)\n\t(c)\n\tdrop(d)\n}\n")
+        assert facts.tuples("arg") == {("main", "", "a"), ("main", "k", "b"), ("main", "", "c")}
+
     def test_outer_condition_gates_rule(self):
         spec_text = '[match]\nf($x)\n\n[rule]\nwhere $x == "keep"\n\n[rewrite]\nk("$x").\n'
         facts, match_count, _ = self.run(spec_text, "f(keep)\nf(drop)\n")
