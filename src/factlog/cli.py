@@ -32,7 +32,7 @@ from .analyses import (
     run_fact_generation,
 )
 from .datalog import Variable, evaluate, goal_directed, parse_query, query
-from .errors import ArityMismatch, DatalogError, FactlogError, UnboundHole, UnknownRelation
+from .errors import DatalogError, FactlogError, UnboundHole, UnknownRelation
 from .facts import Database, _tuple_key
 from .languages import classify, get_language, load_language_file
 from .rewrite import load_fact_spec
@@ -234,12 +234,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         program = preset.program()
         goal = goal_directed(program, edb, pattern)
         db, asked = evaluate(goal.program, goal.edb), goal.pattern
-        # query() can only check the arity of a relation that holds tuples
-        decl = program.declarations.get(pattern.relation)
-        if decl is not None and decl.arity != pattern.arity:
-            raise ArityMismatch(
-                f"{pattern.relation!r} has arity {decl.arity}, query uses {pattern.arity}"
-            )
     result = query(db, asked)
     has_vars = any(isinstance(t, Variable) and t.name != "_" for t in pattern.terms)
     if not has_vars:

@@ -836,12 +836,18 @@ def goal_directed(program: DatalogProgram, edb: Database, pattern: Atom) -> Goal
     rule each.
 
     Full evaluation, ``Goal(program, edb, pattern)``, answers a pattern of
-    variables only, a pattern whose arity differs from its relation's, and
-    a query that reaches a negated derived relation.  Otherwise the whole
-    program is checked here as ``evaluate`` checks it, EDB types first, then
-    stratification, so a rewritten query fails as the full one would.
+    variables only and a query that reaches a negated derived relation.
+    Otherwise the whole program is checked here as ``evaluate`` checks it,
+    EDB types first, then stratification, so a rewritten query fails as the
+    full one would.  A pattern whose arity differs from its relation's
+    declaration fails after those checks, before any evaluation.
     """
     rel = pattern.relation
+    decl = program.declarations.get(rel)
+    if decl is not None and decl.arity != pattern.arity:
+        _check_edb(program, edb)
+        stratify(program)
+        raise ArityMismatch(f"{rel!r} has arity {decl.arity}, query uses {pattern.arity}")
     by_head: dict[str, list[DatalogRule]] = {}
     for rule in program.rules:
         by_head.setdefault(rule.head.relation, []).append(rule)
@@ -851,9 +857,7 @@ def goal_directed(program: DatalogProgram, edb: Database, pattern: Atom) -> Goal
     asked = pattern
     whole = Goal(program, edb, pattern)
     if rel in by_head:
-        if program.declarations[rel].arity != pattern.arity or all(
-            isinstance(t, Variable) for t in pattern.terms
-        ):
+        if all(isinstance(t, Variable) for t in pattern.terms):
             return whole
         has_rows = {r for r, rows in edb.relations.items() if rows} | {f.relation for f in program.facts}
         adornments: list[tuple[str, str]] = []  # grows while it is walked

@@ -4,9 +4,10 @@ A LanguageDefinition is a small lexical profile: how comments start and stop,
 how strings are quoted and escaped, and which characters pair up as brackets.
 classify() turns text plus a profile into a SourceMap that assigns every
 offset to exactly one region kind (code, comment, string body, string
-delimiter) and pairs the brackets in code once, in one stack pass: brackets
-pair by kind, and a mismatched close or an open without a partner is plain
-text.  Template matching builds on both, so a ')' inside "a )" or /* ) */
+delimiter) and pairs the brackets in code once.  One pass yields both
+bracket rules: groups pair by kind, so a mismatched close or an open without
+a partner is plain text, while $name* and ... take any close as closing any
+open.  Template matching builds on both, so a ')' inside "a )" or /* ) */
 never confuses it and no group is scanned twice.
 
 Definitions for go, c, zig, and the toy arithmetic language are registered at
@@ -111,10 +112,10 @@ def _check_prefix_free(lang: str, what: str, openers: tuple[str, ...]) -> None:
 
 @dataclass
 class SourceMap:
-    """Source text plus its region partition, line table and bracket table.
+    """Source text plus its region partition, line table and bracket tables.
 
-    group_ends maps the offset of every open bracket in code that has a
-    partner to one past its close (see _pair_brackets).  candidate_tables
+    group_ends, brackets and any_close, one table per bracket rule, come
+    from one pass over the brackets in code (see _pair_brackets).  candidate_tables
     holds the offsets where a template that starts with a hole may match,
     one sorted list per anchor text, each built by the matcher on first use.
     """
@@ -127,7 +128,7 @@ class SourceMap:
     def __post_init__(self) -> None:
         self._starts = [iv[0] for iv in self.intervals]
         self._line_starts = _line_start_table(self.source)
-        self.group_ends = _pair_brackets(self.source, self.language, self.intervals)
+        self.group_ends, self.brackets, self.any_close = _pair_brackets(self.source, self.language, self.intervals)
         self._group_opens = sorted(self.group_ends)
         self.candidate_tables: dict[str, list[int]] = {}
 
@@ -156,6 +157,17 @@ class SourceMap:
             if ends[start] <= hi:
                 return start, ends[start]
         return hi, hi
+
+    def depth_zero_extent(self, pos: int, hi: int) -> int:
+        """The first close in [pos, hi) that no open at or after pos takes
+        under the any-close rule, or hi; each group costs one step."""
+        brackets, any_close = self.brackets, self.any_close
+        j = bisect.bisect_left(brackets, pos)
+        while j < len(brackets) and brackets[j] < hi:
+            if any_close[j] < 0:
+                return brackets[j]
+            j = any_close[j] + 1
+        return hi
 
     def region_at(self, offset: int) -> Region:
         """Region kind of the byte at offset."""
@@ -305,32 +317,43 @@ def _string_end(source: str, pos: int, close: str, escape: str | None) -> tuple[
 # Bracket pairing
 
 
-def _pair_brackets(source: str, lang: LanguageDefinition, intervals) -> dict[int, int]:
-    """Open offset -> one past its close, for every bracket in code that pairs.
+def _pair_brackets(source: str, lang: LanguageDefinition, intervals) -> tuple[dict[int, int], list[int], list[int]]:
+    """Both bracket rules for the code regions, from one pass over their brackets.
 
-    One stack pass over the code regions.  Brackets pair by kind; a close
-    that does not match the innermost open is plain text; an open still on
-    the stack at the end has no partner.  While an open is on the stack each
-    step sees the same top that a scan started at that open would see, so
-    its recorded partner is exactly where such a scan stops.
+    group_ends maps each open that pairs by kind to one past its close.  A
+    close that does not match the innermost open is plain text; an open
+    still on the stack at the end has no partner.  While an open is on the
+    stack each step sees the same top that a scan started at that open would
+    see, so its recorded partner is exactly where such a scan stops.
+
+    brackets holds every bracket's offset, and any_close the index of the
+    close that takes each open when any close closes any open (-1 for a
+    close, len(brackets) for an open no close takes).  A depth counter from
+    any start finds the same partner, so a walk jumps a group in one step.
     """
     open_to_close = dict(lang.balanced_pairs)
     if not open_to_close:
-        return {}
+        return {}, [], []
     finder = re.compile("[" + re.escape(lang.open_chars + lang.close_chars) + "]")
+    offsets = [m.start() for s, e, kind in intervals if kind is Region.CODE for m in finder.finditer(source, s, e)]
     ends: dict[int, int] = {}
+    any_close = [-1] * len(offsets)
     stack: list[tuple[str, int]] = []  # (expected close, open offset)
-    for s, e, kind in intervals:
-        if kind is not Region.CODE:
-            continue
-        for m in finder.finditer(source, s, e):
-            ch = m.group()
-            close = open_to_close.get(ch)
-            if close is not None:
-                stack.append((close, m.start()))
-            elif stack and stack[-1][0] == ch:
-                ends[stack.pop()[1]] = m.end()
-    return ends
+    any_stack: list[int] = []  # indices of the opens no close has taken yet
+    for i, p in enumerate(offsets):
+        ch = source[p]
+        close = open_to_close.get(ch)
+        if close is not None:
+            stack.append((close, p))
+            any_stack.append(i)
+        else:
+            if any_stack:
+                any_close[any_stack.pop()] = i
+            if stack and stack[-1][0] == ch:
+                ends[stack.pop()[1]] = p + 1
+    for i in any_stack:
+        any_close[i] = len(offsets)
+    return ends, offsets, any_close
 
 
 def scan_balanced(smap: SourceMap, start: int, limit: int | None = None) -> int:

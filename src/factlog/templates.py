@@ -17,11 +17,11 @@ never matches inside a comment, template whitespace matches runs of source
 whitespace and comments, and balance scanning ignores delimiters inside
 strings.  Matches are found by a non-overlapping leftmost scan.
 
-Balanced groups (an expression-hole unit, a level of the nested descent) come
-from the SourceMap's bracket table, where a mismatched close is plain text,
-while the depth counter behind $name* and ... takes any close as closing any
-open, so ``$c(...)`` finds no match in ``f(a]) x`` and ``{$b*}`` matches
-``{ ( ] }``.
+Both bracket rules come from the SourceMap's one bracket pass.  Balanced
+groups (an expression-hole unit, a level of the nested descent) pair by kind,
+so a mismatched close is plain text.  $name* and ... take any close as
+closing any open and jump over each group to its partner, so ``$c(...)``
+finds no match in ``f(a]) x`` and ``{$b*}`` matches ``{ ( ] }``.
 
 compile_template binds a template to a language once, when its spec loads:
 literals split into whitespace and text chunks, the language's regexes, and
@@ -237,10 +237,8 @@ class CompiledTemplate:
     key: str  # "find": the chunk; "anchor": the chunk, after a space when whitespace precedes it
     ident_re: re.Pattern[str]  # one identifier run
     unit_start_re: re.Pattern[str]  # a left-maximal unit start
-    group_re: re.Pattern[str]  # any open or close delimiter
-    scan_res: tuple[re.Pattern[str] | None, ...]  # per everything hole: events up to its anchor
+    scan_res: tuple[re.Pattern[str] | None, ...]  # per everything hole: its anchor
     opens: frozenset[str]
-    closes: frozenset[str]
     string_opens: frozenset[str]
 
 
@@ -250,7 +248,6 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
     atoms = template.atoms
     pieces = tuple(_split_literal(a.text, lang) if isinstance(a, Literal) else None for a in atoms)
     ident = _identifier_char_re(lang)
-    delims = _char_class(lang.open_chars + lang.close_chars)
     string_opens = "".join(o[0] for o, _, _ in lang.string_delimiters)
     starts = _char_class(lang.value_prefix_chars + lang.open_chars + string_opens)
     first_chunk = next((p.text for p in pieces[1] if not p.ws), "") if len(atoms) > 1 and pieces[1] else ""
@@ -269,8 +266,7 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
     for i, atom in enumerate(atoms):
         nxt = pieces[i + 1] if i + 1 < len(atoms) else None
         if isinstance(atom, Hole) and atom.kind in (HoleKind.EVERYTHING, HoleKind.ANONYMOUS) and nxt:
-            anchor = r"\s" if nxt[0].ws else "[" + re.escape(nxt[0].text[0]) + "]"
-            scan_res.append(re.compile(f"[{delims}]|{anchor}" if delims else anchor))
+            scan_res.append(re.compile(r"\s" if nxt[0].ws else re.escape(nxt[0].text[0])))
         else:
             scan_res.append(None)
     compiled = CompiledTemplate(
@@ -280,10 +276,8 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
         key=key,
         ident_re=re.compile(ident + "+"),
         unit_start_re=re.compile(rf"(?<!{ident})(?:{ident}|[{starts}])" if starts else rf"(?<!{ident}){ident}"),
-        group_re=re.compile(f"[{delims}]" if delims else "(?!)"),
         scan_res=tuple(scan_res),
         opens=frozenset(lang.open_chars),
-        closes=frozenset(lang.close_chars),
         string_opens=frozenset(string_opens),
     )
     return replace(template, compiled=compiled)
@@ -672,52 +666,49 @@ class _Matcher:
             anchor = " " if first_piece.ws else first_piece.text[0]
             return self._lazy_scan(i, pos, anchor)
         # No literal anchor: bind up to the window end or the enclosing close.
-        stop = self._depth_zero_extent(pos)
-        if name:
-            self.env[name] = (pos, stop)
-        r = self._match_atoms(i + 1, stop, stop == pos)
-        if r is None and name:
-            del self.env[name]
-        return r
+        return self._try_anchor(i, name, pos, self.smap.depth_zero_extent(pos, self.hi))
 
     def _lazy_scan(self, i: int, pos: int, anchor: str) -> int | None:
-        src, hi = self.src, self.hi
-        smap = self.smap
         name = self.atoms[i].name
-        pat = self.t.scan_res[i]
-        opens, closes = self.t.opens, self.t.closes
-        anchor_ws = anchor == " "
-        depth = 0
-        for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
-            if s >= hi:
-                break
-            if kind is not Region.CODE:
-                # Strings and comments are opaque; the anchor may still start
-                # exactly at a string delimiter (e.g. a literal '"').
-                if kind is Region.STRING_DELIMITER and s >= pos and depth == 0 and (
-                    anchor_ws or (s < hi and src[s] == anchor)
-                ):
-                    r = self._try_anchor(i, name, pos, s)
-                    if r is not None:
-                        return r
-                continue
-            lo = max(s, pos)
-            for m in pat.finditer(src, lo, min(e, hi)):
-                p = m.start()
-                ch = m.group(0)
-                if depth == 0 and (anchor_ws or ch == anchor):
-                    r = self._try_anchor(i, name, pos, p)
-                    if r is not None:
-                        return r
-                if ch in opens:
-                    depth += 1
-                elif ch in closes:
-                    if depth == 0:
-                        return None  # cannot extend past the enclosing close
-                    depth -= 1
-        if depth == 0:
-            return self._try_anchor(i, name, pos, hi)
+        for at in self._anchor_places(i, pos, anchor):
+            r = self._try_anchor(i, name, pos, at)
+            if r is not None:
+                return r
         return None
+
+    def _anchor_places(self, i: int, pos: int, anchor: str) -> Iterator[int]:
+        """Where the anchor may start at depth zero in [pos, hi), in order:
+        in code and at string delimiters between brackets, at a bracket equal
+        to it, then at hi.  A close at depth zero, or an open that no close
+        before hi takes, ends the walk; each group costs one step."""
+        src, hi, smap = self.src, self.hi, self.smap
+        pat = self.t.scan_res[i]
+        intervals, brackets, any_close = smap.intervals, smap.brackets, smap.any_close
+        anchor_ws = anchor == " "
+        j = bisect.bisect_left(brackets, pos)
+        gap = pos
+        while True:
+            b = brackets[j] if j < len(brackets) and brackets[j] < hi else hi
+            k = smap.interval_index(gap)
+            while k < len(intervals) and intervals[k][0] < b:
+                s, e, kind = intervals[k]
+                k += 1
+                if kind is Region.CODE:
+                    yield from (m.start() for m in pat.finditer(src, max(s, gap), min(e, b)))
+                # strings and comments are opaque, but the anchor may start
+                # exactly at a string delimiter (e.g. a literal '"')
+                elif kind is Region.STRING_DELIMITER and s >= gap and (anchor_ws or src[s] == anchor):
+                    yield s
+            if b == hi:
+                yield hi
+                return
+            if anchor_ws or src[b] == anchor:
+                yield b
+            j = any_close[j]
+            if j < 0 or j == len(brackets) or brackets[j] >= hi:
+                return
+            gap = brackets[j] + 1
+            j += 1
 
     def _try_anchor(self, i: int, name: str | None, start: int, at: int) -> int | None:
         if name:
@@ -726,28 +717,6 @@ class _Matcher:
         if r is None and name:
             del self.env[name]
         return r
-
-    def _depth_zero_extent(self, pos: int) -> int:
-        src, hi = self.src, self.hi
-        smap = self.smap
-        pat = self.t.group_re
-        depth = 0
-        if pos >= len(src):
-            return pos
-        for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
-            if s >= hi:
-                break
-            if kind is not Region.CODE:
-                continue
-            for m in pat.finditer(src, max(s, pos), min(e, hi)):
-                ch = m.group(0)
-                if ch in self.t.opens:
-                    depth += 1
-                elif depth == 0:
-                    return m.start()
-                else:
-                    depth -= 1
-        return hi
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ trying every offset in turn (where the package tries only the candidates
 of the template's compiled strategy), finds the next group afresh at every
 position, pairs each group by a fresh stack scan from its open
 (rescan_balanced, where the package looks the pair up in the SourceMap's
-per-file bracket table) and recurses once per nesting level.  Agreement
-between the two implementations is the point, so keep this file boring.
+per-file bracket table) and recurses once per nesting level.  The depth
+counter of count_depth_zero_extent is the reference for the any-close rule
+that the SourceMap's second bracket table answers.  Agreement between the
+two implementations is the point, so keep this file boring.
 """
 
 from __future__ import annotations
@@ -244,3 +246,30 @@ def rescan_balanced(smap: SourceMap, start: int, limit: int | None = None) -> in
         if e >= hi:
             break
     raise UnbalancedInput(f"no matching close for {source[start]!r} at offset {start}")
+
+
+def count_depth_zero_extent(smap: SourceMap, pos: int, hi: int) -> int:
+    """The first close in [pos, hi) at depth zero, or hi, by a depth counter
+    started at pos that takes any close as closing any open.
+
+    Delimiters inside comment or string regions are ignored.
+    """
+    src = smap.source
+    opens = set(smap.language.open_chars)
+    closes = set(smap.language.close_chars)
+    depth = 0
+    if pos >= len(src):
+        return pos
+    for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
+        if s >= hi:
+            break
+        if kind is not Region.CODE:
+            continue
+        for i in range(max(s, pos), min(e, hi)):
+            if src[i] in opens:
+                depth += 1
+            elif src[i] in closes:
+                if depth == 0:
+                    return i
+                depth -= 1
+    return hi

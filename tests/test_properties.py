@@ -28,7 +28,7 @@ from factlog import (
 from factlog.datalog import goal_directed
 from factlog.facts import Fact, format_value, parse_fact_line
 from factlog.templates import iter_nested_matches
-from oracles import collect_inner, naive_evaluate, reachability, rescan_balanced
+from oracles import collect_inner, count_depth_zero_extent, naive_evaluate, reachability, rescan_balanced
 
 # ---------------------------------------------------------------------------
 # Random Datalog programs
@@ -431,6 +431,17 @@ class TestBracketTableAgainstOracle:
                 assert _outcome(scan_balanced, smap, start, limit) == _outcome(rescan_balanced, smap, start, limit)
 
 
+class TestAnyCloseTableAgainstOracle:
+    @given(NESTED_SOURCE, st.sampled_from((GO, C)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_table_walk_equals_depth_counter(self, source, lang, data):
+        smap = classify(source, lang)
+        n = len(source)
+        for hi in (n, data.draw(st.integers(0, n))):
+            for pos in range(hi + 1):  # the matcher never scans from past its window
+                assert smap.depth_zero_extent(pos, hi) == count_depth_zero_extent(smap, pos, hi)
+
+
 class TestOracleIndependence:
     # The references must not become the code they check.
     CHECKED = {
@@ -438,6 +449,9 @@ class TestOracleIndependence:
         "iter_nested_matches",
         "next_group",
         "group_ends",
+        "brackets",
+        "any_close",
+        "depth_zero_extent",
         "iter_matches",
         "next_candidate",
         "candidate_tables",

@@ -147,6 +147,11 @@ class TestEverythingHole:
     def test_stops_at_first_atom_occurrence(self):
         assert binding("$pre* stop", "a b stop c stop") == "a b"
 
+    def test_anchor_at_a_string_delimiter(self):
+        # the quote is a string delimiter, not code, yet the anchor starts there
+        m = go_match('f($a*"$s")', 'f(x, "y")')
+        assert (m.env["a"].text, m.env["s"].text) == ("x, ", "y")
+
     def test_starts_at_end_of_source(self):
         m = go_match("a$x* ", "a")
         assert (m.start, m.end, m.env["x"].text) == (0, 1, "")
@@ -154,8 +159,8 @@ class TestEverythingHole:
 
 class TestBracketRules:
     """Groups pair brackets by kind and a mismatched close is plain text, but
-    the depth counter behind $x* and ... takes any close against any open.
-    Unifying the two rules changes these outputs."""
+    $x* and ... take any close against any open.  Unifying the two rules
+    changes these outputs."""
 
     def test_group_pairs_past_a_mismatched_close(self):
         assert scan_balanced(classify("f(a])", GO), 1) == 5
@@ -166,6 +171,27 @@ class TestBracketRules:
     def test_everything_hole_spans_an_unpaired_open(self):
         m = go_match("{$b*}", "{ ( ] }")
         assert (m.start, m.end, m.env["b"].text) == (0, 7, " ( ] ")
+
+    @pytest.mark.parametrize(
+        "template, source, spans, bound",
+        [
+            # no literal after the hole: it runs to the first close at depth zero
+            ("g(...", "g( ( ] ) x", [(0, 7)], None),
+            ("g($b*", "g(a [ ) ] b) c", [(0, 8)], "a [ ) "),
+            ("[$b*", "[ x ) y ]", [(0, 4)], " x "),
+            ("{...}", "{ ( ] } }", [(0, 7)], None),
+            # brackets inside strings and comments count for neither rule
+            ("$c(...)", 'f("(", g(h(x]) y)', [(0, 17)], "f"),
+            ("$c(...)", "f(a /* ) */ (b)) z", [(0, 16)], None),
+        ],
+    )
+    def test_any_close_rule_edge_cases(self, template, source, spans, bound):
+        parsed = parse_template(template)
+        matches = list(iter_nested_matches(parsed, classify(source, GO), 0, len(source)))
+        assert [(m.start, m.end) for m in matches] == spans
+        if bound is not None:
+            (hole,) = parsed.hole_names()
+            assert matches[0].env[hole].text == bound
 
 
 class TestOptionalHole:
@@ -242,21 +268,35 @@ class TestZigSigils:
 
 
 class TestNestedDescentGrowth:
-    def test_deep_nesting_grows_near_linearly(self):
+    @staticmethod
+    def median_ratio(text: str, opener: str, closer: str, per_level: int) -> float:
         # Depth d, then 2d, three times: linear growth reads 2, quadratic 4.
         # Back-to-back pairs cancel a shared machine's drift, and dropping
         # each match as it comes keeps page faults on a large list out.
-        template = parse_template("[$x]")
+        template = parse_template(text)
 
         def run(depth: int) -> float:
-            source = "[" * depth + "x" + "]" * depth
+            source = opener * depth + "x" + closer * depth
             smap = classify(source, GO)
             t0 = time.perf_counter()
             count = sum(1 for _ in iter_nested_matches(template, smap, 0, len(source)))
             elapsed = time.perf_counter() - t0
-            assert count == depth
+            assert count == depth // per_level
             return elapsed
 
         depth = 3000
-        ratios = sorted(run(2 * depth) / run(depth) for _ in range(3))
-        assert ratios[1] <= 2.5
+        return sorted(run(2 * depth) / run(depth) for _ in range(3))[1]
+
+    def test_deep_nesting_grows_near_linearly(self):
+        assert self.median_ratio("[$x]", "[", "]", 1) <= 2.5
+
+    @pytest.mark.parametrize(
+        "text, opener, per_level",
+        [
+            ("$c(...)", "f(", 1),
+            ("(...", "(", 2),  # each match ends at the close of the level outside it
+        ],
+    )
+    def test_anonymous_hole_jumps_over_deep_nesting(self, text, opener, per_level):
+        # ... steps over each inner group to its partner instead of rescanning it
+        assert self.median_ratio(text, opener, ")", per_level) <= 2.5
