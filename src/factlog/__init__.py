@@ -59,7 +59,6 @@ from .languages import (
     language_names,
     load_language_file,
     register_language,
-    scan_balanced,
 )
 from .rewrite import (
     Condition,

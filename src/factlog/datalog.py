@@ -52,7 +52,7 @@ from .errors import (
     UnsafeRule,
     UnstratifiableProgram,
 )
-from .facts import DECODE_ESCAPES, Database
+from .facts import Database, decode_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,6 @@ class DatalogRule:
 class Declaration:
     relation: str
     params: tuple[tuple[str, str | None], ...]  # (name, "symbol" | "number" | None)
-    explicit: bool = False
 
     @property
     def arity(self) -> int:
@@ -176,26 +175,6 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _unescape(raw: str) -> str:
-    # raw includes the surrounding quotes; the escape table matches the one
-    # used when formatting facts, so written databases re-parse losslessly
-    body = raw[1:-1]
-    if "\\" not in body:
-        return sys.intern(body)
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append(DECODE_ESCAPES.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return sys.intern("".join(out))
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -262,7 +241,7 @@ class _Parser:
                     continue
                 break
         self.expect("punct", ")")
-        return start, Declaration(sys.intern(name), tuple(params), explicit=True)
+        return start, Declaration(sys.intern(name), tuple(params))
 
     def clause(self, facts: list[Atom], rules: list[DatalogRule]) -> None:
         head = self.atom()
@@ -312,7 +291,7 @@ class _Parser:
     def term(self) -> Term:
         tok = self.next()
         if tok.kind == "string":
-            return _unescape(tok.value)
+            return decode_symbol(tok.value[1:-1])
         if tok.kind == "int":
             return int(tok.value)
         if tok.kind == "ident":
@@ -360,10 +339,10 @@ def parse_program(text: str) -> DatalogProgram:
             params = tuple(
                 (pname, types[(name, i)]) for i, (pname, _) in enumerate(declared[name].params)
             )
-            declarations[name] = Declaration(name, params, explicit=True)
+            declarations[name] = Declaration(name, params)
         else:
             params = tuple((f"x{i}", types[(name, i)]) for i in range(n))
-            declarations[name] = Declaration(name, params, explicit=False)
+            declarations[name] = Declaration(name, params)
     return DatalogProgram(declarations, facts, rules)
 
 

@@ -76,24 +76,27 @@ def _skip_spaces(text: str, pos: int) -> int:
 # \n, \r, and \t decode to control characters; any other \x folds to x
 DECODE_ESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
 _ENCODE_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+
+
+def decode_symbol(body: str) -> str:
+    """The interned symbol that a quoted body (without its quotes) spells.
+
+    Fact lines and Datalog programs share this decoder, so a written
+    database re-parses losslessly either way.
+    """
+    if "\\" in body:
+        body = _ESCAPE_RE.sub(lambda m: DECODE_ESCAPES.get(m[1], m[1]), body)
+    return sys.intern(body)
 
 
 def _parse_arg(text: str, pos: int, line: str) -> tuple[str | int, int]:
     if pos < len(text) and text[pos] == '"':
-        chars = []
-        pos += 1
-        while pos < len(text):
-            ch = text[pos]
-            if ch == "\\" and pos + 1 < len(text):
-                nxt = text[pos + 1]
-                chars.append(DECODE_ESCAPES.get(nxt, nxt))
-                pos += 2
-                continue
-            if ch == '"':
-                return sys.intern("".join(chars)), pos + 1
-            chars.append(ch)
-            pos += 1
-        raise MalformedFact(f"unterminated quoted symbol in {line!r}")
+        m = _QUOTED_RE.match(text, pos)
+        if m is None:
+            raise MalformedFact(f"unterminated quoted symbol in {line!r}")
+        return decode_symbol(m[1]), m.end()
     m = _INT_RE.match(text, pos)
     if m is None:
         raise MalformedFact(f"expected quoted symbol or integer at offset {pos} in {line!r}")

@@ -4,11 +4,15 @@ A LanguageDefinition is a small lexical profile: how comments start and stop,
 how strings are quoted and escaped, and which characters pair up as brackets.
 classify() turns text plus a profile into a SourceMap that assigns every
 offset to exactly one region kind (code, comment, string body, string
-delimiter) and pairs the brackets in code once.  One pass yields both
-bracket rules: groups pair by kind, so a mismatched close or an open without
-a partner is plain text, while $name* and ... take any close as closing any
-open.  Template matching builds on both, so a ')' inside "a )" or /* ) */
-never confuses it and no group is scanned twice.
+delimiter), pairs the brackets in code once and records every unit once.
+One pass yields both bracket rules: groups pair by kind, so a mismatched
+close or an open without a partner is plain text, while $name* and ... take
+any close as closing any open.  The unit table maps the start of every
+identifier run in code, every group and every whole string literal to its
+end; an expression hole binds a chain of adjoining units, and the matcher
+walks that chain forward and back through the table instead of deciding
+what a unit is.  Template matching builds on these tables, so a ')' inside
+"a )" or /* ) */ never confuses it and no group is scanned twice.
 
 Definitions for go, c, zig, and the toy arithmetic language are registered at
 import time.  Additional languages can be registered programmatically or
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .errors import LanguageError, UnbalancedInput
+from .errors import LanguageError
 
 
 class Region(Enum):
@@ -112,12 +116,16 @@ def _check_prefix_free(lang: str, what: str, openers: tuple[str, ...]) -> None:
 
 @dataclass
 class SourceMap:
-    """Source text plus its region partition, line table and bracket tables.
+    """Source text plus its region partition, line table, bracket tables and
+    unit table.
 
     group_ends, brackets and any_close, one table per bracket rule, come
-    from one pass over the brackets in code (see _pair_brackets).  candidate_tables
-    holds the offsets where a template that starts with a hole may match,
-    one sorted list per anchor text, each built by the matcher on first use.
+    from one pass over the brackets in code (see _pair_brackets).  unit_ends
+    maps the start of every unit to its end (see _unit_table); no two units
+    end at the same offset, so {end: start} is its exact inverse.
+    candidate_tables holds the offsets where a template that starts with a
+    hole may match, one sorted list per anchor text, each built by the
+    matcher on first use.
     """
 
     source: str
@@ -130,6 +138,7 @@ class SourceMap:
         self._line_starts = _line_start_table(self.source)
         self.group_ends, self.brackets, self.any_close = _pair_brackets(self.source, self.language, self.intervals)
         self._group_opens = sorted(self.group_ends)
+        self.unit_ends = _unit_table(self.source, self.language, self.intervals, self.group_ends)
         self.candidate_tables: dict[str, list[int]] = {}
 
     def interval_index(self, offset: int) -> int:
@@ -314,7 +323,7 @@ def _string_end(source: str, pos: int, close: str, escape: str | None) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Bracket pairing
+# Bracket pairing and units
 
 
 def _pair_brackets(source: str, lang: LanguageDefinition, intervals) -> tuple[dict[int, int], list[int], list[int]]:
@@ -356,22 +365,48 @@ def _pair_brackets(source: str, lang: LanguageDefinition, intervals) -> tuple[di
     return ends, offsets, any_close
 
 
-def scan_balanced(smap: SourceMap, start: int, limit: int | None = None) -> int:
-    """Offset one past the close paired with the open delimiter at start,
-    looked up in the SourceMap's bracket table.
+def char_class(chars: str) -> str:
+    """The body of a regex character class holding exactly chars."""
+    return "".join(re.escape(c) for c in sorted(set(chars)))
 
-    Raises LanguageError when start is not an open delimiter in a code region
-    below the limit, and UnbalancedInput when the open has no partner or its
-    partner closes past the limit.
+
+def identifier_char_re(lang: LanguageDefinition) -> str:
+    """Pattern for exactly one character that is_identifier_char accepts."""
+    extra = char_class(lang.identifier_extra.replace("_", ""))
+    if "_" in lang.identifier_extra:
+        return rf"[\w{extra}]"
+    return rf"(?:[^\W_]|[{extra}])" if extra else r"[^\W_]"
+
+
+@lru_cache(maxsize=128)
+def _identifier_run_re(lang: LanguageDefinition) -> re.Pattern[str]:
+    return re.compile(identifier_char_re(lang) + "+")
+
+
+def _unit_table(source: str, lang: LanguageDefinition, intervals, group_ends: dict[int, int]) -> dict[int, int]:
+    """The start of every unit an expression hole chains, mapped to its end.
+
+    The units are each identifier run in a code interval, each group that
+    pairs by kind, and each string literal, keyed by its open delimiter and
+    ending after its close delimiter, or at the end of the source when it
+    is unterminated.  classify's delimiter intervals alternate open and
+    close, so every other one opens a literal.
     """
-    source = smap.source
-    hi = len(source) if limit is None else limit
-    if start >= hi or smap.region_at(start) is not Region.CODE or source[start] not in smap.language.open_chars:
-        raise LanguageError(f"offset {start} is not an open delimiter in a code region")
-    end = smap.group_ends.get(start)
-    if end is None or end > hi:
-        raise UnbalancedInput(f"no matching close for {source[start]!r} at offset {start}")
-    return end
+    run_re = _identifier_run_re(lang)
+    units = dict(group_ends)
+    literal = -1  # the open delimiter of the literal whose close comes next
+    for s, e, kind in intervals:
+        if kind is Region.CODE:
+            for m in run_re.finditer(source, s, e):
+                units[m.start()] = m.end()
+        elif kind is Region.STRING_DELIMITER:
+            if literal < 0:
+                literal = s
+                units[s] = len(source)
+            else:
+                units[literal] = e
+                literal = -1
+    return units
 
 
 # ---------------------------------------------------------------------------

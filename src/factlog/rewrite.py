@@ -519,7 +519,9 @@ def facts_for_smap(
             if env is None:
                 continue
             text = substitute(spec.rewrite, env)
-            for raw in text.splitlines():
+            # split on "\n" only, as Database.from_dl_text does: a bound
+            # string may hold a form feed or another separator splitlines() honors
+            for raw in text.split("\n"):
                 line = raw.strip()
                 if not line:
                     continue

@@ -23,6 +23,11 @@ so a mismatched close is plain text.  $name* and ... take any close as
 closing any open and jump over each group to its partner, so ``$c(...)``
 finds no match in ``f(a]) x`` and ``{$b*}`` matches ``{ ( ] }``.
 
+What a unit is (an identifier run, a group or a whole string literal) is
+decided once per file: classify records every unit in the SourceMap's unit
+table, and an expression hole's forward walk over a chain of adjoining
+units is a sequence of lookups in it.
+
 compile_template binds a template to a language once, when its spec loads:
 literals split into whitespace and text chunks, the language's regexes, and
 a candidate strategy that says where a match may start.  A leading literal
@@ -31,10 +36,10 @@ followed by a literal (``$c(...)``, ``$l = $a + $b``) is anchored on that
 literal's first text chunk: a match can start only where a chain of
 adjoining units reaches an occurrence of the anchor, so the candidates are
 the left-maximal unit starts between each occurrence and the start of the
-chain that ends there.  Those come from a per-file table on the SourceMap,
-built on first use.  match_at itself accepts a leading hole only at a
-left-maximal unit start, so trying every offset finds what the candidates
-find.
+chain that ends there, found by stepping back through the inverse of the
+unit table.  They are kept in a per-file table on the SourceMap, built on
+first use.  match_at itself accepts a leading hole only at a left-maximal
+unit start, so trying every offset finds what the candidates find.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from enum import Enum
 from typing import Iterator, Union
 
 from .errors import DuplicateHoleName, MalformedHole, UnboundHole
-from .languages import LanguageDefinition, Region, SourceMap
+from .languages import LanguageDefinition, Region, SourceMap, char_class, identifier_char_re
 
 
 class HoleKind(Enum):
@@ -205,18 +210,6 @@ def _split_literal(text: str, lang: LanguageDefinition) -> tuple[_Piece, ...]:
     return tuple(pieces)
 
 
-def _char_class(chars: str) -> str:
-    return "".join(re.escape(c) for c in sorted(set(chars)))
-
-
-def _identifier_char_re(lang: LanguageDefinition) -> str:
-    """Pattern for exactly one character that is_identifier_char accepts."""
-    extra = _char_class(lang.identifier_extra.replace("_", ""))
-    if "_" in lang.identifier_extra:
-        return rf"[\w{extra}]"
-    return rf"(?:[^\W_]|[{extra}])" if extra else r"[^\W_]"
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledTemplate:
     """A template's compiled form for one language, built once, when its
@@ -235,11 +228,8 @@ class CompiledTemplate:
     pieces: tuple[tuple[_Piece, ...] | None, ...]
     strategy: str
     key: str  # "find": the chunk; "anchor": the chunk, after a space when whitespace precedes it
-    ident_re: re.Pattern[str]  # one identifier run
     unit_start_re: re.Pattern[str]  # a left-maximal unit start
     scan_res: tuple[re.Pattern[str] | None, ...]  # per everything hole: its anchor
-    opens: frozenset[str]
-    string_opens: frozenset[str]
 
 
 def compile_template(template: Template, lang: LanguageDefinition) -> Template:
@@ -247,9 +237,9 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
     the places where its matches may start chosen."""
     atoms = template.atoms
     pieces = tuple(_split_literal(a.text, lang) if isinstance(a, Literal) else None for a in atoms)
-    ident = _identifier_char_re(lang)
+    ident = identifier_char_re(lang)
     string_opens = "".join(o[0] for o, _, _ in lang.string_delimiters)
-    starts = _char_class(lang.value_prefix_chars + lang.open_chars + string_opens)
+    starts = char_class(lang.value_prefix_chars + lang.open_chars + string_opens)
     first_chunk = next((p.text for p in pieces[1] if not p.ws), "") if len(atoms) > 1 and pieces[1] else ""
     if not atoms:
         strategy, key = "none", ""
@@ -274,11 +264,8 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
         pieces=pieces,
         strategy=strategy,
         key=key,
-        ident_re=re.compile(ident + "+"),
         unit_start_re=re.compile(rf"(?<!{ident})(?:{ident}|[{starts}])" if starts else rf"(?<!{ident}){ident}"),
         scan_res=tuple(scan_res),
-        opens=frozenset(lang.open_chars),
-        string_opens=frozenset(string_opens),
     )
     return replace(template, compiled=compiled)
 
@@ -289,10 +276,6 @@ def _compiled_for(template: Template, smap: SourceMap) -> Template:
     return template
 
 
-_WS_RE = re.compile(r"\s+")
-_STRING_REGIONS = (Region.STRING_DELIMITER, Region.STRING_BODY)
-
-
 def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
     """Sorted offsets where a template of the "anchor" strategy may match.
 
@@ -300,16 +283,13 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
     anchor (or, when the anchor follows whitespace, before the whitespace
     and comments that precede it).  So the candidates are the left-maximal
     unit starts between each anchor occurrence and the start of the chain
-    that ends there, which a walk back over identifier runs, paired groups,
-    whole string literals and value-prefix characters finds.  The walk may
-    start further left than any chain does; it never starts right of one.
-    The anchor itself is a candidate too, for an empty optional hole.
+    that ends there, which a walk back through the inverse of the unit
+    table, then over value-prefix characters, finds.  The walk may start
+    further left than any chain does; it never starts right of one.  The
+    anchor itself is a candidate too, for an empty optional hole.
     """
     src, intervals = smap.source, smap.intervals
-    n = len(src)
-    rev = src[::-1]  # a run that ends at p is a regex match in rev at n - p
-    ident_re = t.ident_re
-    group_starts = {end: start for start, end in smap.group_ends.items()}
+    unit_starts = {end: start for start, end in smap.unit_ends.items()}
     prefix = t.language.value_prefix_chars
     ws = t.key[0] == " "
     chunk = t.key.lstrip(" ")
@@ -328,37 +308,16 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
             while ws and p > 0:  # back over whitespace and comments
                 s, e, kind = intervals[i]
                 if kind is Region.CODE:
-                    m = _WS_RE.match(rev, n - p, n - s)
-                    if m is None:
-                        break
-                    p = n - m.end()
+                    while p > s and src[p - 1].isspace():
+                        p -= 1
                     if p > s:
                         break
                 elif kind is not Region.COMMENT:
                     break
                 p, i = s, i - 1
             start = p
-            while p > 0 and p not in walked:  # back over the unit chain
-                if p in group_starts:
-                    p = group_starts[p]
-                    i = smap.interval_index(p - 1)
-                    continue
-                s, e, kind = intervals[i]
-                if kind is Region.CODE:
-                    m = ident_re.match(rev, n - p, n - s)
-                    if m is None:
-                        break
-                    p = n - m.end()
-                    if p > s and p not in group_starts:
-                        break
-                elif kind in _STRING_REGIONS:
-                    while i > 0 and intervals[i - 1][2] in _STRING_REGIONS:
-                        i -= 1
-                    p = intervals[i][0]
-                else:
-                    break
-                if p == intervals[i][0]:
-                    i -= 1
+            while p in unit_starts and p not in walked:  # back over the unit chain
+                p = unit_starts[p]
             p = walked[start] = walked.get(p, p)
             while p > 0 and src[p - 1] in prefix:
                 p -= 1
@@ -525,69 +484,35 @@ class _Matcher:
     # -- expression and optional holes ---------------------------------------
 
     def _unit_chain_ends(self, pos: int) -> list[int]:
-        """Ends of successive adjoining units starting exactly at pos."""
-        ends: list[int] = []
-        src, hi, t = self.src, self.hi, self.t
-        p = pos
-        first = True
-        while p < hi:
-            s, e, kind = self.smap.interval_at(p)
-            ch = src[p]
-            if kind is Region.STRING_DELIMITER and s == p and ch in t.string_opens:
-                end = self._string_unit_end(p)
-                if end is None or end > hi:
-                    break
-                ends.append(end)
-                p = end
-                first = False
-                continue
-            if kind is not Region.CODE:
-                break
-            j = p
-            if first:
-                while j < hi and src[j] in self.lang.value_prefix_chars:
-                    j += 1
-            if j >= hi:
-                break
-            run = t.ident_re.match(src, j, min(e, hi))
-            if run is not None:
-                p = run.end()
-                ends.append(p)
-            elif src[j] in t.opens and j == p:
-                end = self.smap.group_ends.get(j)
-                if end is None or end > hi:
-                    break
-                ends.append(end)
-                p = end
-            else:
-                break
-            first = False
-        return ends
+        """Ends of successive adjoining units starting exactly at pos, read
+        from the SourceMap's unit table.
 
-    def _string_unit_end(self, pos: int) -> int | None:
-        """End offset of the whole string literal whose open delimiter starts at pos."""
-        smap = self.smap
-        idx = smap.interval_index(pos)
-        intervals = smap.intervals
-        # open delimiter, optional body, close delimiter
-        s, e, kind = intervals[idx]
-        if kind is not Region.STRING_DELIMITER:
-            return None
-        idx += 1
-        if idx >= len(intervals):
-            return e  # unterminated: delimiter only
-        s2, e2, kind2 = intervals[idx]
-        if kind2 is Region.STRING_BODY:
-            idx += 1
-            if idx >= len(intervals):
-                return e2  # unterminated body
-            s3, e3, kind3 = intervals[idx]
-            if kind3 is Region.STRING_DELIMITER and s3 == e2:
-                return e3
-            return e2
-        if kind2 is Region.STRING_DELIMITER and s2 == e:
-            return e2
-        return e
+        A value prefix leads only the first unit, in code, before an
+        identifier run.  The window cuts an identifier run at hi; a group or
+        string literal that closes past hi ends the chain.
+        """
+        ends: list[int] = []
+        src, hi, smap = self.src, self.hi, self.smap
+        units = smap.unit_ends
+        p = pos
+        prefix = self.lang.value_prefix_chars
+        while p < hi and src[p] in prefix:
+            p += 1
+        if p > pos:
+            s, e, kind = smap.interval_at(pos)
+            if kind is not Region.CODE or p >= e or p not in units or p in smap.group_ends:
+                return ends
+        while p < hi:
+            end = units.get(p)
+            if end is None:
+                break
+            if end > hi:
+                if p in smap.group_ends or smap.region_at(p) is not Region.CODE:
+                    break
+                end = hi
+            ends.append(end)
+            p = end
+        return ends
 
     def _left_maximal_ok(self, pos: int) -> bool:
         src, lang = self.src, self.lang

@@ -11,8 +11,10 @@ position, pairs each group by a fresh stack scan from its open
 (rescan_balanced, where the package looks the pair up in the SourceMap's
 per-file bracket table) and recurses once per nesting level.  The depth
 counter of count_depth_zero_extent is the reference for the any-close rule
-that the SourceMap's second bracket table answers.  Agreement between the
-two implementations is the point, so keep this file boring.
+that the SourceMap's second bracket table answers, and unit_chain_ends, a
+walk over the regions character by character, is the reference for the
+units that the SourceMap's unit table records.  Agreement between the two
+implementations is the point, so keep this file boring.
 """
 
 from __future__ import annotations
@@ -273,3 +275,67 @@ def count_depth_zero_extent(smap: SourceMap, pos: int, hi: int) -> int:
                     return i
                 depth -= 1
     return hi
+
+
+def unit_chain_ends(smap: SourceMap, pos: int, hi: int) -> list[int]:
+    """Ends of successive adjoining units from pos within [pos, hi), by a
+    walk over the regions: an identifier run character by character, a
+    group by rescan_balanced and a string literal over its intervals.
+
+    A value prefix leads only the first unit, in code, before an identifier
+    run.  The window cuts an identifier run at hi; a group or string literal
+    that closes past hi ends the chain.  Empty when pos is not a left-maximal
+    start, where an expression hole never begins.
+    """
+    src, lang = smap.source, smap.language
+    ident = lang.is_identifier_char
+    prefix = lang.value_prefix_chars
+    string_opens = {o[0] for o, _, _ in lang.string_delimiters}
+    if pos >= hi or (pos > 0 and ident(src[pos - 1]) and (ident(src[pos]) or src[pos] in prefix)):
+        return []
+    ends: list[int] = []
+    p, first = pos, True
+    while p < hi:
+        s, e, kind = smap.interval_at(p)
+        if kind is Region.STRING_DELIMITER and s == p and src[p] in string_opens:
+            end = _string_literal_end(smap, p)
+            if end > hi:
+                break
+        elif kind is Region.CODE:
+            j = p
+            while first and j < hi and src[j] in prefix:
+                j += 1
+            stop = min(e, hi)
+            if j < stop and ident(src[j]):
+                while j < stop and ident(src[j]):
+                    j += 1
+                end = j
+            elif j == p and src[j] in lang.open_chars:
+                try:
+                    end = rescan_balanced(smap, j, hi)
+                except UnbalancedInput:
+                    break
+            else:
+                break
+        else:
+            break
+        ends.append(end)
+        p, first = end, False
+    return ends
+
+
+def _string_literal_end(smap: SourceMap, pos: int) -> int:
+    """End of the string literal whose delimiter starts at pos: after the
+    close delimiter, or where the literal's intervals stop."""
+    intervals = smap.intervals
+    idx = smap.interval_index(pos)
+    s, e, kind = intervals[idx]
+    if idx + 1 == len(intervals):
+        return e
+    s2, e2, kind2 = intervals[idx + 1]
+    if kind2 is Region.STRING_BODY:
+        if idx + 2 == len(intervals):
+            return e2
+        s3, e3, kind3 = intervals[idx + 2]
+        return e3 if kind3 is Region.STRING_DELIMITER and s3 == e2 else e2
+    return e2 if kind2 is Region.STRING_DELIMITER and s2 == e else e

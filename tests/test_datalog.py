@@ -136,7 +136,6 @@ class TestTypeInference:
         prog = parse_program("p(1, 2).\nq(X) :- p(X, _).")
         decl = prog.declarations["p"]
         assert decl.column_types() == ("number", "number")
-        assert not decl.explicit
         # the fact pinned p's first column, which flows into q
         assert prog.declarations["q"].column_types() == ("number",)
 

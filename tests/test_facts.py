@@ -46,6 +46,23 @@ class TestParseFactLine:
         with pytest.raises(MalformedFact):
             parse_fact_line(line)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (' 1edge("a").', 'expected relation name in \' 1edge("a").\''),
+            ('edge', "expected '(' after relation name in 'edge'"),
+            ('  edge("a\\\\", 1 ;', 'expected \',\' or \')\' at offset 14 in \'  edge("a\\\\\\\\", 1 ;\''),
+            ('edge("a") trailing', 'trailing text after fact in \'edge("a") trailing\''),
+            ('edge("a\\"', 'unterminated quoted symbol in \'edge("a\\\\"\''),
+            ('edge("\\n", a)', 'expected quoted symbol or integer at offset 11 in \'edge("\\\\n", a)\''),
+        ],
+    )
+    def test_malformed_messages(self, line, message):
+        # offsets count from the stripped line; the "dropped bad fact line" diagnostics quote these
+        with pytest.raises(MalformedFact) as exc:
+            parse_fact_line(line)
+        assert str(exc.value) == message
+
     def test_round_trip(self):
         for line in ['edge("a", "b").', "next(1, 2).", 'mix("x", -7).']:
             assert format_fact(parse_fact_line(line)) == line

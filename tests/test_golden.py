@@ -1,10 +1,10 @@
-"""Golden digests of `factlog facts` and `factlog query` output.
+"""Golden digests of `factlog facts`, `factlog query` and `factlog match` output.
 
 The determinism checks only compare runs with each other, so a change to
 what the matcher finds, or to which answers a query prints, would pass
-them.  These digests pin the facts.dl bytes and the query stdout
-themselves; a change that means to alter them must say so and update the
-digest.
+them.  These digests pin the facts.dl bytes, the query stdout and the raw
+match records themselves; a change that means to alter them must say so
+and update the digest.
 """
 
 from __future__ import annotations
@@ -69,3 +69,42 @@ def test_c_corpus_3000_lines_query(c_corpus, capsys, pattern, digest):
 def test_arith_sample_query(samples_dir, capsys):
     digest = query_digest(capsys, str(samples_dir / "liveness.arith"), "--preset", "liveness-arith", "-q", 'live("b", L)')
     assert digest == "69a174ecc386b1f039587b2b044bfa277db59c87221b9d9ad74f2e666430c520"
+
+
+def match_digest(capsys, monkeypatch, *argv: str) -> str:
+    # relative paths from the repo root, so the records do not name the checkout
+    monkeypatch.chdir(ROOT)
+    capsys.readouterr()
+    assert main(["match", *argv]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out  # every case prints at least one record
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+MATCH_INPUTS = {
+    "go": ("samples/go", "samples/example.go"),
+    "zig": ("samples/zig",),
+    "c": ("samples/c",),
+}
+
+
+@pytest.mark.parametrize(
+    "template, lang, digest",
+    [
+        ("$c(...)", "go", "595c2f595aa43b2b083ab71af6be889491a903cc5335ef9f1715d578201d36de"),
+        ("$c(...)", "zig", "bfab2dea5bc86a92050f05a125f3086462cd578bb6cc1358cdf5d72c57ebb9ed"),
+        ("$c(...)", "c", "72e3cf949e697aa66f0a296241c1e72245e4fa69c5147b26ed812fb712b92e0f"),
+        ("*$p", "go", "44071ea114f21790db73fe0508778d39b6563c579deda18cc6a2af1f770afc20"),
+        ("*$p", "zig", "b965761e07fc05e239d4f932b1f8fe2b7a79c086feb7042d05d536f078444886"),
+        ("*$p", "c", "88a0361ec68d77189a9050d57b655dcb655635f3562bd0fb6b2165064d2a445e"),
+        ('"$s"', "go", "36f228dc25650057f6f66ea11bee19ed17be929095562876924bbd9586903105"),
+        ('"$s"', "zig", "b8b3d34256dcaede17532bec20b254dd2eec73d0bbb8a9f509421cab7570d034"),
+        ('"$s"', "c", "92e4afdc80531941cfbe881dee65841c3a3dc3eaaee8c2a8888ac80116c8322a"),
+        ("$a $b", "go", "71b3e4ce189777f8c14a425faecabe455d44a276a2fcde449f5ddc43fd3e2fc8"),
+        ("$a $b", "zig", "7b558bb7017447207b7fb63a6bccc643558729ad23bc63c584bbc5fbcf5885a0"),
+        ("$a $b", "c", "e090da850005237247c799c56705c56cce779e9b2a3172fbe261c4320cc900f2"),
+    ],
+)
+def test_match_records(capsys, monkeypatch, template, lang, digest):
+    # value prefixes (go's *, zig's !?*@), string units and unit chains, byte for byte
+    assert match_digest(capsys, monkeypatch, *MATCH_INPUTS[lang], "--lang", lang, "-t", template) == digest

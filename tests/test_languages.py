@@ -1,4 +1,4 @@
-"""Region classification, balanced scanning, and language registry tests."""
+"""Region classification, the bracket table, and language registry tests."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ from factlog import (
     GO,
     LanguageError,
     Region,
-    UnbalancedInput,
     classify,
     get_language,
     language_names,
     load_language_file,
-    scan_balanced,
 )
 from factlog.languages import LanguageDefinition
 
@@ -113,36 +111,35 @@ class TestSourceMap:
 
 
 class TestScanBalanced:
-    def scan(self, source: str, start: int = 0, lang=GO) -> int:
-        return scan_balanced(classify(source, lang), start)
+    """The bracket table pairs each open with its close by kind; an open
+    without a partner has no entry."""
+
+    def group_end(self, source: str, start: int = 0, lang=GO) -> int | None:
+        return classify(source, lang).group_ends.get(start)
 
     def test_simple_group(self):
-        assert self.scan("(a, b) rest") == len("(a, b)")
+        assert self.group_end("(a, b) rest") == len("(a, b)")
 
     def test_nested_mixed_groups(self):
         src = "{a[(1)]{2}}"
-        assert self.scan(src) == len(src)
+        assert self.group_end(src) == len(src)
 
     def test_ignores_brackets_in_strings(self):
         src = '("(((")'
-        assert self.scan(src) == len(src)
+        assert self.group_end(src) == len(src)
 
     def test_ignores_brackets_in_comments(self):
         src = "(/* ) */)"
-        assert self.scan(src) == len(src)
+        assert self.group_end(src) == len(src)
 
     def test_mismatched_closer_raises(self):
-        with pytest.raises(UnbalancedInput):
-            self.scan("(a]")
+        assert self.group_end("(a]") is None
 
     def test_unclosed_raises(self):
-        with pytest.raises(UnbalancedInput):
-            self.scan("(a")
+        assert self.group_end("(a") is None
 
     def test_not_an_opener_raises(self):
-        # caller error, not an imbalance in the input
-        with pytest.raises(LanguageError):
-            self.scan("abc")
+        assert classify("abc", GO).group_ends == {}
 
 
 class TestRegistry:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from factlog import (
     GO,
     C,
+    ZIG,
     Database,
     FactlogError,
     Region,
@@ -23,12 +24,18 @@ from factlog import (
     parse_query,
     parse_template,
     query,
-    scan_balanced,
 )
 from factlog.datalog import goal_directed
 from factlog.facts import Fact, format_value, parse_fact_line
-from factlog.templates import iter_nested_matches
-from oracles import collect_inner, count_depth_zero_extent, naive_evaluate, reachability, rescan_balanced
+from factlog.templates import _Matcher, compile_template, iter_nested_matches
+from oracles import (
+    collect_inner,
+    count_depth_zero_extent,
+    naive_evaluate,
+    reachability,
+    rescan_balanced,
+    unit_chain_ends,
+)
 
 # ---------------------------------------------------------------------------
 # Random Datalog programs
@@ -413,13 +420,6 @@ class TestCandidatesAgainstEveryOffset:
 # The per-file bracket table against a stack scan from each open
 
 
-def _outcome(scan, smap, start, limit):
-    try:
-        return scan(smap, start, limit)
-    except FactlogError as exc:  # compared by type: same value or same error
-        return type(exc)
-
-
 class TestBracketTableAgainstOracle:
     @given(NESTED_SOURCE, st.sampled_from((GO, C)), st.data())
     @settings(max_examples=300, deadline=None)
@@ -428,7 +428,13 @@ class TestBracketTableAgainstOracle:
         n = len(source)
         for limit in (n, data.draw(st.integers(0, n))):
             for start in range(n):
-                assert _outcome(scan_balanced, smap, start, limit) == _outcome(rescan_balanced, smap, start, limit)
+                got = smap.group_ends.get(start)
+                try:
+                    want = rescan_balanced(smap, start, limit)
+                except FactlogError:  # no entry, or an entry past the limit
+                    assert got is None or got > limit
+                else:
+                    assert got == want
 
 
 class TestAnyCloseTableAgainstOracle:
@@ -440,6 +446,33 @@ class TestAnyCloseTableAgainstOracle:
         for hi in (n, data.draw(st.integers(0, n))):
             for pos in range(hi + 1):  # the matcher never scans from past its window
                 assert smap.depth_zero_extent(pos, hi) == count_depth_zero_extent(smap, pos, hi)
+
+
+# Chains plus loose value prefixes (go's *, zig's !?*@, also before groups
+# and strings) and lone delimiters, which leave literals unterminated.
+UNIT_EXTRAS = st.sampled_from(("*", "!", "?@", "*(x)", '@"s"', '"', "'", "`"))
+UNIT_SOURCE = st.one_of(
+    CHAIN_SOURCE, NESTED_SOURCE, st.lists(st.one_of(CHAIN_FRAGMENTS, UNIT_EXTRAS), max_size=8).map("".join)
+)
+
+
+class TestUnitTableAgainstOracle:
+    @given(UNIT_SOURCE, st.sampled_from((GO, C, ZIG)), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_table_walk_equals_region_walk(self, source, lang, data):
+        smap = classify(source, lang)
+        n = len(source)
+        # the reference still takes a closing delimiter as a one-character
+        # unit, which the table deliberately does not
+        delimiters = [s for s, _, kind in smap.intervals if kind is Region.STRING_DELIMITER]
+        closes = set(delimiters[1::2])
+        template = compile_template(parse_template("$x"), lang)
+        for hi in (n, data.draw(st.integers(0, n))):
+            matcher = _Matcher(template, smap, hi)
+            for pos in range(hi):
+                if pos not in closes:
+                    got = matcher._unit_chain_ends(pos) if matcher._left_maximal_ok(pos) else []
+                    assert got == unit_chain_ends(smap, pos, hi), pos
 
 
 class TestOracleIndependence:
@@ -456,6 +489,7 @@ class TestOracleIndependence:
         "next_candidate",
         "candidate_tables",
         "_anchor_candidates",
+        "unit_ends",
     }
 
     def test_oracles_do_not_use_the_bracket_table(self):

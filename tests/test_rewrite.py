@@ -175,6 +175,14 @@ class TestEmission:
         assert facts.fact_count() == 0
         assert diagnostics and "mem.go:1" in diagnostics[0]
 
+    def test_separators_in_a_bound_string_stay_in_one_fact(self):
+        # fact text splits on "\n" only, as a .dl file does
+        spec_text = '[match]\nprintln("$s")\n\n[rewrite]\nprinted("$s").\n'
+        for sep in ("\f", "\u2028"):
+            facts, _, diagnostics = self.run(spec_text, f'println("a{sep}b")\n')
+            assert facts.tuples("printed") == {(f"a{sep}b",)}
+            assert diagnostics == []
+
     def test_comments_and_strings_not_matched(self):
         facts, _, _ = self.run(
             '[match]\nf($x)\n\n[rewrite]\nseen("$x").\n',

@@ -16,7 +16,6 @@ from factlog import (
     get_language,
     iter_matches,
     parse_template,
-    scan_balanced,
 )
 from factlog.templates import Hole, Literal, iter_nested_matches
 
@@ -121,6 +120,12 @@ class TestExpressionHole:
     def test_no_crossing_comment(self):
         assert binding("x := $v", "x := a/*stop*/b") == "a"
 
+    def test_no_unit_starts_at_a_closing_delimiter(self):
+        # the window starts inside the string "b ": a closing quote starts no
+        # unit, so $c cannot bind the quote at offset 4 before (x)
+        smap = classify('a"b "(x) ;', GO)
+        assert list(iter_matches(parse_template("$c(...)"), smap, 2, 10)) == []
+
     def test_identifier_chars_are_the_languages_own(self):
         # Without '_' in identifier_extra, '_' ends a run and does not keep
         # the next run from being a left-maximal start.
@@ -163,7 +168,7 @@ class TestBracketRules:
     changes these outputs."""
 
     def test_group_pairs_past_a_mismatched_close(self):
-        assert scan_balanced(classify("f(a])", GO), 1) == 5
+        assert classify("f(a])", GO).group_ends[1] == 5
 
     def test_anonymous_hole_stops_at_a_mismatched_close(self):
         assert go_all("$c(...)", "f(a]) x") == []
