@@ -25,11 +25,11 @@ from __future__ import annotations
 import configparser
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .datalog import DatalogProgram, evaluate, parse_program
-from .errors import FactlogError, SpecFormatError
+from .errors import FactlogError, SpecFormatError, read_text
 from .facts import Database
 from .languages import LanguageDefinition, classify, get_language
 from .rewrite import FactSpec, facts_for_smap, load_fact_spec
@@ -44,8 +44,7 @@ EXTENSIONS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class AnalysisPreset:
+class AnalysisPreset(NamedTuple):
     name: str
     language: str
     fact_specs: tuple[FactSpec, ...]
@@ -61,7 +60,6 @@ class AnalysisPreset:
         return get_language(self.language)
 
 
-@dataclass
 class RunStats:
     """Corpus-level counters for one fact-generation run.
 
@@ -70,12 +68,21 @@ class RunStats:
     function_count is the total number of outer-template matches.
     """
 
-    files: int = 0
-    line_count: int = 0
-    fact_count: int = 0
-    function_count: int = 0
-    spec_matches: dict[str, int] = field(default_factory=dict)
-    elapsed_s: float = 0.0
+    def __init__(
+        self,
+        files: int = 0,
+        line_count: int = 0,
+        fact_count: int = 0,
+        function_count: int = 0,
+        spec_matches: dict[str, int] | None = None,
+        elapsed_s: float = 0.0,
+    ) -> None:
+        self.files = files
+        self.line_count = line_count
+        self.fact_count = fact_count
+        self.function_count = function_count
+        self.spec_matches = {} if spec_matches is None else spec_matches
+        self.elapsed_s = elapsed_s
 
     @property
     def kloc(self) -> float:
@@ -127,7 +134,10 @@ def load_preset(name: str, base: str | Path | None = None) -> AnalysisPreset:
         known = ", ".join(list_presets(base)) or "none found"
         raise FactlogError(f"unknown preset {name!r} (available: {known})")
     cfg = configparser.ConfigParser()
-    cfg.read(cfg_path, encoding="utf-8")
+    try:
+        cfg.read_string(read_text(cfg_path), source=str(cfg_path))
+    except configparser.Error as exc:
+        raise SpecFormatError(str(exc)) from None
     if not cfg.has_section("preset"):
         raise SpecFormatError(f"{cfg_path}: missing [preset] section")
     section = cfg["preset"]
@@ -143,7 +153,7 @@ def load_preset(name: str, base: str | Path | None = None) -> AnalysisPreset:
     specs = tuple(load_fact_spec(root / s, language=language) for s in spec_names)
     program_text = ""
     if program_file:
-        program_text = (root / program_file).read_text(encoding="utf-8")
+        program_text = read_text(root / program_file)
         parse_program(program_text)  # fail fast on a broken bundled program
     return AnalysisPreset(
         name=name,

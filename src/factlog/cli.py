@@ -17,8 +17,6 @@ type failures, unknown relations or queries).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +30,7 @@ from .analyses import (
     run_fact_generation,
 )
 from .datalog import Variable, evaluate, goal_directed, parse_query, query
-from .errors import DatalogError, FactlogError, UnboundHole, UnknownRelation
+from .errors import ArityMismatch, DatalogError, FactlogError, UnboundHole, UnknownRelation, read_text
 from .facts import Database, _tuple_key
 from .languages import classify, get_language, load_language_file
 from .rewrite import load_fact_spec
@@ -108,8 +106,8 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
         known = ", ".join(list_presets(args.preset_dir)) or "none found"
         raise UsageError(f"provide --preset (available: {known}) or --lang with --spec")
     if args.program:
-        program_text = Path(args.program).read_text(encoding="utf-8")
-        preset = dataclasses.replace(preset, program_text=program_text)
+        program_text = read_text(args.program)
+        preset = preset._replace(program_text=program_text)
     return preset
 
 
@@ -148,11 +146,15 @@ def _load_edb(
         db = Database()
         for p in paths:
             if p.is_dir():
-                db.merge(Database.from_facts_dir(p, column_types))
+                part = Database.from_facts_dir(p, column_types)
             elif p.suffix == ".facts":
-                db.merge(Database.from_facts_file(p, column_types))
+                part = Database.from_facts_file(p, column_types)
             else:
-                db.merge(Database.from_dl_text(p.read_text(encoding="utf-8")))
+                part = Database.from_dl_text(read_text(p), p)
+            try:
+                db.merge(part)
+            except ArityMismatch as exc:
+                raise ArityMismatch(f"{p}: {exc}") from None
         return db, None, []
     files = _gather_sources(args, preset)
     return run_fact_generation(preset, files, jobs=args.jobs)
@@ -293,6 +295,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _emit_diagnostics(diagnostics)
         rows.append((str(item), stats))
     if args.json:
+        import json  # here, not at the top: only bench --json and match print JSON
+
         for name, stats in rows:
             print(json.dumps({"corpus": name, **stats.as_dict()}, sort_keys=True))
         return EXIT_OK
@@ -323,6 +327,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     files = discover_files(args.inputs, args.lang)
     if not files:
         raise FactlogError(f"no {args.lang} source files found under {args.inputs}")
+    import json  # here, not at the top: only bench --json and match print JSON
+
     for path in files:
         source = path.read_text(encoding="utf-8", errors="replace")
         smap = classify(source, lang)

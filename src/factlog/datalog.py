@@ -39,7 +39,6 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -59,20 +58,32 @@ from .facts import Database, decode_symbol
 # AST
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
 
 
 Term = Union[Variable, str, int]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """A relation applied to terms.  Equality and hash leave the source
+    position (line, column) out."""
+
     relation: str
     terms: tuple[Term, ...]
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    line: int = 0
+    column: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Atom):
+            return NotImplemented
+        return self.relation == other.relation and self.terms == other.terms
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.relation, self.terms))
 
     @property
     def arity(self) -> int:
@@ -84,20 +95,17 @@ class Atom:
                 yield t.name
 
 
-@dataclass(frozen=True)
-class BodyLiteral:
+class BodyLiteral(NamedTuple):
     atom: Atom
     positive: bool = True
 
 
-@dataclass(frozen=True)
-class DatalogRule:
+class DatalogRule(NamedTuple):
     head: Atom
     body: tuple[BodyLiteral, ...]
 
 
-@dataclass(frozen=True)
-class Declaration:
+class Declaration(NamedTuple):
     relation: str
     params: tuple[tuple[str, str | None], ...]  # (name, "symbol" | "number" | None)
 
@@ -109,11 +117,11 @@ class Declaration:
         return tuple(t for _, t in self.params)
 
 
-@dataclass
 class DatalogProgram:
-    declarations: dict[str, Declaration]
-    facts: list[Atom]
-    rules: list[DatalogRule]
+    def __init__(self, declarations: dict[str, Declaration], facts: list[Atom], rules: list[DatalogRule]) -> None:
+        self.declarations = declarations
+        self.facts = facts
+        self.rules = rules
 
     def all_relations(self) -> set[str]:
         return set(self.declarations)

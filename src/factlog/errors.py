@@ -1,10 +1,12 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the reader of text inputs.
 
 Every error raised on purpose derives from FactlogError so the command line
 front end can map failures to exit codes without matching on strings.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class FactlogError(Exception):
@@ -72,3 +74,14 @@ class TypeMismatch(DatalogError):
 
 class UnknownRelation(DatalogError):
     """A query or lookup names a relation absent from the database."""
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file (a spec, program, fact file or
+    config).  Bytes that do not decode are an input error that names the
+    file and line, not a UnicodeDecodeError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FactlogError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import ArityMismatch, FactlogError, MalformedFact
+from .errors import ArityMismatch, FactlogError, MalformedFact, read_text
 
 _RELATION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
 _INT_TOKEN_RE = re.compile(r"-?\d+\Z")
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     relation: str
     args: tuple[str | int, ...]
 
@@ -196,15 +194,22 @@ class Database:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_dl_text(cls, text: str) -> "Database":
+    def from_dl_text(cls, text: str, path: str | Path | None = None) -> "Database":
+        """Parse fact lines; with a path, a bad line's error starts with
+        ``path:line:``."""
         db = cls()
         # split on "\n" only: escaped symbols never contain real newlines,
         # but they may contain unicode separators that splitlines() honors
-        for raw in text.split("\n"):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             line = raw.strip()
             if not line or line.startswith("//"):
                 continue
-            db.add_fact(parse_fact_line(line))
+            try:
+                db.add_fact(parse_fact_line(line))
+            except (MalformedFact, ArityMismatch) as exc:
+                if path is None:
+                    raise
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
         return db
 
     # -- per-relation .facts files (tab separated) ---------------------------
@@ -263,7 +268,7 @@ class Database:
     ) -> None:
         relation = path.stem
         types = (column_types or {}).get(relation)
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
             if raw == "":
                 continue
             cells = raw.split("\t")
@@ -284,4 +289,7 @@ class Database:
                     values.append(int(cell))
                 else:
                     values.append(sys.intern(cell))
-            db.add(relation, tuple(values))
+            try:
+                db.add(relation, tuple(values))
+            except ArityMismatch as exc:
+                raise ArityMismatch(f"{path}:{lineno}: {exc}") from None

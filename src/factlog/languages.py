@@ -24,11 +24,11 @@ from __future__ import annotations
 import bisect
 import configparser
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import LanguageError
+from .errors import LanguageError, read_text
 
 
 class Region(Enum):
@@ -43,8 +43,18 @@ class Region(Enum):
 DEFAULT_BALANCED_PAIRS = (("(", ")"), ("[", "]"), ("{", "}"))
 
 
-@dataclass(frozen=True)
-class LanguageDefinition:
+class _LanguageFields(NamedTuple):
+    name: str
+    line_comment_prefixes: tuple[str, ...] = ()
+    block_comment_pairs: tuple[tuple[str, str], ...] = ()
+    string_delimiters: tuple[tuple[str, str, str | None], ...] = ()
+    balanced_pairs: tuple[tuple[str, str], ...] = DEFAULT_BALANCED_PAIRS
+    identifier_extra: str = "_."
+    value_prefix_chars: str = ""
+    nest_block_comments: bool = False
+
+
+class LanguageDefinition(_LanguageFields):
     """Lexical profile of one language.
 
     Attributes:
@@ -65,16 +75,12 @@ class LanguageDefinition:
         nest_block_comments: whether block comments nest.
     """
 
-    name: str
-    line_comment_prefixes: tuple[str, ...] = ()
-    block_comment_pairs: tuple[tuple[str, str], ...] = ()
-    string_delimiters: tuple[tuple[str, str, str | None], ...] = ()
-    balanced_pairs: tuple[tuple[str, str], ...] = DEFAULT_BALANCED_PAIRS
-    identifier_extra: str = "_."
-    value_prefix_chars: str = ""
-    nest_block_comments: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    # A NamedTuple body cannot define __new__, so the fields live in a base
+    # class and the checks run here, for every construction and unpickling.
+    def __new__(cls, *args, **kwargs) -> LanguageDefinition:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.name:
             raise LanguageError("language name must be nonempty")
         for open_, close in self.balanced_pairs:
@@ -90,6 +96,7 @@ class LanguageDefinition:
                 raise LanguageError(f"{self.name}: string delimiters must be nonempty")
             if escape is not None and len(escape) != 1:
                 raise LanguageError(f"{self.name}: string escape must be a single character")
+        return self
 
     def is_identifier_char(self, ch: str) -> bool:
         """True when ch may appear inside an identifier."""
@@ -114,7 +121,6 @@ def _check_prefix_free(lang: str, what: str, openers: tuple[str, ...]) -> None:
                 raise LanguageError(f"{lang}: {what} delimiter {a!r} is a prefix of {b!r}")
 
 
-@dataclass
 class SourceMap:
     """Source text plus its region partition, line table, bracket tables and
     unit table.
@@ -128,12 +134,13 @@ class SourceMap:
     matcher on first use.
     """
 
-    source: str
-    language: LanguageDefinition
-    intervals: list[tuple[int, int, Region]]
-    warnings: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, source: str, language: LanguageDefinition, intervals: list[tuple[int, int, Region]], warnings: list[str]
+    ) -> None:
+        self.source = source
+        self.language = language
+        self.intervals = intervals
+        self.warnings = warnings
         self._starts = [iv[0] for iv in self.intervals]
         self._line_starts = _line_start_table(self.source)
         self.group_ends, self.brackets, self.any_close = _pair_brackets(self.source, self.language, self.intervals)
@@ -488,9 +495,12 @@ def load_language_file(path: str) -> list[LanguageDefinition]:
     "()" tokens), identifier_extra, value_prefix, nest_block_comments.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
-        raise LanguageError(f"cannot read language config {path!r}")
+    try:
+        parser.read_string(read_text(path), source=path)
+    except OSError:
+        raise LanguageError(f"cannot read language config {path!r}") from None
+    except configparser.Error as exc:
+        raise LanguageError(str(exc)) from None
     out = []
     for section in parser.sections():
         raw = dict(parser[section])

@@ -23,12 +23,11 @@ substitution time (``next($x.line, $x.line + 1)``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
-from .errors import MalformedFact, MalformedHole, SpecFormatError, UnboundHole
+from .errors import MalformedFact, MalformedHole, SpecFormatError, UnboundHole, read_text
 from .facts import Database, parse_fact_line
 from .languages import SourceMap, get_language
 from .templates import (
@@ -47,13 +46,11 @@ from .templates import (
 # Rewrite templates
 
 
-@dataclass(frozen=True)
-class SubstLiteral:
+class SubstLiteral(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(NamedTuple):
     name: str
     prop: Property = Property.VALUE
     offset: int = 0  # nonzero only for line/column properties
@@ -62,8 +59,7 @@ class Substitution:
 RewriteAtom = Union[SubstLiteral, Substitution]
 
 
-@dataclass(frozen=True)
-class RewriteTemplate:
+class RewriteTemplate(NamedTuple):
     text: str
     atoms: tuple[RewriteAtom, ...]
 
@@ -137,8 +133,7 @@ class CondOp(Enum):
     NEQ = "!="
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     hole: str
     op: CondOp
     value: str
@@ -147,15 +142,13 @@ class Condition:
         return (text == self.value) if self.op is CondOp.EQ else (text != self.value)
 
 
-@dataclass(frozen=True)
-class NestedRewrite:
+class NestedRewrite(NamedTuple):
     target: str
     inner_match: Template
     inner_rewrite: RewriteTemplate
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(NamedTuple):
     nested: bool = False
     conditions: tuple[Condition, ...] = ()
     nested_rewrites: tuple[NestedRewrite, ...] = ()
@@ -339,8 +332,7 @@ def _find_arrow(body: str) -> int:
 # Fact specs
 
 
-@dataclass(frozen=True)
-class FactSpec:
+class FactSpec(NamedTuple):
     """A named (match template, rule, rewrite template) triple for one language."""
 
     name: str
@@ -373,8 +365,8 @@ def parse_fact_spec(text: str, name: str = "spec", language: str = "") -> FactSp
     if language:
         lang = get_language(language)
         match = compile_template(match, lang)
-        inner = tuple(replace(nr, inner_match=compile_template(nr.inner_match, lang)) for nr in rule.nested_rewrites)
-        rule = replace(rule, nested_rewrites=inner)
+        inner = tuple(nr._replace(inner_match=compile_template(nr.inner_match, lang)) for nr in rule.nested_rewrites)
+        rule = rule._replace(nested_rewrites=inner)
     return FactSpec(name, language, match, rule, parse_rewrite_template(rewrite_text))
 
 
@@ -411,7 +403,7 @@ def load_fact_spec(path: str | Path, language: str = "") -> FactSpec:
     """Parse a spec file and check that every hole its [rule] and [rewrite]
     name is bound, whether or not any source ever matches."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     spec = parse_fact_spec(text, name=path.stem, language=language)
     unbound = _unbound_holes(spec)
     if unbound:

@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import DuplicateHoleName, MalformedHole, UnboundHole
 from .languages import LanguageDefinition, Region, SourceMap, char_class, identifier_char_re
@@ -70,13 +69,11 @@ class Property(Enum):
     COLUMN = "column"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(NamedTuple):
     name: str | None
     kind: HoleKind
 
@@ -84,17 +81,31 @@ class Hole:
 Atom = Union[Literal, Hole]
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """Parsed template: original text plus its atom sequence, and its
-    compiled form once compile_template has bound it to a language."""
+    compiled form once compile_template has bound it to a language.
+    Equality, hash and repr leave the compiled form out."""
 
     text: str
     atoms: tuple[Atom, ...]
-    compiled: CompiledTemplate | None = field(default=None, repr=False, compare=False)
+    compiled: CompiledTemplate | None = None
 
     def hole_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.atoms if isinstance(a, Hole) and a.name)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Template):
+            return NotImplemented
+        return self.text == other.text and self.atoms == other.atoms
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.atoms))
+
+    def __repr__(self) -> str:
+        return f"Template(text={self.text!r}, atoms={self.atoms!r})"
 
 
 _HOLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -153,8 +164,7 @@ def parse_template(text: str) -> Template:
 # Bindings and matches
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """One hole's bound span.  text equals the source slice for matcher
     output; rewrite rules may rebind with synthesized text."""
 
@@ -165,8 +175,10 @@ class Binding:
     column: int
 
 
-@dataclass(frozen=True)
-class MatchEnvironment:
+class MatchEnvironment(NamedTuple):
+    """The bindings of one match, indexed by hole name: env[name] is the
+    Binding, and an unbound name raises UnboundHole."""
+
     bindings: dict[str, Binding]
 
     def __contains__(self, name: str) -> bool:
@@ -179,8 +191,7 @@ class MatchEnvironment:
             raise UnboundHole(f"hole ${name} is not bound") from None
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     start: int
     end: int
     env: MatchEnvironment
@@ -190,8 +201,7 @@ class Match:
 # Compilation: literal pieces and candidate strategies
 
 
-@dataclass(frozen=True)
-class _Piece:
+class _Piece(NamedTuple):
     ws: bool
     text: str
     ident_first: bool
@@ -210,8 +220,7 @@ def _split_literal(text: str, lang: LanguageDefinition) -> tuple[_Piece, ...]:
     return tuple(pieces)
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledTemplate:
+class CompiledTemplate(NamedTuple):
     """A template's compiled form for one language, built once, when its
     spec loads.
 
@@ -267,7 +276,7 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
         unit_start_re=re.compile(rf"(?<!{ident})(?:{ident}|[{starts}])" if starts else rf"(?<!{ident}){ident}"),
         scan_res=tuple(scan_res),
     )
-    return replace(template, compiled=compiled)
+    return template._replace(compiled=compiled)
 
 
 def _compiled_for(template: Template, smap: SourceMap) -> Template:

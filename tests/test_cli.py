@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from factlog.cli import EXIT_ANALYSIS, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
@@ -420,6 +422,20 @@ class TestEntryPoint:
         )
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_generates_no_code_and_skips_json(self):
+        # dataclasses builds methods with exec at import and pulls in inspect;
+        # json is imported by the two subcommands that print it.  The guard
+        # counts modules, not milliseconds, so machine noise cannot flake it.
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys; before = set(sys.modules); import factlog.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))",
+            ],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "factlog", "--help"],
@@ -443,3 +459,110 @@ class TestLangdef:
         assert code == EXIT_OK
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["holes"]["x"]["text"] for r in records] == ["alpha"]
+
+
+UNDECODABLE = b'edge("a", "b").\n\xff\n'
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "kind, argv",
+        [
+            ("dl", ["solve", "{bad}", "--program", "{tc}", "--out", "{out}"]),
+            ("dl", ["query", "{bad}", "-q", "edge(X, Y)"]),
+            ("dl", ["graph", "{bad}"]),
+            ("dl", ["solve", "{good}", "--program", "{bad}", "--out", "{out}"]),
+            ("facts", ["query", "{bad}", "-q", "edge(X, Y)"]),
+            ("spec", ["match", "{go}", "--lang", "go", "--spec", "{bad}"]),
+            ("spec", ["facts", "{go}", "--lang", "go", "--spec", "{bad}", "--out", "{out}"]),
+            ("lang", ["match", "{go}", "--lang", "go", "-t", "f($x)", "--langdef", "{bad}"]),
+        ],
+    )
+    def test_undecodable_input_names_the_file(self, capsys, tmp_path, example_go, kind, argv):
+        bad = tmp_path / {"dl": "bad.dl", "facts": "edge.facts", "spec": "bad.spec", "lang": "bad.lang"}[kind]
+        bad.write_bytes(UNDECODABLE)
+        good = tmp_path / "good.dl"
+        good.write_text('edge("a", "b").\n', encoding="utf-8")
+        tc = tmp_path / "tc.dl"
+        tc.write_text(TC_PROGRAM, encoding="utf-8")
+        paths = {"bad": bad, "good": good, "tc": tc, "go": example_go, "out": tmp_path / "out"}
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == EXIT_INPUT
+        assert f"{bad}:2: not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("mine/preset.cfg", b"[preset]\nlanguage = go\xff\n", "preset.cfg:2: not UTF-8 text"),
+            ("mine/preset.cfg", b"garbage\n", "File contains no section headers"),
+            ("toy.lang", b"garbage\n", "File contains no section headers"),
+        ],
+    )
+    def test_bad_config_file_is_input_error(self, capsys, tmp_path, example_go, name, content, message):
+        (tmp_path / "mine").mkdir()
+        cfg = tmp_path / name
+        cfg.write_bytes(content)
+        if cfg.suffix == ".lang":
+            argv = ["match", example_go, "--lang", "go", "-t", "f($x)", "--langdef", str(cfg)]
+        else:
+            argv = ["facts", example_go, "--preset", "mine", "--preset-dir", str(tmp_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert message in err and str(cfg) in err
+
+    @pytest.mark.parametrize(
+        "name, text, code, message",
+        [
+            ("in.dl", 'edge("a", "b").\nedge("b" "c").\n', EXIT_INPUT,
+             "in.dl:2: expected ',' or ')' at offset 9 in 'edge(\"b\" \"c\").'"),
+            ("in.dl", '// two columns\nedge("a", "b").\n\nedge("c").\n', EXIT_ANALYSIS,
+             "in.dl:4: relation edge holds 2-tuples, got 1-tuple"),
+            ("edge.facts", "a\tb\nc\n", EXIT_ANALYSIS, "edge.facts:2: relation edge holds 2-tuples, got 1-tuple"),
+        ],
+    )
+    def test_fact_input_errors_name_file_and_line(self, capsys, tmp_path, name, text, code, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        got, _, err = run(capsys, "query", str(path), "-q", "edge(X, Y)")
+        assert got == code
+        assert f"{tmp_path}/{message}" in err
+
+    def test_arity_clash_between_inputs_names_the_file(self, capsys, tmp_path):
+        (tmp_path / "a.dl").write_text('edge("a", "b").\n', encoding="utf-8")
+        (tmp_path / "b.dl").write_text('edge("c").\n', encoding="utf-8")
+        code, _, err = run(capsys, "query", str(tmp_path / "a.dl"), str(tmp_path / "b.dl"), "-q", "edge(X, Y)")
+        assert code == EXIT_ANALYSIS
+        assert f"{tmp_path / 'b.dl'}: relation edge holds 2-tuples, got 1-tuple" in err
+
+
+# Pieces of fact, rule and spec syntax, plus bytes that are not UTF-8.
+_FRAGMENTS = st.sampled_from([
+    b"edge(", b"calls(", b'"a"', b'"b\\"', b"X", b"_", b"1", b"-2", b", ", b"(", b")", b".", b":-",
+    b"!", b"\n", b"\t", b" ", b".decl ", b": symbol", b": number", b"//", b"[match]", b"[rule]",
+    b"[rewrite]", b"$x", b"$c", b"...", b"$b*", b"where nested, ", b"rewrite $b { ", b" -> ", b"{", b"}",
+    b"\xff", b"\xc3", b"\xe2\x80\xa8", b"\\",
+])
+DRAWN_INPUT = st.lists(_FRAGMENTS | st.binary(max_size=3), max_size=30).map(b"".join)
+
+
+class TestNoTraceback:
+    @given(st.sampled_from(["dl", "facts", "program", "spec"]), DRAWN_INPUT)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn_input_exits_with_a_code(self, capsys, tmp_path, example_go, kind, data):
+        """Whatever bytes a fact file, program or spec holds, main returns an
+        exit code and no exception escapes it."""
+        drawn = tmp_path / {"dl": "in.dl", "facts": "edge.facts", "program": "drawn.dl", "spec": "drawn.spec"}[kind]
+        drawn.write_bytes(data)
+        tc = tmp_path / "tc.dl"
+        tc.write_text(TC_PROGRAM, encoding="utf-8")
+        good = tmp_path / "good.dl"
+        good.write_text('edge("a", "b").\nedge("b", "c").\n', encoding="utf-8")
+        out = str(tmp_path / "out")
+        argv = {
+            "dl": ["query", str(drawn), "--program", str(tc), "-q", 'calls("a", X)'],
+            "facts": ["solve", str(drawn), "--program", str(tc), "--out", out],
+            "program": ["solve", str(good), "--program", str(drawn), "--out", out],
+            "spec": ["facts", example_go, "--lang", "go", "--spec", str(drawn), "--out", out],
+        }[kind]
+        code, _, _ = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_ANALYSIS)
