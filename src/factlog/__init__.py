@@ -39,7 +39,6 @@ from .errors import (
     MalformedHole,
     SpecFormatError,
     TypeMismatch,
-    UnbalancedInput,
     UnboundHole,
     UnknownRelation,
     UnsafeRule,

@@ -17,10 +17,6 @@ class LanguageError(FactlogError):
     """A language definition is malformed or unknown."""
 
 
-class UnbalancedInput(FactlogError):
-    """Balance scanning ran off the end of the input before closing."""
-
-
 class MalformedHole(FactlogError):
     """A template contains a '$' that does not introduce a valid hole."""
 

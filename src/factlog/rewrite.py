@@ -25,12 +25,13 @@ from __future__ import annotations
 import re
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, TypeVar, Union
 
-from .errors import MalformedFact, MalformedHole, SpecFormatError, UnboundHole, read_text
+from .errors import FactlogError, MalformedFact, MalformedHole, SpecFormatError, UnboundHole, read_text
 from .facts import Database, parse_fact_line
 from .languages import SourceMap, get_language
 from .templates import (
+    HOLE_NAME,
     Binding,
     MatchEnvironment,
     Property,
@@ -64,47 +65,31 @@ class RewriteTemplate(NamedTuple):
     atoms: tuple[RewriteAtom, ...]
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PROP_RE = re.compile(r"\.(line|column|value)(?![A-Za-z0-9_])")
-_OFFSET_RE = re.compile(r"[ \t]*([+-])[ \t]*(\d+)")
-
-_PROPS = {"line": Property.LINE, "column": Property.COLUMN, "value": Property.VALUE}
+_SUBSTITUTION_RE = re.compile(
+    rf"""\$(?P<name>{HOLE_NAME})?
+    (?: \.(?P<prop>line|column)(?![A-Za-z0-9_])
+        (?: [ \t]*(?P<sign>[+-])[ \t]*(?P<digits>\d+) )?
+      | \.value(?![A-Za-z0-9_])
+    )?""",
+    re.VERBOSE,
+)
 
 
 def parse_rewrite_template(text: str) -> RewriteTemplate:
     """Parse rewrite text into literal and substitution atoms."""
     atoms: list[RewriteAtom] = []
-    lit: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "$":
-            lit.append(ch)
-            i += 1
-            continue
-        m = _NAME_RE.match(text, i + 1)
-        if m is None:
-            raise MalformedHole(f"'$' at offset {i} is not followed by a hole name")
-        name = m.group(0)
-        i = m.end()
-        prop = Property.VALUE
-        pm = _PROP_RE.match(text, i)
-        if pm is not None:
-            prop = _PROPS[pm.group(1)]
-            i = pm.end()
-        offset = 0
-        if prop in (Property.LINE, Property.COLUMN):
-            om = _OFFSET_RE.match(text, i)
-            if om is not None:
-                offset = int(om.group(1) + om.group(2))
-                i = om.end()
-        if lit:
-            atoms.append(SubstLiteral("".join(lit)))
-            lit.clear()
-        atoms.append(Substitution(name, prop, offset))
-    if lit:
-        atoms.append(SubstLiteral("".join(lit)))
+    pos = 0
+    for m in _SUBSTITUTION_RE.finditer(text):
+        start = m.start()
+        if m["name"] is None:
+            raise MalformedHole(f"'$' at offset {start} is not followed by a hole name")
+        if start > pos:
+            atoms.append(SubstLiteral(text[pos:start]))
+        offset = int(m["sign"] + m["digits"]) if m["sign"] else 0
+        atoms.append(Substitution(m["name"], Property(m["prop"] or "value"), offset))
+        pos = m.end()
+    if pos < len(text):
+        atoms.append(SubstLiteral(text[pos:]))
     return RewriteTemplate(text, tuple(atoms))
 
 
@@ -163,169 +148,75 @@ class RuleSpec(NamedTuple):
 EMPTY_RULE = RuleSpec()
 
 
+_WHERE_RE = re.compile(r"where(?![A-Za-z0-9_])")
+_RULE_ITEM_RE = re.compile(
+    rf"""\s*(?:
+        (?P<nested>nested)(?![A-Za-z0-9_])
+      | \$\s*(?P<hole>{HOLE_NAME})\s*(?P<op>==|!=)\s*"(?P<value>(?:\\.|[^"\\])*)(?P<closed>"?)
+      | rewrite\s*\$\s*(?P<target>{HOLE_NAME})\s*\{{
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_RULE_SEPARATOR_RE = re.compile(r"\s*(?:,|\Z)")
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+# inside a rewrite clause's braces: a string, which is opaque, an arrow or a brace
+_CLAUSE_TOKEN_RE = re.compile(r'"(?:\\.|[^"\\])*"?|->|[{}]', re.DOTALL)
+
+
 def parse_rule(text: str) -> RuleSpec:
     """Parse ``where nested, $h != "lit", rewrite $h { tin -> tout }``."""
     src = text.strip()
     if not src:
         return EMPTY_RULE
-    cur = _Cursor(src)
-    if cur.take_word() != "where":
+    m = _WHERE_RE.match(src)
+    if m is None:
         raise SpecFormatError(f"rule must start with 'where': {src[:40]!r}")
     nested = False
     conditions: list[Condition] = []
     rewrites: list[NestedRewrite] = []
-    while True:
-        cur.skip_ws()
-        if cur.at_end():
-            break
-        word = cur.peek_word()
-        if word == "nested":
-            cur.take_word()
+    pos = m.end()
+    while pos < len(src):
+        m = _RULE_ITEM_RE.match(src, pos)
+        if m is None:
+            raise SpecFormatError(f"unexpected rule item at {src[pos:].lstrip()[:40]!r}")
+        pos = m.end()
+        if m["nested"]:
             nested = True
-        elif word == "rewrite":
-            cur.take_word()
-            rewrites.append(_parse_rewrite_clause(cur))
-        elif cur.peek() == "$":
-            conditions.append(_parse_condition(cur))
+        elif m["hole"]:
+            if not m["closed"]:
+                raise SpecFormatError(f"unterminated string in condition on ${m['hole']}")
+            conditions.append(Condition(m["hole"], CondOp(m["op"]), _ESCAPE_RE.sub(r"\1", m["value"])))
         else:
-            raise SpecFormatError(f"unexpected rule item at {cur.rest()[:40]!r}")
-        cur.skip_ws()
-        if cur.at_end():
-            break
-        if cur.peek() == ",":
-            cur.advance(1)
-            continue
-        raise SpecFormatError(f"expected ',' between rule items at {cur.rest()[:40]!r}")
+            arrow, close = _clause_body(src, pos)
+            if arrow == -1:
+                raise SpecFormatError(f"rewrite clause for ${m['target']} lacks '->'")
+            inner_match = parse_template(src[pos:arrow].strip())
+            inner_rewrite = parse_rewrite_template(src[arrow + 2 : close].strip())
+            rewrites.append(NestedRewrite(m["target"], inner_match, inner_rewrite))
+            pos = close + 1
+        m = _RULE_SEPARATOR_RE.match(src, pos)
+        if m is None:
+            raise SpecFormatError(f"expected ',' between rule items at {src[pos:].lstrip()[:40]!r}")
+        pos = m.end()
     return RuleSpec(nested, tuple(conditions), tuple(rewrites))
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def peek_word(self) -> str:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        return m.group(0) if m else ""
-
-    def take_word(self) -> str:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if m is None:
-            raise SpecFormatError(f"expected a word at {self.rest()[:40]!r}")
-        self.pos = m.end()
-        return m.group(0)
-
-    def advance(self, n: int) -> None:
-        self.pos += n
-
-    def rest(self) -> str:
-        return self.text[self.pos :]
-
-    def expect(self, token: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise SpecFormatError(f"expected {token!r} at {self.rest()[:40]!r}")
-        self.pos += len(token)
-
-
-def _parse_condition(cur: _Cursor) -> Condition:
-    cur.expect("$")
-    name = cur.take_word()
-    cur.skip_ws()
-    if cur.text.startswith("==", cur.pos):
-        op = CondOp.EQ
-    elif cur.text.startswith("!=", cur.pos):
-        op = CondOp.NEQ
-    else:
-        raise SpecFormatError(f"expected '==' or '!=' after ${name}")
-    cur.advance(2)
-    cur.skip_ws()
-    cur.expect('"')
-    chars: list[str] = []
-    while cur.pos < len(cur.text):
-        ch = cur.text[cur.pos]
-        if ch == "\\" and cur.pos + 1 < len(cur.text):
-            chars.append(cur.text[cur.pos + 1])
-            cur.advance(2)
-            continue
-        if ch == '"':
-            cur.advance(1)
-            return Condition(name, op, "".join(chars))
-        chars.append(ch)
-        cur.advance(1)
-    raise SpecFormatError(f"unterminated string in condition on ${name}")
-
-
-def _parse_rewrite_clause(cur: _Cursor) -> NestedRewrite:
-    cur.expect("$")
-    target = cur.take_word()
-    cur.expect("{")
-    body, end = _until_matching_brace(cur.text, cur.pos)
-    cur.pos = end
-    arrow = _find_arrow(body)
-    if arrow == -1:
-        raise SpecFormatError(f"rewrite clause for ${target} lacks '->'")
-    inner_match = parse_template(body[:arrow].strip())
-    inner_rewrite = parse_rewrite_template(body[arrow + 2 :].strip())
-    return NestedRewrite(target, inner_match, inner_rewrite)
-
-
-def _until_matching_brace(text: str, pos: int) -> tuple[str, int]:
-    """Content between pos and its matching '}', quote aware."""
-    depth = 1
-    start = pos
-    in_string = False
-    while pos < len(text):
-        ch = text[pos]
-        if in_string:
-            if ch == "\\":
-                pos += 2
-                continue
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "{":
+def _clause_body(text: str, pos: int) -> tuple[int, int]:
+    """The offsets of the first '->' (or -1) and of the '}' that closes the
+    '{' before pos.  Braces nest but the arrow counts at any depth."""
+    depth = 0
+    arrow = -1
+    for m in _CLAUSE_TOKEN_RE.finditer(text, pos):
+        token = m[0]
+        if token == "->" and arrow == -1:
+            arrow = m.start()
+        elif token == "{":
             depth += 1
-        elif ch == "}":
-            depth -= 1
+        elif token == "}":
             if depth == 0:
-                return text[start:pos], pos + 1
-        pos += 1
+                return arrow, m.start()
+            depth -= 1
     raise SpecFormatError("unterminated '{' in rewrite clause")
-
-
-def _find_arrow(body: str) -> int:
-    in_string = False
-    pos = 0
-    while pos < len(body) - 1:
-        ch = body[pos]
-        if in_string:
-            if ch == "\\":
-                pos += 2
-                continue
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "-" and body[pos + 1] == ">":
-            return pos
-        pos += 1
-    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -343,35 +234,38 @@ class FactSpec(NamedTuple):
 
 
 _SECTIONS = ("match", "rule", "rewrite")
+_T = TypeVar("_T")
 
 
 def parse_fact_spec(text: str, name: str = "spec", language: str = "") -> FactSpec:
     """Parse the three-section spec format ([match], [rule], [rewrite]).
 
     With a language, the match template and every inner template are
-    compiled for it here, once.
+    compiled for it here, once.  An error starts with ``name:line:``.
     """
-    sections = _split_sections(text, name)
+    return _build_spec(_split_sections(text, name), name, language, name)
+
+
+def _build_spec(
+    sections: dict[str, list[tuple[int, str]]], name: str, language: str, origin: str | Path
+) -> FactSpec:
     for required in ("match", "rewrite"):
         if required not in sections:
-            raise SpecFormatError(f"{name}: missing [{required}] section")
-    match_text = _section_body(sections["match"])
-    rewrite_text = _section_body(sections["rewrite"])
-    rule_text = _section_body(sections.get("rule", []))
-    if not match_text:
-        raise SpecFormatError(f"{name}: [match] section is empty")
-    match = parse_template(match_text)
-    rule = parse_rule(rule_text)
+            raise SpecFormatError(f"{origin}:1: missing [{required}] section")
+    match = _parse_section(parse_template, sections["match"], origin)
+    if not match.atoms:
+        raise SpecFormatError(f"{origin}:{sections['match'][0][0]}: [match] section is empty")
+    rule = _parse_section(parse_rule, sections["rule"], origin) if "rule" in sections else EMPTY_RULE
     if language:
         lang = get_language(language)
         match = compile_template(match, lang)
         inner = tuple(nr._replace(inner_match=compile_template(nr.inner_match, lang)) for nr in rule.nested_rewrites)
         rule = rule._replace(nested_rewrites=inner)
-    return FactSpec(name, language, match, rule, parse_rewrite_template(rewrite_text))
+    return FactSpec(name, language, match, rule, _parse_section(parse_rewrite_template, sections["rewrite"], origin))
 
 
-def _split_sections(text: str, name: str) -> dict[str, list[tuple[int, str]]]:
-    """Section name -> its (1-based line number, raw line) pairs."""
+def _split_sections(text: str, origin: str | Path) -> dict[str, list[tuple[int, str]]]:
+    """Section name -> its (1-based line number, raw line) pairs, header first."""
     sections: dict[str, list[tuple[int, str]]] = {}
     current: str | None = None
     for number, raw in enumerate(text.splitlines(), 1):
@@ -379,38 +273,37 @@ def _split_sections(text: str, name: str) -> dict[str, list[tuple[int, str]]]:
         if stripped.startswith("[") and stripped.endswith("]") and stripped[1:-1] in _SECTIONS:
             current = stripped[1:-1]
             if current in sections:
-                raise SpecFormatError(f"{name}: duplicate [{current}] section")
-            sections[current] = []
-            continue
-        if current is None:
-            if stripped and not stripped.startswith("#"):
-                raise SpecFormatError(f"{name}: text before the first section header: {stripped!r}")
-            continue
-        sections[current].append((number, raw))
+                raise SpecFormatError(f"{origin}:{number}: duplicate [{current}] section")
+            sections[current] = [(number, raw)]
+        elif current is not None:
+            sections[current].append((number, raw))
+        elif stripped and not stripped.startswith("#"):
+            raise SpecFormatError(f"{origin}:{number}: text before the first section header: {stripped!r}")
     return sections
 
 
-def _section_body(lines: list[tuple[int, str]]) -> str:
-    start, end = 0, len(lines)
-    while start < end and not lines[start][1].strip():
-        start += 1
-    while end > start and not lines[end - 1][1].strip():
-        end -= 1
-    return "\n".join(raw for _, raw in lines[start:end])
+def _parse_section(parse: Callable[[str], _T], lines: list[tuple[int, str]], origin: str | Path) -> _T:
+    """parse applied to a section's lines after its header, less leading and
+    trailing blank ones; an error names the line where that text starts."""
+    filled = [i for i, (_, raw) in enumerate(lines) if i and raw.strip()]
+    body = lines[filled[0] : filled[-1] + 1] if filled else []
+    try:
+        return parse("\n".join(raw for _, raw in body))
+    except FactlogError as exc:
+        raise type(exc)(f"{origin}:{(body or lines)[0][0]}: {exc}") from None
 
 
 def load_fact_spec(path: str | Path, language: str = "") -> FactSpec:
     """Parse a spec file and check that every hole its [rule] and [rewrite]
     name is bound, whether or not any source ever matches."""
     path = Path(path)
-    text = read_text(path)
-    spec = parse_fact_spec(text, name=path.stem, language=language)
+    sections = _split_sections(read_text(path), path)
+    spec = _build_spec(sections, path.stem, language, path)
     unbound = _unbound_holes(spec)
     if unbound:
         section, hole = unbound[0]
-        lines = _split_sections(text, spec.name)[section]
         pattern = re.compile(rf"\${hole}(?![A-Za-z0-9_])")
-        number = next((n for n, raw in lines if pattern.search(raw)), lines[0][0])
+        number = next((n for n, raw in sections[section] if pattern.search(raw)), sections[section][0][0])
         raise SpecFormatError(f"{path}:{number}: hole ${hole} is bound by neither the match nor an inner template")
     return spec
 

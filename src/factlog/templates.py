@@ -108,55 +108,38 @@ class Template(NamedTuple):
         return f"Template(text={self.text!r}, atoms={self.atoms!r})"
 
 
-_HOLE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+HOLE_NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # the hole-name pattern of match and rewrite templates
+
+_TEMPLATE_HOLE_RE = re.compile(rf"\.\.\.|\$(?P<name>{HOLE_NAME})?(?P<suffix>[*?]?)")
+_SUFFIX_KINDS = {"": HoleKind.EXPRESSION, "*": HoleKind.EVERYTHING, "?": HoleKind.OPTIONAL}
 
 
 def parse_template(text: str) -> Template:
     """Parse template text into atoms; language independent."""
     atoms: list[Atom] = []
-    lit: list[str] = []
     seen: set[str] = set()
-
-    def flush() -> None:
-        if lit:
-            atoms.append(Literal("".join(lit)))
-            lit.clear()
-
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if text.startswith("...", i):
-            flush()
+    pos = 0
+    for m in _TEMPLATE_HOLE_RE.finditer(text):
+        start = m.start()
+        if start > pos:
+            atoms.append(Literal(text[pos:start]))
+        pos = m.end()
+        if m[0] == "...":
             atoms.append(Hole(None, HoleKind.ANONYMOUS))
-            i += 3
             continue
-        if ch != "$":
-            lit.append(ch)
-            i += 1
-            continue
-        m = _HOLE_NAME_RE.match(text, i + 1)
-        if m is None:
-            raise MalformedHole(f"'$' at offset {i} is not followed by a hole name")
-        name = m.group(0)
-        j = m.end()
-        kind = HoleKind.EXPRESSION
-        if j < n and text[j] == "*":
-            kind = HoleKind.EVERYTHING
-            j += 1
-        elif j < n and text[j] == "?":
-            kind = HoleKind.OPTIONAL
-            j += 1
-        elif lit and lit[-1] == '"' and j < n and text[j] == '"':
-            # "$x" binds the string body; the quotes stay literal atoms.
-            kind = HoleKind.STRING_BODY
+        name = m["name"]
+        if name is None:
+            raise MalformedHole(f"'$' at offset {start} is not followed by a hole name")
         if name in seen:
             raise DuplicateHoleName(f"hole ${name} is bound more than once")
         seen.add(name)
-        flush()
+        kind = _SUFFIX_KINDS[m["suffix"]]
+        if kind is HoleKind.EXPRESSION and text[start - 1 : start] == '"' == text[pos : pos + 1]:
+            # "$x" binds the string body; the quotes stay literal atoms.
+            kind = HoleKind.STRING_BODY
         atoms.append(Hole(name, kind))
-        i = j
-    flush()
+    if pos < len(text):
+        atoms.append(Literal(text[pos:]))
     return Template(text, tuple(atoms))
 
 
@@ -346,6 +329,9 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
 # The matcher
 
 
+_OPAQUE = (Region.COMMENT, Region.STRING_BODY)
+
+
 class _Matcher:
     """Backtracking matcher for one template over one span of a SourceMap.
 
@@ -392,10 +378,14 @@ class _Matcher:
         """The nonempty match starting exactly at start and ending by hi, if any.
 
         A leading expression or optional hole starts only at a left-maximal
-        unit start, whatever the window.
+        unit start, whatever the window, and never inside a comment or a
+        string body, where only an empty optional hole could start.
         """
-        if self.t.strategy in ("anchor", "units") and not self.t.unit_start_re.match(self.src, start):
-            return None
+        if self.t.strategy in ("anchor", "units"):
+            if not self.t.unit_start_re.match(self.src, start):
+                return None
+            if self.atoms[0].kind is HoleKind.OPTIONAL and self.smap.region_at(start) in _OPAQUE:
+                return None
         self.hi = hi
         self.env.clear()
         end = self._match_atoms(0, start, True)

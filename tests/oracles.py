@@ -24,7 +24,7 @@ from collections import deque
 from typing import Iterator
 
 from factlog.datalog import DatalogProgram, Variable
-from factlog.errors import LanguageError, UnbalancedInput
+from factlog.errors import FactlogError, LanguageError
 from factlog.languages import Region, SourceMap
 from factlog.templates import Match, Template, compile_template, match_at
 
@@ -211,6 +211,10 @@ def _iter_groups(smap: SourceMap, lo: int, hi: int) -> Iterator[tuple[int, int]]
             continue
         yield found, end
         pos = end
+
+
+class UnbalancedInput(FactlogError):
+    """rescan_balanced ran off the end of the input before closing."""
 
 
 def rescan_balanced(smap: SourceMap, start: int, limit: int | None = None) -> int:

@@ -109,6 +109,31 @@ class TestFacts:
         assert code == EXIT_INPUT
         assert f"bad.spec:{line}: hole $zz is bound by neither the match nor an inner template" in err
 
+    @pytest.mark.parametrize(
+        "match, rule, message",
+        [
+            ("func $f(...) {$body*}", 'where nested\n$c != "if"',
+             "bad.spec:5: expected ',' between rule items at '$c != \"if\"'"),
+            ("func $f(...) {$body*}", "where rewrite $body { $c(...) }", "bad.spec:5: rewrite clause for $body lacks '->'"),
+            ("func $ f(...) {$body*}", "", "bad.spec:2: '$' at offset 5 is not followed by a hole name"),
+            ("func $f($f) {$body*}", "", "bad.spec:2: hole $f is bound more than once"),
+            ("func $f(...) {$body*}", 'where $f = "x"', "bad.spec:5: unexpected rule item at '$f = \"x\"'"),
+        ],
+    )
+    def test_spec_errors_name_file_and_line(self, capsys, tmp_path, match, rule, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(f"[match]\n{match}\n\n[rule]\n{rule}\n\n[rewrite]\n$body\n", encoding="utf-8")
+        code, _, err = run(capsys, "match", str(tmp_path), "--lang", "go", "--spec", str(spec))
+        assert code == EXIT_INPUT
+        assert f"{tmp_path}/{message}" in err
+
+    def test_text_before_the_first_header_names_its_line(self, capsys, tmp_path):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("# a comment\n\nmatch:\n[match]\nf($x)\n[rewrite]\np($x).\n", encoding="utf-8")
+        code, _, err = run(capsys, "match", str(tmp_path), "--lang", "go", "--spec", str(spec))
+        assert code == EXIT_INPUT
+        assert f"{spec}:3: text before the first section header: 'match:'" in err
+
     def test_nesting_deeper_than_the_recursion_limit(self, capsys, tmp_path):
         # The nested descent keeps its own stack of windows, so a call nested
         # deeper than Python's recursion limit still yields its one edge.

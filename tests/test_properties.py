@@ -15,6 +15,7 @@ from factlog import (
     ZIG,
     Database,
     FactlogError,
+    HoleKind,
     Region,
     classify,
     evaluate,
@@ -27,7 +28,7 @@ from factlog import (
 )
 from factlog.datalog import goal_directed
 from factlog.facts import Fact, format_value, parse_fact_line
-from factlog.templates import _Matcher, compile_template, iter_nested_matches
+from factlog.templates import Hole, Literal, _Matcher, compile_template, iter_nested_matches
 from oracles import (
     collect_inner,
     count_depth_zero_extent,
@@ -349,6 +350,39 @@ class TestClassifierInvariants:
             line, col = smap.line_col(offset)
             lines = source.splitlines(keepends=True) or [""]
             assert source[offset] == (lines[line - 1] + "\n")[col - 1]
+
+
+# ---------------------------------------------------------------------------
+# Template text against its atoms
+
+TEMPLATE_TEXT = st.lists(
+    st.sampled_from(("$", "a", "b", "_", "1", ".", "...", "*", "?", '"', '"$a"', '"$b', '$c"', " ", "(", ")", "\n")), max_size=16
+).map("".join)
+SUFFIX = {HoleKind.EVERYTHING: "*", HoleKind.OPTIONAL: "?"}
+
+
+class TestTemplateAtoms:
+    @given(TEMPLATE_TEXT)
+    @settings(max_examples=500)
+    def test_atoms_render_back_to_the_text(self, text):
+        try:
+            atoms = parse_template(text).atoms
+        except FactlogError:
+            assume(False)
+        rendered = [
+            a.text if isinstance(a, Literal) else "..." if a.name is None else f"${a.name}{SUFFIX.get(a.kind, '')}"
+            for a in atoms
+        ]
+        assert "".join(rendered) == text
+        for before, atom, after in zip((None,) + atoms, atoms, atoms[1:] + (None,)):
+            assert not (isinstance(before, Literal) and isinstance(atom, Literal))
+            if isinstance(atom, Hole) and atom.name:
+                quoted = (
+                    atom.kind not in SUFFIX
+                    and isinstance(before, Literal) and before.text.endswith('"')
+                    and isinstance(after, Literal) and after.text.startswith('"')
+                )
+                assert (atom.kind is HoleKind.STRING_BODY) == quoted
 
 
 # ---------------------------------------------------------------------------

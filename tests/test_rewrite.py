@@ -12,9 +12,20 @@ from factlog import (
     classify,
     parse_fact_spec,
     parse_rewrite_template,
+    parse_rule,
+    parse_template,
     run_fact_generation,
 )
-from factlog.rewrite import Property, Substitution, facts_for_smap, substitute
+from factlog.rewrite import (
+    Condition,
+    CondOp,
+    NestedRewrite,
+    Property,
+    RuleSpec,
+    Substitution,
+    facts_for_smap,
+    substitute,
+)
 from factlog.templates import Binding, MatchEnvironment
 
 
@@ -67,6 +78,91 @@ class TestRewriteTemplate:
         t = parse_rewrite_template("$x.liner")
         out = substitute(t, env_with(x=bind("v", line=7)))
         assert out == "v.liner"
+
+
+def cond(hole: str, op: str, value: str) -> RuleSpec:
+    return RuleSpec(conditions=(Condition(hole, CondOp(op), value),))
+
+
+def inner(target: str, match: str, rewrite: str) -> RuleSpec:
+    return RuleSpec(nested_rewrites=(NestedRewrite(target, parse_template(match), parse_rewrite_template(rewrite)),))
+
+
+# The [rule] grammar: each clause with the RuleSpec it parses to, or the
+# exception class it raises.
+RULE_GRAMMAR = [
+    ("", RuleSpec()),
+    ("where", RuleSpec()),
+    ("where nested", RuleSpec(nested=True)),
+    ("where nested,", RuleSpec(nested=True)),
+    ("where nested , ", RuleSpec(nested=True)),
+    ("where nested, nested", RuleSpec(nested=True)),
+    ("where,", SpecFormatError),
+    ("where nested,,", SpecFormatError),
+    ("where , nested", SpecFormatError),
+    ("where nestedx", SpecFormatError),
+    ("wherenested", SpecFormatError),
+    ("x where", SpecFormatError),
+    ('where nested $c != "if"', SpecFormatError),
+    ('where nested\n$c != "if"', SpecFormatError),
+    ('where "x"', SpecFormatError),
+    ('where $c != "x"', cond("c", "!=", "x")),
+    ('where $ c != "x"', cond("c", "!=", "x")),
+    ('where$c!="x"', cond("c", "!=", "x")),
+    ('where $c == "a\\"b"', cond("c", "==", 'a"b')),
+    ('where $c == "a\\\\b"', cond("c", "==", "a\\b")),
+    ('where $c == "a\\nb"', cond("c", "==", "anb")),
+    ('where $c == "a\\\nb"', cond("c", "==", "a\nb")),
+    ('where $c == "->{}"', cond("c", "==", "->{}")),
+    ('where $c == ""', cond("c", "==", "")),
+    ('where $c == "abc', SpecFormatError),
+    ('where $c == "ab\\', SpecFormatError),
+    ('where $f = "x"', SpecFormatError),
+    ("where $c != x", SpecFormatError),
+    ("where $c ==", SpecFormatError),
+    ("where $c", SpecFormatError),
+    ("where $", SpecFormatError),
+    ('where $1 == "x"', SpecFormatError),
+    ("where rewrite $b { $c(...) -> e($c). }", inner("b", "$c(...)", "e($c).")),
+    ("where rewrite$b{f($x)->g($x)}", inner("b", "f($x)", "g($x)")),
+    ("where rewrite $ b {f->g}", inner("b", "f", "g")),
+    ('where rewrite $b { f("->") -> g("}{"). }', inner("b", 'f("->")', 'g("}{").')),
+    ('where rewrite $b { f("\\"->") -> g }', inner("b", 'f("\\"->")', "g")),
+    ("where rewrite $b { {$x} -> e({$x}) }", inner("b", "{$x}", "e({$x})")),
+    ("where rewrite $b {{->x}}", inner("b", "{", "x}")),
+    ("where rewrite $b { a -> b -> c }", inner("b", "a", "b -> c")),
+    ("where rewrite $b {{->x}", SpecFormatError),
+    ("where rewrite $b { f($x) }", SpecFormatError),
+    ("where rewrite $b { f($x) -> g", SpecFormatError),
+    ('where rewrite $b { a "x -> b }', SpecFormatError),
+    ("where rewrite $b { a -> b \\", SpecFormatError),
+    ("where rewrite b { x -> y }", SpecFormatError),
+    ("where rewrite $b  x -> y }", SpecFormatError),
+    ("where rewrite", SpecFormatError),
+    ("where rewritex $b { x -> y }", SpecFormatError),
+    ("where rewrite $b { x -> y } extra", SpecFormatError),
+    ('where nested\x1c,\x1c$c != "if"', RuleSpec(True, cond("c", "!=", "if").conditions)),
+    ('where nested\u2028,\u2028$c != "if"', RuleSpec(True, cond("c", "!=", "if").conditions)),
+    ('where nested , $c != "if"', RuleSpec(True, cond("c", "!=", "if").conditions)),
+    (
+        'where nested,\n  $c != "if", $d == "x",\n  rewrite $body { $c(...) -> "$c}" },',
+        RuleSpec(
+            True,
+            (Condition("c", CondOp.NEQ, "if"), Condition("d", CondOp.EQ, "x")),
+            inner("body", "$c(...)", '"$c}"').nested_rewrites,
+        ),
+    ),
+]
+
+
+class TestRuleGrammar:
+    @pytest.mark.parametrize("clause, want", RULE_GRAMMAR)
+    def test_clause(self, clause, want):
+        if isinstance(want, RuleSpec):
+            assert parse_rule(clause) == want
+        else:
+            with pytest.raises(want):
+                parse_rule(clause)
 
 
 SPEC = """\

@@ -213,6 +213,13 @@ class TestOptionalHole:
         m = go_match("f() $r? error", "f() error")
         assert m is not None and m.env["r"].text == ""
 
+    @pytest.mark.parametrize("template, want", [("$r? (", (8, 9, "(")), ("$r? foo", (17, 20, "foo"))])
+    def test_leading_hole_never_starts_inside_a_comment(self, template, want):
+        # empty, $r could start anywhere the literal after it is reachable,
+        # which a comment's own text must not be
+        source = "/* x */ (\n// bar\nfoo\n"
+        assert [(m.start, m.end, source[m.start : m.end]) for m in go_all(template, source)] == [want]
+
 
 class TestStringBodyHole:
     def test_binds_body_without_quotes(self):
