@@ -18,6 +18,13 @@ may name a sibling preset's file (``../callgraph-c/program.dl``).
 statistics; ``graph_relation`` (optional) names the edge relation for graph
 export.  The bundled directory can be overridden with the FACTLOG_PRESET_DIR
 environment variable or an explicit ``base`` argument.
+
+Only fact generation needs the matcher (``languages``, ``templates`` and
+``rewrite``), so it is imported inside the functions that generate facts,
+not here.  ``load_preset`` reads ``preset.cfg`` and parses the program,
+failing fast on either; the specs are compiled the first time
+``fact_specs`` is read.  A solve or query over fact files therefore never
+loads the matcher and never reads a spec file.
 """
 
 from __future__ import annotations
@@ -25,14 +32,17 @@ from __future__ import annotations
 import configparser
 import os
 import time
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .datalog import DatalogProgram, evaluate, parse_program
 from .errors import FactlogError, SpecFormatError, read_text
 from .facts import Database
-from .languages import LanguageDefinition, classify, get_language
-from .rewrite import FactSpec, facts_for_smap, load_fact_spec
+
+if TYPE_CHECKING:
+    from .languages import LanguageDefinition, SourceMap
+    from .rewrite import FactSpec
 
 PRESET_DIR_ENV = "FACTLOG_PRESET_DIR"
 
@@ -44,19 +54,43 @@ EXTENSIONS: dict[str, tuple[str, ...]] = {
 }
 
 
-class AnalysisPreset(NamedTuple):
+class _PresetFields(NamedTuple):
     name: str
     language: str
-    fact_specs: tuple[FactSpec, ...]
+    specs: tuple[FactSpec | Path, ...]
     program_text: str
     primary_output: str
     fact_relations: tuple[str, ...]
     graph_relation: str | None = None
 
+
+class AnalysisPreset(_PresetFields):
+    """A preset's settings, its fact specs and its Datalog program.
+
+    ``specs`` holds compiled FactSpecs or paths of spec files.  The paths
+    are compiled for the preset's language the first time ``fact_specs`` is
+    read, and ``program()`` parses ``program_text`` on its first call.  Both
+    results are kept and shared by later reads: treat them as read-only.
+    """
+
+    @cached_property
+    def fact_specs(self) -> tuple[FactSpec, ...]:
+        from .rewrite import FactSpec, load_fact_spec
+
+        return tuple(
+            s if isinstance(s, FactSpec) else load_fact_spec(s, language=self.language) for s in self.specs
+        )
+
     def program(self) -> DatalogProgram:
+        return self._program
+
+    @cached_property
+    def _program(self) -> DatalogProgram:
         return parse_program(self.program_text)
 
     def language_def(self) -> LanguageDefinition:
+        from .languages import get_language
+
         return get_language(self.language)
 
 
@@ -150,20 +184,18 @@ def load_preset(name: str, base: str | Path | None = None) -> AnalysisPreset:
     primary_output = section.get("primary_output", "").strip()
     fact_relations = tuple(section.get("fact_relations", "").split())
     graph_relation = section.get("graph_relation", "").strip() or None
-    specs = tuple(load_fact_spec(root / s, language=language) for s in spec_names)
-    program_text = ""
-    if program_file:
-        program_text = read_text(root / program_file)
-        parse_program(program_text)  # fail fast on a broken bundled program
-    return AnalysisPreset(
+    preset = AnalysisPreset(
         name=name,
         language=language,
-        fact_specs=specs,
-        program_text=program_text,
+        specs=tuple(root / s for s in spec_names),
+        program_text=read_text(root / program_file) if program_file else "",
         primary_output=primary_output,
         fact_relations=fact_relations,
         graph_relation=graph_relation,
     )
+    if program_file:
+        preset.program()  # fail fast on a broken program; the parse is kept
+    return preset
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +222,25 @@ def discover_files(inputs: list[str | Path], language: str) -> list[Path]:
 # Corpus runners
 
 
+# The matcher's two steps per file.  They import their layer on the first
+# call, and as names of this module a profiler can wrap them
+# (perfbench/tracing.py does).
+
+
+def classify(source: str, lang: LanguageDefinition) -> SourceMap:
+    from .languages import classify
+
+    return classify(source, lang)
+
+
+def facts_for_smap(
+    specs: tuple[FactSpec, ...], smap: SourceMap, path: str
+) -> tuple[Database, dict[str, int], list[str]]:
+    from .rewrite import facts_for_smap
+
+    return facts_for_smap(specs, smap, path)
+
+
 def _process_file(
     task: tuple[str, tuple[FactSpec, ...], LanguageDefinition]
 ) -> tuple[str, Database, dict[str, int], list[str], int]:
@@ -213,7 +264,8 @@ def run_fact_generation(
     """
     started = time.monotonic()
     lang = preset.language_def()
-    tasks = [(str(p), preset.fact_specs, lang) for p in sorted(Path(p) for p in paths)]
+    specs = preset.fact_specs  # compiled here, before a pool forks, so no worker compiles them
+    tasks = [(str(p), specs, lang) for p in sorted(Path(p) for p in paths)]
     if jobs > 1 and len(tasks) > 1:
         from multiprocessing import get_context  # imported here: ~5 ms every serial run would pay
 

@@ -12,6 +12,10 @@ Subcommands:
 Exit codes: 0 success, 2 usage errors, 3 input errors (missing or malformed
 files, bad specs), 4 analysis errors (Datalog syntax/safety/stratification/
 type failures, unknown relations or queries).
+
+The matcher (languages, templates, rewrite) is imported only by the code
+that reads sources, spec files or --langdef files, so solve, query and
+graph over fact files never load it.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ from .analyses import (
 from .datalog import Variable, evaluate, goal_directed, parse_query, query
 from .errors import ArityMismatch, DatalogError, FactlogError, UnboundHole, UnknownRelation, read_text
 from .facts import Database, _tuple_key
-from .languages import classify, get_language, load_language_file
-from .rewrite import load_fact_spec
-from .templates import compile_template, iter_matches, parse_template
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,31 +74,37 @@ def _add_input_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
-    for path in args.langdef or []:
-        load_language_file(path)
+    """The preset the arguments name.  Over sources its specs are compiled
+    here, so a broken spec fails before any input is read; over fact files
+    they are never read."""
+    if args.langdef:
+        from .languages import load_language_file
+
+        for path in args.langdef:
+            load_language_file(path)
     if args.preset and args.spec:
         raise UsageError("--preset and --spec are mutually exclusive")
+    fact_inputs = _all_fact_inputs([Path(p) for p in args.inputs])
     if args.preset:
         preset = load_preset(args.preset, args.preset_dir)
     elif args.spec:
         if not args.lang:
             raise UsageError("--spec requires --lang")
-        specs = tuple(load_fact_spec(p, language=args.lang) for p in args.spec)
         preset = AnalysisPreset(
             name="custom",
             language=args.lang,
-            fact_specs=specs,
+            specs=tuple(Path(p) for p in args.spec),
             program_text="",
             primary_output="",
             fact_relations=(),
             graph_relation="edge",
         )
-    elif _all_fact_inputs([Path(p) for p in args.inputs]):
+    elif fact_inputs:
         # pure solver mode: inputs are fact files, no matching needed
         preset = AnalysisPreset(
             name="facts",
             language=args.lang or "",
-            fact_specs=(),
+            specs=(),
             program_text="",
             primary_output="",
             fact_relations=(),
@@ -108,6 +115,8 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
     if args.program:
         program_text = read_text(args.program)
         preset = preset._replace(program_text=program_text)
+    if not fact_inputs:
+        preset.fact_specs  # compiled on this first read
     return preset
 
 
@@ -313,6 +322,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
+    from .languages import classify, get_language, load_language_file
+    from .rewrite import load_fact_spec
+    from .templates import compile_template, iter_matches, parse_template
+
     for path in args.langdef or []:
         load_language_file(path)
     if bool(args.template) == bool(args.spec):

@@ -215,7 +215,13 @@ class Database:
     # -- per-relation .facts files (tab separated) ---------------------------
 
     def write_facts_dir(self, directory: str | Path) -> list[Path]:
-        """Write one sorted <relation>.facts file per relation."""
+        """Write one sorted <relation>.facts file per relation.
+
+        Reading could not give back a cell holding a tab, a newline or a
+        carriage return (which reading folds into a newline), nor a row that
+        would be an empty line (which reading skips), so those raise
+        FactlogError.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         written = []
@@ -225,13 +231,19 @@ class Database:
                 cells = []
                 for v in tup:
                     cell = str(v)
-                    if "\t" in cell or "\n" in cell:
+                    if "\t" in cell or "\n" in cell or "\r" in cell:
                         raise FactlogError(
                             f"symbol {cell!r} in {relation} cannot be written tab-separated; "
                             "use the dl format"
                         )
                     cells.append(cell)
-                rows.append("\t".join(cells))
+                row = "\t".join(cells)
+                if not row:
+                    raise FactlogError(
+                        f"tuple {tup!r} in {relation} would be an empty line tab-separated; "
+                        "use the dl format"
+                    )
+                rows.append(row)
             path = directory / f"{relation}.facts"
             path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8")
             written.append(path)
@@ -268,7 +280,8 @@ class Database:
     ) -> None:
         relation = path.stem
         types = (column_types or {}).get(relation)
-        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        # "\n" only, as in from_dl_text: a symbol may hold "\f" or U+2028
+        for lineno, raw in enumerate(read_text(path).split("\n"), 1):
             if raw == "":
                 continue
             cells = raw.split("\t")

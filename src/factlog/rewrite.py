@@ -264,11 +264,18 @@ def _build_spec(
     return FactSpec(name, language, match, rule, _parse_section(parse_rewrite_template, sections["rewrite"], origin))
 
 
+# A line ends where an editor ends it, at "\n", "\r\n" or "\r", as when
+# read_text reads a spec file; not at the form feed, U+2028 and the other
+# separators that str.splitlines() also breaks at, which a template or a
+# rewrite may hold.
+_LINE_END_RE = re.compile(r"\r\n?|\n")
+
+
 def _split_sections(text: str, origin: str | Path) -> dict[str, list[tuple[int, str]]]:
     """Section name -> its (1-based line number, raw line) pairs, header first."""
     sections: dict[str, list[tuple[int, str]]] = {}
     current: str | None = None
-    for number, raw in enumerate(text.splitlines(), 1):
+    for number, raw in enumerate(_LINE_END_RE.split(text), 1):
         stripped = raw.strip()
         if stripped.startswith("[") and stripped.endswith("]") and stripped[1:-1] in _SECTIONS:
             current = stripped[1:-1]

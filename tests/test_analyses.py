@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from factlog import (
+    Database,
     FactlogError,
     evaluate,
     list_presets,
@@ -14,6 +16,7 @@ from factlog import (
     run_analysis,
     run_fact_generation,
 )
+from factlog.datalog import goal_directed, parse_query, query
 
 EXPECTED_PRESETS = {
     "callgraph-c",
@@ -85,6 +88,42 @@ class TestPresets:
             assert [s.name for s in preset.fact_specs] == spec_names, name
             assert _digest(repr(preset.fact_specs)) == specs_digest, name
             assert _digest(preset.program_text) == program_digest, name
+
+    def test_specs_compile_on_first_read_and_are_kept(self):
+        preset = load_preset("callgraph-go-methods")
+        assert all(isinstance(s, Path) for s in preset.specs)
+        assert preset.fact_specs is preset.fact_specs
+        assert isinstance(preset.fact_specs, tuple)
+
+    def test_program_is_parsed_once(self):
+        preset = load_preset("callgraph-c")
+        assert preset.program() is preset.program()
+        changed = preset._replace(program_text="p(X) :- q(X).\n")
+        assert changed.program() is not preset.program()
+        assert changed.program().idb_relations() == {"p"}
+
+    @pytest.mark.parametrize(
+        "name, pattern, rows",
+        [
+            ("callgraph-c", 'calls("a", X)', {"edge": [("a", "b"), ("b", "c")]}),
+            ("callgraph-c", "calls(X, Y)", {"edge": [("a", "b"), ("b", "c")]}),
+            (
+                "liveness-arith",
+                'live("x", X)',
+                {"next": [(1, 2), (2, 3)], "read": [("x", 3)], "write": [("x", 2)]},
+            ),
+        ],
+    )
+    def test_evaluation_leaves_the_shared_program_as_it_was(self, name, pattern, rows):
+        preset = load_preset(name)
+        program = preset.program()
+        before = (dict(program.declarations), list(program.facts), list(program.rules))
+        edb = Database({rel: set(tuples) for rel, tuples in rows.items()})
+        goal = goal_directed(program, edb, parse_query(pattern))
+        assert query(evaluate(goal.program, goal.edb), goal.pattern)
+        evaluate(program, edb)
+        assert preset.program() is program
+        assert (program.declarations, program.facts, program.rules) == before
 
     def test_every_bundled_program_parses(self):
         for name in EXPECTED_PRESETS:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import factlog
 from factlog.cli import EXIT_ANALYSIS, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -467,6 +469,139 @@ class TestEntryPoint:
             capture_output=True, text=True, check=False,
         )
         assert proc.returncode == 0
+
+
+MATCHER = ("factlog.languages", "factlog.rewrite", "factlog.templates")
+
+
+def imported_modules(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """A fresh ``python -X importtime -m factlog argv`` run, and every module
+    it imported, read from the import-time lines on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "factlog", *argv],
+        capture_output=True, text=True, check=False,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+    return proc, names
+
+
+class TestMatcherStaysOffTheDatalogPath:
+    """Every CLI run is a fresh process: a run over fact files imports only
+    cli, analyses, datalog, facts and errors.  The guards count modules, not
+    milliseconds, so machine noise cannot flake them."""
+
+    def test_package_import_loads_no_layer(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys; before = set(sys.modules); import factlog; "
+                "print(sorted(m for m in set(sys.modules) - before if m.startswith('factlog.')))",
+            ],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("query", "{dl}", "--preset", "callgraph-c", "-q", 'calls("a", X)'),
+            ("solve", "{dl}", "--preset", "callgraph-c", "--out", "{out}"),
+            ("graph", "{dl}", "--preset", "callgraph-c", "--closure"),
+        ],
+    )
+    def test_fact_file_runs_never_load_the_matcher(self, tmp_path, argv):
+        dl = tmp_path / "x.dl"
+        dl.write_text('edge("a", "b").\nedge("b", "c").\n', encoding="utf-8")
+        argv = [a.format(dl=dl, out=tmp_path / "out") for a in argv]
+        proc, names = imported_modules(*argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "factlog.datalog" in names and "factlog.cli" in names
+        assert not set(MATCHER) & names
+
+    def test_a_source_run_loads_it(self, tmp_path, example_go):
+        proc, names = imported_modules("facts", example_go, "--preset", "callgraph-go", "--out", str(tmp_path))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert set(MATCHER) <= names
+
+    def test_a_broken_spec_fails_only_runs_that_read_sources(self, capsys, tmp_path, example_go):
+        # Specs are compiled on first use, so a fact-file run never reads a
+        # preset's spec files and a broken one does not fail it.
+        preset = tmp_path / "presets" / "mine"
+        preset.mkdir(parents=True)
+        (preset / "preset.cfg").write_text(
+            "[preset]\nlanguage = go\nspecs = broken.spec\nprogram = tc.dl\nprimary_output = calls\n",
+            encoding="utf-8",
+        )
+        (preset / "tc.dl").write_text(TC_PROGRAM, encoding="utf-8")
+        spec = preset / "broken.spec"
+        spec.write_text("[match]\nfunc $f() {$body*}\n\n[rewrite]\nedge(\"$f\", \"$g\").\n", encoding="utf-8")
+        dl = tmp_path / "x.dl"
+        dl.write_text('edge("a", "b").\nedge("b", "c").\n', encoding="utf-8")
+        where = ["--preset", "mine", "--preset-dir", str(tmp_path / "presets")]
+
+        code, out, _ = run(capsys, "query", str(dl), *where, "-q", 'calls("a", X)')
+        assert (code, out) == (EXIT_OK, "b\nc\n")
+        code, out, _ = run(capsys, "solve", str(dl), *where, "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK and "calls: 3 tuples" in out
+
+        for command in ("facts", "solve"):
+            code, _, err = run(capsys, command, example_go, *where, "--out", str(tmp_path / "out"))
+            assert code == EXIT_INPUT
+            assert f"factlog: input error: {spec}:5: hole $g is bound by neither" in err
+
+
+# What ``factlog`` exported when every layer was imported eagerly: each name
+# must still resolve, to the object its module defines.
+PACKAGE_EXPORTS = {
+    "analyses": (
+        "AnalysisPreset RunStats discover_files list_presets load_preset run_analysis run_fact_generation"
+    ),
+    "datalog": (
+        "Atom BodyLiteral DatalogProgram DatalogRule Declaration Variable evaluate parse_program "
+        "parse_query query stratify"
+    ),
+    "errors": (
+        "ArityMismatch DatalogError DatalogSyntaxError DuplicateHoleName FactlogError LanguageError "
+        "MalformedFact MalformedHole SpecFormatError TypeMismatch UnboundHole UnknownRelation "
+        "UnsafeRule UnstratifiableProgram"
+    ),
+    "facts": "Database Fact format_fact parse_fact_line",
+    "languages": (
+        "ARITH C GO ZIG LanguageDefinition Region SourceMap classify get_language language_names "
+        "load_language_file register_language"
+    ),
+    "rewrite": (
+        "Condition FactSpec NestedRewrite RewriteTemplate RuleSpec apply_rule load_fact_spec "
+        "parse_fact_spec parse_rewrite_template parse_rule substitute"
+    ),
+    "templates": "Binding Hole HoleKind Match MatchEnvironment Template iter_matches parse_template",
+}
+EXPORTED = sorted((name, module) for module, names in PACKAGE_EXPORTS.items() for name in names.split())
+
+
+class TestPackageExports:
+    @pytest.mark.parametrize("name, module", EXPORTED)
+    def test_every_name_resolves_to_its_module(self, name, module):
+        assert getattr(factlog, name) is getattr(importlib.import_module(f"factlog.{module}"), name)
+
+    def test_all_and_dir_list_them(self):
+        names = {name for name, _ in EXPORTED}
+        assert set(factlog.__all__) == names
+        assert names <= set(dir(factlog))
+
+    def test_star_import(self):
+        namespace: dict[str, object] = {}
+        exec("from factlog import *", namespace)
+        assert {name for name, _ in EXPORTED} <= set(namespace)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            getattr(factlog, "no_such_name")
+        assert not hasattr(factlog, "evaluate_all")
 
 
 class TestLangdef:

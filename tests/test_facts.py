@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from factlog import Database, Fact, MalformedFact, format_fact, parse_fact_line
+from factlog import Database, Fact, FactlogError, MalformedFact, format_fact, parse_fact_line
 
 
 class TestParseFactLine:
@@ -137,6 +137,21 @@ class TestDatabase:
         (tmp_path / "port.facts").write_text("not-a-number\n", encoding="utf-8")
         with pytest.raises(MalformedFact, match="port.facts:1"):
             Database.from_facts_dir(tmp_path, {"port": ("number",)})
+
+    @pytest.mark.parametrize("symbol", ["a\u2028b", "x\fy", "v\vw", "s\x1ct", "n\x85m", "p\u2029q"])
+    def test_facts_dir_keeps_symbols_that_splitlines_breaks(self, tmp_path, symbol):
+        db = Database()
+        db.add("p", (symbol, "c"))
+        db.add("p", ("z", "c"))
+        db.write_facts_dir(tmp_path)
+        assert Database.from_facts_dir(tmp_path) == db
+
+    @pytest.mark.parametrize("tup", [("a\rb", "c"), ("a\r\nb", "c"), ("",), ()])
+    def test_facts_dir_refuses_what_it_cannot_read_back(self, tmp_path, tup):
+        db = Database()
+        db.add("p", tup)
+        with pytest.raises(FactlogError, match=r"in p .*use the dl format"):
+            db.write_facts_dir(tmp_path)
 
     def test_tab_in_symbol_survives_dl_not_tsv(self):
         db = Database()

@@ -4,8 +4,10 @@ round-trip invariants for the text formats."""
 from __future__ import annotations
 
 import ast
+import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -309,6 +311,23 @@ class TestTransitiveClosure:
 
 SYMBOLS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 VALUES = st.one_of(SYMBOLS, st.integers(-10**9, 10**9))
+# a letter, the tab and every character str.splitlines() breaks at
+LINE_BREAKERS = st.text(st.sampled_from("a\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"), max_size=4)
+CELLS = {"symbol": st.one_of(SYMBOLS, LINE_BREAKERS), "number": st.integers(-10**12, 10**12)}
+
+
+@st.composite
+def typed_databases(draw):
+    """A Database whose every column holds one type, with those types as
+    from_facts_dir takes them."""
+    db = Database()
+    column_types = {}
+    for rel in draw(st.sets(st.sampled_from(("p", "q", "r")), max_size=3)):
+        types = tuple(draw(st.lists(st.sampled_from(("symbol", "number")), max_size=3)))
+        column_types[rel] = types
+        for row in draw(st.sets(st.tuples(*(CELLS[t] for t in types)), max_size=5)):
+            db.add(rel, row)
+    return db, column_types
 
 
 class TestFormatRoundTrips:
@@ -325,6 +344,21 @@ class TestFormatRoundTrips:
         for row in rows:
             db.add("m", row)
         assert Database.from_dl_text(db.to_dl_text()) == db
+
+    @given(typed_databases())
+    @settings(max_examples=200)
+    def test_facts_dir_round_trip(self, case):
+        db, column_types = case
+        cells = [str(v) for tuples in db.relations.values() for tup in tuples for v in tup]
+        empty_row = any(tup in ((), ("",)) for tuples in db.relations.values() for tup in tuples)
+        writable = not empty_row and not any(c in cell for cell in cells for c in "\t\n\r")
+        with tempfile.TemporaryDirectory() as directory:
+            if not writable:
+                with pytest.raises(FactlogError, match="use the dl format"):
+                    db.write_facts_dir(directory)
+                return
+            db.write_facts_dir(directory)
+            assert Database.from_facts_dir(directory, column_types) == db
 
 
 SOURCE = st.text(alphabet='abc ()"`\'/*\\\n{};', max_size=60)

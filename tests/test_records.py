@@ -151,7 +151,7 @@ REPRS = {
     ),
     "Declaration": "Declaration(relation='e', params=(('a', 'symbol'), ('b', 'number')))",
     "AnalysisPreset": (
-        "AnalysisPreset(name='p', language='arith', fact_specs=(), program_text='', "
+        "AnalysisPreset(name='p', language='arith', specs=(), program_text='', "
         "primary_output='', fact_relations=('e',), graph_relation=None)"
     ),
     "LanguageDefinition": (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from factlog import (
@@ -10,6 +12,7 @@ from factlog import (
     SpecFormatError,
     UnboundHole,
     classify,
+    load_fact_spec,
     parse_fact_spec,
     parse_rewrite_template,
     parse_rule,
@@ -207,6 +210,31 @@ class TestParseFactSpec:
         spec = parse_fact_spec(bad, name="t", language="go")
         with pytest.raises(UnboundHole):
             facts_for_smap((spec,), classify("f(a)\n", GO), "mem.go")
+
+
+    def test_a_rewrite_may_hold_a_line_separator(self):
+        spec = parse_fact_spec('[match]\nf($x)\n\n[rewrite]\np("$x", "a\u2028b").\n', language="go")
+        assert spec.rewrite.text == 'p("$x", "a\u2028b").'
+        db, _, diagnostics = facts_for_smap((spec,), classify("f(c)\n", GO), "mem.go")
+        assert diagnostics == []
+        assert db.tuples("p") == {("c", "a\u2028b")}
+
+    def test_a_leading_comment_may_hold_a_line_separator(self):
+        spec = parse_fact_spec('# one\u2028two\x85three\n[match]\nf($x)\n[rewrite]\np("$x").\n')
+        assert spec.match.text == "f($x)"
+
+    def test_crlf_and_cr_end_lines(self):
+        text = '[match]\nf($x)\n\n[rewrite]\np("$x").\n'
+        assert parse_fact_spec(text.replace("\n", "\r\n")) == parse_fact_spec(text)
+        assert parse_fact_spec(text.replace("\n", "\r")) == parse_fact_spec(text)
+
+    def test_error_line_after_a_form_feed_is_the_editors(self, tmp_path):
+        # An editor shows the form feed as a character of line 1, so the
+        # empty [match] header is on line 2, not 3.
+        path = tmp_path / "ff.spec"
+        path.write_text("# page one\fpage two\n[match]\n\n[rewrite]\np(1).\n", encoding="utf-8")
+        with pytest.raises(SpecFormatError, match=rf"^{re.escape(str(path))}:2: \[match\] section is empty"):
+            load_fact_spec(path)
 
 
 class TestEmission:
