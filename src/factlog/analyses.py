@@ -281,8 +281,7 @@ def run_fact_generation(
     for _, file_db, matches, diags, lines in results:
         db.merge(file_db)
         stats.line_count += lines
-        counted = preset.fact_relations or tuple(file_db.relations)
-        stats.fact_count += sum(len(file_db.relations.get(rel, ())) for rel in counted)
+        stats.fact_count += file_db.fact_count(preset.fact_relations or None)
         for name, n in matches.items():
             stats.spec_matches[name] = stats.spec_matches.get(name, 0) + n
         diagnostics.extend(diags)

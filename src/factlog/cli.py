@@ -174,15 +174,9 @@ def _emit_diagnostics(diagnostics: list[str]) -> None:
         print(line, file=sys.stderr)
 
 
-def _subset(db: Database, relations) -> Database:
-    sub = Database()
-    for rel in relations:
-        sub.relations[rel] = set(db.relations.get(rel, ()))
-    return sub
-
-
 def _write_db(db: Database, out: Path, fmt: str, relations, dl_name: str) -> list[Path]:
-    sub = _subset(db, relations)
+    sub = Database()
+    sub.relations = {rel: db.relations.get(rel, set()) for rel in relations}  # shared: the writers only read
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "dl":
         target = out / dl_name

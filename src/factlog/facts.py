@@ -220,11 +220,9 @@ class Database:
         Reading could not give back a cell holding a tab, a newline or a
         carriage return (which reading folds into a newline), nor a row that
         would be an empty line (which reading skips), so those raise
-        FactlogError.
+        FactlogError before any file is written.
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written = []
+        texts = {}
         for relation in sorted(self.relations):
             rows = []
             for tup in self.sorted_tuples(relation):
@@ -244,8 +242,13 @@ class Database:
                         "use the dl format"
                     )
                 rows.append(row)
+            texts[relation] = "\n".join(rows) + ("\n" if rows else "")
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        written = []
+        for relation, text in texts.items():
             path = directory / f"{relation}.facts"
-            path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8")
+            path.write_text(text, encoding="utf-8")
             written.append(path)
         return written
 

@@ -4,7 +4,8 @@ A LanguageDefinition is a small lexical profile: how comments start and stop,
 how strings are quoted and escaped, and which characters pair up as brackets.
 classify() turns text plus a profile into a SourceMap that assigns every
 offset to exactly one region kind (code, comment, string body, string
-delimiter), pairs the brackets in code once and records every unit once.
+delimiter), spells the partition out as one character per offset (kinds),
+pairs the brackets in code once and records every unit once.
 One pass yields both bracket rules: groups pair by kind, so a mismatched
 close or an open without a partner is plain text, while $name* and ... take
 any close as closing any open.  The unit table maps the start of every
@@ -12,7 +13,9 @@ identifier run in code, every group and every whole string literal to its
 end; an expression hole binds a chain of adjoining units, and the matcher
 walks that chain forward and back through the table instead of deciding
 what a unit is.  Template matching builds on these tables, so a ')' inside
-"a )" or /* ) */ never confuses it and no group is scanned twice.
+"a )" or /* ) */ never confuses it and no group is scanned twice, and it
+asks every region question of the kinds string: an index, a slice test or
+one regex match.
 
 Definitions for go, c, zig, and the toy arithmetic language are registered at
 import time.  Additional languages can be registered programmatically or
@@ -125,6 +128,11 @@ class SourceMap:
     """Source text plus its region partition, line table, bracket tables and
     unit table.
 
+    intervals is the partition as (start, end, Region) triples in source
+    order.  kinds spells it out as one ASCII character per offset: "c" code,
+    "w" whitespace in code (exactly str.isspace), "#" comment, "s" string
+    body, "d" the first character of a string delimiter and "e" the rest of
+    one, so adjoining delimiters (the two of "") stay apart.
     group_ends, brackets and any_close, one table per bracket rule, come
     from one pass over the brackets in code (see _pair_brackets).  unit_ends
     maps the start of every unit to its end (see _unit_table); no two units
@@ -141,22 +149,12 @@ class SourceMap:
         self.language = language
         self.intervals = intervals
         self.warnings = warnings
-        self._starts = [iv[0] for iv in self.intervals]
+        self.kinds = _kind_string(source, intervals)
         self._line_starts = _line_start_table(self.source)
         self.group_ends, self.brackets, self.any_close = _pair_brackets(self.source, self.language, self.intervals)
         self._group_opens = sorted(self.group_ends)
         self.unit_ends = _unit_table(self.source, self.language, self.intervals, self.group_ends)
         self.candidate_tables: dict[str, list[int]] = {}
-
-    def interval_index(self, offset: int) -> int:
-        """Index into intervals of the interval containing offset."""
-        return max(bisect.bisect_right(self._starts, offset) - 1, 0)
-
-    def interval_at(self, offset: int) -> tuple[int, int, Region]:
-        """The (start, end, region) interval containing offset."""
-        if not 0 <= offset < len(self.source):
-            raise IndexError(f"offset {offset} out of range")
-        return self.intervals[self.interval_index(offset)]
 
     def next_group(self, pos: int, hi: int) -> tuple[int, int]:
         """(open, one past close) of the first paired group that opens at or
@@ -186,8 +184,10 @@ class SourceMap:
         return hi
 
     def region_at(self, offset: int) -> Region:
-        """Region kind of the byte at offset."""
-        return self.interval_at(offset)[2]
+        """Region kind of the character at offset."""
+        if not 0 <= offset < len(self.kinds):
+            raise IndexError(f"offset {offset} out of range")
+        return _KIND_REGIONS[self.kinds[offset]]
 
     def line_col(self, offset: int) -> tuple[int, int]:
         """1-based line and column; offset == len(source) is the end position."""
@@ -203,6 +203,43 @@ class SourceMap:
     def line_count(self) -> int:
         """Number of physical newlines in the source."""
         return self.source.count("\n")
+
+
+_KIND_REGIONS = {
+    "c": Region.CODE,
+    "w": Region.CODE,
+    "#": Region.COMMENT,
+    "s": Region.STRING_BODY,
+    "d": Region.STRING_DELIMITER,
+    "e": Region.STRING_DELIMITER,
+}
+
+
+class _CodeKinds(dict):
+    """str.translate table for code: "w" for whitespace, "c" for anything
+    else.  Only ASCII is kept, so the table never grows past 128 entries."""
+
+    def __missing__(self, code: int) -> str:
+        kind = "w" if chr(code).isspace() else "c"
+        if code < 128:
+            self[code] = kind
+        return kind
+
+
+_CODE_KINDS = _CodeKinds()
+
+
+def _kind_string(source: str, intervals: list[tuple[int, int, Region]]) -> str:
+    """One character per offset of source naming its region (see SourceMap)."""
+    parts = []
+    for s, e, kind in intervals:
+        if kind is Region.CODE:
+            parts.append(source[s:e].translate(_CODE_KINDS))
+        elif kind is Region.STRING_DELIMITER:
+            parts.append("d" + "e" * (e - s - 1))
+        else:
+            parts.append(("#" if kind is Region.COMMENT else "s") * (e - s))
+    return "".join(parts)
 
 
 def _line_start_table(source: str) -> list[int]:

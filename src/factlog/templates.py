@@ -15,7 +15,11 @@ A template is literal source text interspersed with holes:
 Matching is comment/string aware via SourceMap regions: literal template text
 never matches inside a comment, template whitespace matches runs of source
 whitespace and comments, and balance scanning ignores delimiters inside
-strings.  Matches are found by a non-overlapping leftmost scan.
+strings.  Every region question is asked of the SourceMap's kinds string,
+one character per offset: "is this offset code?" is an index, "does this
+chunk cross a comment?" a slice test, and "skip whitespace and comments" or
+"where does this string body end?" one regex match.  Matches are found by a
+non-overlapping leftmost scan.
 
 Both bracket rules come from the SourceMap's one bracket pass.  Balanced
 groups (an expression-hole unit, a level of the nested descent) pair by kind,
@@ -50,7 +54,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Union
 
 from .errors import DuplicateHoleName, MalformedHole, UnboundHole
-from .languages import LanguageDefinition, Region, SourceMap, char_class, identifier_char_re
+from .languages import LanguageDefinition, SourceMap, char_class, identifier_char_re
 
 
 class HoleKind(Enum):
@@ -183,6 +187,12 @@ class Match(NamedTuple):
 # ---------------------------------------------------------------------------
 # Compilation: literal pieces and candidate strategies
 
+# Patterns over SourceMap.kinds
+_WS_OR_COMMENT = re.compile("[w#]*")
+_WS_OR_DELIM = re.compile("[wd]")  # where a whitespace anchor may start
+_CODE_ONLY = re.compile("[cw]*")
+_BODY = re.compile("s*")
+
 
 class _Piece(NamedTuple):
     ws: bool
@@ -221,7 +231,7 @@ class CompiledTemplate(NamedTuple):
     strategy: str
     key: str  # "find": the chunk; "anchor": the chunk, after a space when whitespace precedes it
     unit_start_re: re.Pattern[str]  # a left-maximal unit start
-    scan_res: tuple[re.Pattern[str] | None, ...]  # per everything hole: its anchor
+    scan_res: tuple[re.Pattern[str] | None, ...]  # per everything hole: its anchor (over kinds for whitespace)
 
 
 def compile_template(template: Template, lang: LanguageDefinition) -> Template:
@@ -248,7 +258,7 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
     for i, atom in enumerate(atoms):
         nxt = pieces[i + 1] if i + 1 < len(atoms) else None
         if isinstance(atom, Hole) and atom.kind in (HoleKind.EVERYTHING, HoleKind.ANONYMOUS) and nxt:
-            scan_res.append(re.compile(r"\s" if nxt[0].ws else re.escape(nxt[0].text[0])))
+            scan_res.append(_WS_OR_DELIM if nxt[0].ws else re.compile(re.escape(nxt[0].text[0])))
         else:
             scan_res.append(None)
     compiled = CompiledTemplate(
@@ -280,33 +290,20 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
     further left than any chain does; it never starts right of one.  The
     anchor itself is a candidate too, for an empty optional hole.
     """
-    src, intervals = smap.source, smap.intervals
+    src, kinds = smap.source, smap.kinds
     unit_starts = {end: start for start, end in smap.unit_ends.items()}
     prefix = t.language.value_prefix_chars
     ws = t.key[0] == " "
     chunk = t.key.lstrip(" ")
     walked: dict[int, int] = {}  # walk start -> walk end, so long chains walk once
     spans: list[tuple[int, int]] = []
-    for k, (s0, e0, kind0) in enumerate(intervals):
+    q = src.find(chunk)
+    while q != -1:
         # the anchor can start in code, or exactly at a string delimiter
-        if kind0 is Region.CODE:
-            q = src.find(chunk, s0, e0 + len(chunk) - 1)
-        elif kind0 is Region.STRING_DELIMITER and src.startswith(chunk, s0):
-            q = s0
-        else:
-            continue
-        while q != -1:
-            p, i = q, (k if q > s0 else k - 1)  # i: the interval holding p - 1
-            while ws and p > 0:  # back over whitespace and comments
-                s, e, kind = intervals[i]
-                if kind is Region.CODE:
-                    while p > s and src[p - 1].isspace():
-                        p -= 1
-                    if p > s:
-                        break
-                elif kind is not Region.COMMENT:
-                    break
-                p, i = s, i - 1
+        if kinds[q] in "cwd":
+            p = q
+            while ws and p > 0 and kinds[p - 1] in "w#":  # back over whitespace and comments
+                p -= 1
             start = p
             while p in unit_starts and p not in walked:  # back over the unit chain
                 p = unit_starts[p]
@@ -314,7 +311,7 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
             while p > 0 and src[p - 1] in prefix:
                 p -= 1
             spans.append((p, q + 1))
-            q = src.find(chunk, q + 1, e0 + len(chunk) - 1) if kind0 is Region.CODE else -1
+        q = src.find(chunk, q + 1)
     out: list[int] = []
     lo = 0
     for a, b in sorted(spans):
@@ -327,9 +324,6 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # The matcher
-
-
-_OPAQUE = (Region.COMMENT, Region.STRING_BODY)
 
 
 class _Matcher:
@@ -384,7 +378,7 @@ class _Matcher:
         if self.t.strategy in ("anchor", "units"):
             if not self.t.unit_start_re.match(self.src, start):
                 return None
-            if self.atoms[0].kind is HoleKind.OPTIONAL and self.smap.region_at(start) in _OPAQUE:
+            if self.atoms[0].kind is HoleKind.OPTIONAL and self.smap.kinds[start] in "#s":
                 return None
         self.hi = hi
         self.env.clear()
@@ -446,39 +440,14 @@ class _Matcher:
             return False
         if piece.ident_last and end < len(src) and lang.is_identifier_char(src[end]):
             return False
-        return self._chunk_regions_ok(pos, end)
-
-    def _chunk_regions_ok(self, start: int, end: int) -> bool:
-        smap = self.smap
-        idx = smap.interval_index(start)
-        s, e, kind = smap.intervals[idx]
-        if kind is Region.COMMENT or kind is Region.STRING_BODY:
-            return False
-        if kind is Region.STRING_DELIMITER and s != start:
-            return False
-        while e < end:
-            idx += 1
-            s, e, kind = smap.intervals[idx]
-            if kind is Region.COMMENT:
-                return False
-        return True
+        # the chunk starts in code or at a string delimiter and crosses no comment
+        kinds = self.smap.kinds
+        return kinds[pos] in "cwd" and kinds.find("#", pos, end) < 0
 
     def _skip_ws_comments(self, pos: int) -> int:
-        src, hi = self.src, self.hi
-        smap = self.smap
-        while pos < hi:
-            s, e, kind = smap.interval_at(pos)
-            if kind is Region.COMMENT:
-                pos = min(e, hi)
-                continue
-            if kind is not Region.CODE:
-                break
-            stop = min(e, hi)
-            while pos < stop and src[pos].isspace():
-                pos += 1
-            if pos < stop:
-                break
-        return pos
+        if pos >= self.hi:
+            return pos
+        return _WS_OR_COMMENT.match(self.smap.kinds, pos, self.hi).end()
 
     # -- expression and optional holes ---------------------------------------
 
@@ -492,21 +461,19 @@ class _Matcher:
         """
         ends: list[int] = []
         src, hi, smap = self.src, self.hi, self.smap
-        units = smap.unit_ends
+        units, kinds = smap.unit_ends, smap.kinds
         p = pos
         prefix = self.lang.value_prefix_chars
         while p < hi and src[p] in prefix:
             p += 1
-        if p > pos:
-            s, e, kind = smap.interval_at(pos)
-            if kind is not Region.CODE or p >= e or p not in units or p in smap.group_ends:
-                return ends
+        if p > pos and (p not in units or p in smap.group_ends or not _CODE_ONLY.fullmatch(kinds, pos, p + 1)):
+            return ends
         while p < hi:
             end = units.get(p)
             if end is None:
                 break
             if end > hi:
-                if p in smap.group_ends or smap.region_at(p) is not Region.CODE:
+                if p in smap.group_ends or kinds[p] not in "cw":
                     break
                 end = hi
             ends.append(end)
@@ -523,21 +490,14 @@ class _Matcher:
     def _match_expression(self, i: int, pos: int) -> int | None:
         if pos >= self.hi or not self._left_maximal_ok(pos):
             return None
-        ends = self._unit_chain_ends(pos)
-        name = self.atoms[i].name
-        for e in reversed(ends):  # greedy: longest adjoining chain first
-            if name:
-                self.env[name] = (pos, e)
-            r = self._match_atoms(i + 1, e, False)
+        for e in reversed(self._unit_chain_ends(pos)):  # greedy: longest adjoining chain first
+            r = self._try_anchor(i, pos, e)
             if r is not None:
                 return r
-            if name:
-                del self.env[name]
         return None
 
     def _match_optional(self, i: int, pos: int) -> int | None:
         atoms = self.atoms
-        name = atoms[i].name
         nxt = atoms[i + 1] if i + 1 < len(atoms) else None
         empty_first = False
         if isinstance(nxt, Literal):
@@ -546,13 +506,9 @@ class _Matcher:
             r = self._match_expression(i, pos)
             if r is not None:
                 return r
-        if name:
-            self.env[name] = (pos, pos)
-        r = self._match_atoms(i + 1, pos, True)
+        r = self._try_anchor(i, pos, pos)
         if r is not None:
             return r
-        if name:
-            del self.env[name]
         if empty_first:
             return self._match_expression(i, pos)
         return None
@@ -562,40 +518,29 @@ class _Matcher:
     def _match_string_body(self, i: int, pos: int) -> int | None:
         if pos >= self.hi:
             return None
-        s, e, kind = self.smap.interval_at(pos)
-        name = self.atoms[i].name
-        if kind is Region.STRING_BODY and pos == s:
-            if e > self.hi:
+        kinds = self.smap.kinds
+        if kinds[pos] == "s" and (pos == 0 or kinds[pos - 1] != "s"):
+            end = _BODY.match(kinds, pos).end()
+            if end > self.hi:
                 return None
-            end = e
-        elif kind is Region.STRING_DELIMITER and pos == s:
+        elif kinds[pos] == "d":
             end = pos  # empty string body, sitting on the close delimiter
         else:
             return None
-        if name:
-            self.env[name] = (pos, end)
-        r = self._match_atoms(i + 1, end, end == pos)
-        if r is None and name:
-            del self.env[name]
-        return r
+        return self._try_anchor(i, pos, end)
 
     # -- everything / anonymous holes ----------------------------------------
 
     def _match_everything(self, i: int, pos: int) -> int | None:
         atoms = self.atoms
-        name = atoms[i].name
         nxt = atoms[i + 1] if i + 1 < len(atoms) else None
-        if isinstance(nxt, Literal):
-            first_piece = self.pieces[i + 1][0]
-            anchor = " " if first_piece.ws else first_piece.text[0]
-            return self._lazy_scan(i, pos, anchor)
-        # No literal anchor: bind up to the window end or the enclosing close.
-        return self._try_anchor(i, name, pos, self.smap.depth_zero_extent(pos, self.hi))
-
-    def _lazy_scan(self, i: int, pos: int, anchor: str) -> int | None:
-        name = self.atoms[i].name
-        for at in self._anchor_places(i, pos, anchor):
-            r = self._try_anchor(i, name, pos, at)
+        if not isinstance(nxt, Literal):
+            # No literal anchor: bind up to the window end or the enclosing close.
+            return self._try_anchor(i, pos, self.smap.depth_zero_extent(pos, self.hi))
+        first_piece = self.pieces[i + 1][0]
+        anchor = " " if first_piece.ws else first_piece.text[0]
+        for at in self._anchor_places(i, pos, anchor):  # lazy: nearest place first
+            r = self._try_anchor(i, pos, at)
             if r is not None:
                 return r
         return None
@@ -607,22 +552,16 @@ class _Matcher:
         before hi takes, ends the walk; each group costs one step."""
         src, hi, smap = self.src, self.hi, self.smap
         pat = self.t.scan_res[i]
-        intervals, brackets, any_close = smap.intervals, smap.brackets, smap.any_close
+        kinds, brackets, any_close = smap.kinds, smap.brackets, smap.any_close
         anchor_ws = anchor == " "
+        text = kinds if anchor_ws else src
         j = bisect.bisect_left(brackets, pos)
         gap = pos
         while True:
             b = brackets[j] if j < len(brackets) and brackets[j] < hi else hi
-            k = smap.interval_index(gap)
-            while k < len(intervals) and intervals[k][0] < b:
-                s, e, kind = intervals[k]
-                k += 1
-                if kind is Region.CODE:
-                    yield from (m.start() for m in pat.finditer(src, max(s, gap), min(e, b)))
-                # strings and comments are opaque, but the anchor may start
-                # exactly at a string delimiter (e.g. a literal '"')
-                elif kind is Region.STRING_DELIMITER and s >= gap and (anchor_ws or src[s] == anchor):
-                    yield s
+            # strings and comments are opaque, but the anchor may start
+            # exactly at a string delimiter (e.g. a literal '"')
+            yield from (m.start() for m in pat.finditer(text, gap, b) if kinds[m.start()] in "cwd")
             if b == hi:
                 yield hi
                 return
@@ -634,7 +573,9 @@ class _Matcher:
             gap = brackets[j] + 1
             j += 1
 
-    def _try_anchor(self, i: int, name: str | None, start: int, at: int) -> int | None:
+    def _try_anchor(self, i: int, start: int, at: int) -> int | None:
+        """Bind hole i to [start, at), if named, and match the rest from at."""
+        name = self.atoms[i].name
         if name:
             self.env[name] = (start, at)
         r = self._match_atoms(i + 1, at, at == start)

@@ -13,12 +13,16 @@ per-file bracket table) and recurses once per nesting level.  The depth
 counter of count_depth_zero_extent is the reference for the any-close rule
 that the SourceMap's second bracket table answers, and unit_chain_ends, a
 walk over the regions character by character, is the reference for the
-units that the SourceMap's unit table records.  Agreement between the two
+units that the SourceMap's unit table records.  Every region question here
+is answered by interval_at, a bisect over the SourceMap's intervals, never
+by the kinds string the matcher reads.  Agreement between the two
 implementations is the point, so keep this file boring.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import re
 from collections import deque
 from typing import Iterator
@@ -136,6 +140,19 @@ def reachability(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
     return closure
 
 
+def interval_index(smap: SourceMap, offset: int) -> int:
+    """Index into smap.intervals of the interval containing offset (0 when
+    there is none before it), by bisect."""
+    return max(bisect.bisect_right(smap.intervals, (offset, math.inf)) - 1, 0)
+
+
+def interval_at(smap: SourceMap, offset: int) -> tuple[int, int, Region]:
+    """The (start, end, region) interval containing offset."""
+    if not 0 <= offset < len(smap.source):
+        raise IndexError(f"offset {offset} out of range")
+    return smap.intervals[interval_index(smap, offset)]
+
+
 def collect_inner(
     template: Template, smap: SourceMap, lo: int, hi: int, nested: bool
 ) -> list[Match]:
@@ -191,7 +208,7 @@ def _iter_groups(smap: SourceMap, lo: int, hi: int) -> Iterator[tuple[int, int]]
     pos = lo
     while pos < hi:
         found = -1
-        for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
+        for s, e, kind in smap.intervals[interval_index(smap, pos) :]:
             if s >= hi:
                 break
             if kind is not Region.CODE:
@@ -229,12 +246,12 @@ def rescan_balanced(smap: SourceMap, start: int, limit: int | None = None) -> in
     source = smap.source
     hi = len(source) if limit is None else limit
     open_to_close = dict(smap.language.balanced_pairs)
-    if start >= hi or smap.region_at(start) is not Region.CODE or source[start] not in open_to_close:
+    if start >= hi or interval_at(smap, start)[2] is not Region.CODE or source[start] not in open_to_close:
         raise LanguageError(f"offset {start} is not an open delimiter in a code region")
     finder = re.compile("[" + re.escape(smap.language.open_chars + smap.language.close_chars) + "]")
     stack = [open_to_close[source[start]]]
     pos = start + 1
-    for s, e, kind in smap.intervals[smap.interval_index(start) :]:
+    for s, e, kind in smap.intervals[interval_index(smap, start) :]:
         if kind is not Region.CODE:
             continue
         lo = max(s, pos)
@@ -266,7 +283,7 @@ def count_depth_zero_extent(smap: SourceMap, pos: int, hi: int) -> int:
     depth = 0
     if pos >= len(src):
         return pos
-    for s, e, kind in smap.intervals[smap.interval_index(pos) :]:
+    for s, e, kind in smap.intervals[interval_index(smap, pos) :]:
         if s >= hi:
             break
         if kind is not Region.CODE:
@@ -300,7 +317,7 @@ def unit_chain_ends(smap: SourceMap, pos: int, hi: int) -> list[int]:
     ends: list[int] = []
     p, first = pos, True
     while p < hi:
-        s, e, kind = smap.interval_at(p)
+        s, e, kind = interval_at(smap, p)
         if kind is Region.STRING_DELIMITER and s == p and src[p] in string_opens:
             end = _string_literal_end(smap, p)
             if end > hi:
@@ -332,7 +349,7 @@ def _string_literal_end(smap: SourceMap, pos: int) -> int:
     """End of the string literal whose delimiter starts at pos: after the
     close delimiter, or where the literal's intervals stop."""
     intervals = smap.intervals
-    idx = smap.interval_index(pos)
+    idx = interval_index(smap, pos)
     s, e, kind = intervals[idx]
     if idx + 1 == len(intervals):
         return e

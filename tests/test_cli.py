@@ -158,6 +158,19 @@ class TestFacts:
 
 
 class TestSolve:
+    def test_refused_tsv_output_leaves_no_facts_file(self, capsys, tmp_path):
+        # q is fine tab-separated, r holds a tab: neither file may be written
+        (tmp_path / "in.dl").write_text('a("x", "y").\nedge("p\\tq", "r").\n', encoding="utf-8")
+        (tmp_path / "p.dl").write_text("q(X, Y) :- a(X, Y).\nr(X, Y) :- edge(X, Y).\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "solve", str(tmp_path / "in.dl"), "--preset", "callgraph-c",
+            "--program", str(tmp_path / "p.dl"), "--format", "tsv", "--out", str(out),
+        )
+        assert code == EXIT_INPUT
+        assert "symbol 'p\\tq' in r cannot be written tab-separated; use the dl format" in err
+        assert list(out.glob("*.facts")) == []
+
     def test_writes_idb_and_counts(self, capsys, tmp_path, example_go):
         code, out, _ = run(
             capsys, "solve", example_go, "--preset", "callgraph-go",

@@ -153,6 +153,12 @@ class TestDatabase:
         with pytest.raises(FactlogError, match=r"in p .*use the dl format"):
             db.write_facts_dir(tmp_path)
 
+    def test_refused_database_writes_no_file(self, tmp_path):
+        db = Database({"a": {("x", "y")}, "b": {("p\tq", "r")}})
+        with pytest.raises(FactlogError, match=r"symbol 'p\\tq' in b cannot be written tab-separated"):
+            db.write_facts_dir(tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_tab_in_symbol_survives_dl_not_tsv(self):
         db = Database()
         db.add("s", ("a\tb",))

@@ -18,6 +18,7 @@ from factlog import (
     Database,
     FactlogError,
     HoleKind,
+    LanguageDefinition,
     Region,
     classify,
     evaluate,
@@ -34,6 +35,7 @@ from factlog.templates import Hole, Literal, _Matcher, compile_template, iter_ne
 from oracles import (
     collect_inner,
     count_depth_zero_extent,
+    interval_at,
     naive_evaluate,
     reachability,
     rescan_balanced,
@@ -363,6 +365,31 @@ class TestFormatRoundTrips:
 
 SOURCE = st.text(alphabet='abc ()"`\'/*\\\n{};', max_size=60)
 
+# Langdefs whose openers are words, brackets or runs of one character, and
+# whitespace that is not ASCII (U+00A0, U+3000, U+2028 count as whitespace).
+REGION_LANGS = (
+    GO,
+    C,
+    ZIG,
+    LanguageDefinition(
+        name="raw", line_comment_prefixes=("//",), string_delimiters=(('r"', '"', None), ('"', '"', "\\"))
+    ),
+    LanguageDefinition(name="brackets", line_comment_prefixes=("--",), string_delimiters=(("[[", "]]", None),)),
+    LanguageDefinition(
+        name="triple", line_comment_prefixes=("#",), string_delimiters=(('"""', '"""', None), ("'", "'", "\\"))
+    ),
+    LanguageDefinition(
+        name="rem", line_comment_prefixes=("rem",), block_comment_pairs=(("(*", "*)"),), nest_block_comments=True
+    ),
+)
+REGION_SOURCE = st.lists(
+    st.sampled_from(
+        ("a", "r", "rem", "x1", " ", "\t", "\n", "\u00a0", "\u3000", "\u2028", '"', "'", "`", "\\", "/", "*", "-", "#",
+         "(", ")", "[", "]", "[[", "]]", '"""', "(*", "*)", "/*", "*/", "//", "--", 'r"s"', '"\\""', "é")
+    ),
+    max_size=24,
+).map("".join)
+
 
 class TestClassifierInvariants:
     @given(SOURCE)
@@ -375,6 +402,23 @@ class TestClassifierInvariants:
             assert isinstance(region, Region)
             pos = end
         assert pos == len(source)
+
+    @given(REGION_SOURCE, st.sampled_from(REGION_LANGS))
+    @settings(max_examples=400, deadline=None)
+    def test_kinds_spell_out_the_intervals(self, source, lang):
+        smap = classify(source, lang)
+        kinds = smap.kinds
+        assert len(kinds) == len(source)
+        for offset in range(len(source)):
+            start, _, region = interval_at(smap, offset)
+            assert smap.region_at(offset) is region
+            if region is Region.CODE:
+                assert kinds[offset] == ("w" if source[offset].isspace() else "c")
+            elif region is Region.STRING_DELIMITER:
+                assert kinds[offset] == ("d" if offset == start else "e")
+        for offset in (-1, len(source)):
+            with pytest.raises(IndexError):
+                smap.region_at(offset)
 
     @given(SOURCE)
     @settings(max_examples=100)
@@ -558,6 +602,8 @@ class TestOracleIndependence:
         "candidate_tables",
         "_anchor_candidates",
         "unit_ends",
+        "kinds",
+        "region_at",
     }
 
     def test_oracles_do_not_use_the_bracket_table(self):
