@@ -42,6 +42,8 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_ANALYSIS = 4
 
+FACT_SUFFIXES = (".dl", ".facts")
+
 
 class UsageError(Exception):
     pass
@@ -121,6 +123,9 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
 
 
 def _gather_sources(args: argparse.Namespace, preset: AnalysisPreset) -> list[Path]:
+    for item in args.inputs:
+        if Path(item).suffix in FACT_SUFFIXES and Path(item).is_file():
+            raise UsageError(f"{item} is a fact file; fact generation reads {preset.language} source files")
     files = discover_files(args.inputs, preset.language)
     if not files:
         raise FactlogError(f"no {preset.language} source files found under {args.inputs}")
@@ -129,7 +134,7 @@ def _gather_sources(args: argparse.Namespace, preset: AnalysisPreset) -> list[Pa
 
 def _all_fact_inputs(paths: list[Path]) -> bool:
     for p in paths:
-        if p.suffix in (".dl", ".facts") and not p.is_dir():
+        if p.suffix in FACT_SUFFIXES and not p.is_dir():
             continue
         if p.is_dir() and any(p.glob("*.facts")):
             continue

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -144,23 +145,38 @@ class Database:
         self.add(fact.relation, fact.args)
 
     def merge(self, other: "Database") -> None:
+        """Add every tuple of other, checking each relation's arity once."""
         for relation, tuples in other.relations.items():
-            for tup in tuples:
-                self.add(relation, tup)
+            if not tuples:
+                continue
+            existing = self.relations.get(relation)
+            if existing is None:
+                self.relations[relation] = set(tuples)
+                continue
+            if existing:
+                mine, theirs = len(next(iter(existing))), len(next(iter(tuples)))
+                if mine != theirs:
+                    raise ArityMismatch(f"relation {relation} holds {mine}-tuples, got {theirs}-tuple")
+            existing.update(tuples)
 
     def tuples(self, relation: str) -> set[tuple]:
         return self.relations.get(relation, set())
 
     def sorted_tuples(self, relation: str) -> list[tuple]:
-        tuples = self.tuples(relation)
+        rows = list(self.tuples(relation))
         try:
-            return sorted(tuples)
+            # One stable sort per column, last column first, orders the rows
+            # as comparing whole tuples would, and faster.
+            for column in reversed(range(len(rows[0]) if rows else 0)):
+                rows.sort(key=itemgetter(column))
         except TypeError:
-            # A column mixes symbols and integers.  Plain comparison raises
-            # only there: every comparison that returned agreed with
-            # _tuple_key (the tuples are distinct, so there are no ties),
-            # hence a plain sort that completes gives _tuple_key order.
-            return sorted(tuples, key=_tuple_key)
+            # A column mixes symbols and integers: sorting it compares an
+            # integer with a symbol, and only there does comparison raise.
+            # Comparing whole tuples could order such rows without meeting
+            # that pair, and then agreed with _tuple_key (the tuples are
+            # distinct, so there are no ties); so _tuple_key gives the order.
+            rows.sort(key=_tuple_key)
+        return rows
 
     def fact_count(self, relations: Iterable[str] | None = None) -> int:
         names = self.relations if relations is None else relations

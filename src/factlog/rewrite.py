@@ -18,12 +18,27 @@ Rewrite templates substitute hole values and positional properties: ``$x`` is
 the bound text, ``$x.line`` / ``$x.column`` are 1-based positions, and a
 trailing ``+ n`` or ``- n`` after a positional property is folded into it at
 substitution time (``next($x.line, $x.line + 1)``).
+
+Facts are built as rows, not as text.  When a spec loads, each line of its
+rewrite, and of every inner rewrite, gets a plan: the relation and, per
+argument, a literal symbol or integer, a quoted argument of literal text
+around one hole (``"$x"``, ``"pre$x"``, ``"$x.line"``), or an unquoted
+``$x.line ± n`` / ``$x.column ± n``.  The plan is read off the fact-line
+grammar itself, run over the line with a mark in each hole's place.  A line
+that is exactly ``$target`` of a nested rewrite passes that rewrite's rows
+through.  The text path, substitute then parse_fact_line, serves every other
+line (a hole in the relation name, an unquoted ``$x``, two holes in one
+quoted argument, a line the grammar rejects), and any line where a value
+bound inside quotes holds ``"``, a backslash or a newline, so escapes,
+malformed lines and their diagnostics read as they always have.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar, Union
 
@@ -60,9 +75,40 @@ class Substitution(NamedTuple):
 RewriteAtom = Union[SubstLiteral, Substitution]
 
 
+class ArgPlan(NamedTuple):
+    """One argument of a row plan.  Without a hole, ``before`` is a literal
+    symbol or integer.  A hole inside quotes gives ``before`` + its text +
+    ``after``, interned; one outside quotes (``after`` None) gives its line
+    or column plus its offset, an integer."""
+
+    before: str | int
+    hole: Substitution | None = None
+    after: str | None = ""
+
+
+class LinePlan(NamedTuple):
+    """How one non-blank rewrite line becomes facts.  With a relation it is
+    built as a row of args; otherwise, and at match time when a value bound
+    inside quotes holds a quote, a backslash or a newline, ``template`` (the
+    line alone) takes the text path.  ``target`` names the hole of a line
+    that is exactly ``$target``."""
+
+    template: RewriteTemplate
+    relation: str | None = None
+    args: tuple[ArgPlan, ...] = ()
+    target: str | None = None
+
+
 class RewriteTemplate(NamedTuple):
+    """Rewrite text, its atoms and the plan of each non-blank line.  The
+    plans follow from the text, so repr leaves them out."""
+
     text: str
     atoms: tuple[RewriteAtom, ...]
+    lines: tuple[LinePlan, ...]
+
+    def __repr__(self) -> str:
+        return f"RewriteTemplate(text={self.text!r}, atoms={self.atoms!r})"
 
 
 _SUBSTITUTION_RE = re.compile(
@@ -76,7 +122,14 @@ _SUBSTITUTION_RE = re.compile(
 
 
 def parse_rewrite_template(text: str) -> RewriteTemplate:
-    """Parse rewrite text into literal and substitution atoms."""
+    """Parse rewrite text into literal and substitution atoms, and plan
+    each of its lines."""
+    atoms = _parse_atoms(text)
+    lines = tuple(_plan_line(line) for line in text.split("\n") if line.strip())
+    return RewriteTemplate(text, atoms, lines)
+
+
+def _parse_atoms(text: str) -> tuple[RewriteAtom, ...]:
     atoms: list[RewriteAtom] = []
     pos = 0
     for m in _SUBSTITUTION_RE.finditer(text):
@@ -90,7 +143,59 @@ def parse_rewrite_template(text: str) -> RewriteTemplate:
         pos = m.end()
     if pos < len(text):
         atoms.append(SubstLiteral(text[pos:]))
-    return RewriteTemplate(text, tuple(atoms))
+    return tuple(atoms)
+
+
+def _plan_line(text: str) -> LinePlan:
+    """Plan one line by running the fact-line grammar over it with a mark
+    for each hole: a private-use character the line lacks for a value, and
+    for a position "9" and 17 octal digits, which no other mark contains
+    and no overlap of two copies can spell.  Each argument is then a
+    literal, or holds one mark with the literal text around it.  A line the
+    grammar rejects, or where a mark is not alone in one argument, follows
+    a backslash or (a digit mark) a digit, keeps the text path."""
+    template = RewriteTemplate(text, _parse_atoms(text), ())
+    holes = [a for a in template.atoms if isinstance(a, Substitution)]
+    if len(holes) == 1 and holes[0].prop is Property.VALUE:
+        if all(a is holes[0] or a.text.isspace() for a in template.atoms):
+            return LinePlan(template, target=holes[0].name)
+    unused = (chr(c) for c in range(0xE000, 0xF900) if chr(c) not in text)
+    marks: dict[str, Substitution] = {}
+    parts = []
+    for atom in template.atoms:
+        if isinstance(atom, SubstLiteral):
+            parts.append(atom.text)
+            continue
+        mark = next(unused) if atom.prop is Property.VALUE else f"9{len(marks):017o}"
+        marks[mark] = atom
+        parts.append(mark)
+    probe = "".join(parts)
+    for mark in marks:
+        at = probe.find(mark)
+        before = probe[at - 1 : at]
+        if probe.count(mark) > 1 or before == "\\" or (mark.isdigit() and before.isdigit()):
+            return LinePlan(template)
+    try:
+        fact = parse_fact_line(probe)
+    except MalformedFact:
+        return LinePlan(template)
+    args = []
+    for value in fact.args:
+        if isinstance(value, int):
+            hole = marks.pop(str(value), None)
+            args.append(ArgPlan(value) if hole is None else ArgPlan("", hole, None))
+            continue
+        inside = [mark for mark in marks if mark in value]
+        if not inside:
+            args.append(ArgPlan(value))
+        elif len(inside) == 1 and value.count(inside[0]) == 1:
+            before, after = value.split(inside[0])
+            args.append(ArgPlan(before, marks.pop(inside[0]), after))
+        else:
+            return LinePlan(template)
+    if marks:  # a mark landed in the relation name or inside a longer integer
+        return LinePlan(template)
+    return LinePlan(template, fact.relation, tuple(args))
 
 
 def substitute(template: RewriteTemplate, env: MatchEnvironment) -> str:
@@ -338,7 +443,16 @@ def _substituted(template: RewriteTemplate) -> list[str]:
 # Rule application
 
 
-def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> MatchEnvironment | None:
+class RuleOutput(NamedTuple):
+    """A match after its rule.  In env, a nested target is bound to its
+    inner rewrites joined by newlines, built when env first reads it; inner
+    holds each nested target's rows and text-path lines, in order."""
+
+    env: MatchEnvironment
+    inner: dict[str, list]
+
+
+def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> RuleOutput | None:
     """Apply conditions and nested rewrites; None means the rule vetoed the match.
 
     Conditions on holes bound by the outer match gate the whole rule;
@@ -352,43 +466,105 @@ def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> MatchE
                 return None
         elif cond.hole not in inner_names:
             raise UnboundHole(f"condition names unbound hole ${cond.hole}")
-    bindings = dict(env.bindings)
+    bindings = _Bindings(env.bindings)
+    inner: dict[str, list] = {}
     inner_matches = iter_nested_matches if rule.nested else iter_matches
     for nr in rule.nested_rewrites:
         target = env[nr.target]
         names = set(nr.inner_match.hole_names())
         # every inner match binds all of its holes, which hide the outer ones
         conditions = [c for c in rule.conditions if c.hole in names]
-        rewrite = _bind_outer(nr.inner_rewrite, bindings, names)
-        lines: list[str] = []
+        outer = {}
+        for name in _substituted(nr.inner_rewrite):
+            if name not in names:
+                try:
+                    outer[name] = bindings[name]
+                except KeyError:
+                    pass  # unbound: the first inner match that is kept raises
+        items: list = []
+        kept = []
         for m in inner_matches(nr.inner_match, smap, target.start, target.end):
-            inner = m.env.bindings
+            found = m.env.bindings
             for cond in conditions:
-                if not cond.holds(inner[cond.hole].text):
+                if not cond.holds(found[cond.hole].text):
                     break
             else:
-                lines.append(substitute(rewrite, m.env))
-        bindings[nr.target] = Binding(
-            "\n".join(lines), target.start, target.end, target.line, target.column
-        )
-    return MatchEnvironment(bindings)
+                found = {**found, **outer} if outer else found
+                _emit(nr.inner_rewrite.lines, found, items)
+                kept.append(found)
+        inner[nr.target] = items
+        bindings.defer(nr.target, partial(_joined, nr.inner_rewrite, kept, target))
+    return RuleOutput(MatchEnvironment(bindings), inner)
 
 
-def _bind_outer(template: RewriteTemplate, bindings: dict[str, Binding], inner: set[str]) -> RewriteTemplate:
-    """The template with each bound hole not named in ``inner`` replaced by
-    its text, and adjacent literals joined."""
-    atoms: list[RewriteAtom] = []
-    for atom in template.atoms:
-        if isinstance(atom, Substitution) and atom.name not in inner and atom.name in bindings:
-            atom = SubstLiteral(_render(atom, bindings[atom.name]))
-        if isinstance(atom, SubstLiteral) and atoms and isinstance(atoms[-1], SubstLiteral):
-            atom = SubstLiteral(atoms.pop().text + atom.text)
-        atoms.append(atom)
-    return RewriteTemplate(template.text, tuple(atoms))
+class _Bindings(dict):
+    """Bindings in which a deferred hole is bound on its first read."""
+
+    def __init__(self, bindings: dict[str, Binding]):
+        super().__init__(bindings)
+        self.deferred: dict[str, Callable[[], Binding]] = {}
+
+    def defer(self, name: str, bind: Callable[[], Binding]) -> None:
+        self.pop(name, None)
+        self.deferred[name] = bind
+
+    def __missing__(self, name: str) -> Binding:
+        binding = self[name] = self.deferred.pop(name)()
+        return binding
+
+
+def _joined(template: RewriteTemplate, kept: list[dict[str, Binding]], target: Binding) -> Binding:
+    text = "\n".join([substitute(template, MatchEnvironment(found)) for found in kept])
+    return target._replace(text=text)
 
 
 # ---------------------------------------------------------------------------
 # Fact generation
+
+
+def _emit(
+    lines: tuple[LinePlan, ...], bindings: dict[str, Binding], items: list, inner: dict[str, list] | None = None
+) -> None:
+    """Append each line's row as (relation, row), or its text for the text
+    path; a line that is exactly a nested target's hole appends that
+    target's inner items instead."""
+    for line in lines:
+        if line.relation is not None:
+            try:
+                row = _row(line.args, bindings)
+            except KeyError as exc:
+                raise UnboundHole(f"hole ${exc.args[0]} is not bound") from None
+            if row is not None:
+                items.append((line.relation, row))
+                continue
+        elif inner is not None and line.target in inner:
+            items.extend(inner[line.target])
+            continue
+        items.append(substitute(line.template, MatchEnvironment(bindings)))
+
+
+def _row(args: tuple[ArgPlan, ...], bindings: dict[str, Binding]) -> tuple | None:
+    """The row args spell, or None when a value bound inside quotes holds a
+    quote, a backslash or a newline, which only the text path reads as the
+    fact-line grammar does.  An unbound hole raises KeyError."""
+    row = []
+    for before, hole, after in args:
+        if hole is None:
+            row.append(before)
+            continue
+        b = bindings[hole.name]
+        if hole.prop is Property.VALUE:
+            text = b.text
+            if '"' in text or "\\" in text or "\n" in text:
+                return None
+        else:
+            n = (b.line if hole.prop is Property.LINE else b.column) + hole.offset
+            if after is None:
+                row.append(n)
+                continue
+            text = str(n)
+        row.append(sys.intern(before + text + after))
+    return tuple(row)
 
 
 def facts_for_smap(
@@ -398,29 +574,40 @@ def facts_for_smap(
 
     Returns the file's facts, the outer-template match count per spec name,
     and diagnostics (classifier warnings, then dropped fact lines), each
-    prefixed with the path.
+    prefixed with the path.  A match's rows are all built before any is
+    added, so an unbound hole raises before a row's arity does.
     """
     db = Database()
     matches: dict[str, int] = {}
     diagnostics = [f"{path}: {w}" for w in smap.warnings]
     for spec in specs:
+        rule, lines = spec.rule, spec.rewrite.lines
+        has_rule = bool(rule.conditions or rule.nested_rewrites)
         count = 0
         for m in iter_matches(spec.match, smap):
             count += 1
-            env = apply_rule(spec.rule, m.env, smap)
-            if env is None:
-                continue
-            text = substitute(spec.rewrite, env)
-            # split on "\n" only, as Database.from_dl_text does: a bound
-            # string may hold a form feed or another separator splitlines() honors
-            for raw in text.split("\n"):
-                line = raw.strip()
-                if not line:
+            bindings, inner = m.env.bindings, None
+            if has_rule:
+                out = apply_rule(rule, m.env, smap)
+                if out is None:
                     continue
-                try:
-                    db.add_fact(parse_fact_line(line))
-                except MalformedFact as exc:
-                    where = smap.line_of(m.start)
-                    diagnostics.append(f"{path}:{where}: dropped bad fact line: {exc}")
+                bindings, inner = out.env.bindings, out.inner
+            items: list = []
+            _emit(lines, bindings, items, inner)
+            for item in items:
+                if type(item) is tuple:
+                    db.add(*item)
+                    continue
+                # split on "\n" only, as Database.from_dl_text does: a bound
+                # string may hold a form feed or another separator splitlines() honors
+                for raw in item.split("\n"):
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    try:
+                        db.add_fact(parse_fact_line(line))
+                    except MalformedFact as exc:
+                        where = smap.line_of(m.start)
+                        diagnostics.append(f"{path}:{where}: dropped bad fact line: {exc}")
         matches[spec.name] = matches.get(spec.name, 0) + count
     return db, matches, diagnostics

@@ -87,6 +87,16 @@ class TestFacts:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("name", ["in.dl", "edge.facts"])
+    def test_fact_file_is_not_a_source(self, capsys, tmp_path, name):
+        fact_file = tmp_path / name
+        fact_file.write_text('edge("a", "b").\n' if name.endswith(".dl") else "a\tb\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "facts", str(fact_file), "--preset", "callgraph-c", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert f"{fact_file} is a fact file" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "rule, rewrite, line",
         [
@@ -181,6 +191,15 @@ class TestSolve:
         text = (tmp_path / "idb.dl").read_text(encoding="utf-8")
         assert 'calls("main", "one").' in text
         assert "edge(" not in text  # idb only
+
+    def test_fact_file_among_sources_is_a_usage_error(self, capsys, tmp_path, example_go):
+        fact_file = tmp_path / "more.dl"
+        fact_file.write_text('edge("a", "b").\n', encoding="utf-8")
+        code, _, err = run(
+            capsys, "solve", example_go, str(fact_file), "--preset", "callgraph-go", "--out", str(tmp_path / "out")
+        )
+        assert code == EXIT_USAGE
+        assert f"{fact_file} is a fact file" in err
 
     def test_solve_from_facts_file(self, capsys, tmp_path):
         facts = tmp_path / "in.dl"

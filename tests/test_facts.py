@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factlog import Database, Fact, FactlogError, MalformedFact, format_fact, parse_fact_line
+from factlog import ArityMismatch, Database, Fact, FactlogError, MalformedFact, format_fact, parse_fact_line
+from factlog.facts import _tuple_key
 
 
 class TestParseFactLine:
@@ -93,6 +96,26 @@ class TestDatabase:
         c = Database()
         c.merge(a)
         assert c == a
+
+    def test_merge_checks_arity_and_copies(self):
+        a = Database()
+        a.add("e", ("x", "y"))
+        c = Database()
+        c.merge(a)
+        c.add("e", ("p", "q"))
+        assert a.tuples("e") == {("x", "y")}  # the merged set is c's own
+        c.merge(Database({"e": set(), "f": set()}))
+        assert sorted(c.relations) == ["e"]
+        with pytest.raises(ArityMismatch, match=r"^relation e holds 2-tuples, got 1-tuple$"):
+            c.merge(Database({"e": {("z",)}}))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(*[st.integers(-3, 3) | st.sampled_from(["", "a", "b"])] * 3), max_size=12))
+    def test_sorted_tuples_is_the_order_of_whole_tuples(self, rows):
+        # per-column sorts agree with _tuple_key, also where a column mixes
+        # symbols and integers
+        db = Database({"t": set(rows)} if rows else None)
+        assert db.sorted_tuples("t") == sorted(set(rows), key=_tuple_key)
 
     def test_fact_count_subset(self):
         db = Database()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from factlog import discover_files, load_preset, rewrite, run_fact_generation
 from factlog.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +52,39 @@ def test_c_corpus_3000_lines(tmp_path, c_corpus, capsys):
 def test_arith_sample(tmp_path, samples_dir, capsys):
     digest = facts_digest(tmp_path, str(samples_dir / "liveness.arith"), "--preset", "liveness-arith")
     assert digest == "f3cd8676ba302e93e6cd7b03c1aa65abf594f1f72fccf3638a669d332524dded"
+
+
+# facts.dl of each bundled preset over its samples
+SAMPLE_FACTS = [
+    ("callgraph-go", "go", "34a1e58f0785c2a4a66397a584cb62631fbf1f11bc322d0e13748d311d3c536c"),
+    ("callgraph-go", "example.go", "02d33b4333290ef103685c21d90265345b991f53f8c6ff4958bc8e6558c298e1"),
+    ("callgraph-go-methods", "go", "f8fcc081401f3eacaeddc4e3959ef51ed95e5c47350fd0a0de64cb23155eff55"),
+    ("callgraph-zig", "zig", "ec313bc3d65d4be95c7a317befa456018a9381a9fdf447b6afe15de5ccecd4a9"),
+    ("callgraph-c", "c", "a98d8f92acc1c7ec27e4c825ca7840883d83d2ae0c092e411ca6f0aebd68baa5"),
+    ("liveness-arith", "liveness.arith", "f3cd8676ba302e93e6cd7b03c1aa65abf594f1f72fccf3638a669d332524dded"),
+    ("liveness-arith-classical", "liveness.arith", "f3cd8676ba302e93e6cd7b03c1aa65abf594f1f72fccf3638a669d332524dded"),
+]
+
+
+@pytest.mark.parametrize("preset, sample, digest", SAMPLE_FACTS)
+def test_sample_facts(tmp_path, samples_dir, preset, sample, digest):
+    assert facts_digest(tmp_path, str(samples_dir / sample), "--preset", preset) == digest
+
+
+@pytest.mark.parametrize("preset, sample, digest", SAMPLE_FACTS)
+def test_bundled_specs_build_rows(monkeypatch, samples_dir, preset, sample, digest):
+    # With the text path's parser gone after the specs compile, the same
+    # facts still come out: every bundled rewrite line is built as a row.
+    loaded = load_preset(preset)
+    loaded.fact_specs
+
+    def no_text_path(line):
+        raise AssertionError(f"text path parsed {line!r}")
+
+    monkeypatch.setattr(rewrite, "parse_fact_line", no_text_path)
+    db, _, diagnostics = run_fact_generation(loaded, discover_files([samples_dir / sample], loaded.language))
+    assert diagnostics == []
+    assert hashlib.sha256(db.to_dl_text().encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

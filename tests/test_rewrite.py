@@ -5,14 +5,21 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from factlog import (
     GO,
     AnalysisPreset,
+    Database,
+    FactlogError,
+    MalformedFact,
     SpecFormatError,
     UnboundHole,
     classify,
+    iter_matches,
     load_fact_spec,
+    parse_fact_line,
     parse_fact_spec,
     parse_rewrite_template,
     parse_rule,
@@ -24,12 +31,14 @@ from factlog.rewrite import (
     CondOp,
     NestedRewrite,
     Property,
+    RewriteTemplate,
     RuleSpec,
+    SubstLiteral,
     Substitution,
     facts_for_smap,
     substitute,
 )
-from factlog.templates import Binding, MatchEnvironment
+from factlog.templates import Binding, MatchEnvironment, iter_nested_matches
 
 
 def env_with(**holes: Binding) -> MatchEnvironment:
@@ -326,3 +335,149 @@ class TestGenerateFacts:
         db, _, diagnostics = run_fact_generation(preset, [tmp_path / "a.go", tmp_path / "b.go"])
         assert db.tuples("seen") == {("one",), ("two",)}
         assert diagnostics == []
+
+
+# ---------------------------------------------------------------------------
+# Rows against the text path
+
+
+def text_facts_for_smap(specs, smap, path):
+    """facts_for_smap by substitute and parse_fact_line alone: each kept
+    match's rewrite becomes fact text, split at "\\n" and parsed line by
+    line."""
+    db = Database()
+    matches: dict[str, int] = {}
+    diagnostics = [f"{path}: {w}" for w in smap.warnings]
+    for spec in specs:
+        count = 0
+        for m in iter_matches(spec.match, smap):
+            count += 1
+            env = text_apply_rule(spec.rule, m.env, smap)
+            if env is None:
+                continue
+            for raw in substitute(spec.rewrite, env).split("\n"):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    db.add_fact(parse_fact_line(line))
+                except MalformedFact as exc:
+                    diagnostics.append(f"{path}:{smap.line_of(m.start)}: dropped bad fact line: {exc}")
+        matches[spec.name] = matches.get(spec.name, 0) + count
+    return db, matches, diagnostics
+
+
+def text_apply_rule(rule, env, smap):
+    """The rule with each nested target rebound to the text of its inner
+    rewrites, one per kept inner match, joined by newlines."""
+    inner_names = rule.inner_hole_names()
+    for cond in rule.conditions:
+        if cond.hole in env:
+            if not cond.holds(env[cond.hole].text):
+                return None
+        elif cond.hole not in inner_names:
+            raise UnboundHole(f"condition names unbound hole ${cond.hole}")
+    bindings = dict(env.bindings)
+    inner_matches = iter_nested_matches if rule.nested else iter_matches
+    for nr in rule.nested_rewrites:
+        target = env[nr.target]
+        names = set(nr.inner_match.hole_names())
+        conditions = [c for c in rule.conditions if c.hole in names]
+        # outer holes that the inner match does not bind are substituted first
+        atoms = []
+        for atom in nr.inner_rewrite.atoms:
+            if isinstance(atom, Substitution) and atom.name not in names and atom.name in bindings:
+                atom = SubstLiteral(substitute(RewriteTemplate("", (atom,), ()), MatchEnvironment(bindings)))
+            atoms.append(atom)
+        rewrite = RewriteTemplate(nr.inner_rewrite.text, tuple(atoms), ())
+        lines = [
+            substitute(rewrite, m.env)
+            for m in inner_matches(nr.inner_match, smap, target.start, target.end)
+            if all(c.holds(m.env.bindings[c.hole].text) for c in conditions)
+        ]
+        bindings[nr.target] = Binding("\n".join(lines), target.start, target.end, target.line, target.column)
+    return MatchEnvironment(bindings)
+
+
+def outcome(generate, specs, smap):
+    """What generate gives, or the exception it raises, as comparable data."""
+    try:
+        db, matches, diagnostics = generate(specs, smap, "m.go")
+    except FactlogError as exc:
+        return type(exc), str(exc)
+    return db.relations, matches, diagnostics
+
+
+# Bound text: quotes, backslashes, newlines and other separators, empty runs
+SOURCE_PIECES = (
+    "x", "y1", " ", "\n", "u\nv", "\r", "\f", "\u2028", '"q"', '"a\\"b"', '"\\\\"', "`r\nw`", "`a\\b`", "\\n",
+    "12", "-", "$", ",", "[p]", '["s\\"t"]', "[]", "[\r]", "(u)",
+)
+# Argument forms that plan as row arguments: literals, a hole inside quotes,
+# a position outside them
+ROW_ARGS = (
+    '"lit"', '"a\\"b"', '"\\\\"', '"x\\ny"', '""', '"a b\fc"', "7", "-3",
+    '"$a"', '"p$a"', '"$a.s"', '"$b.line"', '"L$b.column + 1"', '"$c"', '"<$body>"',
+    "$a.line", "$a.line - 5", "$b.column+2", "$c.line", "$c.column - 9", "$body.line",
+)
+# and forms only the text path reads: a hole in an unquoted value, two holes
+# in one quoted argument, a hole after a backslash, a sign or a digit
+TEXT_ARGS = ('"$a$b"', '"\\$a"', "-$a.line", "0$a.line - 5", "1$b.line", "$a", "$c", "$body", '"open', ")", '"$zz"')
+LONE = ("$body", "  $a  ", "$c", "$b.value", "$zz")
+
+
+@st.composite
+def rewrite_lines(draw, lines: int, inner: bool):
+    """Rewrite text of 1 to lines lines; $c, bound only by the inner
+    template, appears only in an inner rewrite."""
+    def pool(forms):
+        return st.sampled_from([a for a in forms if inner or "$c" not in a])
+
+    arg = st.one_of(pool(ROW_ARGS), pool(ROW_ARGS), pool(ROW_ARGS), pool(TEXT_ARGS))
+    out = []
+    for _ in range(draw(st.integers(1, lines))):
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from([a for a in LONE if inner or "$c" not in a] + ["", "oops $a", "   "])))
+            continue
+        args = draw(st.lists(arg, max_size=3))
+        # mostly one relation per arity, so that few cases end in ArityMismatch
+        relation = draw(st.sampled_from((f"r{len(args)}",) * 4 + ("e", "$a", "9x")))
+        sep = draw(st.sampled_from((", ", ",", " , ")))
+        end = draw(st.sampled_from((".", "", " . ", ". ")))
+        out.append(f"{relation}({sep.join(args)}){end}")
+    return "\n".join(out)
+
+
+@st.composite
+def row_cases(draw):
+    """Spec text over the holes $a, $b and $body, with nested rewrites of
+    $body and of $a in some cases, and a GO source it matches."""
+    rule = []
+    if draw(st.booleans()):
+        rule.append("nested")
+    if draw(st.booleans()):
+        rule.append('$c != "p"')
+    rule.append(f"rewrite $body {{ [$c*] -> {draw(rewrite_lines(2, True))} }}")
+    if draw(st.booleans()):
+        rule.append(f"rewrite $a {{ [$c*] -> {draw(rewrite_lines(2, True))} }}")
+    rule_section = f"[rule]\nwhere {', '.join(rule)}\n\n" if draw(st.booleans()) else ""
+    spec_text = f"[match]\nzz($a*;$b*;$body*)\n\n{rule_section}[rewrite]\n{draw(rewrite_lines(4, False))}\n"
+    pieces = st.lists(st.sampled_from(SOURCE_PIECES), max_size=5).map("".join)
+    source = "".join(
+        "\n" * draw(st.integers(0, 2)) + f"zz({draw(pieces)};{draw(pieces)};{draw(pieces)})\n"
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    return spec_text, source
+
+
+class TestRowsAgainstTextPath:
+    @settings(max_examples=600, deadline=None)
+    @given(row_cases())
+    def test_same_facts_diagnostics_and_errors(self, case):
+        spec_text, source = case
+        try:
+            spec = parse_fact_spec(spec_text, name="t", language="go")
+        except FactlogError:
+            assume(False)
+        smap = classify(source, GO)
+        assert outcome(facts_for_smap, (spec,), smap) == outcome(text_facts_for_smap, (spec,), smap)
