@@ -599,6 +599,12 @@ def _tuple_src(parts: list[str]) -> str:
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
+# CPython allows 20 statically nested loops, and 100 levels of indentation,
+# in one function: a plan that would need more continues in another.
+_MAX_LOOPS = 20
+_MAX_BLOCKS = 64
+
+
 def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., None]:
     """Generate ``plan(relations, indexes, delta, known, new)`` for the rule:
     nested loops that add each derived head tuple not in ``known`` to ``new``.
@@ -609,7 +615,8 @@ def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., Non
     bound positions, or a membership test when it is fully bound.  Negations
     are ``not in`` tests after them.  Variables are read from tuple slots;
     constants reach the code only through the namespace (``C0``, ``C1``...),
-    never as source text.
+    never as source text.  A body too long for one function continues in
+    nested functions (``part1``...) that take the tuples bound so far.
     """
     order = [i for i, lit in enumerate(rule.body) if lit.positive and i != delta_pos]
     if delta_pos is not None:
@@ -617,7 +624,8 @@ def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., Non
     consts: dict[str, Term] = {}
     slots: dict[str, str] = {}  # variable -> the tuple slot that binds it
     setup: list[str] = []
-    blocks: list[str] = []  # each line opens a block nested in the previous
+    rows: list[str] = []  # the tuple variables bound so far
+    blocks: list[tuple[str, tuple[str, ...]]] = []  # each opens a block nested in the previous; rows bound before it
 
     def value(t: Term) -> str:
         if isinstance(t, Variable):
@@ -625,6 +633,9 @@ def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., Non
         name = f"C{len(consts)}"
         consts[name] = t
         return name
+
+    def block(line: str) -> None:
+        blocks.append((line, tuple(rows)))
 
     for k, i in enumerate(order):
         atom = rule.body[i].atom
@@ -640,34 +651,54 @@ def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., Non
             elif t.name != "_":
                 binds[t.name] = f"{row}[{j}]"
         if i == delta_pos:
-            blocks.append(f"for {row} in D:")
+            block(f"for {row} in D:")
             checks = [f"{row}[{j}] == {e}" for j, e in keyed] + checks
         elif not binds and len(keyed) == atom.arity:
             setup.append(f"S{k} = R[{atom.relation!r}]")
-            blocks.append(f"if {_tuple_src([e for _, e in keyed])} in S{k}:")
+            block(f"if {_tuple_src([e for _, e in keyed])} in S{k}:")
+            row = ""
         elif keyed:
             positions = tuple(j for j, _ in keyed)
             setup.append(f"I{k} = X.get({atom.relation!r}, {positions!r}).get")
             key = keyed[0][1] if len(keyed) == 1 else _tuple_src([e for _, e in keyed])
-            blocks.append(f"for {row} in I{k}({key}, ()):")
+            block(f"for {row} in I{k}({key}, ()):")
         else:
             setup.append(f"S{k} = R[{atom.relation!r}]")
-            blocks.append(f"for {row} in S{k}:")
+            block(f"for {row} in S{k}:")
+        if row:
+            rows.append(row)
         if checks:
-            blocks.append(f"if {' and '.join(checks)}:")
+            block(f"if {' and '.join(checks)}:")
         slots.update(binds)
     for n, lit in enumerate(rule.body):
         if not lit.positive:
             setup.append(f"N{n} = R[{lit.atom.relation!r}]")
-            blocks.append(f"if {_tuple_src([value(t) for t in lit.atom.terms])} not in N{n}:")
+            block(f"if {_tuple_src([value(t) for t in lit.atom.terms])} not in N{n}:")
 
+    parts: list[list[tuple[str, tuple[str, ...]]]] = [[]]
+    loops = 0
+    for line, before in blocks:
+        loop = line.startswith("for ")
+        if (loop and loops == _MAX_LOOPS) or len(parts[-1]) == _MAX_BLOCKS:
+            parts.append([])
+            loops = 0
+        parts[-1].append((line, before))
+        loops += loop
     lines = ["def plan(R, X, D, known, new):", "    add = new.add"]
     lines += ["    " + line for line in setup]
-    lines += ["    " * (depth + 1) + line for depth, line in enumerate(blocks)]
-    inner = "    " * (len(blocks) + 1)
-    lines.append(f"{inner}h = {_tuple_src([value(t) for t in rule.head.terms])}")
-    lines.append(f"{inner}if h not in known:")
-    lines.append(f"{inner}    add(h)")
+    for n in reversed(range(len(parts))):
+        part = parts[n]
+        if n + 1 < len(parts):
+            args = ", ".join(parts[n + 1][0][1])
+            innermost = [f"part{n + 1}({args})"]
+        else:
+            innermost = [f"h = {_tuple_src([value(t) for t in rule.head.terms])}", "if h not in known:", "    add(h)"]
+        base = 1
+        if n:
+            lines.append(f"    def part{n}({', '.join(part[0][1])}):")
+            base = 2
+        lines += ["    " * (base + depth) + line for depth, (line, _) in enumerate(part)]
+        lines += ["    " * (base + len(part)) + line for line in innermost]
     namespace: dict[str, object] = dict(consts)
     code = compile("\n".join(lines) + "\n", f"<rule at line {rule.head.line}>", "exec")
     exec(code, namespace)

@@ -119,10 +119,16 @@ def _tuple_key(tup: tuple[str | int, ...]):
 
 
 class Database:
-    """Relations mapped to sets of ground tuples."""
+    """Relations mapped to sets of ground tuples.
+
+    add checks each row against the arity it recorded for the relation,
+    not against a sample of its tuples; a relation filled through
+    relations directly is sampled once.
+    """
 
     def __init__(self, relations: dict[str, set[tuple]] | None = None):
         self.relations: dict[str, set[tuple]] = {}
+        self._arity: dict[str, int] = {}
         if relations:
             for name, tuples in relations.items():
                 for tup in tuples:
@@ -130,15 +136,18 @@ class Database:
 
     def add(self, relation: str, tup: tuple) -> None:
         existing = self.relations.get(relation)
-        if existing is None:
-            self.relations[relation] = {tup}
+        if not existing:
+            if existing is None:
+                self.relations[relation] = {tup}
+            else:
+                existing.add(tup)
+            self._arity[relation] = len(tup)
             return
-        if existing:
-            sample = next(iter(existing))
-            if len(sample) != len(tup):
-                raise ArityMismatch(
-                    f"relation {relation} holds {len(sample)}-tuples, got {len(tup)}-tuple"
-                )
+        arity = self._arity.get(relation)
+        if arity is None:  # filled through self.relations
+            arity = self._arity[relation] = len(next(iter(existing)))
+        if arity != len(tup):
+            raise ArityMismatch(f"relation {relation} holds {arity}-tuples, got {len(tup)}-tuple")
         existing.add(tup)
 
     def add_fact(self, fact: Fact) -> None:

@@ -33,8 +33,8 @@ table, and an expression hole's forward walk over a chain of adjoining
 units is a sequence of lookups in it.
 
 compile_template binds a template to a language once, when its spec loads:
-literals split into whitespace and text chunks, the language's regexes, and
-a candidate strategy that says where a match may start.  A leading literal
+literals split into whitespace and text chunks, a candidate strategy that
+says where a match may start, and a generated matcher.  A leading literal
 is found by its first text chunk.  A leading expression or optional hole
 followed by a literal (``$c(...)``, ``$l = $a + $b``) is anchored on that
 literal's first text chunk: a match can start only where a chain of
@@ -42,8 +42,13 @@ adjoining units reaches an occurrence of the anchor, so the candidates are
 the left-maximal unit starts between each occurrence and the start of the
 chain that ends there, found by stepping back through the inverse of the
 unit table.  They are kept in a per-file table on the SourceMap, built on
-first use.  match_at itself accepts a leading hole only at a left-maximal
-unit start, so trying every offset finds what the candidates find.
+first use.  The matcher is one Python function per template, generated and
+compiled with the template (see _MatcherSource): its literal tests are
+inline, and each hole that can bind more than one way is a loop over its
+alternatives in the order the matcher prefers them, so backtracking is the
+loops' own order.  It accepts a leading hole only at a left-maximal unit
+start, so trying every offset finds what the candidates find.
+tests/oracles.py keeps an interpreter over the atoms as its reference.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ from __future__ import annotations
 import bisect
 import re
 from enum import Enum
-from typing import Iterator, NamedTuple, Union
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import DuplicateHoleName, MalformedHole, UnboundHole
 from .languages import LanguageDefinition, SourceMap, char_class, identifier_char_re
@@ -223,21 +229,34 @@ class CompiledTemplate(NamedTuple):
     before a literal: the offsets in the SourceMap's per-file candidate
     table under key, see _anchor_candidates), "units" (a leading hole with
     no text chunk after it: every left-maximal unit start), "scan" (every
-    offset) or "none" (the empty template).
+    offset) or "none" (the empty template).  make_matcher is the generated
+    code: make_matcher(smap) returns match(start, hi), the one try at one
+    offset (see _MatcherSource).  A pickle holds only the atoms and the
+    language, and loading it compiles again: a forked --jobs worker finds
+    the result in the cache it inherited.
     """
 
+    atoms: tuple[Atom, ...]
     language: LanguageDefinition
     pieces: tuple[tuple[_Piece, ...] | None, ...]
     strategy: str
     key: str  # "find": the chunk; "anchor": the chunk, after a space when whitespace precedes it
     unit_start_re: re.Pattern[str]  # a left-maximal unit start
-    scan_res: tuple[re.Pattern[str] | None, ...]  # per everything hole: its anchor (over kinds for whitespace)
+    make_matcher: Callable[[SourceMap], Callable[[int, int], Match | None]]
+
+    def __reduce__(self):
+        return _compile, (self.atoms, self.language)
 
 
 def compile_template(template: Template, lang: LanguageDefinition) -> Template:
-    """The template with its compiled form for lang: its literals split and
-    the places where its matches may start chosen."""
-    atoms = template.atoms
+    """The template with its compiled form for lang: its literals split, the
+    places where its matches may start chosen and its matcher generated.
+    Compiled forms are cached by atoms and language."""
+    return template._replace(compiled=_compile(template.atoms, lang))
+
+
+@lru_cache(maxsize=256)
+def _compile(atoms: tuple[Atom, ...], lang: LanguageDefinition) -> CompiledTemplate:
     pieces = tuple(_split_literal(a.text, lang) if isinstance(a, Literal) else None for a in atoms)
     ident = identifier_char_re(lang)
     string_opens = "".join(o[0] for o, _, _ in lang.string_delimiters)
@@ -254,26 +273,13 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
         strategy, key = "anchor", (" " if pieces[1][0].ws else "") + first_chunk
     else:
         strategy, key = "units", ""
-    scan_res = []
-    for i, atom in enumerate(atoms):
-        nxt = pieces[i + 1] if i + 1 < len(atoms) else None
-        if isinstance(atom, Hole) and atom.kind in (HoleKind.EVERYTHING, HoleKind.ANONYMOUS) and nxt:
-            scan_res.append(_WS_OR_DELIM if nxt[0].ws else re.compile(re.escape(nxt[0].text[0])))
-        else:
-            scan_res.append(None)
-    compiled = CompiledTemplate(
-        language=lang,
-        pieces=pieces,
-        strategy=strategy,
-        key=key,
-        unit_start_re=re.compile(rf"(?<!{ident})(?:{ident}|[{starts}])" if starts else rf"(?<!{ident}){ident}"),
-        scan_res=tuple(scan_res),
-    )
-    return template._replace(compiled=compiled)
+    unit_start_re = re.compile(rf"(?<!{ident})(?:{ident}|[{starts}])" if starts else rf"(?<!{ident}){ident}")
+    make_matcher = _MatcherSource(atoms, pieces, lang).build(unit_start_re, strategy in ("anchor", "units"))
+    return CompiledTemplate(atoms, lang, pieces, strategy, key, unit_start_re, make_matcher)
 
 
 def _compiled_for(template: Template, smap: SourceMap) -> Template:
-    if template.compiled is None or template.compiled.language is not smap.language:
+    if template.compiled is None or template.compiled.language != smap.language:
         return compile_template(template, smap.language)
     return template
 
@@ -323,27 +329,305 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The matcher
+# Generated matchers
+
+# CPython allows 20 statically nested loops in one function, and a unit
+# chain's walk nests one more inside the open ones: a template that would
+# need more continues in a second generated function.
+_MAX_LOOPS = 18
+
+
+class _MatcherSource:
+    """The source of one template's make_matcher(smap), emitted atom by atom.
+
+    make_matcher reads the SourceMap's tables once and returns
+    match(start, hi), the match starting exactly at start and ending by hi,
+    if any.  A leading expression or optional hole starts only at a
+    left-maximal unit start, whatever the window, and never inside a
+    comment or a string body, where only an empty optional hole could start.
+
+    Each hole with more than one way to bind opens a loop over them, and
+    the loop's body matches the rest of the template, so a failed test
+    continues the nearest loop and the innermost body is the first complete
+    match; an empty one is no match.  An expression hole loops over its
+    unit chain's ends, longest first; an optional hole adds the empty
+    binding, first when the next literal already follows; ... and $x* walk
+    the places where the next literal's first character may start at depth
+    zero, nearest first.  A literal chunk is an inline startswith test plus
+    the kinds tests, with the identifier-boundary tests only where the
+    chunk starts or ends with an identifier character.  Template text,
+    hole names and the language's character sets reach the code only as
+    constants of its namespace (C0, C1, ...), never as source text.
+    """
+
+    def __init__(self, atoms: tuple[Atom, ...], pieces, lang: LanguageDefinition):
+        self.atoms, self.pieces, self.lang = atoms, pieces, lang
+        self.consts: dict[object, str] = {}
+        self.functions: list[list[str]] = []  # literal tests and continuations, inside make_matcher
+
+    def const(self, value: object) -> str:
+        name = self.consts.get(value)
+        if name is None:
+            name = self.consts[value] = f"C{len(self.consts)}"
+        return name
+
+    def ident(self, ch: str) -> str:
+        """Code testing that the character ch is an identifier character."""
+        extra = self.lang.identifier_extra
+        return f"({ch}.isalnum() or {ch} in {self.const(extra)})" if extra else f"{ch}.isalnum()"
+
+    def build(self, unit_start_re: re.Pattern[str], leading_hole: bool) -> Callable:
+        body = ["def match(start, hi):"]
+        if leading_hole:
+            body.append(f"    if not {self.const(unit_start_re)}.match(src, start):")
+            body.append("        return None")
+            if self.atoms[0].kind is HoleKind.OPTIONAL:
+                body.append('    if kinds[start] in "#s":')
+                body.append("        return None")
+        body.append("    p = start")
+        self.rest(0, body, 1, 0, True, True, [])
+        body.append("    return None")
+        lines = [
+            "def make_matcher(smap):",
+            "    src = smap.source",
+            "    kinds = smap.kinds",
+            "    n = len(src)",
+            "    units = smap.unit_ends",
+            "    groups = smap.group_ends",
+            "    brackets = smap.brackets",
+            "    nb = len(brackets)",
+            "    any_close = smap.any_close",
+            "    extent = smap.depth_zero_extent",
+            "    line_col = smap.line_col",
+        ]
+        for function in self.functions + [body]:
+            lines += ["    " + line for line in function]
+        lines.append("    return match")
+        namespace: dict[str, object] = {name: value for value, name in self.consts.items()}
+        namespace.update(
+            new=tuple.__new__, Match=Match, MatchEnvironment=MatchEnvironment, Binding=Binding,
+            bisect_left=bisect.bisect_left,
+            WS=_WS_OR_COMMENT, WSD=_WS_OR_DELIM, CODE_ONLY=_CODE_ONLY, BODY=_BODY,
+        )
+        exec(compile("\n".join(lines) + "\n", "<template>", "exec"), namespace)
+        return namespace["make_matcher"]  # type: ignore[return-value]
+
+    def rest(self, i: int, out: list[str], ind: int, loops: int, top: bool, empty, bound: list[str]) -> None:
+        """Append the code matching atoms[i:] from p to out, at indent ind,
+        inside loops open loops of the function; top is true in match
+        itself, false in a continuation function.
+
+        empty says whether a leading whitespace chunk of a literal at i may
+        match nothing: True, False, or the index of the hole before it,
+        which is then decided by whether that hole bound nothing.  bound
+        names the variables that hold the holes' spans so far, which a
+        continuation function takes as arguments.
+        """
+        atoms = self.atoms
+        fail = "continue" if loops else "return None"
+        while i < len(atoms):
+            pad = "    " * ind
+            atom = atoms[i]
+            if isinstance(atom, Literal):
+                self.literal(self.pieces[i], out, pad, fail, empty)
+                empty, i = False, i + 1
+                continue
+            nxt = atoms[i + 1] if i + 1 < len(atoms) else None
+            kind = atom.kind
+            loop = kind in (HoleKind.EXPRESSION, HoleKind.OPTIONAL) or (
+                kind in (HoleKind.EVERYTHING, HoleKind.ANONYMOUS) and isinstance(nxt, Literal)
+            )
+            if loop and loops >= _MAX_LOOPS:
+                name = f"part{len(self.functions)}"
+                args = ", ".join(["start", "hi", "p", *bound])
+                function = [f"def {name}({args}):"]
+                self.functions.append(function)
+                self.rest(i, function, 1, 0, False, empty, bound)
+                function.append("    return None")
+                out.append(f"{pad}r = {name}({args})")
+                out.append(f"{pad}if r is not None:")
+                out.append(f"{pad}    return {'r if r.end > start else None' if top else 'r'}")
+                return
+            s, e = f"s{i}", f"e{i}"
+            out.append(f"{pad}{s} = p")
+            if kind is HoleKind.EXPRESSION or kind is HoleKind.OPTIONAL:
+                self.chain(i, out, pad)
+                if kind is HoleKind.EXPRESSION:
+                    out.append(f"{pad}for {e} in reversed(x{i}):")
+                else:
+                    out.append(f"{pad}x{i}.reverse()")
+                    if isinstance(nxt, Literal):
+                        out.append(f"{pad}if {self.literal_test(i + 1)}(p, hi):")
+                        out.append(f"{pad}    x{i}.insert(0, p)")
+                        out.append(f"{pad}else:")
+                        out.append(f"{pad}    x{i}.append(p)")
+                    else:
+                        out.append(f"{pad}x{i}.append(p)")
+                    out.append(f"{pad}for {e} in x{i}:")
+                out.append(f"{pad}    p = {e}")
+            elif kind is HoleKind.STRING_BODY:
+                out.append(f"{pad}if p >= hi:")
+                out.append(f"{pad}    {fail}")
+                out.append(f'{pad}if kinds[p] == "s" and (p == 0 or kinds[p - 1] != "s"):')
+                out.append(f"{pad}    p = BODY.match(kinds, p).end()")
+                out.append(f"{pad}    if p > hi:")
+                out.append(f"{pad}        {fail}")
+                out.append(f'{pad}elif kinds[p] != "d":')  # an empty body, on the close delimiter
+                out.append(f"{pad}    {fail}")
+                out.append(f"{pad}{e} = p")
+            elif loop:
+                self.places(i, out, pad)
+                out.append(f"{pad}    p = {e}")
+            else:  # no literal follows: up to the window end or the enclosing close
+                out.append(f"{pad}p = {e} = extent(p, hi)")
+            if loop:
+                ind, loops, fail = ind + 1, loops + 1, "continue"
+            bound = bound + [s, e]
+            empty = False if kind is HoleKind.EXPRESSION else i
+            i += 1
+        pad = "    " * ind
+        if top:
+            out.append(f"{pad}if p <= start:")
+            out.append(f"{pad}    return None")
+        # new is tuple.__new__: it builds the records without running their
+        # constructors, a Python call each
+        env = ", ".join(
+            f"{self.const(a.name)}: new(Binding, (src[s{k}:e{k}], s{k}, e{k}) + line_col(s{k}))"
+            for k, a in enumerate(atoms)
+            if isinstance(a, Hole) and a.name
+        )
+        out.append(f"{pad}return new(Match, (start, p, new(MatchEnvironment, ({{{env}}},))))")
+
+    def literal(self, pieces, out: list[str], pad: str, fail: str, empty) -> None:
+        """Match one literal from p: a whitespace chunk skips whitespace and
+        comments, and must skip something unless it leads the literal and
+        the hole before it bound nothing; a text chunk starts in code or at
+        a string delimiter and crosses no comment."""
+        for idx, piece in enumerate(pieces):
+            if piece.ws:
+                out.append(f"{pad}q = WS.match(kinds, p, hi).end() if p < hi else p")
+                allowed = empty if idx == 0 else False
+                if allowed is False:
+                    out.append(f"{pad}if q == p:")
+                    out.append(f"{pad}    {fail}")
+                elif allowed is not True:
+                    out.append(f"{pad}if q == p and e{allowed} != s{allowed}:")
+                    out.append(f"{pad}    {fail}")
+                out.append(f"{pad}p = q")
+                continue
+            size = len(piece.text)
+            tests = [f"p + {size} > hi", f"not src.startswith({self.const(piece.text)}, p)", 'kinds[p] not in "cwd"']
+            if size > 1:
+                tests.append(f'kinds.find("#", p, p + {size}) >= 0')
+            if piece.ident_first:
+                tests.append(f"(p > 0 and {self.ident('src[p - 1]')})")
+            if piece.ident_last:
+                tests.append(f"(p + {size} < n and {self.ident(f'src[p + {size}]')})")
+            out.append(f"{pad}if {' or '.join(tests)}:")
+            out.append(f"{pad}    {fail}")
+            out.append(f"{pad}p += {size}")
+
+    def literal_test(self, i: int) -> str:
+        """The name of a generated function telling whether atoms[i], a
+        literal, matches at p right after a hole that bound nothing."""
+        name = f"t{i}"
+        function = [f"def {name}(p, hi):"]
+        self.literal(self.pieces[i], function, "    ", "return False", True)
+        function.append("    return True")
+        self.functions.append(function)
+        return name
+
+    def chain(self, i: int, out: list[str], pad: str) -> None:
+        """Set x{i} to the ends of the adjoining units from p, read from the
+        unit table: none unless p is a left-maximal start before hi.
+
+        A value prefix leads only the first unit, in code, before an
+        identifier run.  The window cuts an identifier run at hi; a group or
+        string literal that closes past hi ends the chain.
+        """
+        prefix = self.lang.value_prefix_chars
+        first = f"({self.ident('ch')} or ch in {self.const(prefix)})" if prefix else self.ident("ch")
+        out.append(f"{pad}x{i} = []")
+        out.append(f"{pad}if p < hi:")
+        pad += "    "
+        if i:  # a leading hole's start passed unit_start_re, which tests this
+            out.append(f"{pad}ch = src[p]")
+            out.append(f"{pad}if not ({first} and p > 0 and {self.ident('src[p - 1]')}):")
+            pad += "    "
+        out.append(f"{pad}q = p")
+        if prefix:
+            out.append(f"{pad}while q < hi and src[q] in {self.const(prefix)}:")
+            out.append(f"{pad}    q += 1")
+            out.append(f"{pad}if q == p or (q in units and q not in groups and CODE_ONLY.fullmatch(kinds, p, q + 1)):")
+            pad += "    "
+        out.append(f"{pad}while q < hi:")
+        out.append(f"{pad}    e = units.get(q)")
+        out.append(f"{pad}    if e is None:")
+        out.append(f"{pad}        break")
+        out.append(f"{pad}    if e > hi:")
+        out.append(f'{pad}        if q in groups or kinds[q] not in "cw":')
+        out.append(f"{pad}            break")
+        out.append(f"{pad}        e = hi")
+        out.append(f"{pad}    x{i}.append(e)")
+        out.append(f"{pad}    q = e")
+
+    def places(self, i: int, out: list[str], pad: str) -> None:
+        """Open the loop binding e{i} to each place at depth zero in [p, hi)
+        where the next literal may start, in order: where its first
+        character occurs between brackets (whitespace: in code or at a
+        string delimiter), at a bracket equal to that character (any
+        bracket, for whitespace), then at hi.  A close at depth zero, or an
+        open that no close before hi takes, ends the walk; each group costs
+        one step.  An occurrence inside a string or a comment is a place
+        too, which the literal's own test then rejects."""
+        first = self.pieces[i + 1][0]
+        j, b, q, e = f"j{i}", f"b{i}", f"q{i}", f"e{i}"
+        out.append(f"{pad}{j} = bisect_left(brackets, p)")
+        out.append(f"{pad}{b} = brackets[{j}] if {j} < nb and brackets[{j}] < hi else hi")
+        out.append(f"{pad}{q} = p")
+        out.append(f"{pad}while {q} >= 0:")
+        if first.ws:
+            out.append(f"{pad}    m = WSD.search(kinds, {q}, {b})")
+            out.append(f"{pad}    if m is not None:")
+            out.append(f"{pad}        {e} = m.start()")
+            out.append(f"{pad}        {q} = {e} + 1")
+        else:
+            anchor = self.const(first.text[0])
+            out.append(f"{pad}    {e} = src.find({anchor}, {q}, {b})")
+            out.append(f"{pad}    if {e} >= 0:")
+            out.append(f"{pad}        {q} = {e} + 1")
+        out.append(f"{pad}    else:")
+        out.append(f"{pad}        {e} = {b}")
+        out.append(f"{pad}        if {b} == hi:")
+        out.append(f"{pad}            {q} = -1")
+        out.append(f"{pad}        else:")
+        out.append(f"{pad}            k = any_close[{j}]")
+        out.append(f"{pad}            if k < 0 or k == nb or brackets[k] >= hi:")
+        out.append(f"{pad}                {q} = -1")
+        out.append(f"{pad}            else:")
+        out.append(f"{pad}                {q} = brackets[k] + 1")
+        out.append(f"{pad}                {j} = k + 1")
+        out.append(f"{pad}                {b} = brackets[{j}] if {j} < nb and brackets[{j}] < hi else hi")
+        if not first.ws:
+            out.append(f"{pad}            if src[{e}] != {anchor}:")
+            out.append(f"{pad}                continue")
 
 
 class _Matcher:
-    """Backtracking matcher for one template over one span of a SourceMap.
+    """The candidate search of one template over one span of a SourceMap,
+    and its generated match_at.
 
     next_candidate and match_at are the only entry points; iter_matches and
     iter_nested_matches are both loops over them.
     """
 
     def __init__(self, template: Template, smap: SourceMap, end: int):
-        t = self.t = template.compiled
+        self.t = template.compiled
         self.smap = smap
         self.src = smap.source
-        self.lang = t.language
-        self.atoms = template.atoms
-        self.pieces = t.pieces
         self.end = end
-        self.hi = end
-        self.env: dict[str, tuple[int, int]] = {}
         self.table: list[int] | None = None  # the per-file candidate table, on first use
+        self.match_at = self.t.make_matcher(smap)
 
     def next_candidate(self, pos: int) -> int:
         """First offset at or after pos where a match may start, or the span end."""
@@ -368,221 +652,6 @@ class _Matcher:
             return end if m is None else m.start()
         return pos  # scan: every offset (rare templates)
 
-    def match_at(self, start: int, hi: int) -> Match | None:
-        """The nonempty match starting exactly at start and ending by hi, if any.
-
-        A leading expression or optional hole starts only at a left-maximal
-        unit start, whatever the window, and never inside a comment or a
-        string body, where only an empty optional hole could start.
-        """
-        if self.t.strategy in ("anchor", "units"):
-            if not self.t.unit_start_re.match(self.src, start):
-                return None
-            if self.atoms[0].kind is HoleKind.OPTIONAL and self.smap.kinds[start] in "#s":
-                return None
-        self.hi = hi
-        self.env.clear()
-        end = self._match_atoms(0, start, True)
-        if end is None or end <= start:
-            return None
-        return self._build(start, end)
-
-    def _build(self, start: int, end: int) -> Match:
-        bindings = {}
-        for name, (s, e) in self.env.items():
-            line, col = self.smap.line_col(s)
-            bindings[name] = Binding(self.src[s:e], s, e, line, col)
-        return Match(start, end, MatchEnvironment(bindings))
-
-    # -- atom dispatch -----------------------------------------------------
-
-    def _match_atoms(self, i: int, pos: int, prev_empty: bool) -> int | None:
-        atoms = self.atoms
-        if i == len(atoms):
-            return pos
-        atom = atoms[i]
-        if isinstance(atom, Literal):
-            p2 = self._match_literal(i, pos, prev_empty)
-            if p2 is None:
-                return None
-            return self._match_atoms(i + 1, p2, False)
-        kind = atom.kind
-        if kind is HoleKind.EXPRESSION:
-            return self._match_expression(i, pos)
-        if kind is HoleKind.OPTIONAL:
-            return self._match_optional(i, pos)
-        if kind is HoleKind.STRING_BODY:
-            return self._match_string_body(i, pos)
-        return self._match_everything(i, pos)
-
-    # -- literals ----------------------------------------------------------
-
-    def _match_literal(self, i: int, pos: int, prev_empty: bool) -> int | None:
-        for idx, piece in enumerate(self.pieces[i]):
-            if piece.ws:
-                p2 = self._skip_ws_comments(pos)
-                if p2 == pos and not (prev_empty and idx == 0):
-                    return None
-                pos = p2
-            else:
-                if not self._match_chunk(piece, pos):
-                    return None
-                pos += len(piece.text)
-        return pos
-
-    def _match_chunk(self, piece: _Piece, pos: int) -> bool:
-        src = self.src
-        end = pos + len(piece.text)
-        if end > self.hi or not src.startswith(piece.text, pos):
-            return False
-        lang = self.lang
-        if piece.ident_first and pos > 0 and lang.is_identifier_char(src[pos - 1]):
-            return False
-        if piece.ident_last and end < len(src) and lang.is_identifier_char(src[end]):
-            return False
-        # the chunk starts in code or at a string delimiter and crosses no comment
-        kinds = self.smap.kinds
-        return kinds[pos] in "cwd" and kinds.find("#", pos, end) < 0
-
-    def _skip_ws_comments(self, pos: int) -> int:
-        if pos >= self.hi:
-            return pos
-        return _WS_OR_COMMENT.match(self.smap.kinds, pos, self.hi).end()
-
-    # -- expression and optional holes ---------------------------------------
-
-    def _unit_chain_ends(self, pos: int) -> list[int]:
-        """Ends of successive adjoining units starting exactly at pos, read
-        from the SourceMap's unit table.
-
-        A value prefix leads only the first unit, in code, before an
-        identifier run.  The window cuts an identifier run at hi; a group or
-        string literal that closes past hi ends the chain.
-        """
-        ends: list[int] = []
-        src, hi, smap = self.src, self.hi, self.smap
-        units, kinds = smap.unit_ends, smap.kinds
-        p = pos
-        prefix = self.lang.value_prefix_chars
-        while p < hi and src[p] in prefix:
-            p += 1
-        if p > pos and (p not in units or p in smap.group_ends or not _CODE_ONLY.fullmatch(kinds, pos, p + 1)):
-            return ends
-        while p < hi:
-            end = units.get(p)
-            if end is None:
-                break
-            if end > hi:
-                if p in smap.group_ends or kinds[p] not in "cw":
-                    break
-                end = hi
-            ends.append(end)
-            p = end
-        return ends
-
-    def _left_maximal_ok(self, pos: int) -> bool:
-        src, lang = self.src, self.lang
-        ch = src[pos]
-        if lang.is_identifier_char(ch) or ch in lang.value_prefix_chars:
-            return pos == 0 or not lang.is_identifier_char(src[pos - 1])
-        return True
-
-    def _match_expression(self, i: int, pos: int) -> int | None:
-        if pos >= self.hi or not self._left_maximal_ok(pos):
-            return None
-        for e in reversed(self._unit_chain_ends(pos)):  # greedy: longest adjoining chain first
-            r = self._try_anchor(i, pos, e)
-            if r is not None:
-                return r
-        return None
-
-    def _match_optional(self, i: int, pos: int) -> int | None:
-        atoms = self.atoms
-        nxt = atoms[i + 1] if i + 1 < len(atoms) else None
-        empty_first = False
-        if isinstance(nxt, Literal):
-            empty_first = self._match_literal(i + 1, pos, True) is not None
-        if not empty_first:
-            r = self._match_expression(i, pos)
-            if r is not None:
-                return r
-        r = self._try_anchor(i, pos, pos)
-        if r is not None:
-            return r
-        if empty_first:
-            return self._match_expression(i, pos)
-        return None
-
-    # -- string-body holes ---------------------------------------------------
-
-    def _match_string_body(self, i: int, pos: int) -> int | None:
-        if pos >= self.hi:
-            return None
-        kinds = self.smap.kinds
-        if kinds[pos] == "s" and (pos == 0 or kinds[pos - 1] != "s"):
-            end = _BODY.match(kinds, pos).end()
-            if end > self.hi:
-                return None
-        elif kinds[pos] == "d":
-            end = pos  # empty string body, sitting on the close delimiter
-        else:
-            return None
-        return self._try_anchor(i, pos, end)
-
-    # -- everything / anonymous holes ----------------------------------------
-
-    def _match_everything(self, i: int, pos: int) -> int | None:
-        atoms = self.atoms
-        nxt = atoms[i + 1] if i + 1 < len(atoms) else None
-        if not isinstance(nxt, Literal):
-            # No literal anchor: bind up to the window end or the enclosing close.
-            return self._try_anchor(i, pos, self.smap.depth_zero_extent(pos, self.hi))
-        first_piece = self.pieces[i + 1][0]
-        anchor = " " if first_piece.ws else first_piece.text[0]
-        for at in self._anchor_places(i, pos, anchor):  # lazy: nearest place first
-            r = self._try_anchor(i, pos, at)
-            if r is not None:
-                return r
-        return None
-
-    def _anchor_places(self, i: int, pos: int, anchor: str) -> Iterator[int]:
-        """Where the anchor may start at depth zero in [pos, hi), in order:
-        in code and at string delimiters between brackets, at a bracket equal
-        to it, then at hi.  A close at depth zero, or an open that no close
-        before hi takes, ends the walk; each group costs one step."""
-        src, hi, smap = self.src, self.hi, self.smap
-        pat = self.t.scan_res[i]
-        kinds, brackets, any_close = smap.kinds, smap.brackets, smap.any_close
-        anchor_ws = anchor == " "
-        text = kinds if anchor_ws else src
-        j = bisect.bisect_left(brackets, pos)
-        gap = pos
-        while True:
-            b = brackets[j] if j < len(brackets) and brackets[j] < hi else hi
-            # strings and comments are opaque, but the anchor may start
-            # exactly at a string delimiter (e.g. a literal '"')
-            yield from (m.start() for m in pat.finditer(text, gap, b) if kinds[m.start()] in "cwd")
-            if b == hi:
-                yield hi
-                return
-            if anchor_ws or src[b] == anchor:
-                yield b
-            j = any_close[j]
-            if j < 0 or j == len(brackets) or brackets[j] >= hi:
-                return
-            gap = brackets[j] + 1
-            j += 1
-
-    def _try_anchor(self, i: int, start: int, at: int) -> int | None:
-        """Bind hole i to [start, at), if named, and match the rest from at."""
-        name = self.atoms[i].name
-        if name:
-            self.env[name] = (start, at)
-        r = self._match_atoms(i + 1, at, at == start)
-        if r is None and name:
-            del self.env[name]
-        return r
-
 
 # ---------------------------------------------------------------------------
 # Public matching API
@@ -592,7 +661,7 @@ def match_at(template: Template, smap: SourceMap, start: int, hi: int | None = N
     """The match starting exactly at start and ending by hi, if any: one try,
     with no candidate search."""
     hi = len(smap.source) if hi is None else hi
-    return _Matcher(_compiled_for(template, smap), smap, hi).match_at(start, hi)
+    return _compiled_for(template, smap).compiled.make_matcher(smap)(start, hi)
 
 
 def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> Iterator[Match]:

@@ -3,10 +3,13 @@
 These deliberately share no evaluation machinery with the package: the
 Datalog oracle recomputes every rule from scratch each round (no deltas,
 no indexes) and derives stratum levels by longest-path relaxation instead
-of SCC condensation.  The inner-match oracle shares only match_at, one
-try at one offset, with the package: it finds each level's next match by
-trying every offset in turn (where the package tries only the candidates
-of the template's compiled strategy), finds the next group afresh at every
+of SCC condensation.  interpret_at is the template matcher as an
+interpreter: it dispatches on each atom's kind, backtracks by recursion and
+splits the literals itself, where the package generates one function per
+template; it imports only the records and parse_template from templates.
+The inner-match oracle finds each level's next match by trying every
+offset in turn with it (where the package tries only the candidates of the
+template's compiled strategy), finds the next group afresh at every
 position, pairs each group by a fresh stack scan from its open
 (rescan_balanced, where the package looks the pair up in the SourceMap's
 per-file bracket table) and recurses once per nesting level.  The depth
@@ -30,7 +33,7 @@ from typing import Iterator
 from factlog.datalog import DatalogProgram, Variable
 from factlog.errors import FactlogError, LanguageError
 from factlog.languages import Region, SourceMap
-from factlog.templates import Match, Template, compile_template, match_at
+from factlog.templates import Binding, Hole, HoleKind, Literal, Match, MatchEnvironment, Template
 
 
 _UNBOUND = object()
@@ -162,7 +165,6 @@ def collect_inner(
     descends into every balanced subspan, emitting each enclosing match before
     the matches nested inside it, in source order otherwise.
     """
-    template = compile_template(template, smap.language)
     out: list[Match] = []
     pos = lo
     if not nested:
@@ -191,7 +193,7 @@ def collect_inner(
 def first_match(template: Template, smap: SourceMap, lo: int, hi: int) -> Match | None:
     """The match that starts first in [lo, hi), trying every offset."""
     for start in range(lo, hi):
-        m = match_at(template, smap, start, hi)
+        m = interpret_at(template, smap, start, hi)
         if m is not None:
             return m
     return None
@@ -360,3 +362,218 @@ def _string_literal_end(smap: SourceMap, pos: int) -> int:
         s3, e3, kind3 = intervals[idx + 2]
         return e3 if kind3 is Region.STRING_DELIMITER and s3 == e2 else e2
     return e2 if kind2 is Region.STRING_DELIMITER and s2 == e else e
+
+
+# ---------------------------------------------------------------------------
+# The template interpreter
+
+
+def interpret_at(template: Template, smap: SourceMap, start: int, hi: int) -> Match | None:
+    """The match starting exactly at start and ending by hi, if any, by a
+    backtracking interpreter over the template's atoms."""
+    return _Interpreter(template, smap, hi).run(start)
+
+
+def _split_literal(text: str) -> list[tuple[bool, str]]:
+    """(is whitespace, text) chunks of a literal atom."""
+    return [(part[0].isspace(), part) for part in re.findall(r"\s+|\S+", text)]
+
+
+class _Interpreter:
+    def __init__(self, template: Template, smap: SourceMap, hi: int):
+        self.atoms = template.atoms
+        self.smap = smap
+        self.src = smap.source
+        self.lang = smap.language
+        self.hi = hi
+        self.env: dict[str, tuple[int, int]] = {}
+
+    # -- regions, from the intervals ------------------------------------------
+
+    def _region(self, q: int) -> Region:
+        return interval_at(self.smap, q)[2]
+
+    def _code_or_delimiter_start(self, q: int) -> bool:
+        s, _, kind = interval_at(self.smap, q)
+        return kind is Region.CODE or (kind is Region.STRING_DELIMITER and s == q)
+
+    def _is_space(self, q: int) -> bool:
+        """Whitespace in code, or a comment."""
+        kind = self._region(q)
+        return kind is Region.COMMENT or (kind is Region.CODE and self.src[q].isspace())
+
+    def _is_bracket(self, q: int) -> bool:
+        lang = self.lang
+        return self._region(q) is Region.CODE and self.src[q] in lang.open_chars + lang.close_chars
+
+    # -- entry ---------------------------------------------------------------
+
+    def run(self, start: int) -> Match | None:
+        atoms, src, lang = self.atoms, self.src, self.lang
+        if atoms and isinstance(atoms[0], Hole) and atoms[0].kind in (HoleKind.EXPRESSION, HoleKind.OPTIONAL):
+            # a leading hole starts only at a left-maximal unit start
+            opens = lang.value_prefix_chars + lang.open_chars + "".join(o[0] for o, _, _ in lang.string_delimiters)
+            if start >= len(src) or (start > 0 and lang.is_identifier_char(src[start - 1])):
+                return None
+            if not (lang.is_identifier_char(src[start]) or src[start] in opens):
+                return None
+            if atoms[0].kind is HoleKind.OPTIONAL and self._region(start) in (Region.COMMENT, Region.STRING_BODY):
+                return None
+        end = self._match_atoms(0, start, True)
+        if end is None or end <= start:
+            return None
+        bindings = {}
+        for name, (s, e) in self.env.items():
+            line = src.count("\n", 0, s) + 1
+            column = s - (src.rfind("\n", 0, s) + 1) + 1
+            bindings[name] = Binding(src[s:e], s, e, line, column)
+        return Match(start, end, MatchEnvironment(bindings))
+
+    # -- atom dispatch -------------------------------------------------------
+
+    def _match_atoms(self, i: int, pos: int, prev_empty: bool) -> int | None:
+        atoms = self.atoms
+        if i == len(atoms):
+            return pos
+        atom = atoms[i]
+        if isinstance(atom, Literal):
+            p2 = self._match_literal(i, pos, prev_empty)
+            if p2 is None:
+                return None
+            return self._match_atoms(i + 1, p2, False)
+        if atom.kind is HoleKind.EXPRESSION:
+            return self._match_expression(i, pos)
+        if atom.kind is HoleKind.OPTIONAL:
+            return self._match_optional(i, pos)
+        if atom.kind is HoleKind.STRING_BODY:
+            return self._match_string_body(i, pos)
+        return self._match_everything(i, pos)
+
+    def _match_literal(self, i: int, pos: int, prev_empty: bool) -> int | None:
+        for idx, (ws, text) in enumerate(_split_literal(self.atoms[i].text)):
+            if ws:
+                p2 = pos
+                while p2 < self.hi and self._is_space(p2):
+                    p2 += 1
+                if p2 == pos and not (prev_empty and idx == 0):
+                    return None
+                pos = p2
+            else:
+                if not self._match_chunk(text, pos):
+                    return None
+                pos += len(text)
+        return pos
+
+    def _match_chunk(self, text: str, pos: int) -> bool:
+        src, ident = self.src, self.lang.is_identifier_char
+        end = pos + len(text)
+        if end > self.hi or src[pos:end] != text:
+            return False
+        if ident(text[0]) and pos > 0 and ident(src[pos - 1]):
+            return False
+        if ident(text[-1]) and end < len(src) and ident(src[end]):
+            return False
+        # starts in code or at a string delimiter, crosses no comment
+        if not self._code_or_delimiter_start(pos):
+            return False
+        return all(self._region(q) is not Region.COMMENT for q in range(pos, end))
+
+    def _try(self, i: int, start: int, at: int) -> int | None:
+        """Bind hole i to [start, at), if named, and match the rest from at."""
+        name = self.atoms[i].name
+        if name:
+            self.env[name] = (start, at)
+        r = self._match_atoms(i + 1, at, at == start)
+        if r is None and name:
+            del self.env[name]
+        return r
+
+    # -- holes ---------------------------------------------------------------
+
+    def _chain_ends(self, pos: int) -> list[int]:
+        """unit_chain_ends, except that a closing string delimiter starts no
+        unit."""
+        smap = self.smap
+        delimiters = [s for s, _, kind in smap.intervals if kind is Region.STRING_DELIMITER]
+        if pos in delimiters[1::2]:  # classify's delimiters alternate open and close
+            return []
+        return unit_chain_ends(smap, pos, self.hi)
+
+    def _match_expression(self, i: int, pos: int) -> int | None:
+        for e in reversed(self._chain_ends(pos)):  # greedy: longest chain first
+            r = self._try(i, pos, e)
+            if r is not None:
+                return r
+        return None
+
+    def _match_optional(self, i: int, pos: int) -> int | None:
+        atoms = self.atoms
+        nxt = atoms[i + 1] if i + 1 < len(atoms) else None
+        empty_first = isinstance(nxt, Literal) and self._match_literal(i + 1, pos, True) is not None
+        if not empty_first:
+            r = self._match_expression(i, pos)
+            if r is not None:
+                return r
+        r = self._try(i, pos, pos)
+        if r is not None:
+            return r
+        if empty_first:
+            return self._match_expression(i, pos)
+        return None
+
+    def _match_string_body(self, i: int, pos: int) -> int | None:
+        if pos >= self.hi:
+            return None
+        s, e, kind = interval_at(self.smap, pos)
+        if kind is Region.STRING_BODY and (pos == 0 or self._region(pos - 1) is not Region.STRING_BODY):
+            end = pos
+            while end < len(self.src) and self._region(end) is Region.STRING_BODY:
+                end += 1
+            if end > self.hi:
+                return None
+        elif kind is Region.STRING_DELIMITER and s == pos:
+            end = pos  # empty string body, sitting on the close delimiter
+        else:
+            return None
+        return self._try(i, pos, end)
+
+    def _match_everything(self, i: int, pos: int) -> int | None:
+        atoms = self.atoms
+        nxt = atoms[i + 1] if i + 1 < len(atoms) else None
+        if not isinstance(nxt, Literal):
+            # no literal anchor: up to the window end or the enclosing close
+            return self._try(i, pos, count_depth_zero_extent(self.smap, pos, self.hi))
+        ws, text = _split_literal(nxt.text)[0]
+        for at in self._places(pos, None if ws else text[0]):  # lazy: nearest place first
+            r = self._try(i, pos, at)
+            if r is not None:
+                return r
+        return None
+
+    def _places(self, pos: int, anchor: str | None) -> Iterator[int]:
+        """Where the next literal may start at depth zero in [pos, hi), in
+        order, by a walk that jumps each group with the depth counter: in
+        code and at string delimiters, at a bracket equal to the anchor
+        (any bracket for a whitespace anchor, None), then at hi.  A close
+        at depth zero, or an open that no close before hi takes, ends it."""
+        src, hi, lang = self.src, self.hi, self.lang
+        q = pos
+        while q < hi:
+            if self._is_bracket(q):
+                if anchor is None or src[q] == anchor:
+                    yield q
+                if src[q] in lang.close_chars:
+                    return
+                close = count_depth_zero_extent(self.smap, q + 1, hi)
+                if close >= hi:
+                    return
+                q = close + 1
+                continue
+            if self._code_or_delimiter_start(q):
+                if anchor is None:
+                    if self._region(q) is not Region.CODE or src[q].isspace():
+                        yield q
+                elif src[q] == anchor:
+                    yield q
+            q += 1
+        yield hi

@@ -652,6 +652,39 @@ class TestLangdef:
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["holes"]["x"]["text"] for r in records] == ["alpha"]
 
+    def test_template_text_is_never_code(self, capsys, tmp_path):
+        # quotes, a triple quote, a backslash, braces, '#' and a newline in
+        # the literals, and holes named like the generated code's locals,
+        # through --template and through a spec: each matches as text
+        from oracles import collect_inner
+        from test_templates import TRICKY, TRICKY_HOLES
+
+        text, source = TRICKY
+        langdef = tmp_path / "plain.lang"
+        langdef.write_text("[plain]\n", encoding="utf-8")
+        src = tmp_path / "prog.plain"
+        src.write_text(source, encoding="utf-8")
+        spec = tmp_path / "tricky.spec"
+        holes = ", ".join(f'"${h}"' for h in TRICKY_HOLES)
+        spec.write_text(f"[match]\n{text}\n\n[rewrite]\nhit({holes}).\n", encoding="utf-8")
+        outputs = []
+        for how in (["-t", text], ["--spec", str(spec)]):
+            code, out, _ = run(capsys, "match", str(src), "--lang", "plain", *how, "--langdef", str(langdef))
+            assert code == EXIT_OK
+            outputs.append([json.loads(line) for line in out.splitlines()])
+        smap = factlog.classify(source, factlog.get_language("plain"))
+        want = [
+            {"start": m.start, "end": m.end, "holes": {h: b.text for h, b in m.env.bindings.items()}}
+            for m in collect_inner(factlog.parse_template(text), smap, 0, len(source), False)
+        ]
+        assert [m["holes"]["hi"] for m in want] == ["b", "y"]
+        for records in outputs:
+            got = [
+                {"start": r["start"], "end": r["end"], "holes": {h: b["text"] for h, b in r["holes"].items()}}
+                for r in records
+            ]
+            assert got == want
+
 
 UNDECODABLE = b'edge("a", "b").\n\xff\n'
 

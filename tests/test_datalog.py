@@ -285,6 +285,41 @@ class TestEvaluate:
         }
         assert query(solved, f"tag({format_value(code)}, X)") == {(broken,)}
 
+    @pytest.mark.parametrize("length", [20, 21, 25, 70])
+    def test_long_bodies_compile_past_the_nesting_limit(self, length):
+        # one nested loop per positive literal; CPython allows 20 in one
+        # function, and 100 levels of indentation, which 70 literals with
+        # their extra probes, membership tests and a negation pass
+        body = ", ".join(f"edge(A{i}, A{i + 1})" for i in range(length))
+        extra = ", ".join(f"edge(A{i}, B{i}), edge(B{i}, A{i + 2})" for i in range(0, length - 1, 7))
+        prog = parse_program(
+            f"chain(A0, A{length}) :- {body}.\n"
+            f"loop(A0, A{length}) :- {body}, {extra}, !edge(A{length}, A0).\n"
+        )
+        # every node has one successor, so each start has one walk of each
+        # length: a chain into a cycle, and a chain that ends
+        edges = [(f"n{i}", f"n{i + 1}") for i in range(9)] + [("n9", "n5")]
+        edges += [(f"m{i}", f"m{i + 1}") for i in range(length + 3)]
+        solved = evaluate(prog, edge_db(*edges))
+        oracle = naive_evaluate(prog, edge_db(*edges))
+        assert len(solved.tuples("chain")) == 14
+        assert solved.tuples("chain") == oracle["chain"]
+        assert solved.tuples("loop") == oracle["loop"]
+        for start in ("n0", "m1"):
+            pattern = parse_query(f'chain("{start}", X)')
+            want = {(y,) for x, y in oracle["chain"] if x == start}
+            assert len(want) == 1 and query(solved, pattern) == want
+            goal = goal_directed(prog, edge_db(*edges), pattern)
+            assert query(evaluate(goal.program, goal.edb), goal.pattern) == want
+    def test_many_tests_compile_past_the_indentation_limit(self):
+        # each bound literal and each negation is an if block: 120 of them
+        # nest deeper than CPython's 100 levels of indentation
+        tests = ", ".join(["edge(X, Y)"] * 60 + [f"!edge(Y, {format_value(f'z{i}')})" for i in range(60)])
+        prog = parse_program(f"out(X, Y) :- edge(X, Y), {tests}.\n")
+        edges = [("a", "b"), ("b", "z7"), ("c", "a")]
+        solved = evaluate(prog, edge_db(*edges))
+        assert solved.tuples("out") == naive_evaluate(prog, edge_db(*edges))["out"] == {("b", "z7"), ("c", "a")}
+
 
 class TestQuery:
     @pytest.fixture()

@@ -109,6 +109,23 @@ class TestDatabase:
         with pytest.raises(ArityMismatch, match=r"^relation e holds 2-tuples, got 1-tuple$"):
             c.merge(Database({"e": {("z",)}}))
 
+    def test_add_checks_the_arity_it_recorded(self):
+        db = Database()
+        db.add("e", ("x", "y"))
+        db.merge(Database({"f": {(1,)}}))
+        db.relations["g"] = {("p", "q", "r")}  # filled directly: sampled on the next add
+        for relation, row, message in (
+            ("e", ("z",), "holds 2-tuples, got 1-tuple"),
+            ("f", (1, 2), "holds 1-tuples, got 2-tuple"),
+            ("g", ("p", "q"), "holds 3-tuples, got 2-tuple"),
+        ):
+            with pytest.raises(ArityMismatch, match=rf"^relation {relation} {message}$"):
+                db.add(relation, row)
+        db.relations["e"].clear()  # an empty relation takes any arity, as before
+        db.add("e", ("z",))
+        with pytest.raises(ArityMismatch, match=r"^relation e holds 1-tuples, got 2-tuple$"):
+            db.add("e", ("x", "y"))
+
     @settings(max_examples=300)
     @given(st.lists(st.tuples(*[st.integers(-3, 3) | st.sampled_from(["", "a", "b"])] * 3), max_size=12))
     def test_sorted_tuples_is_the_order_of_whole_tuples(self, rows):

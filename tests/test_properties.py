@@ -4,11 +4,12 @@ round-trip invariants for the text formats."""
 from __future__ import annotations
 
 import ast
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factlog import (
@@ -31,10 +32,11 @@ from factlog import (
 )
 from factlog.datalog import goal_directed
 from factlog.facts import Fact, format_value, parse_fact_line
-from factlog.templates import Hole, Literal, _Matcher, compile_template, iter_nested_matches
+from factlog.templates import Hole, Literal, compile_template, iter_nested_matches, match_at
 from oracles import (
     collect_inner,
     count_depth_zero_extent,
+    interpret_at,
     interval_at,
     naive_evaluate,
     reachability,
@@ -568,6 +570,30 @@ UNIT_SOURCE = st.one_of(
 )
 
 
+def _table_chain_ends(smap, pos: int, hi: int) -> list[int]:
+    """The unit chain from pos read from the unit table, as a generated
+    matcher walks it: empty unless pos is a left-maximal start."""
+    src, lang, units, kinds = smap.source, smap.language, smap.unit_ends, smap.kinds
+    ident, prefix = lang.is_identifier_char, lang.value_prefix_chars
+    if (ident(src[pos]) or src[pos] in prefix) and pos > 0 and ident(src[pos - 1]):
+        return []
+    p = pos
+    while p < hi and src[p] in prefix:
+        p += 1
+    if p > pos and (p not in units or p in smap.group_ends or any(k not in "cw" for k in kinds[pos : p + 1])):
+        return []
+    ends = []
+    while p < hi and p in units:
+        end = units[p]
+        if end > hi:
+            if p in smap.group_ends or kinds[p] not in "cw":
+                break
+            end = hi
+        ends.append(end)
+        p = end
+    return ends
+
+
 class TestUnitTableAgainstOracle:
     @given(UNIT_SOURCE, st.sampled_from((GO, C, ZIG)), st.data())
     @settings(max_examples=400, deadline=None)
@@ -578,13 +604,94 @@ class TestUnitTableAgainstOracle:
         # unit, which the table deliberately does not
         delimiters = [s for s, _, kind in smap.intervals if kind is Region.STRING_DELIMITER]
         closes = set(delimiters[1::2])
-        template = compile_template(parse_template("$x"), lang)
         for hi in (n, data.draw(st.integers(0, n))):
-            matcher = _Matcher(template, smap, hi)
             for pos in range(hi):
                 if pos not in closes:
-                    got = matcher._unit_chain_ends(pos) if matcher._left_maximal_ok(pos) else []
-                    assert got == unit_chain_ends(smap, pos, hi), pos
+                    assert _table_chain_ends(smap, pos, hi) == unit_chain_ends(smap, pos, hi), pos
+
+
+# ---------------------------------------------------------------------------
+# Generated matchers against the interpreter
+
+# Every hole kind among brackets, strings, comments, operators and
+# identifiers; each $H gets a name of its own.
+MATCH_PIECES = st.sampled_from((
+    "$H", "$H*", "$H?", '"$H"', "...", "(", ")", "[", "]", "{", "}", " ", "\n", ",", "=", "+", "*",
+    "f", "x", "g(", '"', "'", "`", "/*", "*/", "//", ";",
+))
+MATCH_TEMPLATES = st.lists(MATCH_PIECES, min_size=1, max_size=7).map(
+    lambda parts: "".join(part.replace("H", f"h{k}") for k, part in enumerate(parts))
+)
+HOLES = ("$H", "$H*", "$H?", '"$H"', "...")
+SOURCE_TOKEN = re.compile(r"[A-Za-z0-9_.]+|\s+|.", re.S)
+# empty strings and spaced groups, which the fragments above lack
+MATCH_EXTRAS = st.sampled_from(('""', 'f("")', "''", "(a, b)", " (x) ", "a /* c */ b", "x\t= y"))
+MATCH_SOURCE = st.one_of(
+    NESTED_SOURCE,
+    CHAIN_SOURCE,
+    st.lists(st.one_of(CHAIN_FRAGMENTS, NESTED_LEAVES, UNIT_EXTRAS, MATCH_EXTRAS), max_size=8).map("".join),
+)
+
+
+@st.composite
+def sources_and_templates(draw):
+    """A source, and a template that is mostly a piece of it: a run of its
+    tokens, holes of every kind standing for none to three of them, and
+    spaces put in, so that most templates match somewhere and many have to
+    backtrack."""
+    source = draw(MATCH_SOURCE)
+    tokens = SOURCE_TOKEN.findall(source)
+    if not tokens or draw(st.integers(0, 3)) == 0:
+        return source, draw(MATCH_TEMPLATES)
+    k = draw(st.integers(0, len(tokens) - 1))
+    end = draw(st.integers(k + 1, min(len(tokens), k + 10)))
+    parts: list[str] = []
+    while k < end and len(parts) < 16:
+        action = draw(st.sampled_from(("keep", "keep", "keep", "space", *HOLES)))
+        if action == "keep":
+            parts.append(tokens[k])
+        elif action == "space":
+            parts.append(" " + tokens[k])
+        else:
+            parts.append(action.replace("$H", f"$h{len(parts)}"))
+            k += draw(st.integers(-1, 2))
+        k += 1
+    return source, "".join(parts)
+
+
+def _one_match_key(m) -> tuple | None:
+    return None if m is None else (m.start, m.end, sorted(m.env.bindings.items()))
+
+
+class TestGeneratedMatcherAgainstInterpreter:
+    @given(sources_and_templates(), st.sampled_from((GO, C, ZIG)), st.integers(0, 200))
+    # paths that drawn templates reach rarely: an empty string body, an
+    # optional hole that binds empty first and then more, whitespace after
+    # an empty ..., a chain cut by the window, a literal quote, a leading
+    # optional hole inside a string, a value prefix before a group, a value
+    # prefix right after an identifier, and a literal inside an identifier
+    @example(('x ""', 'x "$h0"'), GO, 200)
+    @example(("f*p", "f$h0"), GO, 200)
+    @example(("(ax)", "(...x)"), C, 200)
+    @example(('"abc" x', "$h0?$h1*"), GO, 200)
+    @example(("*(x) = *y", "$h0 = $h1"), GO, 200)
+    @example(("f(a)(b)", "f$h1?(...)"), GO, 200)
+    @example(("()", "(... )"), C, 200)
+    @example(("abc(x)", "$h0"), C, 2)
+    @example(('f(")", \')\')', "f($h0*)"), GO, 200)
+    @settings(max_examples=600, deadline=None)
+    def test_match_at_equals_interpreter_at_every_offset(self, source_and_template, lang, cut):
+        source, text = source_and_template
+        try:
+            template = compile_template(parse_template(text), lang)
+        except FactlogError:
+            assume(False)
+        smap = classify(source, lang)
+        n = len(source)
+        for hi in sorted({n, min(cut, n)}):
+            for start in range(hi + 1):
+                got = match_at(template, smap, start, hi)
+                assert _one_match_key(got) == _one_match_key(interpret_at(template, smap, start, hi)), start
 
 
 class TestOracleIndependence:
@@ -604,6 +711,13 @@ class TestOracleIndependence:
         "unit_ends",
         "kinds",
         "region_at",
+        "match_at",
+        "make_matcher",
+    }
+    # records, and the parser that makes them, are all the oracles may take
+    # from templates
+    TEMPLATE_NAMES = {
+        "parse_template", "Template", "Literal", "Hole", "HoleKind", "Binding", "MatchEnvironment", "Match",
     }
 
     def test_oracles_do_not_use_the_bracket_table(self):
@@ -617,3 +731,11 @@ class TestOracleIndependence:
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
         assert not used & self.CHECKED
+
+    def test_oracles_take_only_records_from_templates(self):
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "factlog.templates":
+                assert {alias.name for alias in node.names} <= self.TEMPLATE_NAMES
+            elif isinstance(node, ast.Import):
+                assert all(alias.name != "factlog.templates" for alias in node.names)

@@ -18,6 +18,7 @@ import pytest
 from factlog import (
     ARITH,
     GO,
+    classify,
     AnalysisPreset,
     Atom,
     Binding,
@@ -38,7 +39,7 @@ from factlog import (
     parse_template,
 )
 from factlog.rewrite import SubstLiteral, Substitution
-from factlog.templates import Literal, Property, compile_template
+from factlog.templates import Literal, Property, _compile, compile_template, iter_matches
 
 SPEC = (
     '[match]\nfunc $f() {$body*}\n\n'
@@ -227,11 +228,16 @@ def test_pool_payload_survives_pickle():
 
     def compiled(template):
         c = template.compiled
-        return c.language, c.pieces, c.strategy, c.key, c.unit_start_re, c.scan_res
+        return c.atoms, c.language, c.pieces, c.strategy, c.key, c.unit_start_re
 
+    # the generated matcher is not pickled: a copy compiles its template again
+    smap = classify("func (s *T) Run(x int) error { return s.f(x) }\nfunc g() { h() }\n", GO)
     for spec in load_preset("callgraph-go-methods").fact_specs:
-        copy = pickle.loads(pickle.dumps(spec))
+        payload = pickle.dumps(spec)
+        _compile.cache_clear()
+        copy = pickle.loads(payload)
         assert copy == spec and repr(copy) == repr(spec)
         assert compiled(copy.match) == compiled(spec.match)
+        assert list(iter_matches(copy.match, smap)) == list(iter_matches(spec.match, smap)) != []
         for ours, theirs in zip(copy.rule.nested_rewrites, spec.rule.nested_rewrites):
             assert compiled(ours.inner_match) == compiled(theirs.inner_match)

@@ -18,7 +18,8 @@ from factlog import (
     iter_matches,
     parse_template,
 )
-from factlog.templates import Hole, Literal, iter_nested_matches
+from factlog.templates import Hole, Literal, iter_nested_matches, match_at
+from oracles import collect_inner, interpret_at
 
 
 def go_match(template: str, source: str):
@@ -343,3 +344,72 @@ class TestNestedDescentGrowth:
     def test_anonymous_hole_jumps_over_deep_nesting(self, text, opener, per_level):
         # ... steps over each inner group to its partner instead of rescanning it
         assert self.total_ratio(text, opener, ")", per_level) <= 2.5
+
+
+# ---------------------------------------------------------------------------
+# Generated matchers: template text stays data, and no template is too long
+
+
+PLAIN = LanguageDefinition(name="plain-text")  # no comments, no strings: every character is code
+
+# Literals holding quotes, a triple quote, a backslash, braces, '#' and a
+# newline, and holes named like the generated code's locals and constants.
+TRICKY = (
+    '$src "x" \'\'\'$hi\'\'\' \\ {$start} # $kinds\n$env {} $p $s0 {C0} $C0 """;',
+    'a "x" \'\'\'b\'\'\' \\ {c} # d\ne {} f g {C0} h """;\nz "x" \'\'\'y\'\'\' \\ {w} # v\nu {} t s {C0} r """;\n',
+)
+TRICKY_HOLES = ("src", "hi", "start", "kinds", "env", "p", "s0", "C0")
+
+
+def _key(m) -> tuple | None:
+    return None if m is None else (m.start, m.end, sorted(m.env.bindings.items()))
+
+
+def _agrees_with_interpreter(template, smap) -> list:
+    """The matches, after checking match_at against the interpreter at
+    every offset and the scan against the oracle's first-match scan."""
+    n = len(smap.source)
+    for start in range(n + 1):
+        assert _key(match_at(template, smap, start)) == _key(interpret_at(template, smap, start, n)), start
+    found = list(iter_matches(template, smap))
+    assert [_key(m) for m in found] == [_key(m) for m in collect_inner(template, smap, 0, n, False)]
+    return found
+
+
+class TestGeneratedCode:
+    def test_template_text_is_never_code(self):
+        text, source = TRICKY
+        found = _agrees_with_interpreter(parse_template(text), classify(source, PLAIN))
+        assert [[m.env[h].text for h in TRICKY_HOLES] for m in found] == [
+            ["a", "b", "c", "d", "e", "f", "g", "h"],
+            ["z", "y", "w", "v", "u", "t", "s", "r"],
+        ]
+
+    @pytest.mark.parametrize(
+        "lang, text, source, want",
+        [
+            ("c", 'printf("%s\\n", $src);', 'printf("%s\\n", name); printf("%d\\n", n);', ["name"]),
+            ("c", "#define $hi '\\\\'", "#define BS '\\\\'\n", ["BS"]),
+            ("go", 'fmt.Println("$start", $env)', 'fmt.Println("{}", x)\nfmt.Println("", y)\n', ["{}", ""]),
+        ],
+    )
+    def test_quotes_and_backslashes_match_as_text(self, lang, text, source, want):
+        template = parse_template(text)
+        found = _agrees_with_interpreter(template, classify(source, get_language(lang)))
+        assert [m.env[template.hole_names()[0]].text for m in found] == want
+
+    @pytest.mark.parametrize(
+        "text, source",
+        [
+            ("(...)" * 25, "(a)" * 24 + "(b, (c))" + "(d)"),
+            (" ".join(f"$v{i}" for i in range(25)), " ".join(f"f{i}(x)" for i in range(26))),
+            (",".join(f"$v{i}?" for i in range(25)) + ";", ",".join(f"a{i}" for i in range(0, 25, 2)) + ",,,,,,,,,,,,;"),
+            ("".join(f"[$v{i}*]" for i in range(25)), "[a][]" * 12 + "[b [c] d][e]"),
+            # at the unpaired "(" every hole binds empty: an empty match is none
+            ("".join(f"$v{i}?" for i in range(25)), "( a (b)"),
+        ],
+    )
+    def test_more_backtracking_holes_than_nested_loops_allow(self, text, source):
+        # CPython compiles at most 20 nested loops in one function
+        template = parse_template(text)
+        assert _agrees_with_interpreter(template, classify(source, GO))
