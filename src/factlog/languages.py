@@ -134,7 +134,8 @@ class SourceMap:
     body, "d" the first character of a string delimiter and "e" the rest of
     one, so adjoining delimiters (the two of "") stay apart.
     group_ends, brackets and any_close, one table per bracket rule, come
-    from one pass over the brackets in code (see _pair_brackets).  unit_ends
+    from one pass over the brackets in code (see _pair_brackets), and
+    group_opens lists the keys of group_ends in order.  unit_ends
     maps the start of every unit to its end (see _unit_table); no two units
     end at the same offset, so {end: start} is its exact inverse.
     candidate_tables holds the offsets where a template that starts with a
@@ -152,25 +153,9 @@ class SourceMap:
         self.kinds = _kind_string(source, intervals)
         self._line_starts = _line_start_table(self.source)
         self.group_ends, self.brackets, self.any_close = _pair_brackets(self.source, self.language, self.intervals)
-        self._group_opens = sorted(self.group_ends)
+        self.group_opens = sorted(self.group_ends)
         self.unit_ends = _unit_table(self.source, self.language, self.intervals, self.group_ends)
         self.candidate_tables: dict[str, list[int]] = {}
-
-    def next_group(self, pos: int, hi: int) -> tuple[int, int]:
-        """(open, one past close) of the first paired group that opens at or
-        after pos and closes by hi; (hi, hi) if none.
-
-        The opens skipped on the way all enclose hi, so the walk is no longer
-        than the nesting depth at hi.
-        """
-        opens, ends = self._group_opens, self.group_ends
-        for i in range(bisect.bisect_left(opens, pos), len(opens)):
-            start = opens[i]
-            if start >= hi:
-                break
-            if ends[start] <= hi:
-                return start, ends[start]
-        return hi, hi
 
     def depth_zero_extent(self, pos: int, hi: int) -> int:
         """The first close in [pos, hi) that no open at or after pos takes

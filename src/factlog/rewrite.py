@@ -40,7 +40,7 @@ import sys
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, TypeVar, Union
+from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import FactlogError, MalformedFact, MalformedHole, SpecFormatError, UnboundHole, read_text
 from .facts import Database, parse_fact_line
@@ -238,16 +238,73 @@ class NestedRewrite(NamedTuple):
     inner_rewrite: RewriteTemplate
 
 
-class RuleSpec(NamedTuple):
+# One hole's conditions as one test: the hole's text must be in the set
+# (True) or must not be (False).
+HoleTest = tuple[str, frozenset[str], bool]
+
+
+class RulePlan(NamedTuple):
+    """A rule's conditions folded, one test per hole.  gates are tested
+    against the outer match; outer names the holes they read that no inner
+    template binds, and inner_names the holes the inner templates bind.  Per
+    nested rewrite: the tests of its inner matches, and the outer holes its
+    rewrite reads."""
+
+    gates: tuple[HoleTest, ...]
+    outer: frozenset[str]
+    inner_names: frozenset[str]
+    nested: tuple[tuple[tuple[HoleTest, ...], tuple[str, ...]], ...]
+
+
+class _RuleFields(NamedTuple):
     nested: bool = False
     conditions: tuple[Condition, ...] = ()
     nested_rewrites: tuple[NestedRewrite, ...] = ()
+    plan: RulePlan | None = None
 
-    def inner_hole_names(self) -> set[str]:
-        names: set[str] = set()
-        for nr in self.nested_rewrites:
-            names.update(nr.inner_match.hole_names())
-        return names
+
+class RuleSpec(_RuleFields):
+    """A rule's items and their plan, which is planned again from the items
+    whenever a RuleSpec is made, replaced or unpickled.  repr leaves the
+    plan out."""
+
+    __slots__ = ()
+
+    def __new__(cls, nested=False, conditions=(), nested_rewrites=(), plan=None) -> RuleSpec:
+        return super().__new__(cls, nested, conditions, nested_rewrites, _plan_rule(conditions, nested_rewrites))
+
+    @classmethod
+    def _make(cls, iterable) -> RuleSpec:
+        return cls(*iterable)
+
+    def __repr__(self) -> str:
+        return f"RuleSpec(nested={self.nested!r}, conditions={self.conditions!r}, nested_rewrites={self.nested_rewrites!r})"
+
+
+def _plan_rule(conditions: tuple[Condition, ...], nested_rewrites: tuple[NestedRewrite, ...]) -> RulePlan:
+    inner_names = frozenset(name for nr in nested_rewrites for name in nr.inner_match.hole_names())
+    nested = []
+    for nr in nested_rewrites:
+        names = set(nr.inner_match.hole_names())
+        # every inner match binds all of its holes, which hide the outer ones
+        outer = dict.fromkeys(name for name in _substituted(nr.inner_rewrite) if name not in names)
+        nested.append((_fold([c for c in conditions if c.hole in names]), tuple(outer)))
+    outer_holes = frozenset(c.hole for c in conditions if c.hole not in inner_names)
+    return RulePlan(_fold(conditions), outer_holes, inner_names, tuple(nested))
+
+
+def _fold(conditions: Sequence[Condition]) -> tuple[HoleTest, ...]:
+    """One test per hole, in the order the holes first appear."""
+    tests = []
+    for hole in dict.fromkeys(c.hole for c in conditions):
+        eq = {c.value for c in conditions if c.hole == hole and c.op is CondOp.EQ}
+        neq = {c.value for c in conditions if c.hole == hole and c.op is CondOp.NEQ}
+        if eq:
+            # == admits one text at most: none when two differ or a != excludes it
+            tests.append((hole, frozenset(eq if len(eq) == 1 and not eq & neq else ()), True))
+        else:
+            tests.append((hole, frozenset(neq), False))
+    return tuple(tests)
 
 
 EMPTY_RULE = RuleSpec()
@@ -424,7 +481,7 @@ def _unbound_holes(spec: FactSpec) -> list[tuple[str, str]]:
     """(section, hole) for every hole the rule or rewrite reads that no
     match binds at that point, in the order apply_rule reads them."""
     bound = set(spec.match.hole_names())
-    inner = spec.rule.inner_hole_names()
+    inner = spec.rule.plan.inner_names
     out = [("rule", c.hole) for c in spec.rule.conditions if c.hole not in bound | inner]
     for nr in spec.rule.nested_rewrites:
         if nr.target not in bound:
@@ -457,44 +514,55 @@ def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> RuleOu
 
     Conditions on holes bound by the outer match gate the whole rule;
     conditions naming holes bound only inside nested rewrites filter the
-    individual inner matches instead.
+    individual inner matches instead.  Each hole's conditions are one test
+    of the rule's plan; a vetoed inner match still consumes its window.
     """
-    inner_names = rule.inner_hole_names()
-    for cond in rule.conditions:
-        if cond.hole in env:
-            if not cond.holds(env[cond.hole].text):
-                return None
-        elif cond.hole not in inner_names:
-            raise UnboundHole(f"condition names unbound hole ${cond.hole}")
-    bindings = _Bindings(env.bindings)
+    plan = rule.plan
+    found = env.bindings
+    if not found.keys() >= plan.outer:  # a condition names a hole no match binds
+        return _gate_in_order(rule, env)
+    for hole, values, keep in plan.gates:
+        b = found.get(hole)
+        if b is not None and (b.text in values) is not keep:
+            return None
+    bindings = _Bindings(found)
     inner: dict[str, list] = {}
     inner_matches = iter_nested_matches if rule.nested else iter_matches
-    for nr in rule.nested_rewrites:
+    for nr, (tests, names) in zip(rule.nested_rewrites, plan.nested):
         target = env[nr.target]
-        names = set(nr.inner_match.hole_names())
-        # every inner match binds all of its holes, which hide the outer ones
-        conditions = [c for c in rule.conditions if c.hole in names]
         outer = {}
-        for name in _substituted(nr.inner_rewrite):
-            if name not in names:
-                try:
-                    outer[name] = bindings[name]
-                except KeyError:
-                    pass  # unbound: the first inner match that is kept raises
+        for name in names:
+            try:
+                outer[name] = bindings[name]
+            except KeyError:
+                pass  # unbound: the first inner match that is kept raises
         items: list = []
         kept = []
+        lines = nr.inner_rewrite.lines
         for m in inner_matches(nr.inner_match, smap, target.start, target.end):
             found = m.env.bindings
-            for cond in conditions:
-                if not cond.holds(found[cond.hole].text):
+            for hole, values, keep in tests:
+                if (found[hole].text in values) is not keep:
                     break
             else:
                 found = {**found, **outer} if outer else found
-                _emit(nr.inner_rewrite.lines, found, items)
+                _emit(lines, found, items)
                 kept.append(found)
         inner[nr.target] = items
         bindings.defer(nr.target, partial(_joined, nr.inner_rewrite, kept, target))
     return RuleOutput(MatchEnvironment(bindings), inner)
+
+
+def _gate_in_order(rule: RuleSpec, env: MatchEnvironment) -> None:
+    """The conditions one at a time, in the rule's order, when one of them
+    names an unbound hole: a failed one before it vetoes the match (None),
+    and otherwise that condition raises."""
+    for cond in rule.conditions:
+        if cond.hole in env:
+            if not cond.holds(env[cond.hole].text):
+                return
+        elif cond.hole not in rule.plan.inner_names:
+            raise UnboundHole(f"condition names unbound hole ${cond.hole}")
 
 
 class _Bindings(dict):

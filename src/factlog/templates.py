@@ -693,19 +693,30 @@ def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -
     window is plain text, and so is a mismatched close.
 
     One matcher serves the whole walk and an explicit stack of windows
-    replaces recursion.  The offsets tried only ever increase, so a single
-    cached next candidate serves every level and each offset is tried once.
+    replaces recursion.  The offsets the walk reaches only ever increase, so
+    one candidate and one cursor into the sorted group opens serve every
+    level, and each offset is tried once.  At a level the next group is the
+    cursor's open if it closes within the window; an open before the
+    window's end that closes past it encloses that end, lies behind every
+    later level, and is stepped over for good.
     """
     matcher = _Matcher(_compiled_for(template, smap), smap, hi)
     cand = matcher.next_candidate(lo)
-    # frame: [pos, window hi, try matches at this level, cached next group]
-    stack: list[list] = [[lo, hi, True, None]]
+    opens, ends = smap.group_opens, smap.group_ends
+    j = bisect.bisect_left(opens, lo)
+    n = len(opens)
+    # frame: [pos, window hi, try matches at this level]
+    stack: list[list] = [[lo, hi, True]]
     while stack:
         frame = stack[-1]
-        pos, top, tries, group = frame
-        if group is None or group[0] < pos:
-            group = frame[3] = smap.next_group(pos, top)
-        gs, ge = group
+        pos, top, tries = frame
+        gs = ge = top
+        while j < n and opens[j] < top:
+            ge = ends[opens[j]]
+            if ge <= top:
+                gs = opens[j]
+                break
+            j += 1
         if tries:
             if cand < pos:
                 cand = matcher.next_candidate(pos)
@@ -717,10 +728,10 @@ def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -
             if m is not None:
                 yield m
                 frame[0] = m.end
-                stack.append([m.start, m.end, False, None])
+                stack.append([m.start, m.end, False])
                 continue
         if gs == top:
             stack.pop()
         else:
             frame[0] = ge
-            stack.append([gs + 1, ge - 1, True, None])
+            stack.append([gs + 1, ge - 1, True])

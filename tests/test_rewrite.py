@@ -370,7 +370,7 @@ def text_facts_for_smap(specs, smap, path):
 def text_apply_rule(rule, env, smap):
     """The rule with each nested target rebound to the text of its inner
     rewrites, one per kept inner match, joined by newlines."""
-    inner_names = rule.inner_hole_names()
+    inner_names = {name for nr in rule.nested_rewrites for name in nr.inner_match.hole_names()}
     for cond in rule.conditions:
         if cond.hole in env:
             if not cond.holds(env[cond.hole].text):
@@ -448,19 +448,43 @@ def rewrite_lines(draw, lines: int, inner: bool):
     return "\n".join(out)
 
 
+# Conditions on the outer holes, on the inner $c and on $zz, which no
+# template binds, with values the drawn sources hold
+CONDITION_HOLES = ("a", "a", "b", "c", "c", "zz")
+CONDITION_VALUES = ("", "x", "p")
+
+
+@st.composite
+def conditions(draw):
+    """Up to seven conditions, up to four of them on one drawn hole."""
+    def on(holes):
+        return st.builds(
+            '${} {} "{}"'.format, holes, st.sampled_from(("==", "!=")), st.sampled_from(CONDITION_VALUES)
+        )
+
+    focus = draw(st.sampled_from(CONDITION_HOLES))
+    return draw(st.lists(on(st.just(focus)), max_size=4)) + draw(
+        st.lists(on(st.sampled_from(CONDITION_HOLES)), max_size=3)
+    )
+
+
 @st.composite
 def row_cases(draw):
     """Spec text over the holes $a, $b and $body, with nested rewrites of
-    $body and of $a in some cases, and a GO source it matches."""
-    rule = []
+    $body and of $a in some cases, conditions in any order among the rule's
+    items, and a GO source it matches.  The inner template binds $c, or $a
+    in some cases, which then hides the outer $a."""
+    rule = draw(conditions())
     if draw(st.booleans()):
         rule.append("nested")
-    if draw(st.booleans()):
-        rule.append('$c != "p"')
-    rule.append(f"rewrite $body {{ [$c*] -> {draw(rewrite_lines(2, True))} }}")
+    if draw(st.integers(0, 3)) == 0:  # a pair no text satisfies
+        rule += draw(st.sampled_from((['$a == "x"', '$a == "y"'], ['$a == ""', '$a != ""'], ['$c != "p"', '$c == "p"'])))
+    inner = draw(st.sampled_from(("c", "a")))
+    rule.append(f"rewrite $body {{ [${inner}*] -> {draw(rewrite_lines(2, True)).replace('$c', '$' + inner)} }}")
     if draw(st.booleans()):
         rule.append(f"rewrite $a {{ [$c*] -> {draw(rewrite_lines(2, True))} }}")
-    rule_section = f"[rule]\nwhere {', '.join(rule)}\n\n" if draw(st.booleans()) else ""
+    rule = draw(st.permutations(rule))
+    rule_section = f"[rule]\nwhere {', '.join(rule)}\n\n" if draw(st.integers(0, 3)) else ""
     spec_text = f"[match]\nzz($a*;$b*;$body*)\n\n{rule_section}[rewrite]\n{draw(rewrite_lines(4, False))}\n"
     pieces = st.lists(st.sampled_from(SOURCE_PIECES), max_size=5).map("".join)
     source = "".join(

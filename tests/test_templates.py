@@ -206,6 +206,10 @@ class TestBracketRules:
             # brackets inside strings and comments count for neither rule
             ("$c(...)", 'f("(", g(h(x]) y)', [(0, 17)], "f"),
             ("$c(...)", "f(a /* ) */ (b)) z", [(0, 16)], None),
+            # a match that ends inside a group it opened: the walk steps over
+            # that group's open and still visits the groups after it
+            ("$c(...", "h(g(f(x)), y)", [(0, 12), (4, 7)], "h"),
+            ("(...", "((a) (b (c)) d)", [(0, 14), (8, 10)], None),
         ],
     )
     def test_any_close_rule_edge_cases(self, template, source, spans, bound):
@@ -397,6 +401,23 @@ class TestGeneratedCode:
         template = parse_template(text)
         found = _agrees_with_interpreter(template, classify(source, get_language(lang)))
         assert [m.env[template.hole_names()[0]].text for m in found] == want
+
+    @pytest.mark.parametrize(
+        "text, source, want",
+        [
+            ("$x($y)", "fooREM (x)\nbar(y)\nbazq'(a)'(b)", [("bar", "y"), ("bazq'(a)'", "b")]),
+            ("$x = $y", "aREM\n= b\nc = dq's' = e\n", [("a", "b"), ("c", "dq's'")]),
+            ("$x", "abREMcd\nq'r'st", ["ab", "q'r'st"]),
+        ],
+    )
+    def test_an_identifier_run_ends_where_a_comment_or_string_starts(self, text, source, want):
+        # a comment opener and a string delimiter that start with identifier
+        # characters cut the run before them
+        lang = LanguageDefinition(name="words", line_comment_prefixes=("REM",), string_delimiters=(("q'", "'", None),))
+        template = parse_template(text)
+        found = _agrees_with_interpreter(template, classify(source, lang))
+        values = [tuple(m.env[h].text for h in template.hole_names()) for m in found]
+        assert [v[0] if len(v) == 1 else v for v in values] == want
 
     @pytest.mark.parametrize(
         "text, source",
