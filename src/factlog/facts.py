@@ -154,15 +154,14 @@ class Database:
         self.add(fact.relation, fact.args)
 
     def merge(self, other: "Database") -> None:
-        """Add every tuple of other, checking each relation's arity once."""
+        """Add every relation and tuple of other, checking each relation's
+        arity once."""
         for relation, tuples in other.relations.items():
-            if not tuples:
-                continue
             existing = self.relations.get(relation)
             if existing is None:
                 self.relations[relation] = set(tuples)
                 continue
-            if existing:
+            if existing and tuples:
                 mine, theirs = len(next(iter(existing))), len(next(iter(tuples)))
                 if mine != theirs:
                     raise ArityMismatch(f"relation {relation} holds {mine}-tuples, got {theirs}-tuple")
@@ -307,6 +306,7 @@ class Database:
         db: "Database", path: Path, column_types: dict[str, tuple[str | None, ...]] | None
     ) -> None:
         relation = path.stem
+        db.relations.setdefault(relation, set())  # an empty file still names its relation
         types = (column_types or {}).get(relation)
         # "\n" only, as in from_dl_text: a symbol may hold "\f" or U+2028
         for lineno, raw in enumerate(read_text(path).split("\n"), 1):

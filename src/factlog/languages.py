@@ -29,7 +29,7 @@ import configparser
 import re
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import LanguageError, read_text
 
@@ -138,9 +138,9 @@ class SourceMap:
     group_opens lists the keys of group_ends in order.  unit_ends
     maps the start of every unit to its end (see _unit_table); no two units
     end at the same offset, so {end: start} is its exact inverse.
-    candidate_tables holds the offsets where a template that starts with a
-    hole may match, one sorted list per anchor text, each built by the
-    matcher on first use.
+    candidate_tables holds the offsets where a template's match may start,
+    one sorted table per candidate strategy and key, each built by the
+    matcher on first use, so templates that share a key share its table.
     """
 
     def __init__(
@@ -155,7 +155,7 @@ class SourceMap:
         self.group_ends, self.brackets, self.any_close = _pair_brackets(self.source, self.language, self.intervals)
         self.group_opens = sorted(self.group_ends)
         self.unit_ends = _unit_table(self.source, self.language, self.intervals, self.group_ends)
-        self.candidate_tables: dict[str, list[int]] = {}
+        self.candidate_tables: dict[tuple[str, str], Sequence[int]] = {}
 
     def depth_zero_extent(self, pos: int, hi: int) -> int:
         """The first close in [pos, hi) that no open at or after pos takes

@@ -34,20 +34,23 @@ units is a sequence of lookups in it.
 
 compile_template binds a template to a language once, when its spec loads:
 literals split into whitespace and text chunks, a candidate strategy that
-says where a match may start, and a generated matcher.  A leading literal
-is found by its first text chunk.  A leading expression or optional hole
-followed by a literal (``$c(...)``, ``$l = $a + $b``) is anchored on that
-literal's first text chunk: a match can start only where a chain of
-adjoining units reaches an occurrence of the anchor, so the candidates are
-the left-maximal unit starts between each occurrence and the start of the
-chain that ends there, found by stepping back through the inverse of the
-unit table.  They are kept in a per-file table on the SourceMap, built on
-first use.  The matcher is one Python function per template, generated and
-compiled with the template (see _MatcherSource): its literal tests are
-inline, and each hole that can bind more than one way is a loop over its
-alternatives in the order the matcher prefers them, so backtracking is the
-loops' own order.  It accepts a leading hole only at a left-maximal unit
-start, so trying every offset finds what the candidates find.
+says where a match may start, and a generated matcher.  Each strategy is a
+table builder (see _candidates).  A leading literal is found by its first
+text chunk.  A leading expression or optional hole followed by a literal
+(``$c(...)``, ``$l = $a + $b``) is anchored on that literal's first text
+chunk: a match can start only at a left-maximal unit start of a chain of
+adjoining units that reaches an occurrence of the anchor, found by
+stepping back through the inverse of the unit table.  Any other leading
+hole is tried at every left-maximal unit start, or at every offset.  The
+sorted offsets are built once per file, strategy and key, and kept on the
+SourceMap; iter_matches and iter_nested_matches both walk that one
+table by index.  The matcher is one Python function per template,
+generated and compiled with the template (see _MatcherSource): its literal
+tests are inline, and each hole that can bind more than one way is a loop
+over its alternatives in the order the matcher prefers them, so
+backtracking is the loops' own order.  It accepts a leading hole only at
+a left-maximal unit start, so trying every offset finds what the
+candidates find.
 tests/oracles.py keeps an interpreter over the atoms as its reference.
 """
 
@@ -57,7 +60,7 @@ import bisect
 import re
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DuplicateHoleName, MalformedHole, UnboundHole
 from .languages import LanguageDefinition, SourceMap, char_class, identifier_char_re
@@ -224,23 +227,24 @@ class CompiledTemplate(NamedTuple):
     spec loads.
 
     pieces holds each literal atom split into whitespace and text chunks.
-    strategy says where a match may start: "find" (the first text chunk of
-    a leading literal), "anchor" (a leading expression or optional hole
-    before a literal: the offsets in the SourceMap's per-file candidate
-    table under key, see _anchor_candidates), "units" (a leading hole with
-    no text chunk after it: every left-maximal unit start), "scan" (every
-    offset) or "none" (the empty template).  make_matcher is the generated
-    code: make_matcher(smap) returns match(start, hi), the one try at one
-    offset (see _MatcherSource).  A pickle holds only the atoms and the
-    language, and loading it compiles again: a forked --jobs worker finds
-    the result in the cache it inherited.
+    strategy and key name the table of offsets where a match may start,
+    built once per file by _candidates: "find" (a leading literal) and
+    "anchor" (a leading expression or optional hole before a literal) are
+    found from a text chunk, see _anchor_candidates; "units" (a leading
+    hole with no text chunk after it) is every left-maximal unit start,
+    "scan" every offset and "none" (the empty template) no offset.
+    make_matcher is the generated code: make_matcher(smap) returns
+    match(start, hi), the one try at one offset (see _MatcherSource).  A
+    pickle holds only the atoms and the language, and loading it compiles
+    again: a forked --jobs worker finds the result in the cache it
+    inherited.
     """
 
     atoms: tuple[Atom, ...]
     language: LanguageDefinition
     pieces: tuple[tuple[_Piece, ...] | None, ...]
     strategy: str
-    key: str  # "find": the chunk; "anchor": the chunk, after a space when whitespace precedes it
+    key: str  # "find" and "anchor": the chunk, after a space when whitespace precedes it
     unit_start_re: re.Pattern[str]  # a left-maximal unit start
     make_matcher: Callable[[SourceMap], Callable[[int, int], Match | None]]
 
@@ -266,7 +270,7 @@ def _compile(atoms: tuple[Atom, ...], lang: LanguageDefinition) -> CompiledTempl
         strategy, key = "none", ""
     elif pieces[0]:
         chunk = next((p.text for p in pieces[0] if not p.ws), "")
-        strategy, key = ("find", chunk) if chunk else ("scan", "")
+        strategy, key = ("find", (" " if pieces[0][0].ws else "") + chunk) if chunk else ("scan", "")
     elif atoms[0].kind not in (HoleKind.EXPRESSION, HoleKind.OPTIONAL):
         strategy, key = "scan", ""
     elif first_chunk:
@@ -284,20 +288,42 @@ def _compiled_for(template: Template, smap: SourceMap) -> Template:
     return template
 
 
-def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
-    """Sorted offsets where a template of the "anchor" strategy may match.
+def _candidates(t: CompiledTemplate, smap: SourceMap) -> Sequence[int]:
+    """The sorted offsets of smap's file where a match of t may start.
 
-    A match needs a unit chain from its start that ends right before the
-    anchor (or, when the anchor follows whitespace, before the whitespace
-    and comments that precede it).  So the candidates are the left-maximal
-    unit starts between each anchor occurrence and the start of the chain
-    that ends there, which a walk back through the inverse of the unit
-    table, then over value-prefix characters, finds.  The walk may start
-    further left than any chain does; it never starts right of one.  The
-    anchor itself is a candidate too, for an empty optional hole.
+    The table is built once per file, strategy and key, on first use, and
+    kept in smap.candidate_tables, so templates that share a key share its
+    table and the strategy is read only here.
+    """
+    table = smap.candidate_tables.get((t.strategy, t.key))
+    if table is None:
+        if t.strategy in ("find", "anchor"):
+            table = _anchor_candidates(t, smap)
+        elif t.strategy == "units":
+            table = [m.start() for m in t.unit_start_re.finditer(smap.source)]
+        else:  # "scan": every offset; "none", the empty template: none
+            table = range(len(smap.source) + 1) if t.strategy == "scan" else []
+        smap.candidate_tables[t.strategy, t.key] = table
+    return table
+
+
+def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
+    """Sorted offsets where a template of the "find" or "anchor" strategy
+    may match, from the occurrences of its key's chunk.
+
+    When whitespace precedes the chunk in the template, the walk steps back
+    from each occurrence over the whitespace and comments before it, and a
+    "find" template may start anywhere the walk covers.  An "anchor"
+    template needs a unit chain from its start to where that walk stopped,
+    so the walk goes on back through the inverse of the unit table, then
+    over value-prefix characters, and the candidates are the left-maximal
+    unit starts it covers.  The walk may start further left than any chain
+    does; it never starts right of one.  The anchor itself is a candidate
+    too, for an empty optional hole.
     """
     src, kinds = smap.source, smap.kinds
-    unit_starts = {end: start for start, end in smap.unit_ends.items()}
+    anchor = t.strategy == "anchor"
+    unit_starts = {end: start for start, end in smap.unit_ends.items()} if anchor else {}
     prefix = t.language.value_prefix_chars
     ws = t.key[0] == " "
     chunk = t.key.lstrip(" ")
@@ -305,17 +331,18 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
     spans: list[tuple[int, int]] = []
     q = src.find(chunk)
     while q != -1:
-        # the anchor can start in code, or exactly at a string delimiter
+        # the chunk can start in code, or exactly at a string delimiter
         if kinds[q] in "cwd":
             p = q
             while ws and p > 0 and kinds[p - 1] in "w#":  # back over whitespace and comments
                 p -= 1
-            start = p
-            while p in unit_starts and p not in walked:  # back over the unit chain
-                p = unit_starts[p]
-            p = walked[start] = walked.get(p, p)
-            while p > 0 and src[p - 1] in prefix:
-                p -= 1
+            if anchor:
+                start = p
+                while p in unit_starts and p not in walked:  # back over the unit chain
+                    p = unit_starts[p]
+                p = walked[start] = walked.get(p, p)
+                while p > 0 and src[p - 1] in prefix:
+                    p -= 1
             spans.append((p, q + 1))
         q = src.find(chunk, q + 1)
     out: list[int] = []
@@ -323,7 +350,7 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
     for a, b in sorted(spans):
         a = max(a, lo)
         if a < b:
-            out.extend(m.start() for m in t.unit_start_re.finditer(src, a, b))
+            out.extend((m.start() for m in t.unit_start_re.finditer(src, a, b)) if anchor else range(a, b))
             lo = b
     return out
 
@@ -613,46 +640,6 @@ class _MatcherSource:
             out.append(f"{pad}                continue")
 
 
-class _Matcher:
-    """The candidate search of one template over one span of a SourceMap,
-    and its generated match_at.
-
-    next_candidate and match_at are the only entry points; iter_matches and
-    iter_nested_matches are both loops over them.
-    """
-
-    def __init__(self, template: Template, smap: SourceMap, end: int):
-        self.t = template.compiled
-        self.smap = smap
-        self.src = smap.source
-        self.end = end
-        self.table: list[int] | None = None  # the per-file candidate table, on first use
-        self.match_at = self.t.make_matcher(smap)
-
-    def next_candidate(self, pos: int) -> int:
-        """First offset at or after pos where a match may start, or the span end."""
-        kind, end = self.t.strategy, self.end
-        if pos >= end or kind == "none":
-            return end
-        if kind == "anchor":
-            table = self.table
-            if table is None:
-                tables = self.smap.candidate_tables
-                table = tables.get(self.t.key)
-                if table is None:
-                    table = tables[self.t.key] = _anchor_candidates(self.t, self.smap)
-                self.table = table
-            i = bisect.bisect_left(table, pos)
-            return table[i] if i < len(table) and table[i] < end else end
-        if kind == "find":
-            c = self.src.find(self.t.key, pos, end)
-            return end if c == -1 else c
-        if kind == "units":
-            m = self.t.unit_start_re.search(self.src, pos, end)
-            return end if m is None else m.start()
-        return pos  # scan: every offset (rare templates)
-
-
 # ---------------------------------------------------------------------------
 # Public matching API
 
@@ -671,15 +658,17 @@ def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | Non
     compile once with compile_template to match many files.
     """
     hi = len(smap.source) if hi is None else hi
-    matcher = _Matcher(_compiled_for(template, smap), smap, hi)
-    cand = matcher.next_candidate(lo)
-    while cand < hi:
-        m = matcher.match_at(cand, hi)
+    t = _compiled_for(template, smap).compiled
+    table = _candidates(t, smap)
+    match = t.make_matcher(smap)
+    i = bisect.bisect_left(table, lo)
+    while i < len(table) and table[i] < hi:
+        m = match(table[i], hi)
         if m is None:
-            cand = matcher.next_candidate(cand + 1)
+            i += 1
         else:
             yield m
-            cand = matcher.next_candidate(m.end)
+            i = bisect.bisect_left(table, m.end, i + 1)
 
 
 def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -> Iterator[Match]:
@@ -692,16 +681,20 @@ def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -
     and resumes after its close.  An open without a close inside the level's
     window is plain text, and so is a mismatched close.
 
-    One matcher serves the whole walk and an explicit stack of windows
-    replaces recursion.  The offsets the walk reaches only ever increase, so
-    one candidate and one cursor into the sorted group opens serve every
-    level, and each offset is tried once.  At a level the next group is the
+    One match function serves the whole walk and an explicit stack of
+    windows replaces recursion.  The offsets the walk reaches only ever
+    increase, so one cursor into the file's candidate table and one into
+    the sorted group opens serve every level, and each candidate is tried
+    once.  At a level the next group is the
     cursor's open if it closes within the window; an open before the
     window's end that closes past it encloses that end, lies behind every
     later level, and is stepped over for good.
     """
-    matcher = _Matcher(_compiled_for(template, smap), smap, hi)
-    cand = matcher.next_candidate(lo)
+    t = _compiled_for(template, smap).compiled
+    table = _candidates(t, smap)
+    match = t.make_matcher(smap)
+    c = bisect.bisect_left(table, lo)
+    nc = len(table)
     opens, ends = smap.group_opens, smap.group_ends
     j = bisect.bisect_left(opens, lo)
     n = len(opens)
@@ -718,13 +711,14 @@ def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -
                 break
             j += 1
         if tries:
-            if cand < pos:
-                cand = matcher.next_candidate(pos)
+            if c < nc and table[c] < pos:
+                c = bisect.bisect_left(table, pos, c)
             m = None
-            while m is None and cand <= gs and cand < top:
-                m = matcher.match_at(cand, top)
-                if m is None:
-                    cand = matcher.next_candidate(cand + 1)
+            while c < nc and table[c] <= gs and table[c] < top:
+                m = match(table[c], top)
+                if m is not None:
+                    break
+                c += 1
             if m is not None:
                 yield m
                 frame[0] = m.end

@@ -289,6 +289,19 @@ class TestQuery:
         )
         assert out.split() == ["a", "c", "d"]
 
+    @pytest.mark.parametrize("path", [".", "calls.facts"])
+    def test_query_over_an_empty_facts_file(self, capsys, tmp_path, path):
+        # no calls at all: the written file is empty, yet it names the relation
+        source = tmp_path / "a.c"
+        source.write_text("int main(void) { return 0; }\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "solve", str(source), "--preset", "callgraph-c", "--format", "tsv", "--out", str(out))
+        assert code == EXIT_OK
+        code, rows, _ = run(capsys, "query", str(out / path), "-q", 'calls("main", X)')
+        assert (code, rows) == (EXIT_OK, "")
+        code, answer, _ = run(capsys, "query", str(out / path), "-q", 'calls("main", "main")')
+        assert (code, answer.strip()) == (EXIT_OK, "false")
+
     def test_malformed_query_is_analysis_error(self, capsys, example_go):
         code, _, err = run(
             capsys, "query", example_go, "--preset", "callgraph-go", "-q", "calls(",

@@ -166,6 +166,21 @@ class TestDatabase:
         back = Database.from_facts_dir(tmp_path)
         assert back == db
 
+    def test_facts_dir_round_trip_keeps_an_empty_relation(self, tmp_path):
+        db = Database()
+        db.relations["calls"] = set()
+        db.add("edge", ("a", "b"))
+        db.write_facts_dir(tmp_path)
+        assert (tmp_path / "calls.facts").read_text(encoding="utf-8") == ""
+        for back in (Database.from_facts_dir(tmp_path), Database.from_facts_file(tmp_path / "calls.facts")):
+            assert back.relations["calls"] == set()
+        merged = Database()
+        merged.merge(Database.from_facts_dir(tmp_path))
+        assert merged.relations == {"calls": set(), "edge": {("a", "b")}}
+        merged.add("calls", ("a", "b"))  # the empty relation takes its arity from its first row
+        with pytest.raises(ArityMismatch):
+            merged.add("calls", ("a",))
+
     def test_facts_dir_respects_declared_types(self, tmp_path):
         (tmp_path / "port.facts").write_text("8080\n", encoding="utf-8")
         as_symbol = Database.from_facts_dir(tmp_path, {"port": ("symbol",)})

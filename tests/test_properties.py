@@ -485,8 +485,13 @@ NESTED_SOURCE = st.lists(
     st.one_of(st.recursive(NESTED_LEAVES, _bracketed, max_leaves=12), NESTED_NOISE), max_size=6
 ).map("".join)
 # "(..." and "$c(..." end inside the group they open, so a match window
-# holds opens that close past its end, which the walk steps over
-INNER_TEMPLATES = st.sampled_from(("$c(...)", "($x)", "[$x]", "(...", "$c(...", "{$b*")).map(parse_template)
+# holds opens that close past its end, which the walk steps over.  Every
+# candidate table is drawn: found from a leading literal, also after
+# leading whitespace (" (..."), anchored ("$c(..."), every unit start
+# ("$x", "$x $y*") and every offset ("...)", "$b* }", " $x").
+INNER_TEMPLATES = st.sampled_from((
+    "$c(...)", "($x)", "[$x]", "(...", "$c(...", "{$b*", " (...", "$x", "$x $y*", "...)", "$b* }", " $x",
+)).map(parse_template)
 
 
 def _match_keys(matches) -> list[tuple]:
@@ -510,9 +515,10 @@ class TestInnerMatchesAgainstOracle:
         _assert_walks_equal_oracle(template, classify(source, GO), data)
 
 
-# Sources for templates that start with a hole, whose candidates come from
-# the per-file anchor tables: prefixed, chained, indexed, string and
-# qualified callees, comments between a unit and its anchor, anchors inside
+# Sources for templates that start with a hole or with whitespace, whose
+# candidates come from the per-file tables of every strategy but "none"
+# (test_templates.py checks that one): prefixed, chained, indexed, string
+# and qualified callees, comments between a unit and its anchor, anchors inside
 # strings and comments, mismatched brackets, and assignments for the
 # whitespace-anchored "$l = $a + $b".
 CHAIN_FRAGMENTS = st.sampled_from((
@@ -522,7 +528,9 @@ CHAIN_FRAGMENTS = st.sampled_from((
     "f()", "_g(x)", "h.i()(j)", "(f)(x)", "f", "(", ")", "[", "]", "=", "+", " ", "\n",
 ))
 CHAIN_SOURCE = st.lists(CHAIN_FRAGMENTS, max_size=8).map("".join)
-LEADING_HOLE_TEMPLATES = st.sampled_from(("$c(...)", "$l = $a + $b", "$x?(...)")).map(parse_template)
+LEADING_HOLE_TEMPLATES = st.sampled_from(
+    ("$c(...)", "$l = $a + $b", "$x?(...)", "$x", "$x $y*", "...)", " $c(...)", " = $a", " ($x)")
+).map(parse_template)
 
 
 class TestCandidatesAgainstEveryOffset:
@@ -699,17 +707,15 @@ class TestGeneratedMatcherAgainstInterpreter:
 class TestOracleIndependence:
     # The references must not become the code they check.
     CHECKED = {
-        "scan_balanced",
         "iter_nested_matches",
-        "next_group",
         "group_opens",
         "group_ends",
         "brackets",
         "any_close",
         "depth_zero_extent",
         "iter_matches",
-        "next_candidate",
         "candidate_tables",
+        "_candidates",
         "_anchor_candidates",
         "unit_ends",
         "kinds",

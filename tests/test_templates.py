@@ -18,7 +18,10 @@ from factlog import (
     iter_matches,
     parse_template,
 )
-from factlog.templates import Hole, Literal, iter_nested_matches, match_at
+from factlog import templates
+from factlog.analyses import load_preset
+from factlog.rewrite import facts_for_smap
+from factlog.templates import Hole, Literal, compile_template, iter_nested_matches, match_at
 from oracles import collect_inner, interpret_at
 
 
@@ -348,6 +351,67 @@ class TestNestedDescentGrowth:
     def test_anonymous_hole_jumps_over_deep_nesting(self, text, opener, per_level):
         # ... steps over each inner group to its partner instead of rescanning it
         assert self.total_ratio(text, opener, ")", per_level) <= 2.5
+
+
+class TestCandidateTables:
+    @pytest.mark.parametrize(
+        "text, strategy",
+        [
+            ("f(...)", "find"),
+            (" (...)", "find"),
+            ("$c(...)", "anchor"),
+            ("$l = $a + $b", "anchor"),
+            ("$x", "units"),
+            ("$x $y*", "units"),
+            ("...)", "scan"),
+            ("$b* }", "scan"),
+            (" $x", "scan"),
+            ("", "none"),
+        ],
+    )
+    def test_each_template_has_its_strategy(self, text, strategy):
+        assert compile_template(parse_template(text), GO).compiled.strategy == strategy
+
+    def test_the_empty_template_matches_nowhere(self):
+        template, smap = parse_template(""), classify("f(x) { g(y) }", GO)
+        assert list(iter_matches(template, smap)) == []
+        assert list(iter_nested_matches(template, smap, 0, len(smap.source))) == []
+        assert smap.candidate_tables == {("none", ""): []}
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list[str]:
+        builds: list[str] = []
+        build = templates._anchor_candidates
+
+        def counted(t, smap):
+            builds.append(t.key)
+            return build(t, smap)
+
+        monkeypatch.setattr(templates, "_anchor_candidates", counted)
+        return builds
+
+    def test_specs_that_share_an_anchor_share_one_table(self, monkeypatch, samples_dir):
+        builds = self.count_builds(monkeypatch)
+        preset = load_preset("liveness-arith")
+        assert sorted(spec.match.text for spec in preset.fact_specs) == ["$l = $a + $b", "$l = $a - $b"]
+        smap = classify((samples_dir / "liveness.arith").read_text(encoding="utf-8"), preset.language_def())
+        _, matches, _ = facts_for_smap(preset.fact_specs, smap, "liveness.arith")
+        assert sorted(matches.values()) == [1, 2]
+        assert list(smap.candidate_tables) == [("anchor", " =")]
+        assert builds == [" ="]
+
+    def test_the_nested_descent_builds_one_table_for_all_its_windows(self, monkeypatch):
+        # the outer $f(...) and the inner $c(...) share the "(" anchor, and
+        # every function body is one more window of the nested descent
+        builds = self.count_builds(monkeypatch)
+        preset = load_preset("callgraph-c")
+        source = "".join(f"int f{i}(int x) {{ g(h(x), k[x]); if (x) {{ m(x); }} }}\n" for i in range(40))
+        smap = classify(source, preset.language_def())
+        db, matches, _ = facts_for_smap(preset.fact_specs, smap, "a.c")
+        assert sum(matches.values()) == 40
+        assert len(db.tuples("edge")) == 40 * 3
+        assert list(smap.candidate_tables) == [("anchor", "(")]
+        assert builds == ["("]
 
 
 # ---------------------------------------------------------------------------
