@@ -2,20 +2,20 @@
 
 A LanguageDefinition is a small lexical profile: how comments start and stop,
 how strings are quoted and escaped, and which characters pair up as brackets.
-classify() turns text plus a profile into a SourceMap that assigns every
-offset to exactly one region kind (code, comment, string body, string
-delimiter), spells the partition out as one character per offset (kinds),
-pairs the brackets in code once and records every unit once.
-One pass yields both bracket rules: groups pair by kind, so a mismatched
-close or an open without a partner is plain text, while $name* and ... take
-any close as closing any open.  The unit table maps the start of every
-identifier run in code, every group and every whole string literal to its
-end; an expression hole binds a chain of adjoining units, and the matcher
-walks that chain forward and back through the table instead of deciding
-what a unit is.  Template matching builds on these tables, so a ')' inside
-"a )" or /* ) */ never confuses it and no group is scanned twice, and it
-asks every region question of the kinds string: an index, a slice test or
-one regex match.
+classify() scans text plus a profile once and returns a SourceMap of what
+the scan recorded as it found each region: the partition of the offsets
+into code, comment, string body and string delimiter, spelled out as one
+character per offset (kinds), the brackets in code, and the unit table.
+The brackets are then paired once for both bracket rules: groups pair by
+kind, so a mismatched close or an open without a partner is plain text,
+while $name* and ... take any close as closing any open.  The unit table
+maps the start of every identifier run in code, every group and every
+whole string literal to its end; an expression hole binds a chain of
+adjoining units, and the matcher walks that chain forward and back through
+the table instead of deciding what a unit is.  Template matching builds on
+these tables, so a ')' inside "a )" or /* ) */ never confuses it and no
+group is scanned twice, and it asks every region question of the kinds
+string: an index, a slice test or one regex match.
 
 Definitions for go, c, zig, and the toy arithmetic language are registered at
 import time.  Additional languages can be registered programmatically or
@@ -125,36 +125,53 @@ def _check_prefix_free(lang: str, what: str, openers: tuple[str, ...]) -> None:
 
 
 class SourceMap:
-    """Source text plus its region partition, line table, bracket tables and
-    unit table.
+    """Source text plus the tables classify recorded for it, and its line
+    table.
 
     intervals is the partition as (start, end, Region) triples in source
     order.  kinds spells it out as one ASCII character per offset: "c" code,
     "w" whitespace in code (exactly str.isspace), "#" comment, "s" string
     body, "d" the first character of a string delimiter and "e" the rest of
     one, so adjoining delimiters (the two of "") stay apart.
-    group_ends, brackets and any_close, one table per bracket rule, come
-    from one pass over the brackets in code (see _pair_brackets), and
-    group_opens lists the keys of group_ends in order.  unit_ends
-    maps the start of every unit to its end (see _unit_table); no two units
-    end at the same offset, so {end: start} is its exact inverse.
+    brackets holds the offset of every bracket in code; group_ends and
+    any_close pair them, one table per bracket rule (see _pair_brackets),
+    and group_opens lists the keys of group_ends in order.
+    unit_ends maps the start of every unit an expression hole chains to its
+    end: each identifier run in code, each group that pairs by kind, and
+    each string literal, from its open delimiter to after its close, or to
+    the end of the source when it is unterminated.  Where a group opens at
+    the start of an identifier run (an identifier_extra that holds a
+    bracket), the run is the unit.  Unless a close is an identifier
+    character, no two units end at the same offset, so {end: start} is its
+    exact inverse.
     candidate_tables holds the offsets where a template's match may start,
     one sorted table per candidate strategy and key, each built by the
     matcher on first use, so templates that share a key share its table.
     """
 
     def __init__(
-        self, source: str, language: LanguageDefinition, intervals: list[tuple[int, int, Region]], warnings: list[str]
+        self,
+        source: str,
+        language: LanguageDefinition,
+        intervals: list[tuple[int, int, Region]],
+        warnings: list[str],
+        kinds: str,
+        brackets: list[int],
+        any_close: list[int],
+        group_ends: dict[int, int],
+        unit_ends: dict[int, int],
     ) -> None:
         self.source = source
         self.language = language
         self.intervals = intervals
         self.warnings = warnings
-        self.kinds = _kind_string(source, intervals)
-        self._line_starts = _line_start_table(self.source)
-        self.group_ends, self.brackets, self.any_close = _pair_brackets(self.source, self.language, self.intervals)
-        self.group_opens = sorted(self.group_ends)
-        self.unit_ends = _unit_table(self.source, self.language, self.intervals, self.group_ends)
+        self.kinds = kinds
+        self.brackets = brackets
+        self.any_close = any_close
+        self.group_ends = group_ends
+        self.group_opens = sorted(group_ends)
+        self.unit_ends = unit_ends
+        self._line_starts = _line_start_table(source)
         self.candidate_tables: dict[tuple[str, str], Sequence[int]] = {}
 
     def depth_zero_extent(self, pos: int, hi: int) -> int:
@@ -187,7 +204,7 @@ class SourceMap:
 
     def line_count(self) -> int:
         """Number of physical newlines in the source."""
-        return self.source.count("\n")
+        return len(self._line_starts) - 1
 
 
 _KIND_REGIONS = {
@@ -214,19 +231,6 @@ class _CodeKinds(dict):
 _CODE_KINDS = _CodeKinds()
 
 
-def _kind_string(source: str, intervals: list[tuple[int, int, Region]]) -> str:
-    """One character per offset of source naming its region (see SourceMap)."""
-    parts = []
-    for s, e, kind in intervals:
-        if kind is Region.CODE:
-            parts.append(source[s:e].translate(_CODE_KINDS))
-        elif kind is Region.STRING_DELIMITER:
-            parts.append("d" + "e" * (e - s - 1))
-        else:
-            parts.append(("#" if kind is Region.COMMENT else "s") * (e - s))
-    return "".join(parts)
-
-
 def _line_start_table(source: str) -> list[int]:
     starts = [0]
     pos = source.find("\n")
@@ -241,8 +245,11 @@ def _line_start_table(source: str) -> list[int]:
 
 
 @lru_cache(maxsize=128)
-def _opener_plan(lang: LanguageDefinition):
-    """Master pattern over all comment/string openers plus a dispatch table."""
+def _scan_plan(lang: LanguageDefinition):
+    """What classify searches for: a pattern over all comment and string
+    openers with its dispatch table, a pattern for one bracket, one for an
+    identifier run, and each open's close.  A pattern with nothing to find
+    never matches."""
     table: dict[str, tuple[str, object]] = {}
     for prefix in lang.line_comment_prefixes:
         table[prefix] = ("line", None)
@@ -250,65 +257,74 @@ def _opener_plan(lang: LanguageDefinition):
         table[open_] = ("block", close)
     for open_, close, escape in lang.string_delimiters:
         table[open_] = ("string", (close, escape))
-    if not table:
-        return None, table
     # Longest first so '//' wins over a hypothetical '/'.
     alts = sorted(table, key=len, reverse=True)
-    pattern = re.compile("|".join(re.escape(a) for a in alts))
-    return pattern, table
+    openers = "|".join(re.escape(a) for a in alts) or "(?!)"
+    bracket = f"[{char_class(lang.open_chars + lang.close_chars)}]" if lang.balanced_pairs else "(?!)"
+    run = identifier_char_re(lang) + "+"
+    return re.compile(openers), table, re.compile(bracket), re.compile(run), dict(lang.balanced_pairs)
 
 
 def classify(source: str, lang: LanguageDefinition) -> SourceMap:
-    """Partition source into code/comment/string regions.
+    """Partition source into code/comment/string regions, and record the
+    kinds, the brackets in code and the units as each region is found.
 
     Lenient: an unterminated string or block comment extends to end of input
     and adds a warning instead of failing.
     """
+    openers, table, bracket_re, run_re, open_to_close = _scan_plan(lang)
     intervals: list[tuple[int, int, Region]] = []
     warnings: list[str] = []
-    pattern, table = _opener_plan(lang)
+    kinds: list[str] = []
+    brackets: list[int] = []
+    units: dict[int, int] = {}  # identifier runs and string literals
     n = len(source)
     pos = 0
-    while pos < n and pattern is not None:
-        m = pattern.search(source, pos)
-        if m is None:
-            break
-        start = m.start()
-        tok = m.group(0)
+    while pos < n:
+        m = openers.search(source, pos)
+        start = n if m is None else m.start()
         if start > pos:
             intervals.append((pos, start, Region.CODE))
+            # per region: translate leaves its ASCII fast path at the first
+            # character that is not ASCII
+            kinds.append(source[pos:start].translate(_CODE_KINDS))
+            brackets += map(re.Match.start, bracket_re.finditer(source, pos, start))
+            units.update(map(re.Match.span, run_re.finditer(source, pos, start)))
+        if m is None:
+            break
+        tok = m.group(0)
         kind, aux = table[tok]
+        if kind == "string":
+            close, escape = aux
+            body_start = start + len(tok)
+            body_end, close_end = _string_end(source, body_start, close, escape)
+            intervals.append((start, body_start, Region.STRING_DELIMITER))
+            kinds += ("d", "e" * (len(tok) - 1), "s" * (body_end - body_start))
+            if body_end > body_start:
+                intervals.append((body_start, body_end, Region.STRING_BODY))
+            if close_end is None:
+                warnings.append(f"unterminated string starting at offset {start}")
+                close_end = n
+            else:
+                intervals.append((body_end, close_end, Region.STRING_DELIMITER))
+                kinds += ("d", "e" * (close_end - body_end - 1))
+            units[start] = pos = close_end
+            continue
         if kind == "line":
             end = source.find("\n", start)
             end = n if end == -1 else end  # newline stays code
-            intervals.append((start, end, Region.COMMENT))
-            pos = end
-        elif kind == "block":
-            close = aux
-            end = _block_comment_end(source, start + len(tok), tok, close, lang.nest_block_comments)
+        else:
+            end = _block_comment_end(source, start + len(tok), tok, aux, lang.nest_block_comments)
             if end is None:
                 warnings.append(f"unterminated block comment starting at offset {start}")
                 end = n
-            intervals.append((start, end, Region.COMMENT))
-            pos = end
-        else:  # string
-            close, escape = aux
-            intervals.append((start, start + len(tok), Region.STRING_DELIMITER))
-            body_start = start + len(tok)
-            body_end, close_end = _string_end(source, body_start, close, escape)
-            if close_end is None:
-                warnings.append(f"unterminated string starting at offset {start}")
-                if body_end > body_start:
-                    intervals.append((body_start, body_end, Region.STRING_BODY))
-                pos = n
-            else:
-                if body_end > body_start:
-                    intervals.append((body_start, body_end, Region.STRING_BODY))
-                intervals.append((body_end, close_end, Region.STRING_DELIMITER))
-                pos = close_end
-    if pos < n:
-        intervals.append((pos, n, Region.CODE))
-    return SourceMap(source, lang, intervals, warnings)
+        intervals.append((start, end, Region.COMMENT))
+        kinds.append("#" * (end - start))
+        pos = end
+    group_ends, any_close = _pair_brackets(source, open_to_close, brackets)
+    # a run keeps its entry where a group opens at its start
+    unit_ends = {**group_ends, **units}
+    return SourceMap(source, lang, intervals, warnings, "".join(kinds), brackets, any_close, group_ends, unit_ends)
 
 
 def _block_comment_end(source: str, pos: int, open_: str, close: str, nest: bool) -> int | None:
@@ -352,11 +368,11 @@ def _string_end(source: str, pos: int, close: str, escape: str | None) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Bracket pairing and units
+# Bracket pairing and identifier characters
 
 
-def _pair_brackets(source: str, lang: LanguageDefinition, intervals) -> tuple[dict[int, int], list[int], list[int]]:
-    """Both bracket rules for the code regions, from one pass over their brackets.
+def _pair_brackets(source: str, open_to_close: dict[str, str], offsets: list[int]) -> tuple[dict[int, int], list[int]]:
+    """Both bracket rules for the brackets at offsets, from one pass over them.
 
     group_ends maps each open that pairs by kind to one past its close.  A
     close that does not match the innermost open is plain text; an open
@@ -364,16 +380,11 @@ def _pair_brackets(source: str, lang: LanguageDefinition, intervals) -> tuple[di
     stack each step sees the same top that a scan started at that open would
     see, so its recorded partner is exactly where such a scan stops.
 
-    brackets holds every bracket's offset, and any_close the index of the
-    close that takes each open when any close closes any open (-1 for a
-    close, len(brackets) for an open no close takes).  A depth counter from
-    any start finds the same partner, so a walk jumps a group in one step.
+    any_close holds the index in offsets of the close that takes each open
+    when any close closes any open (-1 for a close, len(offsets) for an open
+    no close takes).  A depth counter from any start finds the same partner,
+    so a walk jumps a group in one step.
     """
-    open_to_close = dict(lang.balanced_pairs)
-    if not open_to_close:
-        return {}, [], []
-    finder = re.compile("[" + re.escape(lang.open_chars + lang.close_chars) + "]")
-    offsets = [m.start() for s, e, kind in intervals if kind is Region.CODE for m in finder.finditer(source, s, e)]
     ends: dict[int, int] = {}
     any_close = [-1] * len(offsets)
     stack: list[tuple[str, int]] = []  # (expected close, open offset)
@@ -391,7 +402,7 @@ def _pair_brackets(source: str, lang: LanguageDefinition, intervals) -> tuple[di
                 ends[stack.pop()[1]] = p + 1
     for i in any_stack:
         any_close[i] = len(offsets)
-    return ends, offsets, any_close
+    return ends, any_close
 
 
 def char_class(chars: str) -> str:
@@ -405,37 +416,6 @@ def identifier_char_re(lang: LanguageDefinition) -> str:
     if "_" in lang.identifier_extra:
         return rf"[\w{extra}]"
     return rf"(?:[^\W_]|[{extra}])" if extra else r"[^\W_]"
-
-
-@lru_cache(maxsize=128)
-def _identifier_run_re(lang: LanguageDefinition) -> re.Pattern[str]:
-    return re.compile(identifier_char_re(lang) + "+")
-
-
-def _unit_table(source: str, lang: LanguageDefinition, intervals, group_ends: dict[int, int]) -> dict[int, int]:
-    """The start of every unit an expression hole chains, mapped to its end.
-
-    The units are each identifier run in a code interval, each group that
-    pairs by kind, and each string literal, keyed by its open delimiter and
-    ending after its close delimiter, or at the end of the source when it
-    is unterminated.  classify's delimiter intervals alternate open and
-    close, so every other one opens a literal.
-    """
-    run_re = _identifier_run_re(lang)
-    units = dict(group_ends)
-    literal = -1  # the open delimiter of the literal whose close comes next
-    for s, e, kind in intervals:
-        if kind is Region.CODE:
-            for m in run_re.finditer(source, s, e):
-                units[m.start()] = m.end()
-        elif kind is Region.STRING_DELIMITER:
-            if literal < 0:
-                literal = s
-                units[s] = len(source)
-            else:
-                units[literal] = e
-                literal = -1
-    return units
 
 
 # ---------------------------------------------------------------------------

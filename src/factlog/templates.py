@@ -420,7 +420,6 @@ class _MatcherSource:
             "    kinds = smap.kinds",
             "    n = len(src)",
             "    units = smap.unit_ends",
-            "    groups = smap.group_ends",
             "    brackets = smap.brackets",
             "    nb = len(brackets)",
             "    any_close = smap.any_close",
@@ -574,6 +573,10 @@ class _MatcherSource:
         """
         prefix = self.lang.value_prefix_chars
         first = f"({self.ident('ch')} or ch in {self.const(prefix)})" if prefix else self.ident("ch")
+        # The walk reaches q only at a left-maximal start or a unit's end,
+        # so the unit at q in code is an identifier run exactly when src[q]
+        # is an identifier character, even when a group opens there too.
+        run = self.ident("src[q]")
         out.append(f"{pad}x{i} = []")
         out.append(f"{pad}if p < hi:")
         pad += "    "
@@ -585,14 +588,14 @@ class _MatcherSource:
         if prefix:
             out.append(f"{pad}while q < hi and src[q] in {self.const(prefix)}:")
             out.append(f"{pad}    q += 1")
-            out.append(f"{pad}if q == p or (q in units and q not in groups and CODE_ONLY.fullmatch(kinds, p, q + 1)):")
+            out.append(f"{pad}if q == p or (q in units and {run} and CODE_ONLY.fullmatch(kinds, p, q + 1)):")
             pad += "    "
         out.append(f"{pad}while q < hi:")
         out.append(f"{pad}    e = units.get(q)")
         out.append(f"{pad}    if e is None:")
         out.append(f"{pad}        break")
         out.append(f"{pad}    if e > hi:")
-        out.append(f'{pad}        if q in groups or kinds[q] not in "cw":')
+        out.append(f'{pad}        if kinds[q] not in "cw" or not {run}:')
         out.append(f"{pad}            break")
         out.append(f"{pad}        e = hi")
         out.append(f"{pad}    x{i}.append(e)")

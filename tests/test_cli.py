@@ -773,6 +773,10 @@ class TestInputErrors:
         assert f"{tmp_path / 'b.dl'}: relation edge holds 2-tuples, got 1-tuple" in err
 
 
+def _drawn(fragments):
+    return st.lists(fragments | st.binary(max_size=3), max_size=30).map(b"".join)
+
+
 # Pieces of fact, rule and spec syntax, plus bytes that are not UTF-8.
 _FRAGMENTS = st.sampled_from([
     b"edge(", b"calls(", b'"a"', b'"b\\"', b"X", b"_", b"1", b"-2", b", ", b"(", b")", b".", b":-",
@@ -780,17 +784,48 @@ _FRAGMENTS = st.sampled_from([
     b"[rewrite]", b"$x", b"$c", b"...", b"$b*", b"where nested, ", b"rewrite $b { ", b" -> ", b"{", b"}",
     b"\xff", b"\xc3", b"\xe2\x80\xa8", b"\\",
 ])
-DRAWN_INPUT = st.lists(_FRAGMENTS | st.binary(max_size=3), max_size=30).map(b"".join)
+# Pieces of go source: calls, brackets, comments, literals of every quote.
+_SOURCE_FRAGMENTS = st.sampled_from([
+    b"func ", b"main", b"f", b"x.y", b"*p", b"(", b")", b"{", b"}", b"[", b"]", b", ", b'"', b"`", b"'",
+    b"\\", b"//", b"/*", b"*/", b"\n", b" ", b"\t", b"\xff", b"\xe2\x80\xa8",
+])
+# A language file body: a "key = value" line for some of the keys, each
+# value pieced together from delimiters, brackets and the separators values
+# use, and half the time a last line of drawn fact syntax and bytes.
+_LANGDEF_KEYS = st.sampled_from([
+    b"line_comments", b"block_comments", b"strings", b"balanced", b"identifier_extra", b"value_prefix",
+    b"nest_block_comments", b"name",
+])
+_LANGDEF_VALUES = st.lists(st.sampled_from([
+    b"//", b"#", b"/*", b"*/", b"(*", b'"', b"'", b"`", b"\\", b"()", b"[]", b"{}", b"((", b"(", b"_", b".",
+    b"*", b"!", b",", b" ", b"true", b"no", b"%(x)s",
+]), max_size=6).map(b"".join)
+_LANGDEF_BODY = st.builds(
+    lambda lines, last: b"\n".join([key + b" = " + value for key, value in lines.items()] + [last]),
+    st.dictionaries(_LANGDEF_KEYS, _LANGDEF_VALUES, max_size=6),
+    st.just(b"") | _drawn(_FRAGMENTS),
+)
+DRAWN_CASES = (
+    st.tuples(st.sampled_from(["dl", "facts", "program", "spec"]), _drawn(_FRAGMENTS))
+    | st.tuples(st.just("source"), _drawn(_SOURCE_FRAGMENTS))
+    | st.tuples(st.just("langdef"), _LANGDEF_BODY)
+)
+DRAWN_FILES = {
+    "dl": "in.dl", "facts": "edge.facts", "program": "drawn.dl", "spec": "drawn.spec", "source": "drawn.go",
+    "langdef": "drawn.ini",
+}
 
 
 class TestNoTraceback:
-    @given(st.sampled_from(["dl", "facts", "program", "spec"]), DRAWN_INPUT)
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_drawn_input_exits_with_a_code(self, capsys, tmp_path, example_go, kind, data):
-        """Whatever bytes a fact file, program or spec holds, main returns an
-        exit code and no exception escapes it."""
-        drawn = tmp_path / {"dl": "in.dl", "facts": "edge.facts", "program": "drawn.dl", "spec": "drawn.spec"}[kind]
-        drawn.write_bytes(data)
+    @given(DRAWN_CASES)
+    @settings(max_examples=900, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn_input_exits_with_a_code(self, capsys, tmp_path, example_go, case):
+        """Whatever bytes a fact file, program, spec, go source or language
+        file holds, main returns an exit code and no exception escapes it."""
+        kind, data = case
+        drawn = tmp_path / DRAWN_FILES[kind]
+        # a language file's body under a fixed section header
+        drawn.write_bytes(b"[drawn]\n" + data if kind == "langdef" else data)
         tc = tmp_path / "tc.dl"
         tc.write_text(TC_PROGRAM, encoding="utf-8")
         good = tmp_path / "good.dl"
@@ -801,6 +836,8 @@ class TestNoTraceback:
             "facts": ["solve", str(drawn), "--program", str(tc), "--out", out],
             "program": ["solve", str(good), "--program", str(drawn), "--out", out],
             "spec": ["facts", example_go, "--lang", "go", "--spec", str(drawn), "--out", out],
+            "source": ["facts", str(drawn), "--preset", "callgraph-go", "--out", out],
+            "langdef": ["match", example_go, "--langdef", str(drawn), "--lang", "drawn", "-t", "$f(...)"],
         }[kind]
         code, _, _ = run(capsys, *argv)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_ANALYSIS)

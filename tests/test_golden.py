@@ -1,10 +1,11 @@
-"""Golden digests of `factlog facts`, `factlog query` and `factlog match` output.
+"""Golden digests of `factlog facts`, `factlog query` and `factlog match`
+output, and of the per-file tables that classify records.
 
 The determinism checks only compare runs with each other, so a change to
 what the matcher finds, or to which answers a query prints, would pass
-them.  These digests pin the facts.dl bytes, the query stdout and the raw
-match records themselves; a change that means to alter them must say so
-and update the digest.
+them.  These digests pin the facts.dl bytes, the query stdout, the raw
+match records and the classification tables themselves; a change that
+means to alter them must say so and update the digest.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from factlog import discover_files, load_preset, rewrite, run_fact_generation
+from factlog import classify, discover_files, get_language, load_preset, rewrite, run_fact_generation
 from factlog.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +48,43 @@ def query_digest(capsys, *argv: str) -> str:
 def test_c_corpus_3000_lines(tmp_path, c_corpus, capsys):
     digest = facts_digest(tmp_path, str(c_corpus), "--preset", "callgraph-c")
     assert digest == "eb77f77b4f52686c0d7fd3b1f8408c41afd6921ea69125d88b0498d0763b869e"
+
+
+def tables_digest(files: list[Path], lang: str) -> str:
+    # every table classify records, in source order, for each file in turn
+    h = hashlib.sha256()
+    for path in files:
+        smap = classify(path.read_text(encoding="utf-8"), get_language(lang))
+        tables = (
+            smap.kinds,
+            [(s, e, region.value) for s, e, region in smap.intervals],
+            smap.brackets,
+            smap.any_close,
+            sorted(smap.group_ends.items()),
+            smap.group_opens,
+            sorted(smap.unit_ends.items()),
+        )
+        h.update(repr(tables).encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_c_corpus_3000_lines_tables(c_corpus):
+    digest = tables_digest(discover_files([c_corpus], "c"), "c")
+    assert digest == "d61a1b3959f01060cb0c746c316da2be17f7576c4a3d2568fb218aebca2c2261"
+
+
+@pytest.mark.parametrize(
+    "sample, lang, digest",
+    [
+        ("go", "go", "a4c982e5994e1c9c8c3312c3e65d9da7a938c285b7cfdbe39ac7bbf31c736913"),
+        ("example.go", "go", "62162642aec277bf5f3d87aa0096963533e33f55dc9743509dcac14bea4fc86a"),
+        ("c", "c", "ba2d36875514283652c91f4e50d6d7d77270c118f65c10a07709fae63aa5d097"),
+        ("zig", "zig", "7556880cc4a64ab5f234f6fac0a7d6c0f36bc98e11ff9aa00a86081960894360"),
+        ("liveness.arith", "arith", "6f8e70c899b5808d2880882769ab3f206ece88a63592f365eb4cebe0eb97d8a7"),
+    ],
+)
+def test_sample_tables(samples_dir, sample, lang, digest):
+    assert tables_digest(discover_files([samples_dir / sample], lang), lang) == digest
 
 
 def test_arith_sample(tmp_path, samples_dir, capsys):

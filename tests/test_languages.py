@@ -14,6 +14,7 @@ from factlog import (
     load_language_file,
 )
 from factlog.languages import LanguageDefinition
+from factlog.templates import compile_template, match_at, parse_template
 
 
 def regions_of(source: str, lang=GO):
@@ -108,6 +109,17 @@ class TestSourceMap:
     def test_line_count_counts_newlines(self):
         assert classify("a\nb\nc", GO).line_count() == 2
         assert classify("a\nb\n", GO).line_count() == 2
+
+    def test_identifier_run_keeps_an_offset_a_group_also_opens(self):
+        # With "(" an identifier character, offset 5 starts both the run
+        # "(b" and the group "(b c)"; the run is the unit there.
+        lang = LanguageDefinition(name="paren-ident", identifier_extra="_(")
+        source = "f(a) (b c) x"
+        smap = classify(source, lang)
+        assert smap.group_ends[5] == 10
+        assert smap.unit_ends[5] == 7
+        m = match_at(compile_template(parse_template("$x"), lang), smap, 5, len(source))
+        assert m.env.bindings["x"].text == "(b"
 
 
 class TestScanBalanced:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import re
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,63 @@ REGION_SOURCE = st.lists(
 ).map("".join)
 
 
+# ---------------------------------------------------------------------------
+# Drawn lexical profiles, each with a source built from its own tokens
+
+LINE_COMMENTS = ("//", "#", "--", ";")
+BLOCK_COMMENTS = (("/*", "*/"), ("(*", "*)"), ("{-", "-}"), ("<!", "!>"))
+STRING_QUOTES = (('"', '"'), ("'", "'"), ("`", "`"), ('"""', '"""'), ("[[", "]]"), ('r"', '"'), ("<<", ">>"))
+BALANCED = (("(", ")"), ("[", "]"), ("{", "}"), ("<", ">"))
+# with "(" an identifier character, a run and a group may start at the same
+# offset, also after a value prefix
+PAREN_IDENT = LanguageDefinition(name="paren-ident", identifier_extra="_(", value_prefix_chars="*")
+
+
+def _prefix_free(items: list, opener) -> list:
+    """The items whose opener neither extends nor is a prefix of an earlier
+    kept one's."""
+    kept: list = []
+    for item in items:
+        if not any(opener(item).startswith(opener(k)) or opener(k).startswith(opener(item)) for k in kept):
+            kept.append(item)
+    return kept
+
+
+@st.composite
+def drawn_languages(draw):
+    """A source and a LanguageDefinition drawn from line comments, block
+    pairs that nest or not, multi-character string delimiters with and
+    without an escape, a subset of the balanced pairs, an identifier_extra
+    that may hold a bracket, and value prefixes."""
+
+    def subset(options):
+        return draw(st.lists(st.sampled_from(options), unique=True, max_size=3))
+
+    first = itemgetter(0)
+    lines = _prefix_free(subset(LINE_COMMENTS), str)
+    blocks = _prefix_free(subset(BLOCK_COMMENTS), first)
+    escapes = st.sampled_from((None, "\\", "^"))
+    strings = [(o, c, draw(escapes)) for o, c in _prefix_free(subset(STRING_QUOTES), first)]
+    lang = LanguageDefinition(
+        name="drawn",
+        line_comment_prefixes=tuple(lines),
+        block_comment_pairs=tuple(blocks),
+        string_delimiters=tuple(strings),
+        balanced_pairs=tuple(subset(BALANCED)),
+        identifier_extra="".join(subset("_.'$")) + draw(st.sampled_from(("", "(", "[", "()"))),
+        value_prefix_chars="".join(subset("*&!@")),
+        nest_block_comments=draw(st.booleans()),
+    )
+    tokens = [*lines, *(t for pair in blocks for t in pair), *(t for d in strings for t in d if t)]
+    tokens += [*"()[]{}<>*&!@_.$'\\^", "a", "b1", "x.y", " ", "\n", "\t", "\u00a0", "é", "f(a)", " (b c)", "*(b)", "@[x]"]
+    source = "".join(draw(st.lists(st.sampled_from(tokens), max_size=24)))
+    return source, lang
+
+
+# Sources for the bundled languages and the drawn ones
+REGION_CASES = st.tuples(REGION_SOURCE, st.sampled_from(REGION_LANGS)) | drawn_languages()
+
+
 class TestClassifierInvariants:
     @given(SOURCE)
     @settings(max_examples=200)
@@ -405,9 +463,10 @@ class TestClassifierInvariants:
             pos = end
         assert pos == len(source)
 
-    @given(REGION_SOURCE, st.sampled_from(REGION_LANGS))
-    @settings(max_examples=400, deadline=None)
-    def test_kinds_spell_out_the_intervals(self, source, lang):
+    @given(REGION_CASES)
+    @settings(max_examples=600, deadline=None)
+    def test_kinds_spell_out_the_intervals(self, case):
+        source, lang = case
         smap = classify(source, lang)
         kinds = smap.kinds
         assert len(kinds) == len(source)
@@ -562,9 +621,10 @@ class TestBracketTableAgainstOracle:
 
 
 class TestAnyCloseTableAgainstOracle:
-    @given(NESTED_SOURCE, st.sampled_from((GO, C)), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_table_walk_equals_depth_counter(self, source, lang, data):
+    @given(st.tuples(NESTED_SOURCE, st.sampled_from((GO, C))) | drawn_languages(), st.data())
+    @settings(max_examples=450, deadline=None)
+    def test_table_walk_equals_depth_counter(self, case, data):
+        source, lang = case
         smap = classify(source, lang)
         n = len(source)
         for hi in (n, data.draw(st.integers(0, n))):
@@ -590,13 +650,13 @@ def _table_chain_ends(smap, pos: int, hi: int) -> list[int]:
     p = pos
     while p < hi and src[p] in prefix:
         p += 1
-    if p > pos and (p not in units or p in smap.group_ends or any(k not in "cw" for k in kinds[pos : p + 1])):
+    if p > pos and (p not in units or not ident(src[p]) or any(k not in "cw" for k in kinds[pos : p + 1])):
         return []
     ends = []
     while p < hi and p in units:
         end = units[p]
         if end > hi:
-            if p in smap.group_ends or kinds[p] not in "cw":
+            if kinds[p] not in "cw" or not ident(src[p]):
                 break
             end = hi
         ends.append(end)
@@ -605,16 +665,18 @@ def _table_chain_ends(smap, pos: int, hi: int) -> list[int]:
 
 
 class TestUnitTableAgainstOracle:
-    @given(UNIT_SOURCE, st.sampled_from((GO, C, ZIG)), st.data())
-    @settings(max_examples=400, deadline=None)
-    def test_table_walk_equals_region_walk(self, source, lang, data):
+    @given(st.tuples(UNIT_SOURCE, st.sampled_from((GO, C, ZIG))) | drawn_languages())
+    @example(("f(a) (b c) x", PAREN_IDENT))
+    @settings(max_examples=600, deadline=None)
+    def test_table_walk_equals_region_walk(self, case):
+        source, lang = case
         smap = classify(source, lang)
         n = len(source)
         # the reference still takes a closing delimiter as a one-character
         # unit, which the table deliberately does not
         delimiters = [s for s, _, kind in smap.intervals if kind is Region.STRING_DELIMITER]
         closes = set(delimiters[1::2])
-        for hi in (n, data.draw(st.integers(0, n))):
+        for hi in range(n + 1):
             for pos in range(hi):
                 if pos not in closes:
                     assert _table_chain_ends(smap, pos, hi) == unit_chain_ends(smap, pos, hi), pos
@@ -674,12 +736,13 @@ def _one_match_key(m) -> tuple | None:
 
 
 class TestGeneratedMatcherAgainstInterpreter:
-    @given(sources_and_templates(), st.sampled_from((GO, C, ZIG)), st.integers(0, 200))
+    @given(sources_and_templates(), st.sampled_from((GO, C, ZIG, PAREN_IDENT)), st.integers(0, 200))
     # paths that drawn templates reach rarely: an empty string body, an
     # optional hole that binds empty first and then more, whitespace after
     # an empty ..., a chain cut by the window, a literal quote, a leading
     # optional hole inside a string, a value prefix before a group, a value
-    # prefix right after an identifier, and a literal inside an identifier
+    # prefix right after an identifier, a literal inside an identifier, and
+    # a run that a group also opens, cut by the window or after a prefix
     @example(('x ""', 'x "$h0"'), GO, 200)
     @example(("f*p", "f$h0"), GO, 200)
     @example(("(ax)", "(...x)"), C, 200)
@@ -689,6 +752,8 @@ class TestGeneratedMatcherAgainstInterpreter:
     @example(("()", "(... )"), C, 200)
     @example(("abc(x)", "$h0"), C, 2)
     @example(('f(")", \')\')', "f($h0*)"), GO, 200)
+    @example(("(bc)", "$h0"), PAREN_IDENT, 1)
+    @example(("x *(b c)", "x $h0"), PAREN_IDENT, 200)
     @settings(max_examples=600, deadline=None)
     def test_match_at_equals_interpreter_at_every_offset(self, source_and_template, lang, cut):
         source, text = source_and_template
