@@ -22,10 +22,12 @@ semi-naive fixpoint per stratum and returns the least model.
 Each rule is compiled, once per stratum, into one Python function per delta
 literal plus one for the seeding round: nested ``for`` loops that read
 variables straight from tuple slots.  The join order is the delta literal,
-then the body order, then the negations as ``not in`` tests.  A literal with
-bound columns probes a hash index on them; an index is built on the first
-probe of a non-empty relation and extended as tuples are inserted, never
-rebuilt.  Queries run through the same compiler.
+then the body order, then the negations as ``not in`` tests.  Plans add
+every head they derive; each round subtracts the known tuples, one set
+difference per derived relation, and what is left is the next delta.  A
+literal with bound columns probes a hash index on them; an index is built on
+the first probe of a non-empty relation and extended as tuples are
+inserted, never rebuilt.  Queries run through the same compiler.
 
 A query can be goal-directed (``goal_directed``): a pattern that binds an
 argument of a derived relation evaluates a magic-set rewrite of only the
@@ -606,8 +608,8 @@ _MAX_BLOCKS = 64
 
 
 def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., None]:
-    """Generate ``plan(relations, indexes, delta, known, new)`` for the rule:
-    nested loops that add each derived head tuple not in ``known`` to ``new``.
+    """Generate ``plan(relations, indexes, delta, new)`` for the rule: nested
+    loops that add every derived head tuple to ``new``, known or not.
 
     The positive literal at ``delta_pos`` ranges over the ``delta`` argument
     (the semi-naive substitution) and comes first; the other positive
@@ -616,7 +618,9 @@ def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., Non
     are ``not in`` tests after them.  Variables are read from tuple slots;
     constants reach the code only through the namespace (``C0``, ``C1``...),
     never as source text.  A body too long for one function continues in
-    nested functions (``part1``...) that take the tuples bound so far.
+    nested functions (``part1``...) that take the tuples bound so far.  A
+    negation that tests the head's own tuple comes last, and the tuple it
+    builds is the one added.
     """
     order = [i for i, lit in enumerate(rule.body) if lit.positive and i != delta_pos]
     if delta_pos is not None:
@@ -670,10 +674,17 @@ def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., Non
         if checks:
             block(f"if {' and '.join(checks)}:")
         slots.update(binds)
-    for n, lit in enumerate(rule.body):
-        if not lit.positive:
-            setup.append(f"N{n} = R[{lit.atom.relation!r}]")
-            block(f"if {_tuple_src([value(t) for t in lit.atom.terms])} not in N{n}:")
+    head = _tuple_src([value(t) for t in rule.head.terms])
+    negated = [
+        (n, _tuple_src([value(t) for t in lit.atom.terms])) for n, lit in enumerate(rule.body) if not lit.positive
+    ]
+    # a negation that tests the head's own tuple goes last and builds it once
+    negated.sort(key=lambda test: test[1] == head)
+    for n, source in negated:
+        setup.append(f"N{n} = R[{rule.body[n].atom.relation!r}]")
+        if source == head:
+            source, head = f"(h := {head})", "h"
+        block(f"if {source} not in N{n}:")
 
     parts: list[list[tuple[str, tuple[str, ...]]]] = [[]]
     loops = 0
@@ -684,7 +695,7 @@ def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., Non
             loops = 0
         parts[-1].append((line, before))
         loops += loop
-    lines = ["def plan(R, X, D, known, new):", "    add = new.add"]
+    lines = ["def plan(R, X, D, new):", "    add = new.add"]
     lines += ["    " + line for line in setup]
     for n in reversed(range(len(parts))):
         part = parts[n]
@@ -692,7 +703,7 @@ def _compile_rule(rule: DatalogRule, delta_pos: int | None) -> Callable[..., Non
             args = ", ".join(parts[n + 1][0][1])
             innermost = [f"part{n + 1}({args})"]
         else:
-            innermost = [f"h = {_tuple_src([value(t) for t in rule.head.terms])}", "if h not in known:", "    add(h)"]
+            innermost = [f"add({head})"]
         base = 1
         if n:
             lines.append(f"    def part{n}({', '.join(part[0][1])}):")
@@ -709,7 +720,9 @@ def evaluate(program: DatalogProgram, edb: Database | None = None) -> Database:
     """Least model of the program over the given EDB (copied, not mutated).
 
     Per stratum: one naive seeding round, then semi-naive delta passes until
-    no rule derives a new tuple.  Each rule's seeding plan and each of its
+    no rule derives a new tuple.  The plans add every head they derive, and
+    each round subtracts the known tuples from each derived set at once: the
+    rest is the next delta.  Each rule's seeding plan and each of its
     delta plans (one per body literal on a relation of the stratum) is
     compiled once per stratum.  EDB relations unknown to the program are
     carried through unchanged.
@@ -739,10 +752,12 @@ def evaluate(program: DatalogProgram, edb: Database | None = None) -> Database:
         ]
         derived: dict[str, set[tuple]] = {}
         for rule in rules:
-            head = rule.head.relation
-            plan = _compile_rule(rule, None)
-            plan(relations, indexes, None, relations[head], derived.setdefault(head, set()))
+            _compile_rule(rule, None)(relations, indexes, None, derived.setdefault(rule.head.relation, set()))
         while True:
+            for rel, fresh in derived.items():
+                # walks the smaller set, where ``fresh -= relations[rel]``
+                # walks all of the relation once fresh is an eighth of it
+                fresh -= fresh & relations[rel]
             delta = {rel: fresh for rel, fresh in derived.items() if fresh}
             if not delta:
                 break
@@ -752,7 +767,7 @@ def evaluate(program: DatalogProgram, edb: Database | None = None) -> Database:
             for head, body_rel, plan in delta_plans:
                 dset = delta.get(body_rel)
                 if dset:
-                    plan(relations, indexes, dset, relations[head], derived.setdefault(head, set()))
+                    plan(relations, indexes, dset, derived.setdefault(head, set()))
     return db
 
 
@@ -819,7 +834,7 @@ def query(db: Database, pattern: str | Atom) -> set[tuple]:
     head = Atom(atom.relation, tuple(Variable(v) for v in dict.fromkeys(atom.variables())), atom.line)
     plan = _compile_rule(DatalogRule(head, (BodyLiteral(atom),)), 0)
     out: set[tuple] = set()
-    plan(db.relations, None, tuples, set(), out)
+    plan(db.relations, None, tuples, out)
     return out
 
 

@@ -5,6 +5,14 @@ are double-quoted symbols (backslash escapes for the quote and the backslash)
 or signed integers.  A Database maps relation names to sets of ground tuples;
 serialization is always sorted so equal databases produce identical bytes.
 
+The writers build that order by groups.  One dict pass groups a relation's
+rows by all but their last value.  The groups are ordered once, and each
+group's last values are sorted as integer ranks among the relation's
+distinct last values.  Each distinct value is formatted once, each group's
+prefix text is built once and each group's lines are joined in one call.
+The order is that of comparing whole tuples; where a column mixes integers
+and symbols, integers come first (``_tuple_key``).
+
 Two on-disk formats are supported: a single ``.dl`` text of fact lines, and a
 directory of per-relation ``<name>.facts`` files with tab-separated columns
 and unquoted symbols (the layout Datalog engines such as Souffle consume).
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import defaultdict
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -113,9 +122,72 @@ def format_fact(fact: Fact) -> str:
     return f"{fact.relation}({', '.join(format_value(a) for a in fact.args)})."
 
 
+def _value_key(v: str | int):
+    # Integers before symbols, so a column that mixes them has an order.
+    return (0, v, "") if isinstance(v, int) else (1, 0, v)
+
+
 def _tuple_key(tup: tuple[str | int, ...]):
-    # Stable order even if a column mixes symbols and integers.
-    return tuple((0, v, "") if isinstance(v, int) else (1, 0, v) for v in tup)
+    return tuple(map(_value_key, tup))
+
+
+def _sorted(items, key) -> list:
+    try:
+        return sorted(items)
+    except TypeError:
+        # Only comparing an integer with a symbol raises.  Every comparison
+        # that did not raise agreed with key, and the items are distinct,
+        # so key gives the order a successful sort would have given.
+        return sorted(items, key=key)
+
+
+def _groups(rows: set[tuple]) -> tuple[list[tuple[tuple, list[int]]], list]:
+    """Non-empty rows of arity one or more, in sorted order, by groups.
+
+    Returns (groups, lasts): lasts are the distinct last values in order,
+    and each group, in order, is (prefix, ranks), the values its rows share
+    and the ascending positions in lasts of their last values, so its rows
+    are ``prefix + (lasts[r],)`` for r in ranks.
+    """
+    arity = len(next(iter(rows)))
+    pairs = rows if arity == 2 else zip(map(itemgetter(slice(-1)), rows), map(itemgetter(-1), rows))
+    by_prefix = defaultdict(list)
+    for prefix, last in pairs:
+        by_prefix[prefix].append(last)
+    lasts = _sorted(set().union(*by_prefix.values()), _value_key)
+    rank = dict(zip(lasts, range(len(lasts))))
+    ordered = _sorted(by_prefix, _value_key if arity == 2 else _tuple_key)
+    return [
+        ((k,) if arity == 2 else k, sorted(map(rank.__getitem__, by_prefix[k]))) for k in ordered
+    ], lasts
+
+
+class _Texts(dict):
+    """Each distinct value's text, made once."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, value):
+        s = self[value] = self.text(value)
+        return s
+
+
+def _lines(rows: set[tuple], texts: _Texts, head: str, sep: str, tail: str) -> list[str]:
+    """The rows as sorted lines ``head + sep.join(cells) + tail + "\n"``,
+    one string per group of rows that share all but their last value."""
+    if not rows:
+        return []
+    if () in rows:
+        return [head + tail + "\n"]
+    groups, lasts = _groups(rows)
+    ends = list(map(texts.__getitem__, lasts))
+    out = []
+    for prefix, ranks in groups:
+        start = head + "".join([texts[v] + sep for v in prefix])
+        out.append(start + (tail + "\n" + start).join(map(ends.__getitem__, ranks)) + tail + "\n")
+    return out
 
 
 class Database:
@@ -171,20 +243,11 @@ class Database:
         return self.relations.get(relation, set())
 
     def sorted_tuples(self, relation: str) -> list[tuple]:
-        rows = list(self.tuples(relation))
-        try:
-            # One stable sort per column, last column first, orders the rows
-            # as comparing whole tuples would, and faster.
-            for column in reversed(range(len(rows[0]) if rows else 0)):
-                rows.sort(key=itemgetter(column))
-        except TypeError:
-            # A column mixes symbols and integers: sorting it compares an
-            # integer with a symbol, and only there does comparison raise.
-            # Comparing whole tuples could order such rows without meeting
-            # that pair, and then agreed with _tuple_key (the tuples are
-            # distinct, so there are no ties); so _tuple_key gives the order.
-            rows.sort(key=_tuple_key)
-        return rows
+        rows = self.tuples(relation)
+        if not rows or () in rows:
+            return list(rows)
+        groups, lasts = _groups(rows)
+        return [prefix + (lasts[r],) for prefix, ranks in groups for r in ranks]
 
     def fact_count(self, relations: Iterable[str] | None = None) -> int:
         names = self.relations if relations is None else relations
@@ -204,18 +267,11 @@ class Database:
     # -- .dl fact text -------------------------------------------------------
 
     def to_dl_text(self) -> str:
-        text: dict[str | int, str] = {}  # each distinct value formatted once
-        lines: list[str] = []
+        texts = _Texts(format_value)
+        chunks: list[str] = []
         for relation in sorted(self.relations):
-            for tup in self.sorted_tuples(relation):
-                args = []
-                for v in tup:
-                    s = text.get(v)
-                    if s is None:
-                        s = text[v] = format_value(v)
-                    args.append(s)
-                lines.append(f"{relation}({', '.join(args)}).")
-        return "\n".join(lines) + ("\n" if lines else "")
+            chunks += _lines(self.relations[relation], texts, relation + "(", ", ", ").")
+        return "".join(chunks)
 
     @classmethod
     def from_dl_text(cls, text: str, path: str | Path | None = None) -> "Database":
@@ -246,27 +302,22 @@ class Database:
         would be an empty line (which reading skips), so those raise
         FactlogError before any file is written.
         """
+        unwritable = []
+
+        def cell(value: str | int) -> str:
+            text = str(value)
+            if "\t" in text or "\n" in text or "\r" in text:
+                unwritable.append(text)
+            return text
+
+        cells = _Texts(cell)
         texts = {}
         for relation in sorted(self.relations):
-            rows = []
-            for tup in self.sorted_tuples(relation):
-                cells = []
-                for v in tup:
-                    cell = str(v)
-                    if "\t" in cell or "\n" in cell or "\r" in cell:
-                        raise FactlogError(
-                            f"symbol {cell!r} in {relation} cannot be written tab-separated; "
-                            "use the dl format"
-                        )
-                    cells.append(cell)
-                row = "\t".join(cells)
-                if not row:
-                    raise FactlogError(
-                        f"tuple {tup!r} in {relation} would be an empty line tab-separated; "
-                        "use the dl format"
-                    )
-                rows.append(row)
-            texts[relation] = "\n".join(rows) + ("\n" if rows else "")
+            rows = self.relations[relation]
+            texts[relation] = "".join(_lines(rows, cells, "", "\t", ""))
+            # each value is checked when first seen, so a flagged one is here
+            if unwritable or () in rows or ("",) in rows:
+                self._raise_unwritable(relation)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         written = []
@@ -275,6 +326,23 @@ class Database:
             path.write_text(text, encoding="utf-8")
             written.append(path)
         return written
+
+    def _raise_unwritable(self, relation: str) -> None:
+        """Raise for the first row of the relation, in sorted order, that
+        reading the tab-separated text could not give back."""
+        for tup in self.sorted_tuples(relation):
+            for v in tup:
+                cell = str(v)
+                if "\t" in cell or "\n" in cell or "\r" in cell:
+                    raise FactlogError(
+                        f"symbol {cell!r} in {relation} cannot be written tab-separated; "
+                        "use the dl format"
+                    )
+            if tup in ((), ("",)):
+                raise FactlogError(
+                    f"tuple {tup!r} in {relation} would be an empty line tab-separated; "
+                    "use the dl format"
+                )
 
     @classmethod
     def from_facts_dir(

@@ -29,6 +29,7 @@ import configparser
 import re
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import LanguageError, read_text
@@ -232,12 +233,8 @@ _CODE_KINDS = _CodeKinds()
 
 
 def _line_start_table(source: str) -> list[int]:
-    starts = [0]
-    pos = source.find("\n")
-    while pos != -1:
-        starts.append(pos + 1)
-        pos = source.find("\n", pos + 1)
-    return starts
+    # each line but the last starts one past the end of the one before it
+    return list(accumulate(map((1).__add__, map(len, source.split("\n")[:-1])), initial=0))
 
 
 # ---------------------------------------------------------------------------

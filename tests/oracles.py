@@ -18,7 +18,10 @@ that the SourceMap's second bracket table answers, and unit_chain_ends, a
 walk over the regions character by character, is the reference for the
 units that the SourceMap's unit table records.  Every region question here
 is answered by interval_at, a bisect over the SourceMap's intervals, never
-by the kinds string the matcher reads.  Agreement between the two
+by the kinds string the matcher reads.  The writers format and check one
+row at a time after one sort of whole rows by _tuple_key, where the
+package groups rows and formats each distinct value once; the line table
+finds one newline at a time.  Agreement between the two
 implementations is the point, so keep this file boring.
 """
 
@@ -32,6 +35,7 @@ from typing import Iterator
 
 from factlog.datalog import DatalogProgram, Variable
 from factlog.errors import FactlogError, LanguageError
+from factlog.facts import Fact, _tuple_key, format_fact
 from factlog.languages import Region, SourceMap
 from factlog.templates import Binding, Hole, HoleKind, Literal, Match, MatchEnvironment, Template
 
@@ -141,6 +145,57 @@ def reachability(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
             closure.add((start, node))
             queue.extend(adjacency.get(node, ()))
     return closure
+
+
+# ---------------------------------------------------------------------------
+# Writers and tables, one row or one line at a time
+
+
+def sorted_rows(rows) -> list[tuple]:
+    """Whole rows in _tuple_key order, sorted in one call."""
+    return sorted(rows, key=_tuple_key)
+
+
+def dl_text(db) -> str:
+    """A database's fact text: relations by name, each one's rows in order,
+    one ``format_fact`` line each."""
+    lines = [format_fact(Fact(rel, tup)) for rel in sorted(db.relations) for tup in sorted_rows(db.relations[rel])]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def facts_texts(db) -> dict[str, str]:
+    """Each relation's tab-separated text, cell by cell, or the FactlogError
+    of the first cell or row in order that reading could not give back."""
+    texts = {}
+    for rel in sorted(db.relations):
+        rows = []
+        for tup in sorted_rows(db.relations[rel]):
+            cells = []
+            for v in tup:
+                cell = str(v)
+                if "\t" in cell or "\n" in cell or "\r" in cell:
+                    raise FactlogError(
+                        f"symbol {cell!r} in {rel} cannot be written tab-separated; use the dl format"
+                    )
+                cells.append(cell)
+            row = "\t".join(cells)
+            if not row:
+                raise FactlogError(
+                    f"tuple {tup!r} in {rel} would be an empty line tab-separated; use the dl format"
+                )
+            rows.append(row)
+        texts[rel] = "\n".join(rows) + ("\n" if rows else "")
+    return texts
+
+
+def line_start_table(source: str) -> list[int]:
+    """The offset at which each line starts, one ``str.find`` per newline."""
+    starts = [0]
+    pos = source.find("\n")
+    while pos != -1:
+        starts.append(pos + 1)
+        pos = source.find("\n", pos + 1)
+    return starts
 
 
 def interval_index(smap: SourceMap, offset: int) -> int:

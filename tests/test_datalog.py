@@ -3,6 +3,10 @@ semi-naive evaluation, and queries."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from factlog import (
@@ -14,14 +18,17 @@ from factlog import (
     UnsafeRule,
     UnstratifiableProgram,
     evaluate,
+    load_preset,
     parse_program,
     parse_query,
     query,
     stratify,
 )
+from factlog import datalog
+from factlog.analyses import run_fact_generation
 from factlog.datalog import Variable, goal_directed
 from factlog.facts import format_value
-from oracles import naive_evaluate
+from oracles import naive_evaluate, reachability
 
 TC = """\
 .decl edge(x:symbol, y:symbol)
@@ -289,12 +296,14 @@ class TestEvaluate:
     def test_long_bodies_compile_past_the_nesting_limit(self, length):
         # one nested loop per positive literal; CPython allows 20 in one
         # function, and 100 levels of indentation, which 70 literals with
-        # their extra probes, membership tests and a negation pass
+        # their extra probes, membership tests and a negation pass; the
+        # last rule's negation tests its own head tuple, in the last part
         body = ", ".join(f"edge(A{i}, A{i + 1})" for i in range(length))
         extra = ", ".join(f"edge(A{i}, B{i}), edge(B{i}, A{i + 2})" for i in range(0, length - 1, 7))
         prog = parse_program(
             f"chain(A0, A{length}) :- {body}.\n"
             f"loop(A0, A{length}) :- {body}, {extra}, !edge(A{length}, A0).\n"
+            f"far(A0, A{length}) :- !edge(A0, A{length}), {body}, !chain(A{length}, A0).\n"
         )
         # every node has one successor, so each start has one walk of each
         # length: a chain into a cycle, and a chain that ends
@@ -305,6 +314,7 @@ class TestEvaluate:
         assert len(solved.tuples("chain")) == 14
         assert solved.tuples("chain") == oracle["chain"]
         assert solved.tuples("loop") == oracle["loop"]
+        assert solved.tuples("far") == oracle["far"] and solved.tuples("far")
         for start in ("n0", "m1"):
             pattern = parse_query(f'chain("{start}", X)')
             want = {(y,) for x, y in oracle["chain"] if x == start}
@@ -391,6 +401,84 @@ class TestGoalDirected:
         goal = goal_directed(program, edb, parse_query('live("b", L)'))
         assert goal.program is not program
         assert query(evaluate(goal.program, goal.edb), goal.pattern) == {(1,), (2,)}
+
+
+def _workload(name: str, out: Path):
+    """A perfbench workload at seed 1, generated into out."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.GENERATORS[name](1, out)
+
+
+CYCLES = [(f"n{i}", f"n{(i + 1) % 7}") for i in range(7)]  # a 7-cycle
+CYCLES += [(f"n{i}", f"m{i}") for i in range(0, 7, 3)] + [("m0", "m3"), ("m3", "m6"), ("m6", "m0"), ("m6", "t")]
+
+
+class TestDeltas:
+    # Plans add every head they derive and each round subtracts the known
+    # tuples: what reaches the indexes is new, and only once.
+
+    @staticmethod
+    def solve_recording(monkeypatch, program, edb):
+        inserts = []
+        insert = datalog._Indexes.insert
+
+        def recording(self, rel, fresh):
+            inserts.append((rel, len(fresh), fresh.isdisjoint(self.relations[rel])))
+            insert(self, rel, fresh)
+
+        monkeypatch.setattr(datalog._Indexes, "insert", recording)
+        solved = evaluate(program, edb)
+        monkeypatch.undo()
+        for rel in program.idb_relations():
+            assert sum(n for r, n, _ in inserts if r == rel) == len(solved.tuples(rel))
+        assert all(disjoint for _, _, disjoint in inserts)
+        return solved, inserts
+
+    @staticmethod
+    def assert_queries(program, edb, solved, patterns, want):
+        for pattern in patterns:
+            asked = parse_query(pattern)
+            goal = goal_directed(program, edb, asked)
+            assert query(solved, asked) == query(evaluate(goal.program, goal.edb), goal.pattern) == want(asked)
+
+    def test_layered_dag(self, monkeypatch, tmp_path):
+        w = _workload("tc-random", tmp_path)
+        program, edb = parse_program(TC), Database.from_dl_text(w.inputs[0].read_text(encoding="utf-8"))
+        solved, inserts = self.solve_recording(monkeypatch, program, edb)
+        assert len(inserts) == 11 and solved.tuples("calls") == w.expected and len(w.expected) == 33_521
+        self.assert_queries(
+            program, edb, solved, w.queries[:4],
+            lambda asked: {(b,) for a, b in w.expected if a == asked.terms[0]},
+        )
+
+    def test_cycles(self, monkeypatch):
+        program, edb = parse_program(TC), edge_db(*CYCLES)
+        solved, _ = self.solve_recording(monkeypatch, program, edb)
+        closure = reachability(set(CYCLES))
+        assert solved.tuples("calls") == closure
+        self.assert_queries(
+            program, edb, solved, ['calls("n3", X)', 'calls(X, "m0")', 'calls("t", X)'],
+            lambda asked: {
+                tuple(v for v, t in zip(pair, asked.terms) if isinstance(t, Variable))
+                for pair in closure
+                if all(isinstance(t, Variable) or t == v for v, t in zip(pair, asked.terms))
+            },
+        )
+
+    def test_liveness(self, monkeypatch, tmp_path):
+        w = _workload("arith-liveness", tmp_path)
+        preset = load_preset("liveness-arith")
+        program, edb = preset.program(), run_fact_generation(preset, w.inputs)[0]
+        solved, inserts = self.solve_recording(monkeypatch, program, edb)
+        assert solved.tuples("live") == w.expected and len(inserts) > 50
+        self.assert_queries(
+            program, edb, solved, w.queries[:4],
+            lambda asked: {(n,) for x, n in w.expected if x == asked.terms[0]},
+        )
 
 
 class TestVariableTerm:

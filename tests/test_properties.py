@@ -33,15 +33,20 @@ from factlog import (
 )
 from factlog.datalog import goal_directed
 from factlog.facts import Fact, format_value, parse_fact_line
+from factlog.languages import _line_start_table
 from factlog.templates import Hole, Literal, compile_template, iter_nested_matches, match_at
 from oracles import (
     collect_inner,
     count_depth_zero_extent,
+    dl_text,
+    facts_texts,
     interpret_at,
     interval_at,
+    line_start_table,
     naive_evaluate,
     reachability,
     rescan_balanced,
+    sorted_rows,
     unit_chain_ends,
 )
 
@@ -366,6 +371,57 @@ class TestFormatRoundTrips:
             assert Database.from_facts_dir(directory, column_types) == db
 
 
+# Few distinct values, so rows share prefixes and columns mix types often
+WRITER_INTS = st.integers(-3, 3) | st.integers(-10**12, 10**12)
+WRITER_SYMBOLS = st.text(st.sampled_from('ab"\\\t\n\r\u2028 '), max_size=3)  # "" included
+WRITER_COLUMNS = {"number": WRITER_INTS, "symbol": WRITER_SYMBOLS, "both": WRITER_INTS | WRITER_SYMBOLS}
+
+
+@st.composite
+def writer_databases(draw):
+    """Several relations of arity 0 to 4, each column of integers, symbols
+    or both, some relations empty."""
+    db = Database()
+    for rel in draw(st.sets(st.sampled_from(("p", "q", "r_1", "S")), max_size=4)):
+        kinds = draw(st.lists(st.sampled_from(tuple(WRITER_COLUMNS)), max_size=4))
+        db.relations[rel] = draw(st.sets(st.tuples(*(WRITER_COLUMNS[k] for k in kinds)), max_size=16))
+    return db
+
+
+class TestWritersAgainstOracle:
+    # The writers group rows by all but their last value and format each
+    # distinct value once; the oracles sort whole rows and format each.
+
+    @given(writer_databases())
+    @settings(max_examples=400)
+    def test_dl_text(self, db):
+        assert db.to_dl_text() == dl_text(db)
+
+    @given(writer_databases())
+    @settings(max_examples=400)
+    def test_sorted_tuples(self, db):
+        for rel, rows in db.relations.items():
+            assert db.sorted_tuples(rel) == sorted_rows(rows)
+
+    @given(writer_databases())
+    @settings(max_examples=400)
+    def test_facts_dir(self, db):
+        try:
+            want = {f"{rel}.facts": text.encode("utf-8") for rel, text in facts_texts(db).items()}
+        except FactlogError as exc:
+            want = str(exc)
+        with tempfile.TemporaryDirectory() as directory:
+            out = Path(directory) / "out"
+            if isinstance(want, str):
+                with pytest.raises(FactlogError) as raised:
+                    db.write_facts_dir(out)
+                assert str(raised.value) == want
+                assert not out.exists()
+            else:
+                db.write_facts_dir(out)
+                assert {path.name: path.read_bytes() for path in out.iterdir()} == want
+
+
 SOURCE = st.text(alphabet='abc ()"`\'/*\\\n{};', max_size=60)
 
 # Langdefs whose openers are words, brackets or runs of one character, and
@@ -480,6 +536,15 @@ class TestClassifierInvariants:
         for offset in (-1, len(source)):
             with pytest.raises(IndexError):
                 smap.region_at(offset)
+
+    @given(st.lists(st.sampled_from(("a", " ", "\n", "\r\n", "\r", "\u2028", "\f", "é"))).map("".join))
+    @example("")
+    @example("a\r\nb")
+    @settings(max_examples=300)
+    def test_line_start_table_finds_every_newline(self, source):
+        # with and without a final newline
+        assert _line_start_table(source) == line_start_table(source)
+        assert _line_start_table(source + "a") == line_start_table(source + "a")
 
     @given(SOURCE)
     @settings(max_examples=100)
@@ -787,6 +852,12 @@ class TestOracleIndependence:
         "region_at",
         "match_at",
         "make_matcher",
+        "to_dl_text",
+        "write_facts_dir",
+        "sorted_tuples",
+        "_groups",
+        "_lines",
+        "_line_start_table",
     }
     # records, and the parser that makes them, are all the oracles may take
     # from templates
