@@ -8,7 +8,9 @@ the result.
 Importing the package loads no layer.  Each public name below is imported
 from its module on first access (PEP 562), so a program that uses only the
 Datalog side (``factlog.load_preset``, ``factlog.evaluate``) never loads the
-matcher modules ``languages``, ``templates`` and ``rewrite``.
+matcher modules ``languages``, ``templates`` and ``rewrite``, and one that
+only loads a preset's program (``factlog.load_preset``, ``factlog.parse_program``)
+loads neither the engine ``datalog`` nor the fact layer ``facts``.
 """
 
 from importlib import import_module
@@ -20,10 +22,7 @@ _EXPORTS = {
     "analyses": (
         "AnalysisPreset RunStats discover_files list_presets load_preset run_analysis run_fact_generation"
     ),
-    "datalog": (
-        "Atom BodyLiteral DatalogProgram DatalogRule Declaration Variable evaluate parse_program "
-        "parse_query query stratify"
-    ),
+    "datalog": "evaluate query stratify",
     "errors": (
         "ArityMismatch DatalogError DatalogSyntaxError DuplicateHoleName FactlogError LanguageError "
         "MalformedFact MalformedHole SpecFormatError TypeMismatch UnboundHole UnknownRelation "
@@ -38,6 +37,7 @@ _EXPORTS = {
         "Condition FactSpec NestedRewrite RewriteTemplate RuleSpec apply_rule load_fact_spec "
         "parse_fact_spec parse_rewrite_template parse_rule substitute"
     ),
+    "syntax": "Atom BodyLiteral DatalogProgram DatalogRule Declaration Variable parse_program parse_query",
     "templates": "Binding Hole HoleKind Match MatchEnvironment Template iter_matches parse_template",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -21,10 +21,13 @@ environment variable or an explicit ``base`` argument.
 
 Only fact generation needs the matcher (``languages``, ``templates`` and
 ``rewrite``), so it is imported inside the functions that generate facts,
-not here.  ``load_preset`` reads ``preset.cfg`` and parses the program,
-failing fast on either; the specs are compiled the first time
-``fact_specs`` is read.  A solve or query over fact files therefore never
-loads the matcher and never reads a spec file.
+not here; the fact layer (``facts``) and the engine (``datalog``) are
+imported inside the functions that build databases or evaluate.
+``load_preset`` reads ``preset.cfg`` and parses the program with the front
+end (``syntax``), failing fast on either and naming the file at fault; the
+specs are compiled the first time ``fact_specs`` is read.  So loading a
+preset imports only this module, ``syntax`` and ``errors``, and a solve or
+query over fact files never loads the matcher and never reads a spec file.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .datalog import DatalogProgram, evaluate, parse_program
-from .errors import FactlogError, SpecFormatError, read_text
-from .facts import Database
+from .errors import DatalogError, FactlogError, SpecFormatError, in_file, read_text
+from .syntax import DatalogProgram, parse_program
 
 if TYPE_CHECKING:
+    from .facts import Database
     from .languages import LanguageDefinition, SourceMap
     from .rewrite import FactSpec
 
@@ -194,7 +197,10 @@ def load_preset(name: str, base: str | Path | None = None) -> AnalysisPreset:
         graph_relation=graph_relation,
     )
     if program_file:
-        preset.program()  # fail fast on a broken program; the parse is kept
+        try:
+            preset.program()  # fail fast on a broken program; the parse is kept
+        except DatalogError as exc:
+            raise in_file(exc, root / program_file) from None
     return preset
 
 
@@ -248,6 +254,8 @@ def _process_file(
     try:
         source = Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
+        from .facts import Database
+
         return path, Database(), {}, [f"{path}: {exc}"], 0
     smap = classify(source, lang)
     db, matches, diagnostics = facts_for_smap(specs, smap, path)
@@ -262,6 +270,8 @@ def run_fact_generation(
     Results are merged in sorted path order, so output is independent of
     worker scheduling and of the jobs value.
     """
+    from .facts import Database
+
     started = time.monotonic()
     lang = preset.language_def()
     specs = preset.fact_specs  # compiled here, before a pool forks, so no worker compiles them
@@ -295,6 +305,8 @@ def run_analysis(
 ) -> tuple[Database, RunStats, list[str]]:
     """Fact generation followed by Datalog evaluation; the returned Database
     holds both the generated facts and the computed relations."""
+    from .datalog import evaluate
+
     started = time.monotonic()
     facts, stats, diagnostics = run_fact_generation(preset, paths, jobs=jobs)
     solved = evaluate(preset.program(), facts)

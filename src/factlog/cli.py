@@ -33,9 +33,20 @@ from .analyses import (
     load_preset,
     run_fact_generation,
 )
-from .datalog import Variable, evaluate, goal_directed, parse_query, query
-from .errors import ArityMismatch, DatalogError, FactlogError, UnboundHole, UnknownRelation, read_text
+from .datalog import evaluate, goal_directed, query
+from .errors import (
+    ArityMismatch,
+    DatalogError,
+    FactlogError,
+    TypeMismatch,
+    UnboundHole,
+    UnknownRelation,
+    UnstratifiableProgram,
+    in_file,
+    read_text,
+)
 from .facts import Database, _tuple_key
+from .syntax import Atom, DatalogProgram, Variable, parse_query
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,8 +126,11 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
         known = ", ".join(list_presets(args.preset_dir)) or "none found"
         raise UsageError(f"provide --preset (available: {known}) or --lang with --spec")
     if args.program:
-        program_text = read_text(args.program)
-        preset = preset._replace(program_text=program_text)
+        preset = preset._replace(program_text=read_text(args.program))
+        try:
+            preset.program()  # fail fast, naming the file; the parse is kept
+        except DatalogError as exc:
+            raise in_file(exc, args.program) from None
     if not fact_inputs:
         preset.fact_specs  # compiled on this first read
     return preset
@@ -168,7 +182,7 @@ def _load_edb(
             try:
                 db.merge(part)
             except ArityMismatch as exc:
-                raise ArityMismatch(f"{p}: {exc}") from None
+                raise in_file(exc, p) from None
         return db, None, []
     files = _gather_sources(args, preset)
     return run_fact_generation(preset, files, jobs=args.jobs)
@@ -243,6 +257,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if preset.program_text.strip():
         program = preset.program()
         goal = goal_directed(program, edb, pattern)
+        _check_constants(program, pattern)
         db, asked = evaluate(goal.program, goal.edb), goal.pattern
     result = query(db, asked)
     has_vars = any(isinstance(t, Variable) and t.name != "_" for t in pattern.terms)
@@ -252,6 +267,17 @@ def cmd_query(args: argparse.Namespace) -> int:
     for tup in sorted(result, key=_tuple_key):
         print("\t".join(str(v) for v in tup))
     return EXIT_OK
+
+
+def _check_constants(program: DatalogProgram, pattern: Atom) -> None:
+    """A constant that its column's type rules out fails as it would in an
+    input tuple, instead of matching nothing."""
+    decl = program.declarations.get(pattern.relation)
+    if decl is None:
+        return
+    for i, (t, v) in enumerate(zip(decl.column_types(), pattern.terms)):
+        if t is not None and not isinstance(v, Variable) and isinstance(v, int) != (t == "number"):
+            raise TypeMismatch(f"{pattern.relation!r} column {i + 1} expects a {t}, got {v!r}")
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
@@ -422,6 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"factlog: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatalogError, UnboundHole) as exc:
+        if isinstance(exc, UnstratifiableProgram) and getattr(args, "program", None):
+            in_file(exc, args.program)  # evaluation, not loading, finds this program error
         print(f"factlog: analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except (FactlogError, OSError) as exc:

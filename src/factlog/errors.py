@@ -72,6 +72,13 @@ class UnknownRelation(DatalogError):
     """A query or lookup names a relation absent from the database."""
 
 
+def in_file(exc: FactlogError, path: str | Path) -> FactlogError:
+    """The error, its message now prefixed with the file it came from.  Its
+    class, and so the exit code, stays the same."""
+    exc.args = (f"{path}: {exc}",)
+    return exc
+
+
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of an input file (a spec, program, fact file or
     config).  Bytes that do not decode are an input error that names the

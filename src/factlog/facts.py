@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import ArityMismatch, FactlogError, MalformedFact, read_text
+from .syntax import decode_symbol
 
 _RELATION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
@@ -81,22 +82,8 @@ def _skip_spaces(text: str, pos: int) -> int:
     return pos
 
 
-# \n, \r, and \t decode to control characters; any other \x folds to x
-DECODE_ESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
 _ENCODE_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
-
-
-def decode_symbol(body: str) -> str:
-    """The interned symbol that a quoted body (without its quotes) spells.
-
-    Fact lines and Datalog programs share this decoder, so a written
-    database re-parses losslessly either way.
-    """
-    if "\\" in body:
-        body = _ESCAPE_RE.sub(lambda m: DECODE_ESCAPES.get(m[1], m[1]), body)
-    return sys.intern(body)
 
 
 def _parse_arg(text: str, pos: int, line: str) -> tuple[str | int, int]:

@@ -33,10 +33,10 @@ import re
 from collections import deque
 from typing import Iterator
 
-from factlog.datalog import DatalogProgram, Variable
 from factlog.errors import FactlogError, LanguageError
 from factlog.facts import Fact, _tuple_key, format_fact
 from factlog.languages import Region, SourceMap
+from factlog.syntax import DatalogProgram, Variable
 from factlog.templates import Binding, Hole, HoleKind, Literal, Match, MatchEnvironment, Template
 
 

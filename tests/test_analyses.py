@@ -16,7 +16,8 @@ from factlog import (
     run_analysis,
     run_fact_generation,
 )
-from factlog.datalog import goal_directed, parse_query, query
+from factlog.datalog import goal_directed, query
+from factlog.syntax import parse_query
 
 EXPECTED_PRESETS = {
     "callgraph-c",

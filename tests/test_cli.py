@@ -345,6 +345,15 @@ class TestQuery:
         assert (code, out) == (EXIT_ANALYSIS, "")
         assert message in err
 
+    def test_constant_of_the_wrong_type_is_analysis_error(self, capsys, tmp_path):
+        edges = tmp_path / "edges.dl"
+        edges.write_text('edge("a", "b").\nedge("b", "c").\n', encoding="utf-8")
+        code, out, err = run(capsys, "query", str(edges), "--preset", "callgraph-c", "-q", "calls(1, X)")
+        assert (code, out) == (EXIT_ANALYSIS, "")
+        assert "'calls' column 1 expects a symbol, got 1" in err
+        code, out, _ = run(capsys, "query", str(edges), "--preset", "callgraph-c", "-q", 'calls("a", X)')
+        assert (code, out) == (EXIT_OK, "b\nc\n")
+
     def test_edb_relation_query(self, capsys, tmp_path):
         edges = tmp_path / "in.dl"
         edges.write_text('edge("a", "b").\nedge("a", "c").\nedge("b", "c").\n', encoding="utf-8")
@@ -536,8 +545,9 @@ def imported_modules(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]
 
 class TestMatcherStaysOffTheDatalogPath:
     """Every CLI run is a fresh process: a run over fact files imports only
-    cli, analyses, datalog, facts and errors.  The guards count modules, not
-    milliseconds, so machine noise cannot flake them."""
+    cli, analyses, datalog, facts, syntax and errors, and loading a preset's
+    program imports only analyses, syntax and errors.  The guards count
+    modules, not milliseconds, so machine noise cannot flake them."""
 
     def test_package_import_loads_no_layer(self):
         proc = subprocess.run(
@@ -549,6 +559,19 @@ class TestMatcherStaysOffTheDatalogPath:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("preset", ["callgraph-c", "liveness-arith"])
+    def test_loading_a_preset_loads_only_the_front_end(self, preset):
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys; before = set(sys.modules); import factlog; "
+                f"factlog.load_preset({preset!r}).program(); "
+                "print(sorted(m for m in set(sys.modules) - before if m.startswith('factlog.')))",
+            ],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "['factlog.analyses', 'factlog.errors', 'factlog.syntax']"
 
     @pytest.mark.parametrize(
         "argv",
@@ -764,6 +787,37 @@ class TestInputErrors:
         got, _, err = run(capsys, "query", str(path), "-q", "edge(X, Y)")
         assert got == code
         assert f"{tmp_path}/{message}" in err
+
+    @pytest.mark.parametrize(
+        "rules, line",
+        [
+            ("calls(X, Y) :- edge(X Y).\n", 3),  # syntax
+            ("calls(X) :- edge(X, _).\n", 3),  # arity
+            ("p(X, Y) :- edge(X, _).\n", 3),  # safety
+            ('w(1).\nw("a").\n', 4),  # type of a fact
+            ('w(1).\nv("a").\np(X) :- w(X), v(X).\n', 5),  # type across a join
+            ("p(X) :- edge(X, _), !q(X).\nq(X) :- p(X).\n", 3),  # stratification
+        ],
+    )
+    def test_program_errors_name_file_and_line(self, capsys, tmp_path, rules, line):
+        edges = tmp_path / "in.dl"
+        edges.write_text('edge("a", "b").\n', encoding="utf-8")
+        program = tmp_path / "p.dl"
+        program.write_text(TC_PROGRAM + rules, encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(edges), "--program", str(program), "--out", str(tmp_path / "out"))
+        assert (code, out) == (EXIT_ANALYSIS, "")
+        assert f"{program}: " in err and f"line {line}" in err
+
+    def test_a_preset_program_error_names_the_file(self, capsys, tmp_path):
+        preset = tmp_path / "mine"
+        preset.mkdir()
+        (preset / "preset.cfg").write_text("[preset]\nlanguage = c\nspecs =\nprogram = tc.dl\n", encoding="utf-8")
+        (preset / "tc.dl").write_text(TC_PROGRAM + "p(X, Y) :- edge(X, _).\n", encoding="utf-8")
+        edges = tmp_path / "in.dl"
+        edges.write_text('edge("a", "b").\n', encoding="utf-8")
+        code, _, err = run(capsys, "query", str(edges), "--preset", "mine", "--preset-dir", str(tmp_path), "-q", "p(X, Y)")
+        assert code == EXIT_ANALYSIS
+        assert f"{preset / 'tc.dl'}: head variable 'Y' at line 3" in err
 
     def test_arity_clash_between_inputs_names_the_file(self, capsys, tmp_path):
         (tmp_path / "a.dl").write_text('edge("a", "b").\n', encoding="utf-8")
