@@ -9,8 +9,11 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
 after the other; which side goes first alternates from pair to pair, so a
 drift of the machine's speed weighs on both sides alike.  For each
 end-to-end metric the script prints the parent's median with its q1-q3,
-the change's median, the relative move, and in how many pairs the change
-read lower.
+the change's median, the relative move of the medians, the paired move
+(the median over the pairs of change / parent, less one), and in how many
+pairs the change read lower.  On a host whose speed drifts, the two sides'
+medians can come from different stretches of the run; the paired move
+compares only runs made next to each other.
 
 A checkout that holds ``src/factlog/__pycache__`` is refused: a stale
 bytecode cache on one side makes that side recompile (or not) and skews
@@ -68,14 +71,18 @@ def main() -> int:
         print(f"pair {i + 1} ({order[0]} first): {cells}", flush=True)
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
-    print(f"{'metric':<12} {'parent':>8} {'q1':>8} {'q3':>8} {'change':>8} {'move':>7}  lower")
+    print(f"{'metric':<12} {'parent':>8} {'q1':>8} {'q3':>8} {'change':>8} {'move':>7} {'paired':>7}  lower")
     for metric in METRICS:
         before = [r[metric] for r in runs["parent"]]
         after = [r[metric] for r in runs["change"]]
         q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else (before[0],) * 3
         b, a = statistics.median(before), statistics.median(after)
         lower = sum(y < x for x, y in zip(before, after))
-        print(f"{metric:<12} {b:8.4f} {q1:8.4f} {q3:8.4f} {a:8.4f} {(a - b) / b:+7.1%}  {lower}/{args.pairs}")
+        paired = statistics.median(y / x for x, y in zip(before, after)) - 1
+        print(
+            f"{metric:<12} {b:8.4f} {q1:8.4f} {q3:8.4f} {a:8.4f} {(a - b) / b:+7.1%} {paired:+7.1%}"
+            f"  {lower}/{args.pairs}"
+        )
     return 0
 
 

@@ -22,7 +22,7 @@ _EXPORTS = {
     "analyses": (
         "AnalysisPreset RunStats discover_files list_presets load_preset run_analysis run_fact_generation"
     ),
-    "datalog": "evaluate query stratify",
+    "datalog": "evaluate stratify",
     "errors": (
         "ArityMismatch DatalogError DatalogSyntaxError DuplicateHoleName FactlogError LanguageError "
         "MalformedFact MalformedHole SpecFormatError TypeMismatch UnboundHole UnknownRelation "
@@ -37,6 +37,7 @@ _EXPORTS = {
         "Condition FactSpec NestedRewrite RewriteTemplate RuleSpec apply_rule load_fact_spec "
         "parse_fact_spec parse_rewrite_template parse_rule substitute"
     ),
+    "queries": "query",
     "syntax": "Atom BodyLiteral DatalogProgram DatalogRule Declaration Variable parse_program parse_query",
     "templates": "Binding Hole HoleKind Match MatchEnvironment Template iter_matches parse_template",
 }

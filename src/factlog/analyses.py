@@ -1,4 +1,4 @@
-"""Bundled analysis presets and corpus-level runners.
+"""Bundled analysis presets, and the entry points of fact generation.
 
 A preset couples fact specs, a Datalog program, and a language.  On disk a
 preset is a directory with a ``preset.cfg`` next to its ``.spec`` and ``.dl``
@@ -20,21 +20,25 @@ export.  The bundled directory can be overridden with the FACTLOG_PRESET_DIR
 environment variable or an explicit ``base`` argument.
 
 Only fact generation needs the matcher (``languages``, ``templates`` and
-``rewrite``), so it is imported inside the functions that generate facts,
-not here; the fact layer (``facts``) and the engine (``datalog``) are
-imported inside the functions that build databases or evaluate.
+``rewrite``) and the corpus runners (``corpus``: ``run_fact_generation``,
+``run_analysis``, ``discover_files`` and ``RunStats``), so they are imported
+inside the functions that generate facts, not here.  The runners' public
+names still resolve here: ``run_fact_generation`` imports its runner on the
+first call, and the others are imported from ``corpus`` on first access.
 ``load_preset`` reads ``preset.cfg`` and parses the program with the front
 end (``syntax``), failing fast on either and naming the file at fault; the
+parsed program keeps its file's path, so that an error found only when it
+is evaluated, a negation inside a recursive cycle, names the file too.  The
 specs are compiled the first time ``fact_specs`` is read.  So loading a
 preset imports only this module, ``syntax`` and ``errors``, and a solve or
-query over fact files never loads the matcher and never reads a spec file.
+query over fact files never loads the matcher or the runners and never
+reads a spec file.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-import time
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -43,18 +47,22 @@ from .errors import DatalogError, FactlogError, SpecFormatError, in_file, read_t
 from .syntax import DatalogProgram, parse_program
 
 if TYPE_CHECKING:
+    from .corpus import RunStats
     from .facts import Database
     from .languages import LanguageDefinition, SourceMap
     from .rewrite import FactSpec
 
 PRESET_DIR_ENV = "FACTLOG_PRESET_DIR"
 
-EXTENSIONS: dict[str, tuple[str, ...]] = {
-    "go": (".go",),
-    "c": (".c", ".h"),
-    "zig": (".zig",),
-    "arith": (".arith",),
-}
+_CORPUS_NAMES = ("RunStats", "discover_files", "run_analysis")
+
+
+def __getattr__(name: str):
+    if name not in _CORPUS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import corpus
+
+    return getattr(corpus, name)
 
 
 class _PresetFields(NamedTuple):
@@ -95,53 +103,6 @@ class AnalysisPreset(_PresetFields):
         from .languages import get_language
 
         return get_language(self.language)
-
-
-class RunStats:
-    """Corpus-level counters for one fact-generation run.
-
-    fact_count sums each file's unique facts over the preset's fact
-    relations, so a call edge appearing in two files counts twice;
-    function_count is the total number of outer-template matches.
-    """
-
-    def __init__(
-        self,
-        files: int = 0,
-        line_count: int = 0,
-        fact_count: int = 0,
-        function_count: int = 0,
-        spec_matches: dict[str, int] | None = None,
-        elapsed_s: float = 0.0,
-    ) -> None:
-        self.files = files
-        self.line_count = line_count
-        self.fact_count = fact_count
-        self.function_count = function_count
-        self.spec_matches = {} if spec_matches is None else spec_matches
-        self.elapsed_s = elapsed_s
-
-    @property
-    def kloc(self) -> float:
-        return self.line_count / 1000.0
-
-    @property
-    def facts_per_function(self) -> float | None:
-        if self.function_count == 0:
-            return None
-        return self.fact_count / self.function_count
-
-    def as_dict(self) -> dict:
-        return {
-            "files": self.files,
-            "line_count": self.line_count,
-            "kloc": self.kloc,
-            "fact_count": self.fact_count,
-            "function_count": self.function_count,
-            "spec_matches": dict(sorted(self.spec_matches.items())),
-            "elapsed_s": self.elapsed_s,
-            "facts_per_function": self.facts_per_function,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +159,30 @@ def load_preset(name: str, base: str | Path | None = None) -> AnalysisPreset:
     )
     if program_file:
         try:
-            preset.program()  # fail fast on a broken program; the parse is kept
+            program = preset.program()  # fail fast on a broken program; the parse is kept
         except DatalogError as exc:
             raise in_file(exc, root / program_file) from None
+        program.path = str(root / program_file)
     return preset
 
 
 # ---------------------------------------------------------------------------
-# File discovery
+# Fact generation
 
 
-def discover_files(inputs: list[str | Path], language: str) -> list[Path]:
-    """Expand directories to language source files; keep explicit files as-is."""
-    exts = EXTENSIONS.get(language, ())
-    out: set[Path] = set()
-    for item in inputs:
-        p = Path(item)
-        if p.is_dir():
-            for ext in exts:
-                out.update(q for q in p.rglob(f"*{ext}") if q.is_file())
-        elif p.is_file():
-            out.add(p)
-        else:
-            raise FactlogError(f"no such file or directory: {p}")
-    return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# Corpus runners
-
-
-# The matcher's two steps per file.  They import their layer on the first
-# call, and as names of this module a profiler can wrap them
+# The runner, and the matcher's two steps per file.  They import their code
+# on the first call, and as names of this module a profiler can wrap them
 # (perfbench/tracing.py does).
+
+
+def run_fact_generation(
+    preset: AnalysisPreset, paths: list[str | Path], jobs: int = 1
+) -> tuple[Database, RunStats, list[str]]:
+    """Generate facts for a corpus; returns (facts, stats, diagnostics).
+    See ``corpus.run_fact_generation``."""
+    from .corpus import run_fact_generation
+
+    return run_fact_generation(preset, paths, jobs)
 
 
 def classify(source: str, lang: LanguageDefinition) -> SourceMap:
@@ -250,6 +202,7 @@ def facts_for_smap(
 def _process_file(
     task: tuple[str, tuple[FactSpec, ...], LanguageDefinition]
 ) -> tuple[str, Database, dict[str, int], list[str], int]:
+    """One file's facts, matches per spec, diagnostics and line count."""
     path, specs, lang = task
     try:
         source = Path(path).read_text(encoding="utf-8", errors="replace")
@@ -262,53 +215,3 @@ def _process_file(
     return path, db, matches, diagnostics, smap.line_count()
 
 
-def run_fact_generation(
-    preset: AnalysisPreset, paths: list[str | Path], jobs: int = 1
-) -> tuple[Database, RunStats, list[str]]:
-    """Generate facts for a corpus; returns (facts, stats, diagnostics).
-
-    Results are merged in sorted path order, so output is independent of
-    worker scheduling and of the jobs value.
-    """
-    from .facts import Database
-
-    started = time.monotonic()
-    lang = preset.language_def()
-    specs = preset.fact_specs  # compiled here, before a pool forks, so no worker compiles them
-    tasks = [(str(p), specs, lang) for p in sorted(Path(p) for p in paths)]
-    if jobs > 1 and len(tasks) > 1:
-        from multiprocessing import get_context  # imported here: ~5 ms every serial run would pay
-
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_process_file, tasks, chunksize=chunk)
-    else:
-        results = [_process_file(t) for t in tasks]
-
-    db = Database()
-    stats = RunStats(files=len(results))
-    diagnostics: list[str] = []
-    for _, file_db, matches, diags, lines in results:
-        db.merge(file_db)
-        stats.line_count += lines
-        stats.fact_count += file_db.fact_count(preset.fact_relations or None)
-        for name, n in matches.items():
-            stats.spec_matches[name] = stats.spec_matches.get(name, 0) + n
-        diagnostics.extend(diags)
-    stats.function_count = sum(stats.spec_matches.values())
-    stats.elapsed_s = time.monotonic() - started
-    return db, stats, diagnostics
-
-
-def run_analysis(
-    preset: AnalysisPreset, paths: list[str | Path], jobs: int = 1
-) -> tuple[Database, RunStats, list[str]]:
-    """Fact generation followed by Datalog evaluation; the returned Database
-    holds both the generated facts and the computed relations."""
-    from .datalog import evaluate
-
-    started = time.monotonic()
-    facts, stats, diagnostics = run_fact_generation(preset, paths, jobs=jobs)
-    solved = evaluate(preset.program(), facts)
-    stats.elapsed_s = time.monotonic() - started
-    return solved, stats, diagnostics

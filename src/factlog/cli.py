@@ -13,40 +13,38 @@ Exit codes: 0 success, 2 usage errors, 3 input errors (missing or malformed
 files, bad specs), 4 analysis errors (Datalog syntax/safety/stratification/
 type failures, unknown relations or queries).
 
-The matcher (languages, templates, rewrite) is imported only by the code
-that reads sources, spec files or --langdef files, so solve, query and
-graph over fact files never load it.
+This module holds the shared plumbing, solve and query; each run compiles
+only the code its command enters.  The other four subcommands live in
+``commands``, imported when one of them runs.  The corpus runners
+(``corpus``) are imported only by runs over sources, the matcher
+(languages, templates, rewrite) only by the code that reads sources, spec
+files or --langdef files, the goal-directed query code (``queries``) only by
+query, and the reader and writer of ``.facts`` files (``tsv``) only by runs
+that read or write them.  So a solve over ``.dl`` files compiles none of
+these.
+
+The cyclic garbage collector is off while a command runs: every tuple the
+command derives is a container it would examine, in vain, since they are
+freed by reference counting when the command returns.  The factlog process
+itself (``__main__.run``) keeps it off from its first import to its exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
-from .analyses import (
-    PRESET_DIR_ENV,
-    AnalysisPreset,
-    RunStats,
-    discover_files,
-    list_presets,
-    load_preset,
-    run_fact_generation,
-)
-from .datalog import evaluate, goal_directed, query
-from .errors import (
-    ArityMismatch,
-    DatalogError,
-    FactlogError,
-    TypeMismatch,
-    UnboundHole,
-    UnknownRelation,
-    UnstratifiableProgram,
-    in_file,
-    read_text,
-)
+from .analyses import PRESET_DIR_ENV, AnalysisPreset, list_presets, load_preset, run_fact_generation
+from .datalog import evaluate
+from .errors import ArityMismatch, DatalogError, FactlogError, TypeMismatch, UnboundHole, in_file, read_text
 from .facts import Database, _tuple_key
 from .syntax import Atom, DatalogProgram, Variable, parse_query
+
+if TYPE_CHECKING:
+    from .corpus import RunStats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,15 +126,18 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
     if args.program:
         preset = preset._replace(program_text=read_text(args.program))
         try:
-            preset.program()  # fail fast, naming the file; the parse is kept
+            program = preset.program()  # fail fast, naming the file; the parse is kept
         except DatalogError as exc:
             raise in_file(exc, args.program) from None
+        program.path = args.program
     if not fact_inputs:
         preset.fact_specs  # compiled on this first read
     return preset
 
 
 def _gather_sources(args: argparse.Namespace, preset: AnalysisPreset) -> list[Path]:
+    from .corpus import discover_files
+
     for item in args.inputs:
         if Path(item).suffix in FACT_SUFFIXES and Path(item).is_file():
             raise UsageError(f"{item} is a fact file; fact generation reads {preset.language} source files")
@@ -204,31 +205,8 @@ def _write_db(db: Database, out: Path, fmt: str, relations, dl_name: str) -> lis
     return sub.write_facts_dir(out)
 
 
-def _summary_line(stats: RunStats) -> str:
-    fpf = stats.facts_per_function
-    line = (
-        f"files={stats.files} kloc={stats.kloc:.3f} facts={stats.fact_count} "
-        f"functions={stats.function_count} elapsed_s={stats.elapsed_s:.2f}"
-    )
-    if fpf is not None:
-        line += f" facts_per_function={fpf:.2f}"
-    return line
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
-
-
-def cmd_facts(args: argparse.Namespace) -> int:
-    preset = _resolve_preset(args)
-    files = _gather_sources(args, preset)
-    db, stats, diagnostics = run_fact_generation(preset, files, jobs=args.jobs)
-    _emit_diagnostics(diagnostics)
-    written = _write_db(db, Path(args.out), args.format, sorted(db.relations), "facts.dl")
-    print(_summary_line(stats))
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -249,6 +227,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    from .queries import goal_directed, query
+
     preset = _resolve_preset(args)
     pattern = parse_query(args.query)
     edb, _, diagnostics = _load_edb(args, preset)
@@ -280,116 +260,19 @@ def _check_constants(program: DatalogProgram, pattern: Atom) -> None:
             raise TypeMismatch(f"{pattern.relation!r} column {i + 1} expects a {t}, got {v!r}")
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    preset = _resolve_preset(args)
-    if args.relation:
-        relation = args.relation
-    elif args.closure:
-        relation = preset.primary_output
-    else:
-        relation = preset.graph_relation or "edge"
-    if not relation:
-        raise UsageError("no graph relation: pass --relation")
-    edb, _, diagnostics = _load_edb(args, preset)
-    _emit_diagnostics(diagnostics)
-    db = edb
-    if relation not in db.relations and preset.program_text.strip():
-        db = evaluate(preset.program(), edb)
-    if relation not in db.relations:
-        raise UnknownRelation(f"relation {relation!r} is not present in the results")
-    tuples = db.sorted_tuples(relation)
-    if tuples and len(next(iter(tuples))) != 2:
-        raise FactlogError(f"graph export needs a binary relation; {relation!r} is not")
-    body = "".join(
-        f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";\n' for a, b in tuples
-    )
-    text = f"digraph {relation} {{\n{body}}}\n"
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _dot_escape(value: str | int) -> str:
-    return str(value).replace("\\", "\\\\").replace('"', '\\"')
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    preset = _resolve_preset(args)
-    rows: list[tuple[str, RunStats]] = []
-    for item in args.inputs:
-        if not Path(item).exists():
-            raise FactlogError(f"no such file or directory: {item}")
-        files = discover_files([item], preset.language)
-        _, stats, diagnostics = run_fact_generation(preset, files, jobs=args.jobs)
-        _emit_diagnostics(diagnostics)
-        rows.append((str(item), stats))
-    if args.json:
-        import json  # here, not at the top: only bench --json and match print JSON
-
-        for name, stats in rows:
-            print(json.dumps({"corpus": name, **stats.as_dict()}, sort_keys=True))
-        return EXIT_OK
-    header = f"{'corpus':<28} {'files':>6} {'kloc':>9} {'facts':>8} {'funcs':>7} {'time_s':>7} {'facts/func':>10}"
-    print(header)
-    for name, stats in rows:
-        fpf = stats.facts_per_function
-        ratio = f"{fpf:.2f}" if fpf is not None else "-"
-        print(
-            f"{name:<28} {stats.files:>6} {stats.kloc:>9.3f} {stats.fact_count:>8} "
-            f"{stats.function_count:>7} {stats.elapsed_s:>7.2f} {ratio:>10}"
-        )
-    return EXIT_OK
-
-
-def cmd_match(args: argparse.Namespace) -> int:
-    from .languages import classify, get_language, load_language_file
-    from .rewrite import load_fact_spec
-    from .templates import compile_template, iter_matches, parse_template
-
-    for path in args.langdef or []:
-        load_language_file(path)
-    if bool(args.template) == bool(args.spec):
-        raise UsageError("match needs exactly one of --template or --spec")
-    if not args.lang:
-        raise UsageError("match requires --lang")
-    lang = get_language(args.lang)
-    if args.template:
-        template = compile_template(parse_template(args.template), lang)
-    else:
-        template = load_fact_spec(args.spec, language=args.lang).match
-    files = discover_files(args.inputs, args.lang)
-    if not files:
-        raise FactlogError(f"no {args.lang} source files found under {args.inputs}")
-    import json  # here, not at the top: only bench --json and match print JSON
-
-    for path in files:
-        source = path.read_text(encoding="utf-8", errors="replace")
-        smap = classify(source, lang)
-        for m in iter_matches(template, smap):
-            line, column = smap.line_col(m.start)
-            record = {
-                "path": str(path),
-                "start": m.start,
-                "end": m.end,
-                "line": line,
-                "column": column,
-                "text": source[m.start : m.end],
-                "holes": {
-                    name: {"text": b.text, "line": b.line, "column": b.column}
-                    for name, b in sorted(m.env.bindings.items())
-                },
-            }
-            print(json.dumps(record, sort_keys=True))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _command(name: str) -> Callable[[argparse.Namespace], int]:
+    """The subcommand of that name in ``commands``, imported when it runs."""
+
+    def run(args: argparse.Namespace) -> int:
+        from . import commands
+
+        return getattr(commands, name)(args)
+
+    return run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_args(sp)
     sp.add_argument("--format", choices=("dl", "tsv"), default="dl")
     sp.add_argument("--out", "-o", default="factlog-out", help="output directory")
-    sp.set_defaults(func=cmd_facts)
+    sp.set_defaults(func=_command("cmd_facts"))
 
     sp = sub.add_parser("solve", help="evaluate the Datalog program over facts")
     _add_input_args(sp)
@@ -421,12 +304,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--relation", help="relation to export (default: the preset's edge relation)")
     sp.add_argument("--closure", action="store_true", help="export the preset's computed closure instead")
     sp.add_argument("--out", "-o", help="output file (default: stdout)")
-    sp.set_defaults(func=cmd_graph)
+    sp.set_defaults(func=_command("cmd_graph"))
 
     sp = sub.add_parser("bench", help="per-corpus fact-generation statistics")
     _add_input_args(sp)
     sp.add_argument("--json", action="store_true", help="one JSON object per corpus row")
-    sp.set_defaults(func=cmd_bench)
+    sp.set_defaults(func=_command("cmd_bench"))
 
     sp = sub.add_parser("match", help="print template matches as JSON lines")
     sp.add_argument("inputs", nargs="+", help="source files or directories")
@@ -434,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--template", "-t", help="match template text")
     sp.add_argument("--spec", help="take the match template from a spec file")
     sp.add_argument("--langdef", action="append", metavar="FILE")
-    sp.set_defaults(func=cmd_match)
+    sp.set_defaults(func=_command("cmd_match"))
 
     return parser
 
@@ -442,19 +325,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()  # until the command's frame, and all it derived, is freed
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"factlog: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatalogError, UnboundHole) as exc:
-        if isinstance(exc, UnstratifiableProgram) and getattr(args, "program", None):
-            in_file(exc, args.program)  # evaluation, not loading, finds this program error
         print(f"factlog: analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except (FactlogError, OSError) as exc:
         print(f"factlog: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Ground facts and fact databases, with text and tab-separated serialization.
+"""Ground facts and fact databases, and the ``.dl`` fact text.
 
 A fact line looks like ``edge("incr", "one").`` or ``next(1, 2).``: arguments
 are double-quoted symbols (backslash escapes for the quote and the backslash)
-or signed integers.  A Database maps relation names to sets of ground tuples;
-serialization is always sorted so equal databases produce identical bytes.
+or signed integers.  ``parse_fact_line`` is the one grammar of a fact line.
+A Database maps relation names to sets of ground tuples; serialization is
+always sorted so equal databases produce identical bytes.
 
 The writers build that order by groups.  One dict pass groups a relation's
 rows by all but their last value.  The groups are ordered once, and each
@@ -13,9 +14,16 @@ prefix text is built once and each group's lines are joined in one call.
 The order is that of comparing whole tuples; where a column mixes integers
 and symbols, integers come first (``_tuple_key``).
 
+The reader takes the lines in the writer's shape in bulk: one regular
+expression splits the whole text into lines, each distinct value text is
+decoded once, and each relation's rows are made at once.  Only the other
+lines go through ``parse_fact_line``.
+
 Two on-disk formats are supported: a single ``.dl`` text of fact lines, and a
 directory of per-relation ``<name>.facts`` files with tab-separated columns
 and unquoted symbols (the layout Datalog engines such as Souffle consume).
+The second one's reader and writer live in ``tsv``, which the ``Database``
+methods for it import when they are called.
 """
 
 from __future__ import annotations
@@ -23,16 +31,16 @@ from __future__ import annotations
 import re
 import sys
 from collections import defaultdict
+from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import ArityMismatch, FactlogError, MalformedFact, read_text
+from .errors import ArityMismatch, MalformedFact
 from .syntax import decode_symbol
 
 _RELATION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
-_INT_TOKEN_RE = re.compile(r"-?\d+\Z")
 
 
 class Fact(NamedTuple):
@@ -109,6 +117,44 @@ def format_fact(fact: Fact) -> str:
     return f"{fact.relation}({', '.join(format_value(a) for a in fact.args)})."
 
 
+# A line in the shape the writer gives each row of arity one or more,
+# ``rel("sym", 12).``: nothing around it, ", " between the values, symbols
+# without a comma or a raw quote, and ASCII integers.  No value holds a comma,
+# so ", " splits a line's values exactly.  Each line of a text is one match,
+# (relation, values, "") in that shape and ("", "", line) otherwise.
+# The pattern is compiled on the first read (``re`` keeps it), so a run that
+# reads no fact text never pays for that.
+_VALUE = r'(?:"(?:[^"\\\n,]|\\[^\n,])*"|-?[0-9]+)'
+_LINE = rf"^(?:([A-Za-z_][A-Za-z0-9_]*)\(({_VALUE}(?:, {_VALUE})*)\)\.$|(.*))"
+
+
+def _decode_value(text: str) -> str | int:
+    """The value of a value text of that shape."""
+    return decode_symbol(text[1:-1]) if text[0] == '"' else int(text)
+
+
+def _arity_mismatch(relation: str, held: int, got: int) -> ArityMismatch:
+    return ArityMismatch(f"relation {relation} holds {held}-tuples, got {got}-tuple")
+
+
+def _first_arity_mismatch(
+    lines: list[tuple[str, str, str]], others: dict[int, Fact]
+) -> tuple[int, ArityMismatch]:
+    """The index of the first line whose row's arity differs from that of
+    its relation's first row, and the error adding that row raises."""
+    arities: dict[str, int] = {}
+    for i, (relation, texts, _) in enumerate(lines):
+        if relation:
+            got = texts.count(",") + 1
+        elif i in others:
+            relation, got = others[i].relation, len(others[i].args)
+        else:
+            continue
+        held = arities.setdefault(relation, got)
+        if held != got:
+            return i, _arity_mismatch(relation, held, got)
+
+
 def _value_key(v: str | int):
     # Integers before symbols, so a column that mixes them has an order.
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
@@ -149,19 +195,21 @@ def _groups(rows: set[tuple]) -> tuple[list[tuple[tuple, list[int]]], list]:
     ], lasts
 
 
-class _Texts(dict):
-    """Each distinct value's text, made once."""
+class _Memo(dict):
+    """A function's result for each distinct argument, made once: each
+    distinct value's text for the writers, each distinct value text's value
+    for the reader."""
 
-    def __init__(self, text):
+    def __init__(self, function):
         super().__init__()
-        self.text = text
+        self.function = function
 
-    def __missing__(self, value):
-        s = self[value] = self.text(value)
-        return s
+    def __missing__(self, key):
+        result = self[key] = self.function(key)
+        return result
 
 
-def _lines(rows: set[tuple], texts: _Texts, head: str, sep: str, tail: str) -> list[str]:
+def _lines(rows: set[tuple], texts: _Memo, head: str, sep: str, tail: str) -> list[str]:
     """The rows as sorted lines ``head + sep.join(cells) + tail + "\n"``,
     one string per group of rows that share all but their last value."""
     if not rows:
@@ -206,7 +254,7 @@ class Database:
         if arity is None:  # filled through self.relations
             arity = self._arity[relation] = len(next(iter(existing)))
         if arity != len(tup):
-            raise ArityMismatch(f"relation {relation} holds {arity}-tuples, got {len(tup)}-tuple")
+            raise _arity_mismatch(relation, arity, len(tup))
         existing.add(tup)
 
     def add_fact(self, fact: Fact) -> None:
@@ -223,7 +271,7 @@ class Database:
             if existing and tuples:
                 mine, theirs = len(next(iter(existing))), len(next(iter(tuples)))
                 if mine != theirs:
-                    raise ArityMismatch(f"relation {relation} holds {mine}-tuples, got {theirs}-tuple")
+                    raise _arity_mismatch(relation, mine, theirs)
             existing.update(tuples)
 
     def tuples(self, relation: str) -> set[tuple]:
@@ -254,7 +302,7 @@ class Database:
     # -- .dl fact text -------------------------------------------------------
 
     def to_dl_text(self) -> str:
-        texts = _Texts(format_value)
+        texts = _Memo(format_value)
         chunks: list[str] = []
         for relation in sorted(self.relations):
             chunks += _lines(self.relations[relation], texts, relation + "(", ", ", ").")
@@ -263,129 +311,83 @@ class Database:
     @classmethod
     def from_dl_text(cls, text: str, path: str | Path | None = None) -> "Database":
         """Parse fact lines; with a path, a bad line's error starts with
-        ``path:line:``."""
+        ``path:line:``.
+
+        Only a line feed ends a line: a symbol may hold a form feed or
+        U+2028, which ``str.splitlines`` splits on.  Lines in the writer's shape are
+        read in bulk: each distinct value text is decoded once, and each
+        relation's rows are made at once, after one arity check.  Every
+        other line that is not blank or a ``//`` comment goes through
+        parse_fact_line.  The error raised is that of the first bad line, as
+        if each line were parsed and added in turn.
+        """
+        lines = re.findall(_LINE, text, re.MULTILINE)
+        found: dict[str, tuple[list[str], list[tuple]]] = {}  # per relation: bulk values texts, other rows
+        others: dict[int, Fact] = {}  # the other fact lines, by line index
+        bad = None
+        at = 0
+        for relation, group in groupby(lines, itemgetter(0)):
+            group = list(group)
+            if relation:
+                found.setdefault(sys.intern(relation), ([], []))[0].extend(map(itemgetter(1), group))
+            else:
+                for i, (_, _, other) in enumerate(group, at):
+                    line = other.strip()
+                    if not line or line.startswith("//"):
+                        continue
+                    try:
+                        fact = others[i] = parse_fact_line(line)
+                    except MalformedFact as exc:
+                        bad = i, exc
+                        break
+                    found.setdefault(fact.relation, ([], []))[1].append(fact.args)
+                if bad:
+                    break
+            at += len(group)
         db = cls()
-        # split on "\n" only: escaped symbols never contain real newlines,
-        # but they may contain unicode separators that splitlines() honors
-        for lineno, raw in enumerate(text.split("\n"), 1):
-            line = raw.strip()
-            if not line or line.startswith("//"):
-                continue
-            try:
-                db.add_fact(parse_fact_line(line))
-            except (MalformedFact, ArityMismatch) as exc:
-                if path is None:
-                    raise
-                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        values = _Memo(_decode_value)
+        for relation, (texts, rows) in found.items():
+            arities = set(map(len, rows))
+            arities.update(n + 1 for n in set(map(str.count, texts, repeat(","))))
+            if len(arities) > 1:
+                bad = _first_arity_mismatch(lines, others)
+                break
+            (arity,) = arities
+            tuples = set(rows)
+            if texts:
+                cells = map(values.__getitem__, ", ".join(texts).split(", "))
+                tuples.update(zip(*[cells] * arity))
+            db.relations[relation] = tuples
+            db._arity[relation] = arity
+        if bad:
+            i, exc = bad
+            raise exc if path is None else type(exc)(f"{path}:{i + 1}: {exc}")
         return db
 
-    # -- per-relation .facts files (tab separated) ---------------------------
+    # -- per-relation .facts files (tab separated), in ``tsv`` -----------------
 
     def write_facts_dir(self, directory: str | Path) -> list[Path]:
-        """Write one sorted <relation>.facts file per relation.
+        """Write one sorted <relation>.facts file per relation."""
+        from .tsv import write_facts_dir
 
-        Reading could not give back a cell holding a tab, a newline or a
-        carriage return (which reading folds into a newline), nor a row that
-        would be an empty line (which reading skips), so those raise
-        FactlogError before any file is written.
-        """
-        unwritable = []
-
-        def cell(value: str | int) -> str:
-            text = str(value)
-            if "\t" in text or "\n" in text or "\r" in text:
-                unwritable.append(text)
-            return text
-
-        cells = _Texts(cell)
-        texts = {}
-        for relation in sorted(self.relations):
-            rows = self.relations[relation]
-            texts[relation] = "".join(_lines(rows, cells, "", "\t", ""))
-            # each value is checked when first seen, so a flagged one is here
-            if unwritable or () in rows or ("",) in rows:
-                self._raise_unwritable(relation)
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written = []
-        for relation, text in texts.items():
-            path = directory / f"{relation}.facts"
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-        return written
-
-    def _raise_unwritable(self, relation: str) -> None:
-        """Raise for the first row of the relation, in sorted order, that
-        reading the tab-separated text could not give back."""
-        for tup in self.sorted_tuples(relation):
-            for v in tup:
-                cell = str(v)
-                if "\t" in cell or "\n" in cell or "\r" in cell:
-                    raise FactlogError(
-                        f"symbol {cell!r} in {relation} cannot be written tab-separated; "
-                        "use the dl format"
-                    )
-            if tup in ((), ("",)):
-                raise FactlogError(
-                    f"tuple {tup!r} in {relation} would be an empty line tab-separated; "
-                    "use the dl format"
-                )
+        return write_facts_dir(self, directory)
 
     @classmethod
     def from_facts_dir(
         cls, directory: str | Path, column_types: dict[str, tuple[str | None, ...]] | None = None
     ) -> "Database":
-        """Read every <relation>.facts file in a directory.
+        """Read every <relation>.facts file in a directory; column_types maps
+        a relation to its columns' 'symbol' or 'number' markers (None to
+        infer)."""
+        from .tsv import read_facts_dir
 
-        column_types maps relation name to 'symbol'/'number' markers (None to
-        infer); columns without a marker are read as integers when every
-        character fits, symbols otherwise.
-        """
-        db = cls()
-        directory = Path(directory)
-        for path in sorted(directory.glob("*.facts")):
-            cls._read_facts_file(db, path, column_types)
-        return db
+        return read_facts_dir(cls(), directory, column_types)
 
     @classmethod
     def from_facts_file(
         cls, path: str | Path, column_types: dict[str, tuple[str | None, ...]] | None = None
     ) -> "Database":
         """Read one <relation>.facts file (relation named after the file)."""
-        db = cls()
-        cls._read_facts_file(db, Path(path), column_types)
-        return db
+        from .tsv import read_facts_file
 
-    @staticmethod
-    def _read_facts_file(
-        db: "Database", path: Path, column_types: dict[str, tuple[str | None, ...]] | None
-    ) -> None:
-        relation = path.stem
-        db.relations.setdefault(relation, set())  # an empty file still names its relation
-        types = (column_types or {}).get(relation)
-        # "\n" only, as in from_dl_text: a symbol may hold "\f" or U+2028
-        for lineno, raw in enumerate(read_text(path).split("\n"), 1):
-            if raw == "":
-                continue
-            cells = raw.split("\t")
-            values: list[str | int] = []
-            for idx, cell in enumerate(cells):
-                declared = types[idx] if types is not None and idx < len(types) else None
-                if declared == "number":
-                    try:
-                        values.append(int(cell))
-                    except ValueError:
-                        raise MalformedFact(
-                            f"{path}:{lineno}: column {idx + 1} of {relation!r} "
-                            f"should be a number, got {cell!r}"
-                        ) from None
-                elif declared == "symbol":
-                    values.append(sys.intern(cell))
-                elif _INT_TOKEN_RE.match(cell):
-                    values.append(int(cell))
-                else:
-                    values.append(sys.intern(cell))
-            try:
-                db.add(relation, tuple(values))
-            except ArityMismatch as exc:
-                raise ArityMismatch(f"{path}:{lineno}: {exc}") from None
+        return read_facts_file(cls(), path, column_types)

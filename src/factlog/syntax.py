@@ -119,6 +119,7 @@ class DatalogProgram:
         self.declarations = declarations
         self.facts = facts
         self.rules = rules
+        self.path: str | None = None  # the file it was read from, named by errors found later
 
     def all_relations(self) -> set[str]:
         return set(self.declarations)

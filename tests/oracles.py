@@ -20,8 +20,10 @@ units that the SourceMap's unit table records.  Every region question here
 is answered by interval_at, a bisect over the SourceMap's intervals, never
 by the kinds string the matcher reads.  The writers format and check one
 row at a time after one sort of whole rows by _tuple_key, where the
-package groups rows and formats each distinct value once; the line table
-finds one newline at a time.  Agreement between the two
+package groups rows and formats each distinct value once; the fact-text
+reader parses and adds one line at a time with parse_fact_line, where the
+package reads the writer's line shape in bulk; the line table finds one
+newline at a time.  Agreement between the two
 implementations is the point, so keep this file boring.
 """
 
@@ -33,8 +35,8 @@ import re
 from collections import deque
 from typing import Iterator
 
-from factlog.errors import FactlogError, LanguageError
-from factlog.facts import Fact, _tuple_key, format_fact
+from factlog.errors import ArityMismatch, FactlogError, LanguageError, MalformedFact
+from factlog.facts import Database, Fact, _tuple_key, format_fact, parse_fact_line
 from factlog.languages import Region, SourceMap
 from factlog.syntax import DatalogProgram, Variable
 from factlog.templates import Binding, Hole, HoleKind, Literal, Match, MatchEnvironment, Template
@@ -186,6 +188,25 @@ def facts_texts(db) -> dict[str, str]:
             rows.append(row)
         texts[rel] = "\n".join(rows) + ("\n" if rows else "")
     return texts
+
+
+def read_dl_text(text: str, path=None) -> Database:
+    """Fact text read one line at a time: each line that is not blank or a
+    ``//`` comment is parsed and added in turn, and the first bad one raises,
+    its message prefixed with ``path:line:`` when a path is given.  Lines
+    end at "\n" only."""
+    db = Database()
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        try:
+            db.add_fact(parse_fact_line(line))
+        except (MalformedFact, ArityMismatch) as exc:
+            if path is None:
+                raise
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    return db
 
 
 def line_start_table(source: str) -> list[int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import inspect
 import json
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import factlog
+from factlog import cli
 from factlog.cli import EXIT_ANALYSIS, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -448,7 +450,7 @@ class TestBench:
 class TestDeterminism:
     def test_facts_byte_identical_across_jobs(self, tmp_path, samples_dir, capsys):
         outputs = []
-        for jobs in ("1", "3", "1"):
+        for jobs in ("1", "2", "3", "1"):
             out_dir = tmp_path / f"run-{len(outputs)}"
             code, _, _ = run(
                 capsys, "facts", str(samples_dir), "--preset", "callgraph-go",
@@ -456,7 +458,60 @@ class TestDeterminism:
             )
             assert code == EXIT_OK
             outputs.append((out_dir / "facts.dl").read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+
+class TestCollectorPause:
+    """main turns the cyclic collector off while the command runs and hands
+    the caller back the state it had, whatever the command returns."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("solve", "{dl}", "--preset", "callgraph-c", "--out", "{out}"), EXIT_OK),
+            (("solve", "{dl}", "--out", "{out}"), EXIT_USAGE),
+            (("query", "{missing}", "--preset", "callgraph-c", "-q", 'calls("a", X)'), EXIT_INPUT),
+            (("query", "{dl}", "--preset", "callgraph-c", "-q", "nope(X)"), EXIT_ANALYSIS),
+        ],
+        ids=["ok", "usage", "input", "analysis"],
+    )
+    def test_the_callers_state_comes_back(self, capsys, monkeypatch, tmp_path, argv, code, enabled):
+        dl = tmp_path / "x.dl"
+        dl.write_text('edge("a", "b").\n', encoding="utf-8")
+        argv = [a.format(dl=dl, out=tmp_path / "out", missing=tmp_path / "missing.dl") for a in argv]
+        real_evaluate, during = cli.evaluate, []
+
+        def evaluate(*args):
+            during.append(gc.isenabled())
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert not any(during)
+
+    def test_the_factlog_process_never_collects(self, tmp_path):
+        # the entry of ``python -m factlog`` and of the console script
+        dl = tmp_path / "x.dl"
+        dl.write_text('edge("a", "b").\n', encoding="utf-8")
+        argv = ["factlog", "solve", str(dl), "--preset", "callgraph-c", "--out", str(tmp_path / "out")]
+        code = (
+            "import gc, sys\n"
+            "from factlog.__main__ import run\n"
+            "seen = []\n"
+            "gc.callbacks.append(lambda phase, info: seen.append(phase))\n"
+            f"sys.argv = {argv!r}\n"
+            "rc = run()\n"
+            "print(rc, len(seen), gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 0 False True"
 
 
 def write_console_script(bin_dir: Path, name: str) -> None:
@@ -526,6 +581,11 @@ class TestEntryPoint:
 
 
 MATCHER = ("factlog.languages", "factlog.rewrite", "factlog.templates")
+# What every solve or query over fact files loads.
+FACT_FILE_RUN = {
+    "factlog", "factlog.cli", "factlog.analyses", "factlog.syntax", "factlog.errors", "factlog.datalog",
+    "factlog.facts",
+}
 
 
 def imported_modules(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
@@ -590,10 +650,35 @@ class TestMatcherStaysOffTheDatalogPath:
         assert "factlog.datalog" in names and "factlog.cli" in names
         assert not set(MATCHER) & names
 
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (("solve", "{dl}", "--preset", "callgraph-c", "--out", "{out}"), ()),
+            (("solve", "{dl}", "--preset", "callgraph-c", "--format", "tsv", "--out", "{out}"), ("factlog.tsv",)),
+            (("query", "{dl}", "--preset", "callgraph-c", "-q", 'calls("a", X)'), ("factlog.queries",)),
+            (
+                ("query", "{facts}", "--preset", "callgraph-c", "-q", 'calls("a", X)'),
+                ("factlog.queries", "factlog.tsv"),
+            ),
+            (("graph", "{dl}", "--preset", "callgraph-c", "--closure"), ("factlog.commands",)),
+        ],
+        ids=["solve", "solve-tsv", "query", "query-facts", "graph"],
+    )
+    def test_a_fact_file_run_loads_only_what_it_runs(self, tmp_path, argv, extra):
+        # solve never loads the query code, and solve and query never load
+        # the other subcommands or the .facts reader and writer
+        dl = tmp_path / "x.dl"
+        dl.write_text('edge("a", "b").\nedge("b", "c").\n', encoding="utf-8")
+        (tmp_path / "edge.facts").write_text("a\tb\nb\tc\n", encoding="utf-8")
+        argv = [a.format(dl=dl, facts=tmp_path / "edge.facts", out=tmp_path / "out") for a in argv]
+        proc, names = imported_modules(*argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert {n for n in names if n.startswith("factlog")} == FACT_FILE_RUN | set(extra)
+
     def test_a_source_run_loads_it(self, tmp_path, example_go):
         proc, names = imported_modules("facts", example_go, "--preset", "callgraph-go", "--out", str(tmp_path))
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert set(MATCHER) <= names
+        assert {*MATCHER, "factlog.corpus"} <= names
 
     def test_a_broken_spec_fails_only_runs_that_read_sources(self, capsys, tmp_path, example_go):
         # Specs are compiled on first use, so a fact-file run never reads a
@@ -818,6 +903,30 @@ class TestInputErrors:
         code, _, err = run(capsys, "query", str(edges), "--preset", "mine", "--preset-dir", str(tmp_path), "-q", "p(X, Y)")
         assert code == EXIT_ANALYSIS
         assert f"{preset / 'tc.dl'}: head variable 'Y' at line 3" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--out", "{out}"),
+            ("query", "-q", 'calls("a", X)'),
+            ("graph", "--relation", "p"),
+        ],
+    )
+    def test_a_preset_program_stratification_error_names_the_file(self, capsys, tmp_path, argv):
+        # evaluation, not loading, finds it, yet it names the program's file
+        preset = tmp_path / "mine"
+        preset.mkdir()
+        (preset / "preset.cfg").write_text("[preset]\nlanguage = c\nspecs =\nprogram = tc.dl\n", encoding="utf-8")
+        (preset / "tc.dl").write_text(TC_PROGRAM + "p(X) :- q(X), !p(X).\n", encoding="utf-8")
+        edges = tmp_path / "in.dl"
+        edges.write_text('edge("a", "b").\n', encoding="utf-8")
+        command, *rest = (a.format(out=tmp_path / "out") for a in argv)
+        code, _, err = run(capsys, command, str(edges), "--preset", "mine", "--preset-dir", str(tmp_path), *rest)
+        assert code == EXIT_ANALYSIS
+        assert err == (
+            f"factlog: analysis error: {preset / 'tc.dl'}: "
+            "'p' depends negatively on 'p' inside a recursive cycle (rule at line 3)\n"
+        )
 
     def test_arity_clash_between_inputs_names_the_file(self, capsys, tmp_path):
         (tmp_path / "a.dl").write_text('edge("a", "b").\n', encoding="utf-8")

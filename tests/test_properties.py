@@ -31,6 +31,7 @@ from factlog import (
     parse_template,
     query,
 )
+from factlog import facts
 from factlog.datalog import goal_directed
 from factlog.facts import Fact, format_value, parse_fact_line
 from factlog.languages import _line_start_table
@@ -45,6 +46,7 @@ from oracles import (
     line_start_table,
     naive_evaluate,
     reachability,
+    read_dl_text,
     rescan_balanced,
     sorted_rows,
     unit_chain_ends,
@@ -420,6 +422,106 @@ class TestWritersAgainstOracle:
             else:
                 db.write_facts_dir(out)
                 assert {path.name: path.read_bytes() for path in out.iterdir()} == want
+
+
+# Fact lines the writer never gives: other separators and spacing, symbols
+# with a comma, an escape or a raw separator, integers in other digits, no
+# values, and broken ones.  Values are as they appear in the text.  The
+# writer's own spacing is drawn most often, so that a changed value often sits
+# in a line of the bulk shape.
+EXTRA_VALUES = (
+    '"a"', '"a,b"', '"a, b"', r'"\,"', r'"a\"b"', r'"\\"', r'"\n"', r'"\q"', '"x y"', '"\u2028"', '"\r"', '"\f"',
+    "12", "-3", "007", "-0", "\u0663", "-\u0661\u0662", '"', "x", "",
+)
+EXTRA_LINES = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(("", "", "", " ", "\u00a0", "\t")),
+        st.sampled_from(("p", "q", "r_1", "S", "1x", "")),
+        st.just("("),
+        st.builds(
+            str.join,
+            st.sampled_from((", ", ", ", ", ", ",", " , ", ",\u3000", ",\t")),
+            st.lists(st.sampled_from(EXTRA_VALUES), max_size=3),
+        ),
+        st.sampled_from((").", ").", ").", ")", ") .", ").\r", ").\u2028", ").  ", "). x", "")),
+    ),
+) | st.sampled_from(("", "  ", "// a comment", " // c", "\r", "\u2028", "/ x"))
+SPACES = st.sampled_from(("", " ", "\r", "\u2028", "\u00a0", "\t"))
+OTHER_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def fact_texts(draw):
+    """The writer's text of a drawn database, changed by a few edits: a line
+    inserted, one character of a line replaced or deleted, spacing around a
+    line, or a line's digits made Arabic-Indic."""
+    lines = draw(writer_databases()).to_dl_text().split("\n")
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(("insert", "corrupt", "space", "digits")))
+        if kind == "insert":
+            lines.insert(at, draw(EXTRA_LINES))
+        elif at < len(lines):
+            line = lines[at]
+            if kind == "corrupt":
+                i = draw(st.integers(0, len(line)))
+                lines[at] = line[:i] + draw(st.sampled_from(("", *'"(),.\\ a1'))) + line[i + 1 :]
+            elif kind == "space":
+                lines[at] = draw(SPACES) + line + draw(SPACES)
+            else:
+                lines[at] = line.translate(OTHER_DIGITS)
+    return "\n".join(lines)
+
+
+def read_outcome(read, text: str, path):
+    """The relations read, or the error's class and message."""
+    try:
+        return read(text, path).relations
+    except FactlogError as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkReaderAgainstOracle:
+    # The package reads the writer's line shape in bulk and every other line
+    # with parse_fact_line; the oracle parses and adds line by line.
+
+    @given(fact_texts(), st.sampled_from((None, "in.dl")))
+    @example('p("a, b", 1).\np("c", 2).\n', "in.dl")
+    @example('p(1).\nbad\np(1, 2).\np().\n', "in.dl")
+    @example('p(1).\nq().\nq(1).\n\u3000p(1, 2)\n', "in.dl")
+    @settings(max_examples=600)
+    def test_same_relations_or_same_error(self, text, path):
+        outcome = read_outcome(Database.from_dl_text, text, path)
+        assert outcome == read_outcome(read_dl_text, text, path)
+        if isinstance(outcome, dict):
+            # later adds check each relation's arity against its rows
+            db = Database.from_dl_text(text)
+            assert all(db._arity[rel] == len(next(iter(rows))) for rel, rows in outcome.items())
+
+    @pytest.mark.parametrize("bad", ['p("x").', 'p("x", 1', 'p("x",, 1).', 'p("x", 1) y'])
+    def test_first_bad_line_after_a_thousand_good_ones(self, bad):
+        text = "".join(f'p("n{i}", {i}).\n' for i in range(1000)) + bad + '\nq(1).\np("y").\nbad\n'
+        outcome = read_outcome(Database.from_dl_text, text, "in.dl")
+        assert outcome == read_outcome(read_dl_text, text, "in.dl")
+        assert outcome[1].startswith("in.dl:1001: ")
+
+    @given(writer_databases())
+    @settings(max_examples=200)
+    def test_the_writers_lines_are_read_in_bulk(self, db):
+        # only a row of no values is written in a shape the bulk pattern leaves out
+        calls = []
+
+        def counted(line):
+            calls.append(line)
+            return parse_fact_line(line)
+
+        facts.parse_fact_line = counted
+        try:
+            assert Database.from_dl_text(db.to_dl_text()) == db
+        finally:
+            facts.parse_fact_line = parse_fact_line
+        assert len(calls) == sum(() in rows for rows in db.relations.values())
 
 
 SOURCE = st.text(alphabet='abc ()"`\'/*\\\n{};', max_size=60)
@@ -853,6 +955,7 @@ class TestOracleIndependence:
         "match_at",
         "make_matcher",
         "to_dl_text",
+        "from_dl_text",
         "write_facts_dir",
         "sorted_tuples",
         "_groups",
