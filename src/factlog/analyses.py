@@ -69,9 +69,9 @@ class _PresetFields(NamedTuple):
     name: str
     language: str
     specs: tuple[FactSpec | Path, ...]
-    program_text: str
-    primary_output: str
-    fact_relations: tuple[str, ...]
+    program_text: str = ""
+    primary_output: str = ""
+    fact_relations: tuple[str, ...] = ()
     graph_relation: str | None = None
 
 

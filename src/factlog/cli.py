@@ -35,12 +35,12 @@ import argparse
 import gc
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .analyses import PRESET_DIR_ENV, AnalysisPreset, list_presets, load_preset, run_fact_generation
 from .datalog import evaluate
 from .errors import ArityMismatch, DatalogError, FactlogError, TypeMismatch, UnboundHole, in_file, read_text
-from .facts import Database, _tuple_key
+from .facts import Database, _tuple_key, dl_rows, first_bad_row, row_error
 from .syntax import Atom, DatalogProgram, Variable, parse_query
 
 if TYPE_CHECKING:
@@ -69,21 +69,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_input_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("inputs", nargs="+", help="source files/directories, .dl fact text, or .facts files")
-    sp.add_argument("--preset", "-p", help="bundled analysis preset name")
-    sp.add_argument(
-        "--preset-dir",
-        default=None,
-        help=f"preset directory (default: bundled, or ${PRESET_DIR_ENV})",
-    )
-    sp.add_argument("--lang", help="language name for ad-hoc --spec runs")
-    sp.add_argument("--spec", action="append", metavar="FILE", help="fact spec file (repeatable)")
-    sp.add_argument("--program", metavar="FILE", help="Datalog program (.dl) overriding the preset's")
-    sp.add_argument("--langdef", action="append", metavar="FILE", help="register a custom language file")
-    sp.add_argument("--jobs", "-j", type=_positive_int, default=1, help="parallel workers for fact generation")
-
-
 def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
     """The preset the arguments name.  Over sources its specs are compiled
     here, so a broken spec fails before any input is read; over fact files
@@ -101,25 +86,10 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
     elif args.spec:
         if not args.lang:
             raise UsageError("--spec requires --lang")
-        preset = AnalysisPreset(
-            name="custom",
-            language=args.lang,
-            specs=tuple(Path(p) for p in args.spec),
-            program_text="",
-            primary_output="",
-            fact_relations=(),
-            graph_relation="edge",
-        )
+        preset = AnalysisPreset("custom", args.lang, tuple(Path(p) for p in args.spec), graph_relation="edge")
     elif fact_inputs:
         # pure solver mode: inputs are fact files, no matching needed
-        preset = AnalysisPreset(
-            name="facts",
-            language=args.lang or "",
-            specs=(),
-            program_text="",
-            primary_output="",
-            fact_relations=(),
-        )
+        preset = AnalysisPreset("facts", args.lang or "", specs=())
     else:
         known = ", ".join(list_presets(args.preset_dir)) or "none found"
         raise UsageError(f"provide --preset (available: {known}) or --lang with --spec")
@@ -148,30 +118,19 @@ def _gather_sources(args: argparse.Namespace, preset: AnalysisPreset) -> list[Pa
 
 
 def _all_fact_inputs(paths: list[Path]) -> bool:
-    for p in paths:
-        if p.suffix in FACT_SUFFIXES and not p.is_dir():
-            continue
-        if p.is_dir() and any(p.glob("*.facts")):
-            continue
-        return False
-    return bool(paths)
+    return bool(paths) and all(
+        any(p.glob("*.facts")) if p.is_dir() else p.suffix in FACT_SUFFIXES for p in paths
+    )
 
 
-def _load_edb(
-    args: argparse.Namespace, preset: AnalysisPreset
-) -> tuple[Database, RunStats | None, list[str]]:
+def _load_edb(args: argparse.Namespace, preset: AnalysisPreset) -> tuple[Database, RunStats | None, list[str]]:
     """Fact files load directly; anything else goes through fact generation."""
     paths = [Path(p) for p in args.inputs]
     missing = [p for p in paths if not p.exists()]
     if missing:
         raise FactlogError(f"no such file or directory: {missing[0]}")
     if _all_fact_inputs(paths):
-        column_types = {
-            name: decl.column_types()
-            for name, decl in (
-                preset.program().declarations.items() if preset.program_text.strip() else ()
-            )
-        }
+        column_types = _column_types(preset)
         db = Database()
         for p in paths:
             if p.is_dir():
@@ -183,10 +142,40 @@ def _load_edb(
             try:
                 db.merge(part)
             except ArityMismatch as exc:
-                raise in_file(exc, p) from None
+                raise _located(in_file(exc, p), args, preset) from None
         return db, None, []
     files = _gather_sources(args, preset)
     return run_fact_generation(preset, files, jobs=args.jobs)
+
+
+def _column_types(preset: AnalysisPreset) -> dict[str, tuple[str | None, ...]]:
+    declarations = preset.program().declarations if preset.program_text.strip() else {}
+    return {name: decl.column_types() for name, decl in declarations.items()}
+
+
+def _located(exc: DatalogError, args: argparse.Namespace, preset: AnalysisPreset) -> DatalogError:
+    """As ``path:line: ...``, the error of the first row of the input fact
+    files, in argument and file order, that breaks an earlier row's arity
+    or its relation's declaration; read again, on this error path only.
+    Facts generated from sources have no line to name: exc stays."""
+    paths = [Path(p) for p in args.inputs]
+    if not _all_fact_inputs(paths):
+        return exc
+    types = _column_types(preset)
+    bad = first_bad_row(_fact_rows(paths, types), types)
+    return exc if bad is None else type(bad[1])(f"{bad[0]}: {bad[1]}")
+
+
+def _fact_rows(paths: list[Path], column_types: dict) -> Iterator[tuple[str, str, tuple]]:
+    """("path:line", relation, row) for each row, read as _load_edb reads it."""
+    for p in paths:
+        if p.is_dir() or p.suffix == ".facts":
+            from .tsv import read_rows
+
+            for f in sorted(p.glob("*.facts")) if p.is_dir() else [p]:
+                yield from ((f"{f}:{n}", f.stem, row) for n, row in read_rows(f, column_types.get(f.stem)))
+        else:
+            yield from ((f"{p}:{n}", relation, row) for n, relation, row in dl_rows(read_text(p)))
 
 
 def _emit_diagnostics(diagnostics: list[str]) -> None:
@@ -216,7 +205,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     program = preset.program()
     edb, _, diagnostics = _load_edb(args, preset)
     _emit_diagnostics(diagnostics)
-    solved = evaluate(program, edb)
+    try:
+        solved = evaluate(program, edb)
+    except (ArityMismatch, TypeMismatch) as exc:
+        raise _located(exc, args, preset) from None
     idb = sorted(program.idb_relations())
     written = _write_db(solved, Path(args.out), args.format, idb, "idb.dl")
     for rel in idb:
@@ -236,7 +228,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     db, asked = edb, pattern
     if preset.program_text.strip():
         program = preset.program()
-        goal = goal_directed(program, edb, pattern)
+        try:
+            goal = goal_directed(program, edb, pattern)
+        except (ArityMismatch, TypeMismatch) as exc:
+            raise _located(exc, args, preset) from None
         _check_constants(program, pattern)
         db, asked = evaluate(goal.program, goal.edb), goal.pattern
     result = query(db, asked)
@@ -255,9 +250,9 @@ def _check_constants(program: DatalogProgram, pattern: Atom) -> None:
     decl = program.declarations.get(pattern.relation)
     if decl is None:
         return
-    for i, (t, v) in enumerate(zip(decl.column_types(), pattern.terms)):
-        if t is not None and not isinstance(v, Variable) and isinstance(v, int) != (t == "number"):
-            raise TypeMismatch(f"{pattern.relation!r} column {i + 1} expects a {t}, got {v!r}")
+    types = tuple(None if isinstance(v, Variable) else t for t, v in zip(decl.column_types(), pattern.terms))
+    if (error := row_error(pattern.relation, types, pattern.terms)) is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -281,33 +276,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Template-driven fact generation and Datalog analysis over source code.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)  # the arguments of every command but match
+    inputs.add_argument("inputs", nargs="+", help="source files/directories, .dl fact text, or .facts files")
+    inputs.add_argument("--preset", "-p", help="bundled analysis preset name")
+    inputs.add_argument("--preset-dir", help=f"preset directory (default: bundled, or ${PRESET_DIR_ENV})")
+    inputs.add_argument("--lang", help="language name for ad-hoc --spec runs")
+    inputs.add_argument("--spec", action="append", metavar="FILE", help="fact spec file (repeatable)")
+    inputs.add_argument("--program", metavar="FILE", help="Datalog program (.dl) overriding the preset's")
+    inputs.add_argument("--langdef", action="append", metavar="FILE", help="register a custom language file")
+    inputs.add_argument("--jobs", "-j", type=_positive_int, default=1, help="parallel workers for fact generation")
 
-    sp = sub.add_parser("facts", help="generate facts from source files")
-    _add_input_args(sp)
+    sp = sub.add_parser("facts", parents=[inputs], help="generate facts from source files")
     sp.add_argument("--format", choices=("dl", "tsv"), default="dl")
     sp.add_argument("--out", "-o", default="factlog-out", help="output directory")
     sp.set_defaults(func=_command("cmd_facts"))
 
-    sp = sub.add_parser("solve", help="evaluate the Datalog program over facts")
-    _add_input_args(sp)
+    sp = sub.add_parser("solve", parents=[inputs], help="evaluate the Datalog program over facts")
     sp.add_argument("--format", choices=("dl", "tsv"), default="dl")
     sp.add_argument("--out", "-o", default="factlog-out", help="output directory")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("query", help="answer one query over the solved database")
-    _add_input_args(sp)
+    sp = sub.add_parser("query", parents=[inputs], help="answer one query over the solved database")
     sp.add_argument("--query", "-q", required=True, help="pattern like 'calls(\"main\", X)'")
     sp.set_defaults(func=cmd_query)
 
-    sp = sub.add_parser("graph", help="export a binary relation as Graphviz dot")
-    _add_input_args(sp)
+    sp = sub.add_parser("graph", parents=[inputs], help="export a binary relation as Graphviz dot")
     sp.add_argument("--relation", help="relation to export (default: the preset's edge relation)")
     sp.add_argument("--closure", action="store_true", help="export the preset's computed closure instead")
     sp.add_argument("--out", "-o", help="output file (default: stdout)")
     sp.set_defaults(func=_command("cmd_graph"))
 
-    sp = sub.add_parser("bench", help="per-corpus fact-generation statistics")
-    _add_input_args(sp)
+    sp = sub.add_parser("bench", parents=[inputs], help="per-corpus fact-generation statistics")
     sp.add_argument("--json", action="store_true", help="one JSON object per corpus row")
     sp.set_defaults(func=_command("cmd_bench"))
 

@@ -20,11 +20,12 @@ from .cli import (
     _emit_diagnostics,
     _gather_sources,
     _load_edb,
+    _located,
     _resolve_preset,
     _write_db,
 )
 from .datalog import evaluate
-from .errors import FactlogError, UnknownRelation
+from .errors import ArityMismatch, FactlogError, TypeMismatch, UnknownRelation
 
 if TYPE_CHECKING:
     from .corpus import RunStats
@@ -67,15 +68,16 @@ def cmd_graph(args: argparse.Namespace) -> int:
     _emit_diagnostics(diagnostics)
     db = edb
     if relation not in db.relations and preset.program_text.strip():
-        db = evaluate(preset.program(), edb)
+        try:
+            db = evaluate(preset.program(), edb)
+        except (ArityMismatch, TypeMismatch) as exc:
+            raise _located(exc, args, preset) from None
     if relation not in db.relations:
         raise UnknownRelation(f"relation {relation!r} is not present in the results")
     tuples = db.sorted_tuples(relation)
     if tuples and len(next(iter(tuples))) != 2:
         raise FactlogError(f"graph export needs a binary relation; {relation!r} is not")
-    body = "".join(
-        f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";\n' for a, b in tuples
-    )
+    body = "".join(f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";\n' for a, b in tuples)
     text = f"digraph {relation} {{\n{body}}}\n"
     if args.out:
         out = Path(args.out)

@@ -1,5 +1,5 @@
 """Corpus-level runners: file discovery, fact generation over many files,
-and the run statistics.
+and the run statistics, a NamedTuple built once from a run's totals.
 
 Only a run over sources enters this code, so ``analyses`` imports it on the
 first call of ``run_fact_generation`` and a run over fact files never
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from .analyses import AnalysisPreset, _process_file
 from .errors import FactlogError
@@ -24,7 +25,7 @@ EXTENSIONS: dict[str, tuple[str, ...]] = {
 }
 
 
-class RunStats:
+class RunStats(NamedTuple):
     """Corpus-level counters for one fact-generation run.
 
     fact_count sums each file's unique facts over the preset's fact
@@ -32,21 +33,12 @@ class RunStats:
     function_count is the total number of outer-template matches.
     """
 
-    def __init__(
-        self,
-        files: int = 0,
-        line_count: int = 0,
-        fact_count: int = 0,
-        function_count: int = 0,
-        spec_matches: dict[str, int] | None = None,
-        elapsed_s: float = 0.0,
-    ) -> None:
-        self.files = files
-        self.line_count = line_count
-        self.fact_count = fact_count
-        self.function_count = function_count
-        self.spec_matches = {} if spec_matches is None else spec_matches
-        self.elapsed_s = elapsed_s
+    files: int
+    line_count: int
+    fact_count: int
+    function_count: int
+    spec_matches: dict[str, int]
+    elapsed_s: float
 
     @property
     def kloc(self) -> float:
@@ -60,13 +52,9 @@ class RunStats:
 
     def as_dict(self) -> dict:
         return {
-            "files": self.files,
-            "line_count": self.line_count,
-            "kloc": self.kloc,
-            "fact_count": self.fact_count,
-            "function_count": self.function_count,
+            **self._asdict(),
             "spec_matches": dict(sorted(self.spec_matches.items())),
-            "elapsed_s": self.elapsed_s,
+            "kloc": self.kloc,
             "facts_per_function": self.facts_per_function,
         }
 
@@ -109,17 +97,18 @@ def run_fact_generation(
         results = [_process_file(t) for t in tasks]
 
     db = Database()
-    stats = RunStats(files=len(results))
+    line_count = fact_count = 0
+    spec_matches: dict[str, int] = {}
     diagnostics: list[str] = []
     for _, file_db, matches, diags, lines in results:
         db.merge(file_db)
-        stats.line_count += lines
-        stats.fact_count += file_db.fact_count(preset.fact_relations or None)
+        line_count += lines
+        fact_count += file_db.fact_count(preset.fact_relations or None)
         for name, n in matches.items():
-            stats.spec_matches[name] = stats.spec_matches.get(name, 0) + n
+            spec_matches[name] = spec_matches.get(name, 0) + n
         diagnostics.extend(diags)
-    stats.function_count = sum(stats.spec_matches.values())
-    stats.elapsed_s = time.monotonic() - started
+    elapsed_s = time.monotonic() - started
+    stats = RunStats(len(results), line_count, fact_count, sum(spec_matches.values()), spec_matches, elapsed_s)
     return db, stats, diagnostics
 
 
@@ -133,5 +122,4 @@ def run_analysis(
     started = time.monotonic()
     facts, stats, diagnostics = run_fact_generation(preset, paths, jobs=jobs)
     solved = evaluate(preset.program(), facts)
-    stats.elapsed_s = time.monotonic() - started
-    return solved, stats, diagnostics
+    return solved, stats._replace(elapsed_s=time.monotonic() - started), diagnostics

@@ -27,8 +27,8 @@ from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .errors import ArityMismatch, TypeMismatch, UnstratifiableProgram, in_file
-from .facts import Database
+from .errors import UnstratifiableProgram, in_file
+from .facts import Database, row_error
 from .syntax import (  # the front end's public names, re-exported
     Atom,
     BodyLiteral,
@@ -361,28 +361,22 @@ def evaluate(program: DatalogProgram, edb: Database | None = None) -> Database:
 
 
 def _check_edb(program: DatalogProgram, edb: Database) -> None:
+    """Raise for a relation whose rows break its declaration: for its arity,
+    read off one row, or for its least row of a wrong type in sorted_tuples
+    order, not the first one the set yields."""
     for rel, tuples in edb.relations.items():
         decl = program.declarations.get(rel)
         if decl is None or not tuples:
             continue
+        col_types = decl.column_types()
         sample = next(iter(tuples))
         if len(sample) != decl.arity:
-            raise ArityMismatch(
-                f"input relation {rel!r} has arity {len(sample)}, "
-                f"program expects {decl.arity}"
-            )
-        col_types = decl.column_types()
-        checked = [(i, t) for i, t in enumerate(col_types) if t is not None]
+            raise row_error(rel, col_types, sample)
+        checked = [(i, int if t == "number" else str) for i, t in enumerate(col_types) if t is not None]
         if not checked:
             continue
         for tup in tuples:
-            for i, t in checked:
-                v = tup[i]
-                if t == "number" and not isinstance(v, int):
-                    raise TypeMismatch(
-                        f"{rel!r} column {i + 1} expects a number, got {v!r}"
-                    )
-                if t == "symbol" and not isinstance(v, str):
-                    raise TypeMismatch(
-                        f"{rel!r} column {i + 1} expects a symbol, got {v!r}"
-                    )
+            for i, kind in checked:
+                if not isinstance(tup[i], kind):
+                    errors = (row_error(rel, col_types, row) for row in edb.sorted_tuples(rel))
+                    raise next(e for e in errors if e is not None)

@@ -34,9 +34,9 @@ from collections import defaultdict
 from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ArityMismatch, MalformedFact
+from .errors import ArityMismatch, DatalogError, MalformedFact, TypeMismatch
 from .syntax import decode_symbol
 
 _RELATION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -137,22 +137,41 @@ def _arity_mismatch(relation: str, held: int, got: int) -> ArityMismatch:
     return ArityMismatch(f"relation {relation} holds {held}-tuples, got {got}-tuple")
 
 
-def _first_arity_mismatch(
-    lines: list[tuple[str, str, str]], others: dict[int, Fact]
-) -> tuple[int, ArityMismatch]:
-    """The index of the first line whose row's arity differs from that of
-    its relation's first row, and the error adding that row raises."""
+def row_error(relation: str, types: tuple[str | None, ...], row: tuple) -> DatalogError | None:
+    """The error of a row of the relation that breaks a declaration of
+    these column types, or None.  A column typed None takes any value."""
+    if len(row) != len(types):
+        return ArityMismatch(f"input relation {relation!r} has arity {len(row)}, program expects {len(types)}")
+    for i, (t, v) in enumerate(zip(types, row)):
+        if t is not None and not isinstance(v, int if t == "number" else str):
+            return TypeMismatch(f"{relation!r} column {i + 1} expects a {t}, got {v!r}")
+    return None
+
+
+def first_bad_row(rows: Iterable[tuple], column_types: dict[str, tuple] | None = None) -> tuple | None:
+    """(place, error) for the first of the (place, relation, row) rows whose
+    arity differs from its relation's first row or, with column_types,
+    that breaks its relation's types; None when every row fits."""
     arities: dict[str, int] = {}
-    for i, (relation, texts, _) in enumerate(lines):
-        if relation:
-            got = texts.count(",") + 1
-        elif i in others:
-            relation, got = others[i].relation, len(others[i].args)
-        else:
-            continue
-        held = arities.setdefault(relation, got)
-        if held != got:
-            return i, _arity_mismatch(relation, held, got)
+    types = column_types or {}
+    for place, relation, row in rows:
+        held = arities.setdefault(relation, len(row))
+        if held != len(row):
+            return place, _arity_mismatch(relation, held, len(row))
+        error = row_error(relation, types[relation], row) if relation in types else None
+        if error is not None:
+            return place, error
+    return None
+
+
+def dl_rows(text: str) -> Iterator[tuple[int, str, tuple]]:
+    """(line number, relation, row) for each fact line of a ``.dl`` text,
+    parsed one line at a time."""
+    for number, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if line and not line.startswith("//"):
+            fact = parse_fact_line(line)
+            yield number, fact.relation, fact.args
 
 
 def _value_key(v: str | int):
@@ -323,7 +342,6 @@ class Database:
         """
         lines = re.findall(_LINE, text, re.MULTILINE)
         found: dict[str, tuple[list[str], list[tuple]]] = {}  # per relation: bulk values texts, other rows
-        others: dict[int, Fact] = {}  # the other fact lines, by line index
         bad = None
         at = 0
         for relation, group in groupby(lines, itemgetter(0)):
@@ -336,9 +354,9 @@ class Database:
                     if not line or line.startswith("//"):
                         continue
                     try:
-                        fact = others[i] = parse_fact_line(line)
+                        fact = parse_fact_line(line)
                     except MalformedFact as exc:
-                        bad = i, exc
+                        bad = i + 1, exc
                         break
                     found.setdefault(fact.relation, ([], []))[1].append(fact.args)
                 if bad:
@@ -350,7 +368,7 @@ class Database:
             arities = set(map(len, rows))
             arities.update(n + 1 for n in set(map(str.count, texts, repeat(","))))
             if len(arities) > 1:
-                bad = _first_arity_mismatch(lines, others)
+                bad = first_bad_row(dl_rows(text))
                 break
             (arity,) = arities
             tuples = set(rows)
@@ -361,7 +379,7 @@ class Database:
             db._arity[relation] = arity
         if bad:
             i, exc = bad
-            raise exc if path is None else type(exc)(f"{path}:{i + 1}: {exc}")
+            raise exc if path is None else type(exc)(f"{path}:{i}: {exc}")
         return db
 
     # -- per-relation .facts files (tab separated), in ``tsv`` -----------------

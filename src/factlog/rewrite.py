@@ -31,6 +31,9 @@ line (a hole in the relation name, an unquoted ``$x``, two holes in one
 quoted argument, a line the grammar rejects), and any line where a value
 bound inside quotes holds ``"``, a backslash or a newline, so escapes,
 malformed lines and their diagnostics read as they always have.
+
+A record holds only its fields: ``RewriteTemplate.lines`` and a rule's
+folded conditions, ``RuleSpec.plan``, sit beside them, made on first read.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import re
 import sys
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
@@ -99,16 +102,17 @@ class LinePlan(NamedTuple):
     target: str | None = None
 
 
-class RewriteTemplate(NamedTuple):
-    """Rewrite text, its atoms and the plan of each non-blank line.  The
-    plans follow from the text, so repr leaves them out."""
-
+class _RewriteFields(NamedTuple):
     text: str
     atoms: tuple[RewriteAtom, ...]
-    lines: tuple[LinePlan, ...]
 
-    def __repr__(self) -> str:
-        return f"RewriteTemplate(text={self.text!r}, atoms={self.atoms!r})"
+
+class RewriteTemplate(_RewriteFields):
+    """Rewrite text and its atoms; lines plans each non-blank line."""
+
+    @cached_property
+    def lines(self) -> tuple[LinePlan, ...]:
+        return tuple(_plan_line(line) for line in self.text.split("\n") if line.strip())
 
 
 _SUBSTITUTION_RE = re.compile(
@@ -124,9 +128,9 @@ _SUBSTITUTION_RE = re.compile(
 def parse_rewrite_template(text: str) -> RewriteTemplate:
     """Parse rewrite text into literal and substitution atoms, and plan
     each of its lines."""
-    atoms = _parse_atoms(text)
-    lines = tuple(_plan_line(line) for line in text.split("\n") if line.strip())
-    return RewriteTemplate(text, atoms, lines)
+    template = RewriteTemplate(text, _parse_atoms(text))
+    template.lines  # planned here, when its spec loads
+    return template
 
 
 def _parse_atoms(text: str) -> tuple[RewriteAtom, ...]:
@@ -154,7 +158,7 @@ def _plan_line(text: str) -> LinePlan:
     literal, or holds one mark with the literal text around it.  A line the
     grammar rejects, or where a mark is not alone in one argument, follows
     a backslash or (a digit mark) a digit, keeps the text path."""
-    template = RewriteTemplate(text, _parse_atoms(text), ())
+    template = RewriteTemplate(text, _parse_atoms(text))
     holes = [a for a in template.atoms if isinstance(a, Substitution)]
     if len(holes) == 1 and holes[0].prop is Property.VALUE:
         if all(a is holes[0] or a.text.isspace() for a in template.atoms):
@@ -260,25 +264,14 @@ class _RuleFields(NamedTuple):
     nested: bool = False
     conditions: tuple[Condition, ...] = ()
     nested_rewrites: tuple[NestedRewrite, ...] = ()
-    plan: RulePlan | None = None
 
 
 class RuleSpec(_RuleFields):
-    """A rule's items and their plan, which is planned again from the items
-    whenever a RuleSpec is made, replaced or unpickled.  repr leaves the
-    plan out."""
+    """A rule's items; plan folds them, and a copy made by _replace plans again."""
 
-    __slots__ = ()
-
-    def __new__(cls, nested=False, conditions=(), nested_rewrites=(), plan=None) -> RuleSpec:
-        return super().__new__(cls, nested, conditions, nested_rewrites, _plan_rule(conditions, nested_rewrites))
-
-    @classmethod
-    def _make(cls, iterable) -> RuleSpec:
-        return cls(*iterable)
-
-    def __repr__(self) -> str:
-        return f"RuleSpec(nested={self.nested!r}, conditions={self.conditions!r}, nested_rewrites={self.nested_rewrites!r})"
+    @cached_property
+    def plan(self) -> RulePlan:
+        return _plan_rule(self.conditions, self.nested_rewrites)
 
 
 def _plan_rule(conditions: tuple[Condition, ...], nested_rewrites: tuple[NestedRewrite, ...]) -> RulePlan:

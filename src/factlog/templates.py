@@ -52,6 +52,10 @@ backtracking is the loops' own order.  It accepts a leading hole only at
 a left-maximal unit start, so trying every offset finds what the
 candidates find.
 tests/oracles.py keeps an interpreter over the atoms as its reference.
+
+The compiled form is not one of a Template's fields: compile_template
+sets it on the copy it returns, so equality, hashing, repr and _replace
+see only the text and the atoms.
 """
 
 from __future__ import annotations
@@ -94,31 +98,19 @@ class Hole(NamedTuple):
 Atom = Union[Literal, Hole]
 
 
-class Template(NamedTuple):
-    """Parsed template: original text plus its atom sequence, and its
-    compiled form once compile_template has bound it to a language.
-    Equality, hash and repr leave the compiled form out."""
-
+class _TemplateFields(NamedTuple):
     text: str
     atoms: tuple[Atom, ...]
+
+
+class Template(_TemplateFields):
+    """Parsed template: original text plus its atom sequence.  Its compiled
+    form is not a field: compile_template sets it on the copy it returns."""
+
     compiled: CompiledTemplate | None = None
 
     def hole_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.atoms if isinstance(a, Hole) and a.name)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Template):
-            return NotImplemented
-        return self.text == other.text and self.atoms == other.atoms
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash((self.text, self.atoms))
-
-    def __repr__(self) -> str:
-        return f"Template(text={self.text!r}, atoms={self.atoms!r})"
 
 
 HOLE_NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # the hole-name pattern of match and rewrite templates
@@ -256,7 +248,9 @@ def compile_template(template: Template, lang: LanguageDefinition) -> Template:
     """The template with its compiled form for lang: its literals split, the
     places where its matches may start chosen and its matcher generated.
     Compiled forms are cached by atoms and language."""
-    return template._replace(compiled=_compile(template.atoms, lang))
+    compiled = Template(*template)
+    compiled.compiled = _compile(template.atoms, lang)
+    return compiled
 
 
 @lru_cache(maxsize=256)
@@ -282,10 +276,9 @@ def _compile(atoms: tuple[Atom, ...], lang: LanguageDefinition) -> CompiledTempl
     return CompiledTemplate(atoms, lang, pieces, strategy, key, unit_start_re, make_matcher)
 
 
-def _compiled_for(template: Template, smap: SourceMap) -> Template:
-    if template.compiled is None or template.compiled.language != smap.language:
-        return compile_template(template, smap.language)
-    return template
+def _compiled_for(template: Template, smap: SourceMap) -> CompiledTemplate:
+    t = template.compiled
+    return t if t is not None and t.language == smap.language else _compile(template.atoms, smap.language)
 
 
 def _candidates(t: CompiledTemplate, smap: SourceMap) -> Sequence[int]:
@@ -651,7 +644,7 @@ def match_at(template: Template, smap: SourceMap, start: int, hi: int | None = N
     """The match starting exactly at start and ending by hi, if any: one try,
     with no candidate search."""
     hi = len(smap.source) if hi is None else hi
-    return _compiled_for(template, smap).compiled.make_matcher(smap)(start, hi)
+    return _compiled_for(template, smap).make_matcher(smap)(start, hi)
 
 
 def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> Iterator[Match]:
@@ -661,7 +654,7 @@ def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | Non
     compile once with compile_template to match many files.
     """
     hi = len(smap.source) if hi is None else hi
-    t = _compiled_for(template, smap).compiled
+    t = _compiled_for(template, smap)
     table = _candidates(t, smap)
     match = t.make_matcher(smap)
     i = bisect.bisect_left(table, lo)
@@ -693,7 +686,7 @@ def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -
     window's end that closes past it encloses that end, lies behind every
     later level, and is stepped over for good.
     """
-    t = _compiled_for(template, smap).compiled
+    t = _compiled_for(template, smap)
     table = _candidates(t, smap)
     match = t.make_matcher(smap)
     c = bisect.bisect_left(table, lo)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ArityMismatch, FactlogError, MalformedFact, read_text
 from .facts import Database, _lines, _Memo
@@ -91,7 +92,16 @@ def read_facts_file(db: Database, path: str | Path, column_types: ColumnTypes | 
     path = Path(path)
     relation = path.stem
     db.relations.setdefault(relation, set())  # an empty file still names its relation
-    types = (column_types or {}).get(relation)
+    for lineno, row in read_rows(path, (column_types or {}).get(relation)):
+        try:
+            db.add(relation, row)
+        except ArityMismatch as exc:
+            raise ArityMismatch(f"{path}:{lineno}: {exc}") from None
+    return db
+
+
+def read_rows(path: Path, types: tuple[str | None, ...] | None) -> Iterator[tuple[int, tuple]]:
+    """(line number, row) for each row of a <relation>.facts file."""
     # "\n" only, as in from_dl_text: a symbol may hold "\f" or U+2028
     for lineno, raw in enumerate(read_text(path).split("\n"), 1):
         if raw == "":
@@ -105,7 +115,7 @@ def read_facts_file(db: Database, path: str | Path, column_types: ColumnTypes | 
                     values.append(int(cell))
                 except ValueError:
                     raise MalformedFact(
-                        f"{path}:{lineno}: column {idx + 1} of {relation!r} "
+                        f"{path}:{lineno}: column {idx + 1} of {path.stem!r} "
                         f"should be a number, got {cell!r}"
                     ) from None
             elif declared == "symbol":
@@ -114,8 +124,4 @@ def read_facts_file(db: Database, path: str | Path, column_types: ColumnTypes | 
                 values.append(int(cell))
             else:
                 values.append(sys.intern(cell))
-        try:
-            db.add(relation, tuple(values))
-        except ArityMismatch as exc:
-            raise ArityMismatch(f"{path}:{lineno}: {exc}") from None
-    return db
+        yield lineno, tuple(values)

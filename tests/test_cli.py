@@ -930,10 +930,67 @@ class TestInputErrors:
 
     def test_arity_clash_between_inputs_names_the_file(self, capsys, tmp_path):
         (tmp_path / "a.dl").write_text('edge("a", "b").\n', encoding="utf-8")
-        (tmp_path / "b.dl").write_text('edge("c").\n', encoding="utf-8")
+        (tmp_path / "b.dl").write_text('other("x").\nedge("c").\n', encoding="utf-8")
         code, _, err = run(capsys, "query", str(tmp_path / "a.dl"), str(tmp_path / "b.dl"), "-q", "edge(X, Y)")
         assert code == EXIT_ANALYSIS
-        assert f"{tmp_path / 'b.dl'}: relation edge holds 2-tuples, got 1-tuple" in err
+        assert err == f"factlog: analysis error: {tmp_path / 'b.dl'}:2: relation edge holds 2-tuples, got 1-tuple\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--out", "{out}"),
+            ("query", "-q", 'calls("a", X)'),
+            ("graph", "--closure"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "files, message",
+        [
+            ({"good.dl": 'edge("a", "b").\n', "bad.dl": 'edge("a", "b").\nedge(1, 2).\n'},
+             "bad.dl:2: 'edge' column 1 expects a symbol, got 1"),
+            # files in argument order, then lines in file order
+            ({"late.dl": '\n// c\nedge("a", "b").\nedge("c", 3).\n', "bad.dl": 'edge(1, 2).\n'},
+             "late.dl:4: 'edge' column 2 expects a symbol, got 3"),
+            ({"bad.dl": 'edge("a", "b", "c").\n'}, "bad.dl:1: input relation 'edge' has arity 3, program expects 2"),
+            ({"facts/edge.facts": "a\tb\tc\n"}, "facts/edge.facts:1: input relation 'edge' has arity 3, program expects 2"),
+        ],
+    )
+    def test_input_fact_that_breaks_a_declaration_names_its_line(self, capsys, tmp_path, files, message, argv):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        inputs = [str(tmp_path / Path(name).parent if name.endswith(".facts") else tmp_path / name) for name in files]
+        command, *rest = (a.format(out=tmp_path / "out") for a in argv)
+        code, out, err = run(capsys, command, *inputs, "--preset", "callgraph-c", *rest)
+        assert (code, out) == (EXIT_ANALYSIS, "")
+        assert err == f"factlog: analysis error: {tmp_path}/{message}\n"
+
+    def test_reported_bad_row_does_not_depend_on_the_hash_seed(self, tmp_path):
+        bad = tmp_path / "bad.dl"
+        bad.write_text("".join(f'edge({i}, "n{i}").\n' for i in range(12)), encoding="utf-8")
+        library = (
+            "import sys; from factlog import Database, load_preset, evaluate, parse_query\n"
+            "from factlog.datalog import goal_directed\n"
+            "db = Database.from_dl_text(open(sys.argv[1]).read()); program = load_preset('callgraph-c').program()\n"
+            "pattern = parse_query('calls(\"a\", X)')\n"
+            "for run in (lambda: evaluate(program, db), lambda: goal_directed(program, db, pattern)):\n"
+            "    try: run()\n"
+            "    except Exception as exc: print(exc)\n"
+        )
+        seen = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            cli_run = subprocess.run(
+                [sys.executable, "-m", "factlog", "solve", str(bad), "--preset", "callgraph-c", "--out", str(tmp_path)],
+                capture_output=True, text=True, check=False, env=env,
+            )
+            lib_run = subprocess.run(
+                [sys.executable, "-c", library, str(bad)], capture_output=True, text=True, check=True, env=env
+            )
+            seen.add((cli_run.returncode, cli_run.stderr, lib_run.stdout))
+        message = "'edge' column 1 expects a symbol, got 0"
+        # the CLI names the first line; a library caller gets the least row
+        assert seen == {(EXIT_ANALYSIS, f"factlog: analysis error: {bad}:1: {message}\n", f"{message}\n" * 2)}
 
 
 def _drawn(fragments):

@@ -38,8 +38,9 @@ from factlog import (
     parse_rule,
     parse_template,
 )
-from factlog.rewrite import SubstLiteral, Substitution
-from factlog.templates import Literal, Property, _compile, compile_template, iter_matches
+from factlog.corpus import RunStats
+from factlog.rewrite import Condition, CondOp, RewriteTemplate, RuleSpec, SubstLiteral, Substitution, _plan_rule
+from factlog.templates import Literal, Property, Template, _compile, compile_template, iter_matches
 
 SPEC = (
     '[match]\nfunc $f() {$body*}\n\n'
@@ -239,5 +240,30 @@ def test_pool_payload_survives_pickle():
         assert copy == spec and repr(copy) == repr(spec)
         assert compiled(copy.match) == compiled(spec.match)
         assert list(iter_matches(copy.match, smap)) == list(iter_matches(spec.match, smap)) != []
+        assert copy.rule.plan == spec.rule.plan and copy.rewrite.lines == spec.rewrite.lines
         for ours, theirs in zip(copy.rule.nested_rewrites, spec.rule.nested_rewrites):
             assert compiled(ours.inner_match) == compiled(theirs.inner_match)
+            assert ours.inner_rewrite.lines == theirs.inner_rewrite.lines
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (Template, ("text", "atoms")),
+        (RuleSpec, ("nested", "conditions", "nested_rewrites")),
+        (RewriteTemplate, ("text", "atoms")),
+        (RunStats, ("files", "line_count", "fact_count", "function_count", "spec_matches", "elapsed_s")),
+    ],
+)
+def test_records_hold_only_their_fields(record, fields):
+    # what a record derives (a compiled form, a plan) sits beside its fields
+    assert record._fields == fields
+    assert RunStats._field_defaults == {}  # so no run shares a spec_matches dict
+
+
+def test_replaced_rule_plans_its_new_conditions():
+    rule = parse_rule('where $f != "main"')
+    assert rule.plan.gates == (("f", frozenset({"main"}), False),)
+    other = rule._replace(conditions=(Condition("f", CondOp.EQ, "x"),))
+    assert tuple(other) == (False, other.conditions, ())
+    assert other.plan == _plan_rule(other.conditions, ()) != rule.plan

@@ -387,9 +387,9 @@ def text_apply_rule(rule, env, smap):
         atoms = []
         for atom in nr.inner_rewrite.atoms:
             if isinstance(atom, Substitution) and atom.name not in names and atom.name in bindings:
-                atom = SubstLiteral(substitute(RewriteTemplate("", (atom,), ()), MatchEnvironment(bindings)))
+                atom = SubstLiteral(substitute(RewriteTemplate("", (atom,)), MatchEnvironment(bindings)))
             atoms.append(atom)
-        rewrite = RewriteTemplate(nr.inner_rewrite.text, tuple(atoms), ())
+        rewrite = RewriteTemplate(nr.inner_rewrite.text, tuple(atoms))
         lines = [
             substitute(rewrite, m.env)
             for m in inner_matches(nr.inner_match, smap, target.start, target.end)
