@@ -5,11 +5,14 @@ Usage:
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload tc-random --pairs 10
     python3 scripts/bench_pairs.py PARENT CHANGE --workload c-callgraph tc-random arith-liveness --pairs 10
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload c-callgraph --seed 1 2 --pairs 10
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout for
-every named workload, the two sides of a workload one after the other;
-which side goes first alternates from pair to pair, so a drift of the
-machine's speed weighs on both sides alike.  For each workload and each
+every named workload at every named seed, the two sides of a workload and
+seed one after the other; which side goes first alternates from pair to
+pair, so a drift of the machine's speed weighs on both sides alike.  So a
+held-out seed runs interleaved with the others, not in a later invocation
+on a machine whose speed has moved.  For each workload, seed and
 end-to-end metric the script prints the parent's median with its q1-q3,
 the change's median, the relative move of the medians, the paired move
 (the median over the pairs of change / parent, less one), and in how many
@@ -37,9 +40,9 @@ from pathlib import Path
 METRICS = ("setup_s", "solve_s", "query_s", "peak_rss_mb")
 
 
-def run_once(root: Path, workload: str, args: argparse.Namespace) -> dict[str, float]:
+def run_once(root: Path, workload: str, seed: int, args: argparse.Namespace) -> dict[str, float]:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -59,8 +62,10 @@ def bounds(root: Path) -> dict[str, tuple[float, str]]:
     return {m["name"]: (m["bound"], m["better"]) for m in json.loads(path.read_text())["end_to_end"] if "bound" in m}
 
 
-def summary(workload: str, runs: dict[str, list[dict[str, float]]], limits, args: argparse.Namespace) -> None:
-    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+def summary(
+    workload: str, seed: int, runs: dict[str, list[dict[str, float]]], limits, args: argparse.Namespace
+) -> None:
+    print(f"\n{workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<12} {'parent':>8} {'q1':>8} {'q3':>8} {'change':>8} {'move':>7} {'paired':>7}  lower")
     for metric in METRICS:
         before = [r[metric] for r in runs["parent"]]
@@ -88,7 +93,7 @@ def main() -> int:
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1])
     args = parser.parse_args()
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in sides.values():
@@ -97,21 +102,22 @@ def main() -> int:
         if (root / "src" / "factlog" / "__pycache__").exists():
             sys.exit(f"bench_pairs: {root} holds src/factlog/__pycache__; remove it first")
 
-    runs = {w: {"parent": [], "change": []} for w in args.workload}
+    runs = {(w, seed): {"parent": [], "change": []} for w in args.workload for seed in args.seed}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload, by_side in runs.items():
+        for (workload, seed), by_side in runs.items():
             for side in order:
-                by_side[side].append(run_once(sides[side], workload, args))
+                by_side[side].append(run_once(sides[side], workload, seed, args))
             cells = "  ".join(
                 f"{m} {by_side['parent'][-1][m]:.4f} -> {by_side['change'][-1][m]:.4f}" for m in METRICS
             )
-            label = f" {workload}" if len(runs) > 1 else ""
+            label = f" {workload}" if len(args.workload) > 1 else ""
+            label += f" seed {seed}" if len(args.seed) > 1 else ""
             print(f"pair {i + 1} ({order[0]} first){label}: {cells}", flush=True)
 
     limits = bounds(sides["parent"])
-    for workload, by_side in runs.items():
-        summary(workload, by_side, limits, args)
+    for (workload, seed), by_side in runs.items():
+        summary(workload, seed, by_side, limits, args)
     return 0
 
 

@@ -24,7 +24,7 @@ from .cli import (
     _resolve_preset,
     _write_db,
 )
-from .datalog import evaluate
+from .datalog import check_edb, evaluate
 from .errors import ArityMismatch, FactlogError, TypeMismatch, UnknownRelation
 
 if TYPE_CHECKING:
@@ -67,9 +67,14 @@ def cmd_graph(args: argparse.Namespace) -> int:
     edb, _, diagnostics = _load_edb(args, preset)
     _emit_diagnostics(diagnostics)
     db = edb
-    if relation not in db.relations and preset.program_text.strip():
+    if preset.program_text.strip():
+        # the input is checked against the program's declarations even
+        # when it already holds the relation and nothing is evaluated
         try:
-            db = evaluate(preset.program(), edb)
+            if relation in db.relations:
+                check_edb(preset.program(), edb)
+            else:
+                db = evaluate(preset.program(), edb)
         except (ArityMismatch, TypeMismatch) as exc:
             raise _located(exc, args, preset) from None
     if relation not in db.relations:

@@ -318,7 +318,7 @@ def evaluate(program: DatalogProgram, edb: Database | None = None) -> Database:
     """
     db = Database()
     if edb is not None:
-        _check_edb(program, edb)
+        check_edb(program, edb)
         for rel, tuples in edb.relations.items():
             db.relations.setdefault(rel, set()).update(tuples)
     for fact in program.facts:
@@ -360,7 +360,7 @@ def evaluate(program: DatalogProgram, edb: Database | None = None) -> Database:
     return db
 
 
-def _check_edb(program: DatalogProgram, edb: Database) -> None:
+def check_edb(program: DatalogProgram, edb: Database) -> None:
     """Raise for a relation whose rows break its declaration: for its arity,
     read off one row, or for its least row of a wrong type in sorted_tuples
     order, not the first one the set yields."""

@@ -34,7 +34,7 @@ from collections import defaultdict
 from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ArityMismatch, DatalogError, MalformedFact, TypeMismatch
 from .syntax import decode_symbol
@@ -275,6 +275,24 @@ class Database:
         if arity != len(tup):
             raise _arity_mismatch(relation, arity, len(tup))
         existing.add(tup)
+
+    def adder(self, relation: str, arity: int) -> Callable[[tuple], None]:
+        """The add method of relation's set, for rows of arity, which skip
+        add's check from then on.  Raises ArityMismatch as add would for
+        such a row; the caller adds a row at once, so no empty relation
+        stays behind."""
+        existing = self.relations.get(relation)
+        if existing:
+            held = self._arity.get(relation)
+            if held is None:  # filled through self.relations
+                held = self._arity[relation] = len(next(iter(existing)))
+            if held != arity:
+                raise _arity_mismatch(relation, held, arity)
+            return existing.add
+        if existing is None:
+            existing = self.relations[relation] = set()
+        self._arity[relation] = arity
+        return existing.add
 
     def add_fact(self, fact: Fact) -> None:
         self.add(fact.relation, fact.args)

@@ -28,7 +28,7 @@ import bisect
 import configparser
 import re
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -127,7 +127,7 @@ def _check_prefix_free(lang: str, what: str, openers: tuple[str, ...]) -> None:
 
 class SourceMap:
     """Source text plus the tables classify recorded for it, and its line
-    table.
+    table, built on first read.
 
     intervals is the partition as (start, end, Region) triples in source
     order.  kinds spells it out as one ASCII character per offset: "c" code,
@@ -172,7 +172,6 @@ class SourceMap:
         self.group_ends = group_ends
         self.group_opens = sorted(group_ends)
         self.unit_ends = unit_ends
-        self._line_starts = _line_start_table(source)
         self.candidate_tables: dict[tuple[str, str], Sequence[int]] = {}
 
     def depth_zero_extent(self, pos: int, hi: int) -> int:
@@ -192,20 +191,27 @@ class SourceMap:
             raise IndexError(f"offset {offset} out of range")
         return _KIND_REGIONS[self.kinds[offset]]
 
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """The offset where each line starts: the line of an offset is
+        bisect_right(line_starts, offset).  Built on first read, so a run
+        that reads no position never builds it."""
+        return _line_start_table(self.source)
+
     def line_col(self, offset: int) -> tuple[int, int]:
         """1-based line and column; offset == len(source) is the end position."""
         if not 0 <= offset <= len(self.source):
             raise IndexError(f"offset {offset} out of range")
-        line = bisect.bisect_right(self._line_starts, offset)
-        col = offset - self._line_starts[line - 1] + 1
-        return line, col
+        starts = self.line_starts
+        line = bisect.bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
 
     def line_of(self, offset: int) -> int:
         return self.line_col(offset)[0]
 
     def line_count(self) -> int:
         """Number of physical newlines in the source."""
-        return len(self._line_starts) - 1
+        return self.source.count("\n")
 
 
 _KIND_REGIONS = {
@@ -348,20 +354,26 @@ def _block_comment_end(source: str, pos: int, open_: str, close: str, nest: bool
 
 def _string_end(source: str, pos: int, close: str, escape: str | None) -> tuple[int, int | None]:
     """Return (body_end, close_end); close_end is None when unterminated."""
-    n = len(source)
     if escape is None:
         end = source.find(close, pos)
-        if end == -1:
-            return n, None
-        return end, end + len(close)
-    while pos < n:
-        if source[pos] == escape:
-            pos += 2  # escaped character never terminates the string
-            continue
-        if source.startswith(close, pos):
-            return pos, pos + len(close)
-        pos += 1
-    return n, None
+    else:
+        end = _string_body_re(close, escape).match(source, pos).end()
+    if end == -1 or end == len(source):
+        return len(source), None
+    return end, end + len(close)
+
+
+@lru_cache(maxsize=64)
+def _string_body_re(close: str, escape: str) -> re.Pattern[str]:
+    """A string body: runs of characters that neither escape nor may start
+    the close, an escape with the character after it (an escaped character
+    never ends the string; a lone escape at the end of the input ends the
+    body there), and a first close character where the close does not
+    follow.  It stops only at the close or at the end of the input."""
+    first = close[0]
+    return re.compile(
+        rf"(?:[^{char_class(escape + first)}]+|{re.escape(escape)}[\s\S]?|(?!{re.escape(close)}){re.escape(first)})*"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .datalog import _check_edb, _compile_rule, stratify
+from .datalog import _compile_rule, check_edb, stratify
 from .errors import ArityMismatch, UnknownRelation
 from .facts import Database
 from .syntax import Atom, BodyLiteral, DatalogProgram, DatalogRule, Declaration, Variable, parse_query
@@ -82,7 +82,7 @@ def goal_directed(program: DatalogProgram, edb: Database, pattern: Atom) -> Goal
     rel = pattern.relation
     decl = program.declarations.get(rel)
     if decl is not None and decl.arity != pattern.arity:
-        _check_edb(program, edb)
+        check_edb(program, edb)
         stratify(program)
         raise ArityMismatch(f"{rel!r} has arity {decl.arity}, query uses {pattern.arity}")
     by_head: dict[str, list[DatalogRule]] = {}
@@ -145,7 +145,7 @@ def goal_directed(program: DatalogProgram, edb: Database, pattern: Atom) -> Goal
                 inputs.add(name)
                 row = Atom(name, tuple(Variable(f"V{i}") for i in range(len(adornment))))
                 rules.append(DatalogRule(copy(row, adornment), (BodyLiteral(row), guard(row, adornment))))
-    _check_edb(program, edb)
+    check_edb(program, edb)
     stratify(program)
     return Goal(_rewritten(program, inputs, rules, seeds), _restrict(edb, inputs), asked)
 

@@ -34,14 +34,24 @@ malformed lines and their diagnostics read as they always have.
 
 A record holds only its fields: ``RewriteTemplate.lines`` and a rule's
 folded conditions, ``RuleSpec.plan``, sit beside them, made on first read.
+
+A spec runs as one generated function (see _SpecSource), made when the
+spec compiles for a language: the outer candidate loop over the match
+template's offset-form matcher, the rule's conditions as set membership of
+source slices, each nested descent as inline cursor code, and each planned
+row as a tuple display added straight to its relation's set.  Positions
+are computed only for holes a rewrite reads as ``.line`` or ``.column``.
+The reference interpreter of rules it replaced (``apply_rule``) is in
+``interpreter``, which this module imports only when that name is read.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
 import sys
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
@@ -55,8 +65,7 @@ from .templates import (
     Property,
     Template,
     compile_template,
-    iter_matches,
-    iter_nested_matches,
+    offset_matcher,
     parse_template,
 )
 
@@ -416,7 +425,10 @@ def _build_spec(
         match = compile_template(match, lang)
         inner = tuple(nr._replace(inner_match=compile_template(nr.inner_match, lang)) for nr in rule.nested_rewrites)
         rule = rule._replace(nested_rewrites=inner)
-    return FactSpec(name, language, match, rule, _parse_section(parse_rewrite_template, sections["rewrite"], origin))
+    spec = FactSpec(name, language, match, rule, _parse_section(parse_rewrite_template, sections["rewrite"], origin))
+    if language:
+        _spec_function(spec)  # generated here, when the spec compiles
+    return spec
 
 
 # A line ends where an editor ends it, at "\n", "\r\n" or "\r", as when
@@ -489,143 +501,10 @@ def _substituted(template: RewriteTemplate) -> list[str]:
     return [a.name for a in template.atoms if isinstance(a, Substitution)]
 
 
-# ---------------------------------------------------------------------------
-# Rule application
-
-
-class RuleOutput(NamedTuple):
-    """A match after its rule.  In env, a nested target is bound to its
-    inner rewrites joined by newlines, built when env first reads it; inner
-    holds each nested target's rows and text-path lines, in order."""
-
-    env: MatchEnvironment
-    inner: dict[str, list]
-
-
-def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> RuleOutput | None:
-    """Apply conditions and nested rewrites; None means the rule vetoed the match.
-
-    Conditions on holes bound by the outer match gate the whole rule;
-    conditions naming holes bound only inside nested rewrites filter the
-    individual inner matches instead.  Each hole's conditions are one test
-    of the rule's plan; a vetoed inner match still consumes its window.
-    """
-    plan = rule.plan
-    found = env.bindings
-    if not found.keys() >= plan.outer:  # a condition names a hole no match binds
-        return _gate_in_order(rule, env)
-    for hole, values, keep in plan.gates:
-        b = found.get(hole)
-        if b is not None and (b.text in values) is not keep:
-            return None
-    bindings = _Bindings(found)
-    inner: dict[str, list] = {}
-    inner_matches = iter_nested_matches if rule.nested else iter_matches
-    for nr, (tests, names) in zip(rule.nested_rewrites, plan.nested):
-        target = env[nr.target]
-        outer = {}
-        for name in names:
-            try:
-                outer[name] = bindings[name]
-            except KeyError:
-                pass  # unbound: the first inner match that is kept raises
-        items: list = []
-        kept = []
-        lines = nr.inner_rewrite.lines
-        for m in inner_matches(nr.inner_match, smap, target.start, target.end):
-            found = m.env.bindings
-            for hole, values, keep in tests:
-                if (found[hole].text in values) is not keep:
-                    break
-            else:
-                found = {**found, **outer} if outer else found
-                _emit(lines, found, items)
-                kept.append(found)
-        inner[nr.target] = items
-        bindings.defer(nr.target, partial(_joined, nr.inner_rewrite, kept, target))
-    return RuleOutput(MatchEnvironment(bindings), inner)
-
-
-def _gate_in_order(rule: RuleSpec, env: MatchEnvironment) -> None:
-    """The conditions one at a time, in the rule's order, when one of them
-    names an unbound hole: a failed one before it vetoes the match (None),
-    and otherwise that condition raises."""
-    for cond in rule.conditions:
-        if cond.hole in env:
-            if not cond.holds(env[cond.hole].text):
-                return
-        elif cond.hole not in rule.plan.inner_names:
-            raise UnboundHole(f"condition names unbound hole ${cond.hole}")
-
-
-class _Bindings(dict):
-    """Bindings in which a deferred hole is bound on its first read."""
-
-    def __init__(self, bindings: dict[str, Binding]):
-        super().__init__(bindings)
-        self.deferred: dict[str, Callable[[], Binding]] = {}
-
-    def defer(self, name: str, bind: Callable[[], Binding]) -> None:
-        self.pop(name, None)
-        self.deferred[name] = bind
-
-    def __missing__(self, name: str) -> Binding:
-        binding = self[name] = self.deferred.pop(name)()
-        return binding
-
-
-def _joined(template: RewriteTemplate, kept: list[dict[str, Binding]], target: Binding) -> Binding:
-    text = "\n".join([substitute(template, MatchEnvironment(found)) for found in kept])
-    return target._replace(text=text)
 
 
 # ---------------------------------------------------------------------------
 # Fact generation
-
-
-def _emit(
-    lines: tuple[LinePlan, ...], bindings: dict[str, Binding], items: list, inner: dict[str, list] | None = None
-) -> None:
-    """Append each line's row as (relation, row), or its text for the text
-    path; a line that is exactly a nested target's hole appends that
-    target's inner items instead."""
-    for line in lines:
-        if line.relation is not None:
-            try:
-                row = _row(line.args, bindings)
-            except KeyError as exc:
-                raise UnboundHole(f"hole ${exc.args[0]} is not bound") from None
-            if row is not None:
-                items.append((line.relation, row))
-                continue
-        elif inner is not None and line.target in inner:
-            items.extend(inner[line.target])
-            continue
-        items.append(substitute(line.template, MatchEnvironment(bindings)))
-
-
-def _row(args: tuple[ArgPlan, ...], bindings: dict[str, Binding]) -> tuple | None:
-    """The row args spell, or None when a value bound inside quotes holds a
-    quote, a backslash or a newline, which only the text path reads as the
-    fact-line grammar does.  An unbound hole raises KeyError."""
-    row = []
-    for before, hole, after in args:
-        if hole is None:
-            row.append(before)
-            continue
-        b = bindings[hole.name]
-        if hole.prop is Property.VALUE:
-            text = b.text
-            if '"' in text or "\\" in text or "\n" in text:
-                return None
-        else:
-            n = (b.line if hole.prop is Property.LINE else b.column) + hole.offset
-            if after is None:
-                row.append(n)
-                continue
-            text = str(n)
-        row.append(sys.intern(before + text + after))
-    return tuple(row)
 
 
 def facts_for_smap(
@@ -635,40 +514,434 @@ def facts_for_smap(
 
     Returns the file's facts, the outer-template match count per spec name,
     and diagnostics (classifier warnings, then dropped fact lines), each
-    prefixed with the path.  A match's rows are all built before any is
-    added, so an unbound hole raises before a row's arity does.
+    prefixed with the path.  Each spec runs as its generated function (see
+    _SpecSource), which gives what the reference interpreter gives: the
+    same rows and diagnostics in the same order, and the same error, an
+    unbound hole raising before a row's arity does.
     """
     db = Database()
     matches: dict[str, int] = {}
     diagnostics = [f"{path}: {w}" for w in smap.warnings]
     for spec in specs:
-        rule, lines = spec.rule, spec.rewrite.lines
-        has_rule = bool(rule.conditions or rule.nested_rewrites)
-        count = 0
-        for m in iter_matches(spec.match, smap):
-            count += 1
-            bindings, inner = m.env.bindings, None
-            if has_rule:
-                out = apply_rule(rule, m.env, smap)
-                if out is None:
-                    continue
-                bindings, inner = out.env.bindings, out.inner
-            items: list = []
-            _emit(lines, bindings, items, inner)
-            for item in items:
-                if type(item) is tuple:
-                    db.add(*item)
-                    continue
-                # split on "\n" only, as Database.from_dl_text does: a bound
-                # string may hold a form feed or another separator splitlines() honors
-                for raw in item.split("\n"):
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        db.add_fact(parse_fact_line(line))
-                    except MalformedFact as exc:
-                        where = smap.line_of(m.start)
-                        diagnostics.append(f"{path}:{where}: dropped bad fact line: {exc}")
+        count = _spec_function(spec)(smap, db, diagnostics, path)
         matches[spec.name] = matches.get(spec.name, 0) + count
     return db, matches, diagnostics
+
+
+@lru_cache(maxsize=256)
+def _spec_function(spec: FactSpec) -> Callable[[SourceMap, Database, list[str], str], int]:
+    """The spec's generated function, made once per spec: _build_spec makes
+    it when the spec compiles, and an unpickled copy of the spec, equal to
+    it, finds it here, in the cache a forked --jobs worker inherits."""
+    return _SpecSource(spec).build()
+
+
+def _add_text(db: Database, text: str, diagnostics: list[str], path: str, smap: SourceMap, start: int) -> None:
+    """The text path: the text split at "\\n" only, as Database.from_dl_text
+    splits it (a bound string may hold a form feed or another separator
+    that splitlines() honours), and each line parsed and added; a line the
+    grammar rejects is dropped, with a diagnostic naming the outer match's
+    line."""
+    for raw in text.split("\n"):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            db.add_fact(parse_fact_line(line))
+        except MalformedFact as exc:
+            diagnostics.append(f"{path}:{smap.line_of(start)}: dropped bad fact line: {exc}")
+
+
+def _add_items(db: Database, items: list, diagnostics: list[str], path: str, smap: SourceMap, start: int) -> None:
+    """Add a nested rewrite's kept items, rows as (relation, row) and
+    text-path lines as text, in order."""
+    for item in items:
+        if type(item) is tuple:
+            db.add(*item)
+        else:
+            _add_text(db, item, diagnostics, path, smap, start)
+
+
+class _Ref(NamedTuple):
+    """Where one hole's value comes from at one place of the generated
+    code.  key names its value and quote variables, pos its line and column
+    variables, and start and end the variables of its span; joined names
+    the variable holding a nested target's joined inner rewrites, when the
+    hole is one."""
+
+    key: str
+    pos: str
+    start: str
+    end: str
+    joined: str | None = None
+
+
+# The generated function, and the walks of a nested rewrite's inner
+# matches: iter_nested_matches (with "nested") and iter_matches, written out.
+_FUNCTION = """\
+def facts(smap, db, diagnostics, path):
+    src = smap.source
+    n = len(src)
+    line_col = smap.line_col
+{setup}    nt = bisect_left(table, n)
+    count = 0
+    i = 0
+    while i < nt:
+        start = table[i]
+        r = match(start, n)
+        if r is None:
+            i += 1
+            continue
+        count += 1
+        i = bisect_left(table, r[0], i + 1)
+{body}    return count
+"""
+_NESTED_WALK = """\
+dc = bisect_left(mt{j}, {lo})
+dg = bisect_left(opens, {lo})
+pos, top, tries = {lo}, {hi}, True
+stack = []
+while True:
+    gs = ge = top
+    while dg < nopen and opens[dg] < top:
+        ge = gends[opens[dg]]
+        if ge <= top:
+            gs = opens[dg]
+            break
+        dg += 1
+    if tries:
+        if dc < mn{j} and mt{j}[dc] < pos:
+            dc = bisect_left(mt{j}, pos, dc)
+        m = None
+        while dc < mn{j}:
+            ms = mt{j}[dc]
+            if ms > gs or ms >= top:
+                break
+            m = mm{j}(ms, top)
+            if m is not None:
+                break
+            dc += 1
+        if m is not None:
+{kept}            stack.append((m[0], top, True))
+            pos, top, tries = ms, m[0], False
+            continue
+    if gs < top:
+        stack.append((ge, top, tries))
+        pos, top, tries = gs + 1, ge - 1, True
+    elif stack:
+        pos, top, tries = stack.pop()
+    else:
+        break
+"""
+_FLAT_WALK = """\
+dc = bisect_left(mt{j}, {lo})
+while dc < mn{j}:
+    ms = mt{j}[dc]
+    if ms >= {hi}:
+        break
+    m = mm{j}(ms, {hi})
+    if m is None:
+        dc += 1
+        continue
+{kept}    dc = bisect_left(mt{j}, m[0], dc + 1)
+"""
+_QUOTED = "'\"' in {v} or '\\\\' in {v} or '\\n' in {v}"
+
+
+def _indent(code: list[str], pad: str) -> str:
+    return "".join(f"{pad}{line}\n" for line in code)
+
+
+class _SpecSource:
+    """The source of one spec's facts(smap, db, diagnostics, path), which
+    adds the spec's facts over one file to db and returns its count of
+    outer matches.  It does what the reference interpreter (interpreter.py)
+    does one match at a time, written out for this spec.
+
+    The outer loop walks the template's candidate table and calls its
+    matcher in the offset form.  The rule's gates test a hole's source
+    slice for membership in a constant set and continue the loop on a veto.
+    Each nested rewrite walks its inner template's table inside the
+    target's span, with the cursor walk of iter_nested_matches (or
+    iter_matches, without "nested") written out inline, and tests its inner
+    conditions the same way.  Each planned row is a tuple display of
+    slices, constants and line or column arithmetic, added to its
+    relation's set through Database.adder; a line or column is computed
+    only for a hole that a row reads as one.  A line the plan cannot
+    express, or a row whose value bound inside quotes holds a quote, a
+    backslash or a newline, takes the text path: substitute over a
+    MatchEnvironment built there, then _add_text.
+
+    A nested rewrite's rows are added as its inner matches come when the
+    outer rewrite is exactly its target's line and nothing after it can
+    raise; otherwise they are kept in a list and added where the outer
+    rewrite names the target, as the interpreter adds them.  A joined
+    target's text is built only when a line reads it, and a nested rewrite
+    whose rows, text and errors nothing reads is not walked at all.  Which
+    holes are bound where is known here, so an unbound hole is a raise at
+    the place the interpreter would raise it.  Template text, hole names,
+    condition values, relation names and every other spec text reach the
+    code only as constants of its namespace (C0, C1, ...).
+    """
+
+    def __init__(self, spec: FactSpec):
+        self.spec = spec
+        self.outer = {name: k for k, name in enumerate(spec.match.hole_names())}
+        self.nested = spec.rule.nested_rewrites
+        self.consts: dict[tuple[type, object], str] = {}
+        self.adders: dict[tuple[str, int], str] = {}
+        self.positions = False  # whether some row reads a line or column
+        self.walks: list[int] = []  # the nested rewrites walked, in order
+
+    def const(self, value: object) -> str:
+        key = (type(value), value)
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = f"C{len(self.consts)}"
+        return name
+
+    def outer_ref(self, name: str, upto: int) -> _Ref | None:
+        """The outer hole, as nested rewrites before upto have rebound it."""
+        k = self.outer.get(name)
+        if k is None:
+            return None
+        joined = next((f"J{j}" for j in reversed(range(upto)) if self.nested[j].target == name), None)
+        return _Ref(joined or f"o{k}", f"o{k}", f"so{k}", f"eo{k}", joined)
+
+    def inner_ref(self, j: int, name: str) -> _Ref | None:
+        """A hole of nested rewrite j's inner rewrite: its inner match's
+        holes hide the outer ones."""
+        names = self.nested[j].inner_match.hole_names()
+        if name not in names:
+            return self.outer_ref(name, j)
+        key = f"i{j}_{names.index(name)}"
+        return _Ref(key, key, f"s{key}", f"e{key}")
+
+    @staticmethod
+    def reads(lines: tuple[LinePlan, ...], resolve, passed=frozenset()) -> list[tuple[str, _Ref | None]]:
+        """Each hole the lines read, in the order that building them reads
+        it, resolved; a line that passes a nested target's items through
+        reads nothing."""
+        return [
+            (name, resolve(name))
+            for line in lines
+            if not (line.relation is None and line.target in passed)
+            for name in _substituted(line.template)
+        ]
+
+    def raise_unbound(self, reads) -> list[str]:
+        """A raise of the first unbound hole read, or nothing."""
+        name = next((name for name, ref in reads if ref is None), None)
+        return [] if name is None else [f"raise UnboundHole({self.const(f'hole ${name} is not bound')})"]
+
+    def text_path(self, template: RewriteTemplate, resolve, items: str | None) -> str:
+        """The text path of a line: its text added to db, or appended to
+        the list items when that is set."""
+        text = self.text(template, resolve)
+        return f"add_text(db, {text}, diagnostics, path, smap, start)" if items is None else f"{items}.append({text})"
+
+    def text(self, template: RewriteTemplate, resolve) -> str:
+        """substitute over a MatchEnvironment of the holes template reads."""
+        holes = []
+        for name in dict.fromkeys(_substituted(template)):
+            ref = resolve(name)
+            value = ref.joined or f"src[{ref.start}:{ref.end}]"
+            holes.append(f"{self.const(name)}: new(Binding, ({value}, {ref.start}, {ref.end}) + line_col({ref.start}))")
+        return f"substitute({self.const(template)}, MatchEnvironment({{{', '.join(holes)}}}))"
+
+    def lines(self, lines, resolve, items: str | None, passed: dict[str, str | None], needs: dict[str, _Ref]) -> list[str]:
+        """The code of the lines: rows and text-path lines added to db, or
+        appended to the list items when it is set.  passed maps each nested
+        target whose line passes its items through to its list, or to None
+        when they were added already.  needs gets the variables the code
+        reads, for the caller to set before it."""
+        code = []
+        for line in lines:
+            if line.relation is None and line.target in passed:
+                if passed[line.target] is not None:
+                    code.append(f"add_items(db, {passed[line.target]}, diagnostics, path, smap, start)")
+                continue
+            if line.relation is None:
+                code.append(self.text_path(line.template, resolve, items))
+                continue
+            args, quoted = [], []
+            for before, hole, after in line.args:
+                if hole is None:
+                    args.append(self.const(before))
+                    continue
+                ref = resolve(hole.name)
+                if hole.prop is Property.VALUE:
+                    value = f"v_{ref.key}"
+                    needs[value] = ref
+                    quoted.append(f"q_{ref.key}")
+                else:
+                    self.positions = True
+                    needs[f"l_{ref.pos}"] = ref
+                    if hole.prop is Property.COLUMN:
+                        needs[f"c_{ref.pos}"] = ref
+                    value = f"{'l' if hole.prop is Property.LINE else 'c'}_{ref.pos}"
+                    if hole.offset:
+                        value += f" {'+-'[hole.offset < 0]} {abs(hole.offset)}"
+                    if after is None:
+                        args.append(value)
+                        continue
+                    value = f"str({value})"
+                parts = [self.const(p) for p in (before,) if p] + [value] + [self.const(p) for p in (after,) if p]
+                args.append(value if value[0] == "v" and len(parts) == 1 else f"intern({' + '.join(parts)})")
+            row = f"({', '.join(args)}{',' * (len(args) == 1)})"
+            if items is None:
+                adder = self.adders.setdefault((line.relation, len(args)), f"A{len(self.adders)}")
+                add = [
+                    f"if {adder} is None:",
+                    f"    {adder} = claim(db, {self.const(line.relation)}, {len(args)})",
+                    f"{adder}({row})",
+                ]
+            else:
+                add = [f"{items}.append(({self.const(line.relation)}, {row}))"]
+            if quoted:
+                text = self.text_path(line.template, resolve, items)
+                code += [f"if {' or '.join(dict.fromkeys(quoted))}:", "    " + text, "else:"] + ["    " + c for c in add]
+            else:
+                code += add
+        return code
+
+    @staticmethod
+    def prelude(needs: dict[str, _Ref]) -> list[str]:
+        """Set the variables that code reads: each value, interned, with
+        whether it holds a quote, a backslash or a newline, and each line
+        and column."""
+        code = []
+        for var, ref in needs.items():
+            if var[0] == "v":
+                code.append(f"{var} = intern({ref.joined or f'src[{ref.start}:{ref.end}]'})")
+                code.append(f"q_{ref.key} = {_QUOTED.format(v=var)}")
+            elif var[0] == "l":
+                code.append(f"{var} = bisect_right(starts, {ref.start})")
+            else:
+                code.append(f"{var} = {ref.start} - starts[l_{ref.pos} - 1] + 1")
+        return code
+
+    def build(self) -> Callable[[SourceMap, Database, list[str], str], int]:
+        body = _indent(self.match(), "        ")
+        setup = ["starts = smap.line_starts"] if self.positions else []
+        setup.append(f"table, match = offset_matcher({self.const(self.spec.match)}, smap)")
+        for j in self.walks:
+            setup += [f"mt{j}, mm{j} = offset_matcher({self.const(self.nested[j].inner_match)}, smap)", f"mn{j} = len(mt{j})"]
+        if self.walks and self.spec.rule.nested:
+            setup += ["opens = smap.group_opens", "gends = smap.group_ends", "nopen = len(opens)"]
+        setup += [f"{adder} = None" for adder in self.adders.values()]
+        namespace: dict[str, object] = {name: value for (_, value), name in self.consts.items()}
+        namespace.update(
+            offset_matcher=offset_matcher, bisect_left=bisect.bisect_left, bisect_right=bisect.bisect_right,
+            intern=sys.intern, claim=Database.adder, substitute=substitute, MatchEnvironment=MatchEnvironment,
+            Binding=Binding, new=tuple.__new__, add_text=_add_text, add_items=_add_items, UnboundHole=UnboundHole,
+        )
+        source = _FUNCTION.format(setup=_indent(setup, "    "), body=body)
+        exec(compile(source, "<spec>", "exec"), namespace)
+        return namespace["facts"]  # type: ignore[return-value]
+
+    def match(self) -> list[str]:
+        """The code for one outer match r at start: the rule, then the
+        outer rewrite."""
+        rule, nested, outer = self.spec.rule, self.nested, self.outer
+        code = [f"_, {', '.join(f'so{k}, eo{k}' for k in outer.values())} = r"] if outer else []
+        if rule.conditions or nested:
+            plan = rule.plan
+            if not plan.outer <= outer.keys():
+                # a condition names a hole no match binds: the conditions in
+                # order, up to that one, which raises
+                for cond in rule.conditions:
+                    if cond.hole in outer:
+                        op = "!=" if cond.op is CondOp.EQ else "=="
+                        code += [f"if src[so{outer[cond.hole]}:eo{outer[cond.hole]}] {op} {self.const(cond.value)}:", "    continue"]
+                    elif cond.hole not in plan.inner_names:
+                        msg = self.const(f"condition names unbound hole ${cond.hole}")
+                        return code + [f"raise UnboundHole({msg})"]
+            for hole, values, keep in plan.gates:
+                if hole in outer:
+                    k = outer[hole]
+                    code += [f"if src[so{k}:eo{k}] {'not in' if keep else 'in'} {self.const(values)}:", "    continue"]
+        lines = self.spec.rewrite.lines
+        resolve = partial(self.outer_ref, upto=len(nested))
+        targets = frozenset(nr.target for nr in nested)
+        reads = self.reads(lines, resolve, targets)
+        raises = self.raise_unbound(reads)
+        inner = [self.reads(nr.inner_rewrite.lines, partial(self.inner_ref, j)) for j, nr in enumerate(nested)]
+        inner_raises = [self.raise_unbound(r) for r in inner]
+        # what each nested rewrite must give: its items, where the outer
+        # rewrite passes them through, its joined text, where a line after
+        # it reads that, and its raise; a rewrite that gives none of them
+        # is not walked
+        passed = {line.target for line in lines if line.relation is None} & targets
+        last = {nr.target: j for j, nr in enumerate(nested)}
+        emits = [not raises and last[nr.target] == j and nr.target in passed for j, nr in enumerate(nested)]
+        joined = set() if raises else {ref.joined for _, ref in reads if ref is not None}
+        walked = [False] * len(nested)
+        for j in reversed(range(len(nested))):
+            walked[j] = emits[j] or f"J{j}" in joined or bool(inner_raises[j])
+            if walked[j] and not inner_raises[j]:
+                joined |= {ref.joined for _, ref in inner[j]}
+        items: dict[str, str | None] = {}
+        for j, nr in enumerate(nested):
+            if nr.target not in outer:
+                return code + [f"raise UnboundHole({self.const(f'hole ${nr.target} is not bound')})"]
+            if not walked[j]:
+                continue
+            # rows go straight to db when the outer rewrite is this target's
+            # line alone and no later nested rewrite can raise
+            later = nested[j + 1 :]
+            stream = len(lines) == 1 and all(n.target in outer and not r for n, r in zip(later, inner_raises[j + 1 :]))
+            if emits[j]:
+                items[nr.target] = None if stream else f"I{j}"
+            code += self.walk(j, inner_raises[j], items[nr.target] if emits[j] else None, emits[j], f"J{j}" in joined)
+        if raises:
+            return code + raises
+        needs: dict[str, _Ref] = {}
+        rows = self.lines(lines, resolve, None, items, needs)
+        return code + self.prelude(needs) + rows
+
+    def walk(self, j: int, raises: list[str], items: str | None, emit: bool, join: bool) -> list[str]:
+        """The code walking nested rewrite j's inner matches in its target's
+        span, for one outer match: its rows added, or appended to the list
+        items when that is set, when emit is; and the joined text J{j} when
+        join is."""
+        self.walks.append(j)
+        nr = self.nested[j]
+        resolve = partial(self.inner_ref, j)
+        names = nr.inner_match.hole_names()
+        needs: dict[str, _Ref] = {}
+        kept = list(raises)
+        if emit and not raises:
+            kept += self.lines(nr.inner_rewrite.lines, resolve, items, {}, needs)
+        if join and not raises:
+            kept.append(f"K{j}.append({self.text(nr.inner_rewrite, resolve)})")
+        inner = {var: ref for var, ref in needs.items() if ref.start.startswith("si")}
+        kept = self.prelude(inner) + kept
+        tests = [
+            f"src[si{j}_{names.index(hole)}:ei{j}_{names.index(hole)}] {'in' if keep else 'not in'} {self.const(values)}"
+            for hole, values, keep in self.spec.rule.plan.nested[j][0]
+        ]
+        if tests and kept:
+            kept = [f"if {' and '.join(tests)}:"] + ["    " + c for c in kept]
+        if names:
+            kept.insert(0, f"_, {', '.join(f'si{j}_{k}, ei{j}_{k}' for k in range(len(names)))} = m")
+        code = self.prelude({var: ref for var, ref in needs.items() if var not in inner})
+        code += [f"I{j} = []"] * (items is not None) + [f"K{j} = []"] * join
+        target = self.outer_ref(nr.target, 0)
+        walk = _NESTED_WALK if self.spec.rule.nested else _FLAT_WALK
+        pad = "            " if self.spec.rule.nested else "    "
+        code += walk.format(j=j, lo=target.start, hi=target.end, kept=_indent(kept, pad)).splitlines()
+        return code + [f"J{j} = '\\n'.join(K{j})"] * join
+
+
+# The reference interpreter's names resolve here, from the module that keeps
+# it, on first read (PEP 562), so a run over sources never compiles it.
+_INTERPRETER_NAMES = ("RuleOutput", "apply_rule")
+
+
+def __getattr__(name: str):
+    if name not in _INTERPRETER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import interpreter
+
+    return getattr(interpreter, name)

@@ -34,7 +34,8 @@ units is a sequence of lookups in it.
 
 compile_template binds a template to a language once, when its spec loads:
 literals split into whitespace and text chunks, a candidate strategy that
-says where a match may start, and a generated matcher.  Each strategy is a
+says where a match may start, and a generated matcher in each return form,
+made on its first use.  Each strategy is a
 table builder (see _candidates).  A leading literal is found by its first
 text chunk.  A leading expression or optional hole followed by a literal
 (``$c(...)``, ``$l = $a + $b``) is anchored on that literal's first text
@@ -52,6 +53,14 @@ backtracking is the loops' own order.  It accepts a leading hole only at
 a left-maximal unit start, so trying every offset finds what the
 candidates find.
 tests/oracles.py keeps an interpreter over the atoms as its reference.
+
+A matcher has two return forms, written by one emitter and each generated
+on first use.  The Match form, which iter_matches, iter_nested_matches,
+match_at and ``factlog match`` return, binds each hole to its text and
+position.  The offset form, which offset_matcher hands to a fact spec's
+generated function (see rewrite), returns only the end offset and each
+named hole's start and end: that function slices a hole's text, and
+computes its line or column, only where a condition or a row reads it.
 
 The compiled form is not one of a Template's fields: compile_template
 sets it on the copy it returns, so equality, hashing, repr and _replace
@@ -225,11 +234,13 @@ class CompiledTemplate(NamedTuple):
     found from a text chunk, see _anchor_candidates; "units" (a leading
     hole with no text chunk after it) is every left-maximal unit start,
     "scan" every offset and "none" (the empty template) no offset.
-    make_matcher is the generated code: make_matcher(smap) returns
-    match(start, hi), the one try at one offset (see _MatcherSource).  A
-    pickle holds only the atoms and the language, and loading it compiles
-    again: a forked --jobs worker finds the result in the cache it
-    inherited.
+    make_matcher(smap) runs the generated code: it returns match(start,
+    hi), the one try at one offset (see _MatcherSource), in the Match form,
+    or with offsets=True in the offset form.  Each form is generated the
+    first time it is asked for and kept in forms, so a run that reads only
+    offsets never compiles the Match form.  A pickle holds only the atoms
+    and the language, and loading it compiles again: a forked --jobs worker
+    finds the result, and the forms made so far, in the cache it inherited.
     """
 
     atoms: tuple[Atom, ...]
@@ -238,10 +249,17 @@ class CompiledTemplate(NamedTuple):
     strategy: str
     key: str  # "find" and "anchor": the chunk, after a space when whitespace precedes it
     unit_start_re: re.Pattern[str]  # a left-maximal unit start
-    make_matcher: Callable[[SourceMap], Callable[[int, int], Match | None]]
+    forms: dict[bool, Callable[[SourceMap], Callable[[int, int], Match | tuple | None]]]
 
     def __reduce__(self):
         return _compile, (self.atoms, self.language)
+
+    def make_matcher(self, smap: SourceMap, offsets: bool = False) -> Callable[[int, int], Match | tuple | None]:
+        make = self.forms.get(offsets)
+        if make is None:
+            source = _MatcherSource(self.atoms, self.pieces, self.language, offsets)
+            make = self.forms[offsets] = source.build(self.unit_start_re, self.strategy in ("anchor", "units"))
+        return make(smap)
 
 
 def compile_template(template: Template, lang: LanguageDefinition) -> Template:
@@ -272,8 +290,7 @@ def _compile(atoms: tuple[Atom, ...], lang: LanguageDefinition) -> CompiledTempl
     else:
         strategy, key = "units", ""
     unit_start_re = re.compile(rf"(?<!{ident})(?:{ident}|[{starts}])" if starts else rf"(?<!{ident}){ident}")
-    make_matcher = _MatcherSource(atoms, pieces, lang).build(unit_start_re, strategy in ("anchor", "units"))
-    return CompiledTemplate(atoms, lang, pieces, strategy, key, unit_start_re, make_matcher)
+    return CompiledTemplate(atoms, lang, pieces, strategy, key, unit_start_re, {})
 
 
 def _compiled_for(template: Template, smap: SourceMap) -> CompiledTemplate:
@@ -316,7 +333,7 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
     """
     src, kinds = smap.source, smap.kinds
     anchor = t.strategy == "anchor"
-    unit_starts = {end: start for start, end in smap.unit_ends.items()} if anchor else {}
+    unit_starts = dict(zip(smap.unit_ends.values(), smap.unit_ends)) if anchor else {}
     prefix = t.language.value_prefix_chars
     ws = t.key[0] == " "
     chunk = t.key.lstrip(" ")
@@ -343,7 +360,7 @@ def _anchor_candidates(t: CompiledTemplate, smap: SourceMap) -> list[int]:
     for a, b in sorted(spans):
         a = max(a, lo)
         if a < b:
-            out.extend((m.start() for m in t.unit_start_re.finditer(src, a, b)) if anchor else range(a, b))
+            out.extend(map(re.Match.start, t.unit_start_re.finditer(src, a, b)) if anchor else range(a, b))
             lo = b
     return out
 
@@ -362,9 +379,14 @@ class _MatcherSource:
 
     make_matcher reads the SourceMap's tables once and returns
     match(start, hi), the match starting exactly at start and ending by hi,
-    if any.  A leading expression or optional hole starts only at a
-    left-maximal unit start, whatever the window, and never inside a
-    comment or a string body, where only an empty optional hole could start.
+    if any.  One emitter writes both return forms; they differ only in the
+    last statement.  The Match form builds a Match with a Binding, text and
+    position, per named hole.  The offset form returns a tuple of the end
+    offset and each named hole's start and end, in template order, and
+    slices no text and computes no position.  A leading expression or
+    optional hole starts only at a left-maximal unit start, whatever the
+    window, and never inside a comment or a string body, where only an
+    empty optional hole could start.
 
     Each hole with more than one way to bind opens a loop over them, and
     the loop's body matches the rest of the template, so a failed test
@@ -380,8 +402,8 @@ class _MatcherSource:
     constants of its namespace (C0, C1, ...), never as source text.
     """
 
-    def __init__(self, atoms: tuple[Atom, ...], pieces, lang: LanguageDefinition):
-        self.atoms, self.pieces, self.lang = atoms, pieces, lang
+    def __init__(self, atoms: tuple[Atom, ...], pieces, lang: LanguageDefinition, offsets: bool):
+        self.atoms, self.pieces, self.lang, self.offsets = atoms, pieces, lang, offsets
         self.consts: dict[object, str] = {}
         self.functions: list[list[str]] = []  # literal tests and continuations, inside make_matcher
 
@@ -417,8 +439,9 @@ class _MatcherSource:
             "    nb = len(brackets)",
             "    any_close = smap.any_close",
             "    extent = smap.depth_zero_extent",
-            "    line_col = smap.line_col",
         ]
+        if not self.offsets:
+            lines.append("    line_col = smap.line_col")
         for function in self.functions + [body]:
             lines += ["    " + line for line in function]
         lines.append("    return match")
@@ -465,7 +488,8 @@ class _MatcherSource:
                 function.append("    return None")
                 out.append(f"{pad}r = {name}({args})")
                 out.append(f"{pad}if r is not None:")
-                out.append(f"{pad}    return {'r if r.end > start else None' if top else 'r'}")
+                end = "r[0]" if self.offsets else "r.end"
+                out.append(f"{pad}    return {f'r if {end} > start else None' if top else 'r'}")
                 return
             s, e = f"s{i}", f"e{i}"
             out.append(f"{pad}{s} = p")
@@ -508,12 +532,15 @@ class _MatcherSource:
         if top:
             out.append(f"{pad}if p <= start:")
             out.append(f"{pad}    return None")
+        named = [k for k, a in enumerate(atoms) if isinstance(a, Hole) and a.name]
+        if self.offsets:
+            out.append(f"{pad}return (p,{''.join(f' s{k}, e{k},' for k in named)})")
+            return
         # new is tuple.__new__: it builds the records without running their
         # constructors, a Python call each
         env = ", ".join(
-            f"{self.const(a.name)}: new(Binding, (src[s{k}:e{k}], s{k}, e{k}) + line_col(s{k}))"
-            for k, a in enumerate(atoms)
-            if isinstance(a, Hole) and a.name
+            f"{self.const(atoms[k].name)}: new(Binding, (src[s{k}:e{k}], s{k}, e{k}) + line_col(s{k}))"
+            for k in named
         )
         out.append(f"{pad}return new(Match, (start, p, new(MatchEnvironment, ({{{env}}},))))")
 
@@ -645,6 +672,16 @@ def match_at(template: Template, smap: SourceMap, start: int, hi: int | None = N
     with no candidate search."""
     hi = len(smap.source) if hi is None else hi
     return _compiled_for(template, smap).make_matcher(smap)(start, hi)
+
+
+def offset_matcher(template: Template, smap: SourceMap) -> tuple[Sequence[int], Callable[[int, int], tuple | None]]:
+    """The sorted offsets of smap's file where a match of template may
+    start, and its match(start, hi) in the offset form: None, or the end
+    offset followed by each named hole's start and end, in template order.
+    A generated fact-spec function walks these itself, as iter_matches and
+    iter_nested_matches do."""
+    t = _compiled_for(template, smap)
+    return _candidates(t, smap), t.make_matcher(smap, offsets=True)
 
 
 def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> Iterator[Match]:

@@ -23,7 +23,8 @@ row at a time after one sort of whole rows by _tuple_key, where the
 package groups rows and formats each distinct value once; the fact-text
 reader parses and adds one line at a time with parse_fact_line, where the
 package reads the writer's line shape in bulk; the line table finds one
-newline at a time.  Agreement between the two
+newline at a time, and string_end steps over a string body one character
+at a time, where the package matches one pattern.  Agreement between the two
 implementations is the point, so keep this file boring.
 """
 
@@ -217,6 +218,21 @@ def line_start_table(source: str) -> list[int]:
         starts.append(pos + 1)
         pos = source.find("\n", pos + 1)
     return starts
+
+
+def string_end(source: str, pos: int, close: str, escape: str | None) -> tuple[int, int | None]:
+    """(body_end, close_end) of a string body from pos, one character at a
+    time: an escape skips the character after it, and close_end is None
+    when no close follows."""
+    n = len(source)
+    while pos < n:
+        if source[pos] == escape:
+            pos += 2  # escaped character never terminates the string
+            continue
+        if source.startswith(close, pos):
+            return pos, pos + len(close)
+        pos += 1
+    return n, None
 
 
 def interval_index(smap: SourceMap, offset: int) -> int:

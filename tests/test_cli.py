@@ -680,6 +680,14 @@ class TestMatcherStaysOffTheDatalogPath:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert {*MATCHER, "factlog.corpus"} <= names
 
+    def test_a_source_solve_never_loads_the_interpreter(self, tmp_path, example_go):
+        # each spec runs as its generated function; the reference
+        # interpreter of rules loads only when its names are read
+        proc, names = imported_modules("solve", example_go, "--preset", "callgraph-go", "--out", str(tmp_path))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert {*MATCHER, "factlog.corpus"} <= names
+        assert "factlog.interpreter" not in names
+
     def test_a_broken_spec_fails_only_runs_that_read_sources(self, capsys, tmp_path, example_go):
         # Specs are compiled on first use, so a fact-file run never reads a
         # preset's spec files and a broken one does not fail it.
@@ -941,6 +949,8 @@ class TestInputErrors:
             ("solve", "--out", "{out}"),
             ("query", "-q", 'calls("a", X)'),
             ("graph", "--closure"),
+            # the input holds the relation, so graph evaluates nothing
+            ("graph",),
         ],
     )
     @pytest.mark.parametrize(

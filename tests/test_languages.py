@@ -12,8 +12,10 @@ from factlog import (
     get_language,
     language_names,
     load_language_file,
+    load_preset,
 )
 from factlog.languages import LanguageDefinition
+from factlog.rewrite import facts_for_smap
 from factlog.templates import compile_template, match_at, parse_template
 
 
@@ -109,6 +111,16 @@ class TestSourceMap:
     def test_line_count_counts_newlines(self):
         assert classify("a\nb\nc", GO).line_count() == 2
         assert classify("a\nb\n", GO).line_count() == 2
+
+    def test_line_table_is_built_on_first_read(self, samples_dir):
+        # callgraph-c reads no position, so its fact generation never
+        # builds the table; line_count does not need it either
+        smap = classify((samples_dir / "c" / "scheduler.c").read_text(encoding="utf-8"), get_language("c"))
+        db, _, _ = facts_for_smap(load_preset("callgraph-c").fact_specs, smap, "scheduler.c")
+        assert db.fact_count() > 0 and smap.line_count() > 0
+        assert "line_starts" not in vars(smap)
+        assert smap.line_col(len(smap.source)) == (smap.line_count() + 1, 1)
+        assert "line_starts" in vars(smap)
 
     def test_identifier_run_keeps_an_offset_a_group_also_opens(self):
         # With "(" an identifier character, offset 5 starts both the run

@@ -34,7 +34,7 @@ from factlog import (
 from factlog import facts
 from factlog.datalog import goal_directed
 from factlog.facts import Fact, format_value, parse_fact_line
-from factlog.languages import _line_start_table
+from factlog.languages import _line_start_table, _string_end
 from factlog.templates import Hole, Literal, compile_template, iter_nested_matches, match_at
 from oracles import (
     collect_inner,
@@ -49,6 +49,7 @@ from oracles import (
     read_dl_text,
     rescan_balanced,
     sorted_rows,
+    string_end,
     unit_chain_ends,
 )
 
@@ -648,6 +649,19 @@ class TestClassifierInvariants:
         assert _line_start_table(source) == line_start_table(source)
         assert _line_start_table(source + "a") == line_start_table(source + "a")
 
+    @given(
+        st.lists(st.sampled_from(("a", "'", '"', "\\", "\\\\", "*/", "*", "/", "``", "\n", "é"))).map("".join),
+        st.integers(0, 4),
+        st.sampled_from(("'", '"', "*/", '"""', "``", "\\", "\\'")),
+        st.sampled_from(("\\", "'", "*", "`", "é", None)),
+    )
+    @example("ab\\", 0, '"', "\\")  # a lone escape at the end of the input
+    @example("a\\", 0, "\\", "\\")  # an escape that is the close
+    @settings(max_examples=500)
+    def test_string_end_equals_stepping(self, source, pos, close, escape):
+        pos = min(pos, len(source))
+        assert _string_end(source, pos, close, escape) == string_end(source, pos, close, escape)
+
     @given(SOURCE)
     @settings(max_examples=100)
     def test_line_col_roundtrip(self, source):
@@ -930,10 +944,16 @@ class TestGeneratedMatcherAgainstInterpreter:
             assume(False)
         smap = classify(source, lang)
         n = len(source)
+        # the offset form: the end and each named hole's span, in order
+        offsets = template.compiled.make_matcher(smap, offsets=True)
         for hi in sorted({n, min(cut, n)}):
             for start in range(hi + 1):
                 got = match_at(template, smap, start, hi)
                 assert _one_match_key(got) == _one_match_key(interpret_at(template, smap, start, hi)), start
+                spans = None if got is None else (got.end,) + tuple(
+                    x for name in template.hole_names() for x in got.env[name][1:3]
+                )
+                assert offsets(start, hi) == spans, start
 
 
 class TestOracleIndependence:
@@ -961,6 +981,8 @@ class TestOracleIndependence:
         "_groups",
         "_lines",
         "_line_start_table",
+        "_string_end",
+        "_string_body_re",
     }
     # records, and the parser that makes them, are all the oracles may take
     # from templates

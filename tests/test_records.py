@@ -22,6 +22,7 @@ from factlog import (
     AnalysisPreset,
     Atom,
     Binding,
+    Database,
     Hole,
     HoleKind,
     LanguageDefinition,
@@ -39,7 +40,16 @@ from factlog import (
     parse_template,
 )
 from factlog.corpus import RunStats
-from factlog.rewrite import Condition, CondOp, RewriteTemplate, RuleSpec, SubstLiteral, Substitution, _plan_rule
+from factlog.rewrite import (
+    Condition,
+    CondOp,
+    RewriteTemplate,
+    RuleSpec,
+    SubstLiteral,
+    Substitution,
+    _plan_rule,
+    _spec_function,
+)
 from factlog.templates import Literal, Property, Template, _compile, compile_template, iter_matches
 
 SPEC = (
@@ -222,7 +232,7 @@ def test_language_definition_checks_at_construction(kwargs):
         LanguageDefinition(**kwargs)
 
 
-def test_pool_payload_survives_pickle():
+def test_pool_payload_survives_pickle(samples_dir):
     lang = LanguageDefinition(name="toy", line_comment_prefixes=("#",), value_prefix_chars="*")
     assert pickle.loads(pickle.dumps(lang)) == lang
     assert type(pickle.loads(pickle.dumps(lang))) is LanguageDefinition
@@ -231,12 +241,25 @@ def test_pool_payload_survives_pickle():
         c = template.compiled
         return c.atoms, c.language, c.pieces, c.strategy, c.key, c.unit_start_re
 
-    # the generated matcher is not pickled: a copy compiles its template again
+    def run(function, smap):
+        db, diagnostics = Database(), []
+        return db, function(smap, db, diagnostics, "example.go"), diagnostics
+
+    # the generated matcher and spec function are not pickled: a copy
+    # compiles its templates again and generates its function again
     smap = classify("func (s *T) Run(x int) error { return s.f(x) }\nfunc g() { h() }\n", GO)
+    sample = classify((samples_dir / "example.go").read_text(encoding="utf-8"), GO)
     for spec in load_preset("callgraph-go-methods").fact_specs:
         payload = pickle.dumps(spec)
+        original = _spec_function(spec)
         _compile.cache_clear()
+        _spec_function.cache_clear()
         copy = pickle.loads(payload)
+        rebuilt = _spec_function(copy)
+        assert rebuilt is not original
+        for source in (sample, smap):
+            assert run(rebuilt, source) == run(original, source)
+        assert run(rebuilt, smap)[0].fact_count() > 0
         assert copy == spec and repr(copy) == repr(spec)
         assert compiled(copy.match) == compiled(spec.match)
         assert list(iter_matches(copy.match, smap)) == list(iter_matches(spec.match, smap)) != []

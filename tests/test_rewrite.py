@@ -17,6 +17,7 @@ from factlog import (
     SpecFormatError,
     UnboundHole,
     classify,
+    get_language,
     iter_matches,
     load_fact_spec,
     parse_fact_line,
@@ -26,6 +27,7 @@ from factlog import (
     parse_template,
     run_fact_generation,
 )
+from factlog.interpreter import _emit, apply_rule
 from factlog.rewrite import (
     Condition,
     CondOp,
@@ -39,6 +41,7 @@ from factlog.rewrite import (
     substitute,
 )
 from factlog.templates import Binding, MatchEnvironment, iter_nested_matches
+from test_properties import INNER_TEMPLATES
 
 
 def env_with(**holes: Binding) -> MatchEnvironment:
@@ -505,3 +508,160 @@ class TestRowsAgainstTextPath:
             assume(False)
         smap = classify(source, GO)
         assert outcome(facts_for_smap, (spec,), smap) == outcome(text_facts_for_smap, (spec,), smap)
+
+
+# ---------------------------------------------------------------------------
+# The generated spec functions against the reference interpreter
+
+
+def interpreted_facts_for_smap(specs, smap, path):
+    """facts_for_smap by the reference interpreter, one match at a time:
+    apply_rule, then each match's items built by _emit before any is
+    added, rows as they are and text through parse_fact_line."""
+    db = Database()
+    matches: dict[str, int] = {}
+    diagnostics = [f"{path}: {w}" for w in smap.warnings]
+    for spec in specs:
+        rule, lines = spec.rule, spec.rewrite.lines
+        has_rule = bool(rule.conditions or rule.nested_rewrites)
+        count = 0
+        for m in iter_matches(spec.match, smap):
+            count += 1
+            bindings, inner = m.env.bindings, None
+            if has_rule:
+                out = apply_rule(rule, m.env, smap)
+                if out is None:
+                    continue
+                bindings, inner = out.env.bindings, out.inner
+            items: list = []
+            _emit(lines, bindings, items, inner)
+            for item in items:
+                if type(item) is tuple:
+                    db.add(*item)
+                    continue
+                for raw in item.split("\n"):
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    try:
+                        db.add_fact(parse_fact_line(line))
+                    except MalformedFact as exc:
+                        diagnostics.append(f"{path}:{smap.line_of(m.start)}: dropped bad fact line: {exc}")
+        matches[spec.name] = matches.get(spec.name, 0) + count
+    return db, matches, diagnostics
+
+
+# Inner templates of every candidate strategy, their hole renamed to the
+# one the drawn rewrites read; those with a brace would end the clause.
+CLAUSE_TEMPLATES = INNER_TEMPLATES.map(lambda t: t.text).filter(lambda text: "{" not in text and "}" not in text)
+
+
+@st.composite
+def generated_cases(draw):
+    """A row_cases spec whose inner template may be any of the inner
+    templates, with a second nested rewrite of $body in some cases, and
+    in some cases a second spec over the same source, so that rows of two
+    specs meet in one Database."""
+    spec_text, source = draw(row_cases())
+    for hole in ("c", "a"):
+        if f"[${hole}*]" in spec_text and draw(st.booleans()):
+            text = draw(CLAUSE_TEMPLATES)
+            for name in ("$x", "$b", "$c"):
+                text = text.replace(name, f"${hole}")
+            spec_text = spec_text.replace(f"[${hole}*]", text, 1)
+    if "where " in spec_text and draw(st.integers(0, 3)) == 0:
+        extra = f"rewrite $body {{ [$c*] -> {draw(rewrite_lines(2, True))} }}, "
+        spec_text = spec_text.replace("where ", "where " + extra, 1)
+    texts = [spec_text]
+    if draw(st.integers(0, 3)) == 0:
+        texts.append(draw(row_cases())[0])
+    return texts, source
+
+
+class TestGeneratedAgainstInterpreter:
+    @settings(max_examples=800, deadline=None)
+    @given(generated_cases())
+    def test_same_facts_counts_diagnostics_and_errors(self, case):
+        texts, source = case
+        try:
+            specs = tuple(parse_fact_spec(text, name=f"t{k}", language="go") for k, text in enumerate(texts))
+        except FactlogError:
+            assume(False)
+        smap = classify(source, GO)
+        assert outcome(facts_for_smap, specs, smap) == outcome(interpreted_facts_for_smap, specs, smap)
+
+    @pytest.mark.parametrize(
+        "rule, rewrite",
+        [
+            # an unbound target, an inner rewrite and an outer rewrite that
+            # read an unbound hole, each after rows that clash in arity
+            ('where rewrite $zz { [$c*] -> e("$c"). }', 'e("x", "y").\n$zz'),
+            ('where rewrite $body { [$c*] -> e("$c").\ne($zz.line). }', 'e("x", "y").\n$body'),
+            ('where rewrite $body { [$c*] -> e("$c"). }', '$body\ne("x", "y").\nf("$zz")'),
+            # rows of one relation in two arities, in the outer and the
+            # inner rewrite, and through the text path
+            ('where rewrite $body { [$c*] -> e("$c"). }', '$body\ne("$a", 1).'),
+            ('where rewrite $body { [$c*] -> e("$c"). }', 'e($a, 1).\n$body'),
+            ("", 'e("$a").\ne($a.line, 2).'),
+            # a veto before the unbound condition, and after it
+            ('where $a == "x", $zz == "y"', 'e("$a").'),
+            ('where $zz == "y", $a == "x"', 'e("$a").'),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["zz(x;y;[p][q])\n", "zz(w;y;[p])\nzz(x;y;)\n"])
+    def test_errors_come_in_the_interpreters_order(self, rule, rewrite, source):
+        rule_section = f"[rule]\n{rule}\n\n" if rule else ""
+        spec = parse_fact_spec(f"[match]\nzz($a*;$b*;$body*)\n\n{rule_section}[rewrite]\n{rewrite}\n", "t", "go")
+        smap = classify(source, GO)
+        want = outcome(interpreted_facts_for_smap, (spec,), smap)
+        assert outcome(facts_for_smap, (spec,), smap) == want
+
+
+# Spec text that is Python code where the generated function's own code
+# would be: hole names of its locals, quotes, backslashes and newlines in
+# a literal, a condition value and the rewrite's literal arguments, and a
+# relation named like one of its locals.
+TRICKY_SPEC = (
+    "[match]\n"
+    'f($src, $count) "); import os; os._exit(3) #\\n\n\n'
+    "[rule]\n"
+    'where $count != "\'); os._exit(4) #", $src != "\\"\\\\n}", nested,\n'
+    '  rewrite $count { $db(...) -> start("$src", "$db", "{C0}\\"\\\\", $db.line). }\n\n'
+    "[rewrite]\n"
+    'count("$src", "\'\'\'", $src.column).\n'
+    "$count\n"
+)
+PLAIN_SPEC = (
+    "[match]\n"
+    'f($a, $b) "xxxxxxxxxxxxxxxxxxxxxxxxxxxx\n\n'
+    "[rule]\n"
+    'where $b != "yyyyyyyyyyyyyyyyyyy", $a != "zzzzz", nested,\n'
+    '  rewrite $b { $c(...) -> p("$a", "$c", "www", $c.line). }\n\n'
+    "[rewrite]\n"
+    'q("$a", "v", $a.column).\n'
+    "$b\n"
+)
+
+
+def _code_shape(code) -> tuple:
+    """A code object's instructions, names and constants, nested ones too."""
+    consts = tuple(_code_shape(c) if hasattr(c, "co_code") else c for c in code.co_consts)
+    return code.co_code, code.co_names, code.co_varnames, consts
+
+
+class TestGeneratedSpecCode:
+    def test_spec_text_reaches_the_code_only_as_constants(self):
+        from factlog.rewrite import _spec_function
+
+        tricky, plain = parse_fact_spec(TRICKY_SPEC, "t", "arith"), parse_fact_spec(PLAIN_SPEC, "p", "arith")
+        assert tricky.match.hole_names() == ("src", "count")
+        assert tricky.rule.conditions[0].value == "'); os._exit(4) #"
+        # the same code as for the plain spec of the same shape: the text
+        # differs only in the namespace
+        assert _code_shape(_spec_function(tricky).__code__) == _code_shape(_spec_function(plain).__code__)
+        source = 'f(a, {g(b); h()}) "); import os; os._exit(3) #\\n\nf(x, ()) "); import os; os._exit(3) #\\n\n'
+        smap = classify(source, get_language("arith"))
+        db, matches, diagnostics = facts_for_smap((tricky,), smap, "m.go")
+        assert (db.relations, matches, diagnostics) == outcome(interpreted_facts_for_smap, (tricky,), smap)
+        assert db.tuples("count") == {("a", "'''", 3), ("x", "'''", 3)}
+        assert db.tuples("start") == {("a", name, '{C0}"\\', 1) for name in ("g", "h")}

@@ -20,7 +20,7 @@ from factlog import (
 )
 from factlog import templates
 from factlog.analyses import load_preset
-from factlog.rewrite import facts_for_smap
+from factlog.rewrite import facts_for_smap, parse_fact_spec
 from factlog.templates import Hole, Literal, compile_template, iter_nested_matches, match_at
 from oracles import collect_inner, interpret_at
 
@@ -306,7 +306,13 @@ class TestZigSigils:
 
 class TestNestedDescentGrowth:
     @staticmethod
-    def total_ratio(text: str, opener: str, closer: str, per_level: int) -> float:
+    def descent(text: str):
+        """The count of iter_nested_matches over a whole file."""
+        template = parse_template(text)
+        return lambda smap: sum(1 for _ in iter_nested_matches(template, smap, 0, len(smap.source)))
+
+    @staticmethod
+    def total_ratio(count, opener: str, closer: str, per_level: int) -> float:
         # Depth 2d against d: linear growth reads 2, quadratic 4.  The two
         # depths run alternately, nine times each, and the ratio is taken
         # of their total times.  A shared machine's speed moves both ways,
@@ -316,19 +322,17 @@ class TestNestedDescentGrowth:
         # faults on a large list out.  As in timeit, the cyclic collector is
         # off while a walk is timed: a full collection costs time in
         # proportion to everything the test process holds, not to the walk.
-        template = parse_template(text)
-
         def run(depth: int) -> float:
             source = opener * depth + "x" + closer * depth
             smap = classify(source, GO)
             gc.disable()
             try:
                 t0 = time.perf_counter()
-                count = sum(1 for _ in iter_nested_matches(template, smap, 0, len(source)))
+                found = count(smap)
                 elapsed = time.perf_counter() - t0
             finally:
                 gc.enable()
-            assert count == depth // per_level
+            assert found == depth // per_level
             return elapsed
 
         depth = 3000
@@ -339,7 +343,21 @@ class TestNestedDescentGrowth:
         return totals[2 * depth] / totals[depth]
 
     def test_deep_nesting_grows_near_linearly(self):
-        assert self.total_ratio("[$x]", "[", "]", 1) <= 2.5
+        assert self.total_ratio(self.descent("[$x]"), "[", "]", 1) <= 2.5
+
+    def test_fact_generation_over_deep_nesting_grows_near_linearly(self):
+        # the generated spec function's written-out descent, rows and all
+        spec = parse_fact_spec(
+            "[match]\n$all*\n\n[rule]\nwhere nested, rewrite $all { [$x] -> hit($x.column). }\n\n[rewrite]\n$all\n",
+            language="go",
+        )
+
+        def hits(smap) -> int:
+            db, matches, _ = facts_for_smap((spec,), smap, "m.go")
+            assert matches == {"spec": 1}
+            return len(db.tuples("hit"))
+
+        assert self.total_ratio(hits, "[", "]", 1) <= 2.5
 
     @pytest.mark.parametrize(
         "text, opener, per_level",
@@ -350,7 +368,7 @@ class TestNestedDescentGrowth:
     )
     def test_anonymous_hole_jumps_over_deep_nesting(self, text, opener, per_level):
         # ... steps over each inner group to its partner instead of rescanning it
-        assert self.total_ratio(text, opener, ")", per_level) <= 2.5
+        assert self.total_ratio(self.descent(text), opener, ")", per_level) <= 2.5
 
 
 class TestCandidateTables:
@@ -434,11 +452,16 @@ def _key(m) -> tuple | None:
 
 
 def _agrees_with_interpreter(template, smap) -> list:
-    """The matches, after checking match_at against the interpreter at
-    every offset and the scan against the oracle's first-match scan."""
+    """The matches, after checking match_at against the interpreter and
+    the offset form against match_at at every offset, and the scan against
+    the oracle's first-match scan."""
     n = len(smap.source)
+    _, offsets = templates.offset_matcher(template, smap)
     for start in range(n + 1):
-        assert _key(match_at(template, smap, start)) == _key(interpret_at(template, smap, start, n)), start
+        m = match_at(template, smap, start)
+        assert _key(m) == _key(interpret_at(template, smap, start, n)), start
+        spans = None if m is None else (m.end,) + tuple(x for h in template.hole_names() for x in m.env[h][1:3])
+        assert offsets(start, n) == spans, start
     found = list(iter_matches(template, smap))
     assert [_key(m) for m in found] == [_key(m) for m in collect_inner(template, smap, 0, n, False)]
     return found
