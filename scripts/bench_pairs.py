@@ -6,6 +6,8 @@ Usage:
     python3 scripts/bench_pairs.py PARENT CHANGE --workload tc-random --pairs 10
     python3 scripts/bench_pairs.py PARENT CHANGE --workload c-callgraph tc-random arith-liveness --pairs 10
     python3 scripts/bench_pairs.py PARENT CHANGE --workload c-callgraph --seed 1 2 --pairs 10
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload c-callgraph tc-random --seed 1 2 --pairs 10 \
+        --claim setup_s:c-callgraph
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout for
 every named workload at every named seed, the two sides of a workload and
@@ -21,6 +23,11 @@ medians can come from different stretches of the run; the paired move
 compares only runs made next to each other.  A metric whose median on the
 change is worse than the parent's by more than its bound in the parent's
 ``BENCHMARK.json`` is flagged at the end of its row.
+
+``--claim METRIC:WORKLOAD`` tests a claimed gain at each seed and prints
+"met" or "not met".  It is met when the change read lower in at least nine
+tenths of the pairs, ties counting for neither side, and its median is
+lower than the parent's by more than the parent's q1-q3 width.
 
 A checkout that holds ``src/factlog/__pycache__`` is refused: a stale
 bytecode cache on one side makes that side recompile (or not) and skews
@@ -62,18 +69,24 @@ def bounds(root: Path) -> dict[str, tuple[float, str]]:
     return {m["name"]: (m["bound"], m["better"]) for m in json.loads(path.read_text())["end_to_end"] if "bound" in m}
 
 
+def compare(runs: dict[str, list[dict[str, float]]], metric: str) -> tuple[float, float, float, float, int, float]:
+    """The parent's median, q1 and q3, the change's median, the pairs in
+    which the change read lower, and the paired move, of one metric."""
+    before = [r[metric] for r in runs["parent"]]
+    after = [r[metric] for r in runs["change"]]
+    q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else (before[0],) * 3
+    lower = sum(y < x for x, y in zip(before, after))
+    paired = statistics.median(y / x for x, y in zip(before, after)) - 1
+    return statistics.median(before), q1, q3, statistics.median(after), lower, paired
+
+
 def summary(
     workload: str, seed: int, runs: dict[str, list[dict[str, float]]], limits, args: argparse.Namespace
 ) -> None:
     print(f"\n{workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<12} {'parent':>8} {'q1':>8} {'q3':>8} {'change':>8} {'move':>7} {'paired':>7}  lower")
     for metric in METRICS:
-        before = [r[metric] for r in runs["parent"]]
-        after = [r[metric] for r in runs["change"]]
-        q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else (before[0],) * 3
-        b, a = statistics.median(before), statistics.median(after)
-        lower = sum(y < x for x, y in zip(before, after))
-        paired = statistics.median(y / x for x, y in zip(before, after)) - 1
+        b, q1, q3, a, lower, paired = compare(runs, metric)
         flag = ""
         if metric in limits:
             bound, better = limits[metric]
@@ -86,6 +99,16 @@ def summary(
         )
 
 
+def claim(metric: str, workload: str, seed: int, runs: dict[str, list[dict[str, float]]], pairs: int) -> None:
+    b, q1, q3, a, lower, _ = compare(runs, metric)
+    met = lower * 10 >= pairs * 9 and b - a > q3 - q1
+    print(
+        f"claim {metric} on {workload}, seed {seed}: {'met' if met else 'not met'}"
+        f" ({lower}/{pairs} pairs lower; median {b:.4f} -> {a:.4f}, apart by {b - a:.4f};"
+        f" parent q1-q3 width {q3 - q1:.4f})"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -94,7 +117,11 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
+    parser.add_argument("--claim", metavar="METRIC:WORKLOAD", help="test a claimed gain: see the module docstring")
     args = parser.parse_args()
+    claimed, _, claimed_on = (args.claim or "").partition(":")
+    if args.claim and (claimed not in METRICS or claimed_on not in args.workload):
+        parser.error(f"--claim {args.claim}: name one of {', '.join(METRICS)} and a --workload, as METRIC:WORKLOAD")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in sides.values():
         if not (root / "perfbench" / "run.py").is_file():
@@ -118,6 +145,10 @@ def main() -> int:
     limits = bounds(sides["parent"])
     for (workload, seed), by_side in runs.items():
         summary(workload, seed, by_side, limits, args)
+    if args.claim:
+        print()
+        for seed in args.seed:
+            claim(claimed, claimed_on, seed, runs[claimed_on, seed], args.pairs)
     return 0
 
 

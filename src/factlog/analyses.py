@@ -17,7 +17,10 @@ may name a sibling preset's file (``../callgraph-c/program.dl``).
 ``fact_relations`` lists the relations counted as generated facts in run
 statistics; ``graph_relation`` (optional) names the edge relation for graph
 export.  The bundled directory can be overridden with the FACTLOG_PRESET_DIR
-environment variable or an explicit ``base`` argument.
+environment variable or an explicit ``base`` argument.  ``preset.cfg`` is
+read by ``errors.read_ini``, the reader of language files too: ``%`` is a
+plain character, not interpolation, and ``[DEFAULT]`` is an ordinary
+section that lends no keys to ``[preset]``.
 
 Only fact generation needs the matcher (``languages``, ``templates`` and
 ``rewrite``) and the corpus runners (``corpus``: ``run_fact_generation``,
@@ -37,13 +40,12 @@ reads a spec file.
 
 from __future__ import annotations
 
-import configparser
 import os
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DatalogError, FactlogError, SpecFormatError, in_file, read_text
+from .errors import DatalogError, FactlogError, SpecFormatError, in_file, read_ini, read_text
 from .syntax import DatalogProgram, parse_program
 
 if TYPE_CHECKING:
@@ -131,23 +133,18 @@ def load_preset(name: str, base: str | Path | None = None) -> AnalysisPreset:
     if not cfg_path.is_file():
         known = ", ".join(list_presets(base)) or "none found"
         raise FactlogError(f"unknown preset {name!r} (available: {known})")
-    cfg = configparser.ConfigParser()
-    try:
-        cfg.read_string(read_text(cfg_path), source=str(cfg_path))
-    except configparser.Error as exc:
-        raise SpecFormatError(str(exc)) from None
-    if not cfg.has_section("preset"):
+    section = read_ini(cfg_path, SpecFormatError).get("preset")
+    if section is None:
         raise SpecFormatError(f"{cfg_path}: missing [preset] section")
-    section = cfg["preset"]
     try:
-        language = section["language"].strip()
+        language = section["language"]
         spec_names = section["specs"].split()
     except KeyError as exc:
         raise SpecFormatError(f"{cfg_path}: missing key {exc}") from None
-    program_file = section.get("program", "").strip()
-    primary_output = section.get("primary_output", "").strip()
+    program_file = section.get("program", "")
+    primary_output = section.get("primary_output", "")
     fact_relations = tuple(section.get("fact_relations", "").split())
-    graph_relation = section.get("graph_relation", "").strip() or None
+    graph_relation = section.get("graph_relation") or None
     preset = AnalysisPreset(
         name=name,
         language=language,

@@ -270,60 +270,69 @@ def _command(name: str) -> Callable[[argparse.Namespace], int]:
     return run
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "facts": "generate facts from source files",
+    "solve": "evaluate the Datalog program over facts",
+    "query": "answer one query over the solved database",
+    "graph": "export a binary relation as Graphviz dot",
+    "bench": "per-corpus fact-generation statistics",
+    "match": "print template matches as JSON lines",
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of a run.  Every subcommand is registered by name and
+    help string, but only the one argv names gets its arguments; when argv
+    names none (``--help``, a typo), every one does, so help and usage
+    errors read the same either way."""
     parser = argparse.ArgumentParser(
         prog="factlog",
         description="Template-driven fact generation and Datalog analysis over source code.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    inputs = argparse.ArgumentParser(add_help=False)  # the arguments of every command but match
-    inputs.add_argument("inputs", nargs="+", help="source files/directories, .dl fact text, or .facts files")
-    inputs.add_argument("--preset", "-p", help="bundled analysis preset name")
-    inputs.add_argument("--preset-dir", help=f"preset directory (default: bundled, or ${PRESET_DIR_ENV})")
-    inputs.add_argument("--lang", help="language name for ad-hoc --spec runs")
-    inputs.add_argument("--spec", action="append", metavar="FILE", help="fact spec file (repeatable)")
-    inputs.add_argument("--program", metavar="FILE", help="Datalog program (.dl) overriding the preset's")
-    inputs.add_argument("--langdef", action="append", metavar="FILE", help="register a custom language file")
-    inputs.add_argument("--jobs", "-j", type=_positive_int, default=1, help="parallel workers for fact generation")
-
-    sp = sub.add_parser("facts", parents=[inputs], help="generate facts from source files")
-    sp.add_argument("--format", choices=("dl", "tsv"), default="dl")
-    sp.add_argument("--out", "-o", default="factlog-out", help="output directory")
-    sp.set_defaults(func=_command("cmd_facts"))
-
-    sp = sub.add_parser("solve", parents=[inputs], help="evaluate the Datalog program over facts")
-    sp.add_argument("--format", choices=("dl", "tsv"), default="dl")
-    sp.add_argument("--out", "-o", default="factlog-out", help="output directory")
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("query", parents=[inputs], help="answer one query over the solved database")
-    sp.add_argument("--query", "-q", required=True, help="pattern like 'calls(\"main\", X)'")
-    sp.set_defaults(func=cmd_query)
-
-    sp = sub.add_parser("graph", parents=[inputs], help="export a binary relation as Graphviz dot")
-    sp.add_argument("--relation", help="relation to export (default: the preset's edge relation)")
-    sp.add_argument("--closure", action="store_true", help="export the preset's computed closure instead")
-    sp.add_argument("--out", "-o", help="output file (default: stdout)")
-    sp.set_defaults(func=_command("cmd_graph"))
-
-    sp = sub.add_parser("bench", parents=[inputs], help="per-corpus fact-generation statistics")
-    sp.add_argument("--json", action="store_true", help="one JSON object per corpus row")
-    sp.set_defaults(func=_command("cmd_bench"))
-
-    sp = sub.add_parser("match", help="print template matches as JSON lines")
-    sp.add_argument("inputs", nargs="+", help="source files or directories")
-    sp.add_argument("--lang", required=True)
-    sp.add_argument("--template", "-t", help="match template text")
-    sp.add_argument("--spec", help="take the match template from a spec file")
-    sp.add_argument("--langdef", action="append", metavar="FILE")
-    sp.set_defaults(func=_command("cmd_match"))
-
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for command, summary in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        if named in (None, command):
+            _add_arguments(sp, command)
     return parser
 
 
+def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
+    if command == "match":
+        sp.add_argument("inputs", nargs="+", help="source files or directories")
+        sp.add_argument("--lang", required=True)
+        sp.add_argument("--template", "-t", help="match template text")
+        sp.add_argument("--spec", help="take the match template from a spec file")
+        sp.add_argument("--langdef", action="append", metavar="FILE")
+        sp.set_defaults(func=_command("cmd_match"))
+        return
+    # the arguments of every command but match
+    sp.add_argument("inputs", nargs="+", help="source files/directories, .dl fact text, or .facts files")
+    sp.add_argument("--preset", "-p", help="bundled analysis preset name")
+    sp.add_argument("--preset-dir", help=f"preset directory (default: bundled, or ${PRESET_DIR_ENV})")
+    sp.add_argument("--lang", help="language name for ad-hoc --spec runs")
+    sp.add_argument("--spec", action="append", metavar="FILE", help="fact spec file (repeatable)")
+    sp.add_argument("--program", metavar="FILE", help="Datalog program (.dl) overriding the preset's")
+    sp.add_argument("--langdef", action="append", metavar="FILE", help="register a custom language file")
+    sp.add_argument("--jobs", "-j", type=_positive_int, default=1, help="parallel workers for fact generation")
+    if command in ("facts", "solve"):
+        sp.add_argument("--format", choices=("dl", "tsv"), default="dl")
+        sp.add_argument("--out", "-o", default="factlog-out", help="output directory")
+    elif command == "query":
+        sp.add_argument("--query", "-q", required=True, help="pattern like 'calls(\"main\", X)'")
+    elif command == "graph":
+        sp.add_argument("--relation", help="relation to export (default: the preset's edge relation)")
+        sp.add_argument("--closure", action="store_true", help="export the preset's computed closure instead")
+        sp.add_argument("--out", "-o", help="output file (default: stdout)")
+    elif command == "bench":
+        sp.add_argument("--json", action="store_true", help="one JSON object per corpus row")
+    sp.set_defaults(func={"solve": cmd_solve, "query": cmd_query}.get(command) or _command(f"cmd_{command}"))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()  # until the command's frame, and all it derived, is freed
     try:

@@ -25,14 +25,13 @@ loaded from an INI-style config file (see load_language_file).
 from __future__ import annotations
 
 import bisect
-import configparser
 import re
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .errors import LanguageError, read_text
+from .errors import LanguageError, read_ini
 
 
 class Region(Enum):
@@ -504,17 +503,15 @@ def load_language_file(path: str) -> list[LanguageDefinition]:
     block_comments and strings (comma-separated groups of whitespace-separated
     tokens: "open close" and "open close [escape]"), balanced (two-character
     "()" tokens), identifier_extra, value_prefix, nest_block_comments.
+    The file is read by ``errors.read_ini``: ``%`` is a plain character,
+    and a ``[DEFAULT]`` section defines a language named DEFAULT.
     """
-    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(read_text(path), source=path)
+        sections = read_ini(path, LanguageError)
     except OSError:
         raise LanguageError(f"cannot read language config {path!r}") from None
-    except configparser.Error as exc:
-        raise LanguageError(str(exc)) from None
     out = []
-    for section in parser.sections():
-        raw = dict(parser[section])
+    for section, raw in sections.items():
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise LanguageError(f"{path}: [{section}] has unknown keys {sorted(unknown)}")

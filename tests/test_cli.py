@@ -514,6 +514,33 @@ class TestCollectorPause:
         assert proc.stdout.splitlines()[-1] == "0 0 False True"
 
 
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([command, "--help"] for command in ("facts", "solve", "query", "graph", "bench", "match")),
+            ["query", "x.dl"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_help_and_usage_errors_read_as_with_every_command_built(self, capsys, argv):
+        # a run builds only its own command's arguments
+        def outcome(parser):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        full = cli._build_parser([])
+        assert outcome(cli._build_parser(argv)) == outcome(full)
+        assert outcome(full)[:1] == (EXIT_USAGE if argv == ["query", "x.dl"] else EXIT_OK,)
+
+    def test_only_the_named_command_gets_arguments(self):
+        subparsers = cli._build_parser(["query"])._subparsers._group_actions[0].choices
+        assert {name for name, sp in subparsers.items() if len(sp._actions) > 1} == {"query"}
+
+
 def write_console_script(bin_dir: Path, name: str) -> None:
     """Write a launcher for the `[project.scripts]` entry `name` into `bin_dir`.
 
@@ -605,8 +632,9 @@ def imported_modules(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]
 
 class TestMatcherStaysOffTheDatalogPath:
     """Every CLI run is a fresh process: a run over fact files imports only
-    cli, analyses, datalog, facts, syntax and errors, and loading a preset's
-    program imports only analyses, syntax and errors.  The guards count
+    cli, analyses, datalog, facts, syntax and errors, loading a preset's
+    program imports only analyses, syntax and errors, and no run imports
+    configparser.  The guards count
     modules, not milliseconds, so machine noise cannot flake them."""
 
     def test_package_import_loads_no_layer(self):
@@ -627,7 +655,7 @@ class TestMatcherStaysOffTheDatalogPath:
                 sys.executable, "-c",
                 "import sys; before = set(sys.modules); import factlog; "
                 f"factlog.load_preset({preset!r}).program(); "
-                "print(sorted(m for m in set(sys.modules) - before if m.startswith('factlog.')))",
+                "print(sorted(m for m in set(sys.modules) - before if m.startswith(('factlog.', 'configparser'))))",
             ],
             capture_output=True, text=True, check=True,
         )
@@ -674,6 +702,27 @@ class TestMatcherStaysOffTheDatalogPath:
         proc, names = imported_modules(*argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert {n for n in names if n.startswith("factlog")} == FACT_FILE_RUN | set(extra)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "{dl}", "--preset", "callgraph-c", "--out", "{out}"),
+            ("query", "{dl}", "--preset", "callgraph-c", "-q", 'calls("a", X)'),
+            ("solve", "{go}", "--preset", "callgraph-go", "--out", "{out}"),
+            ("match", "{go}", "--lang", "toy", "--langdef", "{langdef}", "-t", "f($x)"),
+        ],
+        ids=["solve", "query", "source-solve", "match-langdef"],
+    )
+    def test_no_run_imports_configparser(self, tmp_path, example_go, argv):
+        # preset.cfg and language files are read by errors.read_ini
+        dl = tmp_path / "x.dl"
+        dl.write_text('edge("a", "b").\nedge("b", "c").\n', encoding="utf-8")
+        langdef = tmp_path / "toy.lang"
+        langdef.write_text("[toy]\nline_comments = //\n", encoding="utf-8")
+        argv = [a.format(dl=dl, go=example_go, langdef=langdef, out=tmp_path / "out") for a in argv]
+        proc, names = imported_modules(*argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "factlog.cli" in names and "configparser" not in names
 
     def test_a_source_run_loads_it(self, tmp_path, example_go):
         proc, names = imported_modules("facts", example_go, "--preset", "callgraph-go", "--out", str(tmp_path))
@@ -1026,36 +1075,51 @@ _LANGDEF_KEYS = st.sampled_from([
     b"line_comments", b"block_comments", b"strings", b"balanced", b"identifier_extra", b"value_prefix",
     b"nest_block_comments", b"name",
 ])
-_LANGDEF_VALUES = st.lists(st.sampled_from([
+_VALUE_FRAGMENTS = [
     b"//", b"#", b"/*", b"*/", b"(*", b'"', b"'", b"`", b"\\", b"()", b"[]", b"{}", b"((", b"(", b"_", b".",
     b"*", b"!", b",", b" ", b"true", b"no", b"%(x)s",
-]), max_size=6).map(b"".join)
-_LANGDEF_BODY = st.builds(
-    lambda lines, last: b"\n".join([key + b" = " + value for key, value in lines.items()] + [last]),
-    st.dictionaries(_LANGDEF_KEYS, _LANGDEF_VALUES, max_size=6),
-    st.just(b"") | _drawn(_FRAGMENTS),
-)
+]
+_LANGDEF_VALUES = st.lists(st.sampled_from(_VALUE_FRAGMENTS), max_size=6).map(b"".join)
+# A preset.cfg body: the same values, and a lone '%', under the preset's keys.
+_PRESET_KEYS = st.sampled_from([
+    b"language", b"specs", b"program", b"primary_output", b"fact_relations", b"graph_relation", b"name",
+])
+_PRESET_VALUES = st.lists(st.sampled_from([*_VALUE_FRAGMENTS, b"%"]), max_size=6).map(b"".join)
+
+
+def _ini_body(keys, values):
+    return st.builds(
+        lambda lines, last: b"\n".join([key + b" = " + value for key, value in lines.items()] + [last]),
+        st.dictionaries(keys, values, max_size=6),
+        st.just(b"") | _drawn(_FRAGMENTS),
+    )
+
+
 DRAWN_CASES = (
     st.tuples(st.sampled_from(["dl", "facts", "program", "spec"]), _drawn(_FRAGMENTS))
     | st.tuples(st.just("source"), _drawn(_SOURCE_FRAGMENTS))
-    | st.tuples(st.just("langdef"), _LANGDEF_BODY)
+    | st.tuples(st.just("langdef"), _ini_body(_LANGDEF_KEYS, _LANGDEF_VALUES))
+    | st.tuples(st.just("preset"), _ini_body(_PRESET_KEYS, _PRESET_VALUES))
 )
 DRAWN_FILES = {
     "dl": "in.dl", "facts": "edge.facts", "program": "drawn.dl", "spec": "drawn.spec", "source": "drawn.go",
-    "langdef": "drawn.ini",
+    "langdef": "drawn.ini", "preset": "mine/preset.cfg",
 }
+# The section header a drawn body goes under.
+DRAWN_HEADERS = {"langdef": b"[drawn]\n", "preset": b"[preset]\n"}
 
 
 class TestNoTraceback:
     @given(DRAWN_CASES)
     @settings(max_examples=900, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_drawn_input_exits_with_a_code(self, capsys, tmp_path, example_go, case):
-        """Whatever bytes a fact file, program, spec, go source or language
-        file holds, main returns an exit code and no exception escapes it."""
+        """Whatever bytes a fact file, program, spec, go source, language
+        file or preset.cfg holds, main returns an exit code and no exception
+        escapes it."""
         kind, data = case
         drawn = tmp_path / DRAWN_FILES[kind]
-        # a language file's body under a fixed section header
-        drawn.write_bytes(b"[drawn]\n" + data if kind == "langdef" else data)
+        drawn.parent.mkdir(exist_ok=True)
+        drawn.write_bytes(DRAWN_HEADERS.get(kind, b"") + data)
         tc = tmp_path / "tc.dl"
         tc.write_text(TC_PROGRAM, encoding="utf-8")
         good = tmp_path / "good.dl"
@@ -1068,6 +1132,7 @@ class TestNoTraceback:
             "spec": ["facts", example_go, "--lang", "go", "--spec", str(drawn), "--out", out],
             "source": ["facts", str(drawn), "--preset", "callgraph-go", "--out", out],
             "langdef": ["match", example_go, "--langdef", str(drawn), "--lang", "drawn", "-t", "$f(...)"],
+            "preset": ["solve", str(good), "--preset", "mine", "--preset-dir", str(tmp_path), "--out", out],
         }[kind]
         code, _, _ = run(capsys, *argv)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_ANALYSIS)

@@ -14,6 +14,7 @@ from factlog import (
     load_language_file,
     load_preset,
 )
+from factlog.errors import read_ini
 from factlog.languages import LanguageDefinition
 from factlog.rewrite import facts_for_smap
 from factlog.templates import compile_template, match_at, parse_template
@@ -213,6 +214,39 @@ class TestLoadLanguageFile:
         assert ("(* x (* y *) z *)", Region.COMMENT) in [
             (smap.source[a:b], r) for a, b, r in smap.intervals
         ]
+
+
+class TestReadIni:
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # '=' and ':', the first of them ends the key, keys lower-cased
+            ("[a]\nKey = 1\nother: x = y\nm = a:b\n", {"a": {"key": "1", "other": "x = y", "m": "a:b"}}),
+            # continuation lines; blank and comment lines inside them are skipped
+            ("[a]\nk = one\n  two\n\n  # c\n\tthree\nj = 2\n", {"a": {"k": "one\ntwo\nthree", "j": "2"}}),
+            # full-line comments only; a ';' or '#' inside a value is kept
+            ("# top\n; top\n\n[a]\n  ; note\nk = ;; # x\n", {"a": {"k": ";; # x"}}),
+            # no interpolation, and [DEFAULT] lends nothing
+            ("[DEFAULT]\nk = 50%\n[b]\nj = %(k)s\n", {"DEFAULT": {"k": "50%"}, "b": {"j": "%(k)s"}}),
+            ("[a]\n[B]\n", {"a": {}, "B": {}}),
+            ("k = v\n", "cfg.ini:1: File contains no section headers"),
+            ("[a]\nk = 1\n\n[a]\n", "cfg.ini:4: section [a] given twice"),
+            ("[a]\nk = 1\nK: 2\n", "cfg.ini:3: key 'k' given twice in [a]"),
+            ("[a]\nk = 1\nstray\n", "cfg.ini:3: expected '[section]', 'key = value' or 'key: value', got 'stray'"),
+            ("[a]\n  indented\n", "cfg.ini:2: expected '[section]'"),
+            ("[a]\n= v\n", "cfg.ini:2: expected '[section]'"),
+            ("[]\n", "cfg.ini:1: File contains no section headers"),
+        ],
+    )
+    def test_read_ini(self, tmp_path, text, want):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text, encoding="utf-8")
+        if isinstance(want, dict):
+            assert read_ini(cfg, LanguageError) == want
+        else:
+            with pytest.raises(LanguageError) as exc:
+                read_ini(cfg, LanguageError)
+            assert str(exc.value).startswith(f"{tmp_path}/{want}")
 
 
 class TestLanguageDefinition:
