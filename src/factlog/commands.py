@@ -25,7 +25,7 @@ from .cli import (
     _write_db,
 )
 from .datalog import check_edb, evaluate
-from .errors import ArityMismatch, FactlogError, TypeMismatch, UnknownRelation
+from .errors import ArityMismatch, FactlogError, SpecFormatError, TypeMismatch, UnknownRelation
 
 if TYPE_CHECKING:
     from .corpus import RunStats
@@ -136,13 +136,16 @@ def cmd_match(args: argparse.Namespace) -> int:
 
     for path in args.langdef or []:
         load_language_file(path)
-    if bool(args.template) == bool(args.spec):
+    if (args.template is None) == (args.spec is None):
         raise UsageError("match needs exactly one of --template or --spec")
     if not args.lang:
         raise UsageError("match requires --lang")
     lang = get_language(args.lang)
-    if args.template:
-        template = compile_template(parse_template(args.template), lang)
+    if args.template is not None:
+        template = parse_template(args.template)
+        if not template.atoms:
+            raise SpecFormatError("--template is empty")
+        template = compile_template(template, lang)
     else:
         template = load_fact_spec(args.spec, language=args.lang).match
     files = discover_files(args.inputs, args.lang)

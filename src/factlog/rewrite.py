@@ -35,14 +35,15 @@ malformed lines and their diagnostics read as they always have.
 A record holds only its fields: ``RewriteTemplate.lines`` and a rule's
 folded conditions, ``RuleSpec.plan``, sit beside them, made on first read.
 
-A spec runs as one generated function (see _SpecSource), made when the
-spec compiles for a language: the outer candidate loop over the match
-template's offset-form matcher, the rule's conditions as set membership of
-source slices, each nested descent as inline cursor code, and each planned
-row as a tuple display added straight to its relation's set.  Positions
-are computed only for holes a rewrite reads as ``.line`` or ``.column``.
-The reference interpreter of rules it replaced (``apply_rule``) is in
-``interpreter``, which this module imports only when that name is read.
+A spec runs as one generated function (see _SpecSource), made when the spec
+compiles for a language: the outer candidate loop over the match template's
+matcher, which returns offsets only, the rule's conditions as set
+membership of source slices, each nested descent as a loop over
+templates.offset_walk, and each planned row as a tuple display added
+straight to its relation's set.  Positions are computed only for holes a
+rewrite reads as ``.line`` or ``.column``.  The reference interpreter of
+rules it replaced (``apply_rule``) is in ``interpreter``, which this module
+imports only when that name is read.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .templates import (
     Template,
     compile_template,
     offset_matcher,
+    offset_walk,
     parse_template,
 )
 
@@ -576,8 +578,8 @@ class _Ref(NamedTuple):
     joined: str | None = None
 
 
-# The generated function, and the walks of a nested rewrite's inner
-# matches: iter_nested_matches (with "nested") and iter_matches, written out.
+# The generated function: the outer candidate loop, written out so that a
+# flat template's many matches pay no generator resume each.
 _FUNCTION = """\
 def facts(smap, db, diagnostics, path):
     src = smap.source
@@ -596,55 +598,6 @@ def facts(smap, db, diagnostics, path):
         i = bisect_left(table, r[0], i + 1)
 {body}    return count
 """
-_NESTED_WALK = """\
-dc = bisect_left(mt{j}, {lo})
-dg = bisect_left(opens, {lo})
-pos, top, tries = {lo}, {hi}, True
-stack = []
-while True:
-    gs = ge = top
-    while dg < nopen and opens[dg] < top:
-        ge = gends[opens[dg]]
-        if ge <= top:
-            gs = opens[dg]
-            break
-        dg += 1
-    if tries:
-        if dc < mn{j} and mt{j}[dc] < pos:
-            dc = bisect_left(mt{j}, pos, dc)
-        m = None
-        while dc < mn{j}:
-            ms = mt{j}[dc]
-            if ms > gs or ms >= top:
-                break
-            m = mm{j}(ms, top)
-            if m is not None:
-                break
-            dc += 1
-        if m is not None:
-{kept}            stack.append((m[0], top, True))
-            pos, top, tries = ms, m[0], False
-            continue
-    if gs < top:
-        stack.append((ge, top, tries))
-        pos, top, tries = gs + 1, ge - 1, True
-    elif stack:
-        pos, top, tries = stack.pop()
-    else:
-        break
-"""
-_FLAT_WALK = """\
-dc = bisect_left(mt{j}, {lo})
-while dc < mn{j}:
-    ms = mt{j}[dc]
-    if ms >= {hi}:
-        break
-    m = mm{j}(ms, {hi})
-    if m is None:
-        dc += 1
-        continue
-{kept}    dc = bisect_left(mt{j}, m[0], dc + 1)
-"""
 _QUOTED = "'\"' in {v} or '\\\\' in {v} or '\\n' in {v}"
 
 
@@ -659,14 +612,14 @@ class _SpecSource:
     does one match at a time, written out for this spec.
 
     The outer loop walks the template's candidate table and calls its
-    matcher in the offset form.  The rule's gates test a hole's source
-    slice for membership in a constant set and continue the loop on a veto.
-    Each nested rewrite walks its inner template's table inside the
-    target's span, with the cursor walk of iter_nested_matches (or
-    iter_matches, without "nested") written out inline, and tests its inner
-    conditions the same way.  Each planned row is a tuple display of
-    slices, constants and line or column arithmetic, added to its
-    relation's set through Database.adder; a line or column is computed
+    matcher, which returns the match's end and each hole's span.  The
+    rule's gates test a hole's source slice for membership in a constant
+    set and continue the loop on a veto.  Each nested rewrite loops over
+    the inner matches in the target's span that offset_walk yields, the
+    walk iter_nested_matches (or iter_matches, without "nested") takes, and
+    tests its inner conditions the same way.  Each planned row is a tuple
+    display of slices, constants and line or column arithmetic, added to
+    its relation's set through Database.adder; a line or column is computed
     only for a hole that a row reads as one.  A line the plan cannot
     express, or a row whose value bound inside quotes holds a quote, a
     backslash or a newline, takes the text path: substitute over a
@@ -826,15 +779,15 @@ class _SpecSource:
         setup = ["starts = smap.line_starts"] if self.positions else []
         setup.append(f"table, match = offset_matcher({self.const(self.spec.match)}, smap)")
         for j in self.walks:
-            setup += [f"mt{j}, mm{j} = offset_matcher({self.const(self.nested[j].inner_match)}, smap)", f"mn{j} = len(mt{j})"]
-        if self.walks and self.spec.rule.nested:
-            setup += ["opens = smap.group_opens", "gends = smap.group_ends", "nopen = len(opens)"]
+            inner = self.const(self.nested[j].inner_match)
+            setup.append(f"walk{j} = offset_walk({inner}, smap, {self.spec.rule.nested})")
         setup += [f"{adder} = None" for adder in self.adders.values()]
         namespace: dict[str, object] = {name: value for (_, value), name in self.consts.items()}
         namespace.update(
-            offset_matcher=offset_matcher, bisect_left=bisect.bisect_left, bisect_right=bisect.bisect_right,
-            intern=sys.intern, claim=Database.adder, substitute=substitute, MatchEnvironment=MatchEnvironment,
-            Binding=Binding, new=tuple.__new__, add_text=_add_text, add_items=_add_items, UnboundHole=UnboundHole,
+            offset_matcher=offset_matcher, offset_walk=offset_walk, bisect_left=bisect.bisect_left,
+            bisect_right=bisect.bisect_right, intern=sys.intern, claim=Database.adder, substitute=substitute,
+            MatchEnvironment=MatchEnvironment, Binding=Binding, new=tuple.__new__, add_text=_add_text,
+            add_items=_add_items, UnboundHole=UnboundHole,
         )
         source = _FUNCTION.format(setup=_indent(setup, "    "), body=body)
         exec(compile(source, "<spec>", "exec"), namespace)
@@ -923,14 +876,12 @@ class _SpecSource:
         ]
         if tests and kept:
             kept = [f"if {' and '.join(tests)}:"] + ["    " + c for c in kept]
-        if names:
-            kept.insert(0, f"_, {', '.join(f'si{j}_{k}, ei{j}_{k}' for k in range(len(names)))} = m")
         code = self.prelude({var: ref for var, ref in needs.items() if var not in inner})
         code += [f"I{j} = []"] * (items is not None) + [f"K{j} = []"] * join
         target = self.outer_ref(nr.target, 0)
-        walk = _NESTED_WALK if self.spec.rule.nested else _FLAT_WALK
-        pad = "            " if self.spec.rule.nested else "    "
-        code += walk.format(j=j, lo=target.start, hi=target.end, kept=_indent(kept, pad)).splitlines()
+        spans = "".join(f", si{j}_{k}, ei{j}_{k}" for k in range(len(names)))
+        code.append(f"for _, (_{spans}) in walk{j}({target.start}, {target.end}):")
+        code += ["    " + c for c in kept or ["pass"]]
         return code + [f"J{j} = '\\n'.join(K{j})"] * join
 
 

@@ -34,33 +34,30 @@ units is a sequence of lookups in it.
 
 compile_template binds a template to a language once, when its spec loads:
 literals split into whitespace and text chunks, a candidate strategy that
-says where a match may start, and a generated matcher in each return form,
-made on its first use.  Each strategy is a
-table builder (see _candidates).  A leading literal is found by its first
-text chunk.  A leading expression or optional hole followed by a literal
-(``$c(...)``, ``$l = $a + $b``) is anchored on that literal's first text
-chunk: a match can start only at a left-maximal unit start of a chain of
-adjoining units that reaches an occurrence of the anchor, found by
-stepping back through the inverse of the unit table.  Any other leading
-hole is tried at every left-maximal unit start, or at every offset.  The
-sorted offsets are built once per file, strategy and key, and kept on the
-SourceMap; iter_matches and iter_nested_matches both walk that one
-table by index.  The matcher is one Python function per template,
-generated and compiled with the template (see _MatcherSource): its literal
-tests are inline, and each hole that can bind more than one way is a loop
-over its alternatives in the order the matcher prefers them, so
-backtracking is the loops' own order.  It accepts a leading hole only at
-a left-maximal unit start, so trying every offset finds what the
-candidates find.
+says where a match may start, and a generated matcher, made on its first
+use.  Each strategy is a table builder (see _candidates).  A leading
+literal is found by its first text chunk.  A leading expression or optional
+hole followed by a literal (``$c(...)``, ``$l = $a + $b``) is anchored on
+that literal's first text chunk: a match can start only at a left-maximal
+unit start of a chain of adjoining units that reaches an occurrence of the
+anchor, found by stepping back through the inverse of the unit table.  Any
+other leading hole is tried at every left-maximal unit start, or at every
+offset.  The sorted offsets are built once per file, strategy and key, and
+kept on the SourceMap; offset_walk walks that one table by index.  The
+matcher is one Python function per template, generated and compiled with
+the template (see _MatcherSource): its literal tests are inline, and each
+hole that can bind more than one way is a loop over its alternatives in the
+order the matcher prefers them, so backtracking is the loops' own order.
+It accepts a leading hole only at a left-maximal unit start, so trying
+every offset finds what the candidates find.
 tests/oracles.py keeps an interpreter over the atoms as its reference.
 
-A matcher has two return forms, written by one emitter and each generated
-on first use.  The Match form, which iter_matches, iter_nested_matches,
-match_at and ``factlog match`` return, binds each hole to its text and
-position.  The offset form, which offset_matcher hands to a fact spec's
-generated function (see rewrite), returns only the end offset and each
-named hole's start and end: that function slices a hole's text, and
-computes its line or column, only where a condition or a row reads it.
+A matcher returns offsets only: the end of the match and each named
+hole's start and end.  A fact spec's generated function (see rewrite)
+slices a hole's text, and computes its line or column, only where a
+condition or a row reads it.  match_at, iter_matches and
+iter_nested_matches run the same matcher and the same walk, and build
+each Match from those offsets in one helper, _match_from_offsets.
 
 The compiled form is not one of a Template's fields: compile_template
 sets it on the copy it returns, so equality, hashing, repr and _replace
@@ -72,7 +69,7 @@ from __future__ import annotations
 import bisect
 import re
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DuplicateHoleName, MalformedHole, UnboundHole
@@ -223,7 +220,16 @@ def _split_literal(text: str, lang: LanguageDefinition) -> tuple[_Piece, ...]:
     return tuple(pieces)
 
 
-class CompiledTemplate(NamedTuple):
+class _CompiledFields(NamedTuple):
+    atoms: tuple[Atom, ...]
+    language: LanguageDefinition
+    pieces: tuple[tuple[_Piece, ...] | None, ...]
+    strategy: str
+    key: str  # "find" and "anchor": the chunk, after a space when whitespace precedes it
+    unit_start_re: re.Pattern[str]  # a left-maximal unit start
+
+
+class CompiledTemplate(_CompiledFields):
     """A template's compiled form for one language, built once, when its
     spec loads.
 
@@ -235,31 +241,20 @@ class CompiledTemplate(NamedTuple):
     hole with no text chunk after it) is every left-maximal unit start,
     "scan" every offset and "none" (the empty template) no offset.
     make_matcher(smap) runs the generated code: it returns match(start,
-    hi), the one try at one offset (see _MatcherSource), in the Match form,
-    or with offsets=True in the offset form.  Each form is generated the
-    first time it is asked for and kept in forms, so a run that reads only
-    offsets never compiles the Match form.  A pickle holds only the atoms
-    and the language, and loading it compiles again: a forked --jobs worker
-    finds the result, and the forms made so far, in the cache it inherited.
+    hi), the one try at one offset (see _MatcherSource).  The code is
+    generated the first time make_matcher is read, and kept beside the
+    fields.  A pickle holds only the atoms and the language, and loading it
+    compiles again: a forked --jobs worker finds the result, with its
+    matcher if one was made, in the cache it inherited.
     """
-
-    atoms: tuple[Atom, ...]
-    language: LanguageDefinition
-    pieces: tuple[tuple[_Piece, ...] | None, ...]
-    strategy: str
-    key: str  # "find" and "anchor": the chunk, after a space when whitespace precedes it
-    unit_start_re: re.Pattern[str]  # a left-maximal unit start
-    forms: dict[bool, Callable[[SourceMap], Callable[[int, int], Match | tuple | None]]]
 
     def __reduce__(self):
         return _compile, (self.atoms, self.language)
 
-    def make_matcher(self, smap: SourceMap, offsets: bool = False) -> Callable[[int, int], Match | tuple | None]:
-        make = self.forms.get(offsets)
-        if make is None:
-            source = _MatcherSource(self.atoms, self.pieces, self.language, offsets)
-            make = self.forms[offsets] = source.build(self.unit_start_re, self.strategy in ("anchor", "units"))
-        return make(smap)
+    @cached_property
+    def make_matcher(self) -> Callable[[SourceMap], Callable[[int, int], tuple | None]]:
+        source = _MatcherSource(self.atoms, self.pieces, self.language)
+        return source.build(self.unit_start_re, self.strategy in ("anchor", "units"))
 
 
 def compile_template(template: Template, lang: LanguageDefinition) -> Template:
@@ -290,7 +285,7 @@ def _compile(atoms: tuple[Atom, ...], lang: LanguageDefinition) -> CompiledTempl
     else:
         strategy, key = "units", ""
     unit_start_re = re.compile(rf"(?<!{ident})(?:{ident}|[{starts}])" if starts else rf"(?<!{ident}){ident}")
-    return CompiledTemplate(atoms, lang, pieces, strategy, key, unit_start_re, {})
+    return CompiledTemplate(atoms, lang, pieces, strategy, key, unit_start_re)
 
 
 def _compiled_for(template: Template, smap: SourceMap) -> CompiledTemplate:
@@ -379,14 +374,11 @@ class _MatcherSource:
 
     make_matcher reads the SourceMap's tables once and returns
     match(start, hi), the match starting exactly at start and ending by hi,
-    if any.  One emitter writes both return forms; they differ only in the
-    last statement.  The Match form builds a Match with a Binding, text and
-    position, per named hole.  The offset form returns a tuple of the end
-    offset and each named hole's start and end, in template order, and
-    slices no text and computes no position.  A leading expression or
-    optional hole starts only at a left-maximal unit start, whatever the
-    window, and never inside a comment or a string body, where only an
-    empty optional hole could start.
+    if any, as a tuple of its end offset and each named hole's start and
+    end, in template order: it slices no text and computes no position.  A
+    leading expression or optional hole starts only at a left-maximal unit
+    start, whatever the window, and never inside a comment or a string
+    body, where only an empty optional hole could start.
 
     Each hole with more than one way to bind opens a loop over them, and
     the loop's body matches the rest of the template, so a failed test
@@ -402,8 +394,8 @@ class _MatcherSource:
     constants of its namespace (C0, C1, ...), never as source text.
     """
 
-    def __init__(self, atoms: tuple[Atom, ...], pieces, lang: LanguageDefinition, offsets: bool):
-        self.atoms, self.pieces, self.lang, self.offsets = atoms, pieces, lang, offsets
+    def __init__(self, atoms: tuple[Atom, ...], pieces, lang: LanguageDefinition):
+        self.atoms, self.pieces, self.lang = atoms, pieces, lang
         self.consts: dict[object, str] = {}
         self.functions: list[list[str]] = []  # literal tests and continuations, inside make_matcher
 
@@ -440,16 +432,12 @@ class _MatcherSource:
             "    any_close = smap.any_close",
             "    extent = smap.depth_zero_extent",
         ]
-        if not self.offsets:
-            lines.append("    line_col = smap.line_col")
         for function in self.functions + [body]:
             lines += ["    " + line for line in function]
         lines.append("    return match")
         namespace: dict[str, object] = {name: value for value, name in self.consts.items()}
         namespace.update(
-            new=tuple.__new__, Match=Match, MatchEnvironment=MatchEnvironment, Binding=Binding,
-            bisect_left=bisect.bisect_left,
-            WS=_WS_OR_COMMENT, WSD=_WS_OR_DELIM, CODE_ONLY=_CODE_ONLY, BODY=_BODY,
+            bisect_left=bisect.bisect_left, WS=_WS_OR_COMMENT, WSD=_WS_OR_DELIM, CODE_ONLY=_CODE_ONLY, BODY=_BODY,
         )
         exec(compile("\n".join(lines) + "\n", "<template>", "exec"), namespace)
         return namespace["make_matcher"]  # type: ignore[return-value]
@@ -488,8 +476,7 @@ class _MatcherSource:
                 function.append("    return None")
                 out.append(f"{pad}r = {name}({args})")
                 out.append(f"{pad}if r is not None:")
-                end = "r[0]" if self.offsets else "r.end"
-                out.append(f"{pad}    return {f'r if {end} > start else None' if top else 'r'}")
+                out.append(f"{pad}    return {'r if r[0] > start else None' if top else 'r'}")
                 return
             s, e = f"s{i}", f"e{i}"
             out.append(f"{pad}{s} = p")
@@ -533,16 +520,7 @@ class _MatcherSource:
             out.append(f"{pad}if p <= start:")
             out.append(f"{pad}    return None")
         named = [k for k, a in enumerate(atoms) if isinstance(a, Hole) and a.name]
-        if self.offsets:
-            out.append(f"{pad}return (p,{''.join(f' s{k}, e{k},' for k in named)})")
-            return
-        # new is tuple.__new__: it builds the records without running their
-        # constructors, a Python call each
-        env = ", ".join(
-            f"{self.const(atoms[k].name)}: new(Binding, (src[s{k}:e{k}], s{k}, e{k}) + line_col(s{k}))"
-            for k in named
-        )
-        out.append(f"{pad}return new(Match, (start, p, new(MatchEnvironment, ({{{env}}},))))")
+        out.append(f"{pad}return (p,{''.join(f' s{k}, e{k},' for k in named)})")
 
     def literal(self, pieces, out: list[str], pad: str, fail: str, empty) -> None:
         """Match one literal from p: a whitespace chunk skips whitespace and
@@ -667,21 +645,116 @@ class _MatcherSource:
 # Public matching API
 
 
+def _match_from_offsets(smap: SourceMap, names: tuple[str, ...], start: int, r: tuple) -> Match:
+    """The Match at start from r, what the matcher returned there: each of
+    names, the template's named holes, bound to its text and position."""
+    src = smap.source
+    spans = iter(r[1:])
+    bindings = {name: Binding(src[s:e], s, e, *smap.line_col(s)) for name, s, e in zip(names, spans, spans)}
+    return Match(start, r[0], MatchEnvironment(bindings))
+
+
 def match_at(template: Template, smap: SourceMap, start: int, hi: int | None = None) -> Match | None:
     """The match starting exactly at start and ending by hi, if any: one try,
     with no candidate search."""
     hi = len(smap.source) if hi is None else hi
-    return _compiled_for(template, smap).make_matcher(smap)(start, hi)
+    r = _compiled_for(template, smap).make_matcher(smap)(start, hi)
+    return None if r is None else _match_from_offsets(smap, template.hole_names(), start, r)
 
 
 def offset_matcher(template: Template, smap: SourceMap) -> tuple[Sequence[int], Callable[[int, int], tuple | None]]:
     """The sorted offsets of smap's file where a match of template may
-    start, and its match(start, hi) in the offset form: None, or the end
-    offset followed by each named hole's start and end, in template order.
-    A generated fact-spec function walks these itself, as iter_matches and
-    iter_nested_matches do."""
+    start, and its match(start, hi): None, or the end offset followed by
+    each named hole's start and end, in template order.  A generated
+    fact-spec function walks these itself in its outer loop."""
     t = _compiled_for(template, smap)
-    return _candidates(t, smap), t.make_matcher(smap, offsets=True)
+    return _candidates(t, smap), t.make_matcher(smap)
+
+
+def offset_walk(
+    template: Template, smap: SourceMap, nested: bool = False
+) -> Callable[[int, int], Iterator[tuple[int, tuple]]]:
+    """walk(lo, hi), which yields (start, r) for each match of template
+    within [lo, hi), r its offsets as match(start, hi) returns them.
+
+    The flat walk yields non-overlapping matches in source order.  The
+    nested walk also yields, recursively, the matches inside every balanced
+    group.  Each match comes before the matches nested inside it; otherwise
+    matches come in source order.  At each level a match that starts at or
+    before the next balanced group's open wins, and the walk then visits
+    only the groups inside that match.  Otherwise the walk descends into
+    the group and resumes after its close.  An open without a close inside
+    the level's window is plain text, and so is a mismatched close.
+
+    An explicit stack of windows replaces recursion.  The offsets the
+    nested walk reaches only ever increase, so one cursor into the file's
+    candidate table and one into the sorted group opens serve every level,
+    and each candidate is tried once.  At a level the next group is the
+    cursor's open if it closes within the window; an open before the
+    window's end that closes past it encloses that end, lies behind every
+    later level, and is stepped over for good.
+    """
+    t = _compiled_for(template, smap)
+    table = _candidates(t, smap)
+    match = t.make_matcher(smap)
+    bisect_left = bisect.bisect_left
+    nc = len(table)
+
+    def flat(lo: int, hi: int) -> Iterator[tuple[int, tuple]]:
+        c = bisect_left(table, lo)
+        while c < nc and table[c] < hi:
+            start = table[c]
+            r = match(start, hi)
+            if r is None:
+                c += 1
+            else:
+                yield start, r
+                c = bisect_left(table, r[0], c + 1)
+
+    if not nested:
+        return flat
+    opens, ends = smap.group_opens, smap.group_ends
+    n = len(opens)
+
+    def walk(lo: int, hi: int) -> Iterator[tuple[int, tuple]]:
+        c = bisect_left(table, lo)
+        g = bisect_left(opens, lo)
+        pos, top, tries = lo, hi, True
+        stack: list[tuple[int, int, bool]] = []  # windows to resume: (pos, window hi, try matches)
+        while True:
+            gs = ge = top
+            while g < n and opens[g] < top:
+                ge = ends[opens[g]]
+                if ge <= top:
+                    gs = opens[g]
+                    break
+                g += 1
+            if tries:
+                if c < nc and table[c] < pos:
+                    c = bisect_left(table, pos, c)
+                r = None
+                while c < nc:
+                    start = table[c]
+                    if start > gs or start >= top:
+                        break
+                    r = match(start, top)
+                    if r is not None:
+                        break
+                    c += 1
+                if r is not None:
+                    yield start, r
+                    stack.append((r[0], top, True))
+                    pos, top, tries = start, r[0], False
+                    continue
+            if gs < top:
+                stack.append((ge, top, tries))
+                pos, top, tries = gs + 1, ge - 1, True
+            elif stack:
+                pos, top, tries = stack.pop()
+            else:
+                return
+
+    return walk
 
 
 def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | None = None) -> Iterator[Match]:
@@ -691,74 +764,14 @@ def iter_matches(template: Template, smap: SourceMap, lo: int = 0, hi: int | Non
     compile once with compile_template to match many files.
     """
     hi = len(smap.source) if hi is None else hi
-    t = _compiled_for(template, smap)
-    table = _candidates(t, smap)
-    match = t.make_matcher(smap)
-    i = bisect.bisect_left(table, lo)
-    while i < len(table) and table[i] < hi:
-        m = match(table[i], hi)
-        if m is None:
-            i += 1
-        else:
-            yield m
-            i = bisect.bisect_left(table, m.end, i + 1)
+    names = template.hole_names()
+    for start, r in offset_walk(template, smap)(lo, hi):
+        yield _match_from_offsets(smap, names, start, r)
 
 
 def iter_nested_matches(template: Template, smap: SourceMap, lo: int, hi: int) -> Iterator[Match]:
-    """Matches within [lo, hi) and, recursively, inside every balanced group.
-
-    Each match comes before the matches nested inside it; otherwise matches
-    come in source order.  At each level a match that starts at or before
-    the next balanced group's open wins, and the walk then visits only the
-    groups inside that match.  Otherwise the walk descends into the group
-    and resumes after its close.  An open without a close inside the level's
-    window is plain text, and so is a mismatched close.
-
-    One match function serves the whole walk and an explicit stack of
-    windows replaces recursion.  The offsets the walk reaches only ever
-    increase, so one cursor into the file's candidate table and one into
-    the sorted group opens serve every level, and each candidate is tried
-    once.  At a level the next group is the
-    cursor's open if it closes within the window; an open before the
-    window's end that closes past it encloses that end, lies behind every
-    later level, and is stepped over for good.
-    """
-    t = _compiled_for(template, smap)
-    table = _candidates(t, smap)
-    match = t.make_matcher(smap)
-    c = bisect.bisect_left(table, lo)
-    nc = len(table)
-    opens, ends = smap.group_opens, smap.group_ends
-    j = bisect.bisect_left(opens, lo)
-    n = len(opens)
-    # frame: [pos, window hi, try matches at this level]
-    stack: list[list] = [[lo, hi, True]]
-    while stack:
-        frame = stack[-1]
-        pos, top, tries = frame
-        gs = ge = top
-        while j < n and opens[j] < top:
-            ge = ends[opens[j]]
-            if ge <= top:
-                gs = opens[j]
-                break
-            j += 1
-        if tries:
-            if c < nc and table[c] < pos:
-                c = bisect.bisect_left(table, pos, c)
-            m = None
-            while c < nc and table[c] <= gs and table[c] < top:
-                m = match(table[c], top)
-                if m is not None:
-                    break
-                c += 1
-            if m is not None:
-                yield m
-                frame[0] = m.end
-                stack.append([m.start, m.end, False])
-                continue
-        if gs == top:
-            stack.pop()
-        else:
-            frame[0] = ge
-            stack.append([gs + 1, ge - 1, True])
+    """Matches within [lo, hi) and, recursively, inside every balanced
+    group, in the order of offset_walk's nested walk."""
+    names = template.hole_names()
+    for start, r in offset_walk(template, smap, nested=True)(lo, hi):
+        yield _match_from_offsets(smap, names, start, r)

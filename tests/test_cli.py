@@ -422,6 +422,17 @@ class TestMatch:
         )
         assert code == EXIT_USAGE
 
+    def test_empty_template_is_an_input_error(self, capsys, example_go):
+        # given, though empty: not the usage error of a missing --template
+        code, _, err = run(capsys, "match", example_go, "--lang", "go", "--template", "")
+        assert code == EXIT_INPUT
+        assert err == "factlog: input error: --template is empty\n"
+
+    def test_empty_spec_path_is_an_input_error(self, capsys, example_go):
+        code, _, err = run(capsys, "match", example_go, "--lang", "go", "--spec", "")
+        assert code == EXIT_INPUT
+        assert "exactly one of" not in err
+
 
 class TestBench:
     def test_table(self, capsys, samples_dir):

@@ -945,7 +945,7 @@ class TestGeneratedMatcherAgainstInterpreter:
         smap = classify(source, lang)
         n = len(source)
         # the offset form: the end and each named hole's span, in order
-        offsets = template.compiled.make_matcher(smap, offsets=True)
+        offsets = template.compiled.make_matcher(smap)
         for hi in sorted({n, min(cut, n)}):
             for start in range(hi + 1):
                 got = match_at(template, smap, start, hi)
@@ -966,6 +966,8 @@ class TestOracleIndependence:
         "any_close",
         "depth_zero_extent",
         "iter_matches",
+        "offset_walk",
+        "_match_from_offsets",
         "candidate_tables",
         "_candidates",
         "_anchor_candidates",

@@ -521,3 +521,26 @@ class TestGeneratedCode:
         # CPython compiles at most 20 nested loops in one function
         template = parse_template(text)
         assert _agrees_with_interpreter(template, classify(source, GO))
+
+    def test_one_generated_matcher_per_template(self, monkeypatch):
+        # match_at, both walks and a spec's generated function all run the
+        # one matcher the template compiles
+        built = []
+        build = templates._MatcherSource.build
+
+        def counting_build(source, *args):
+            built.append(source.atoms)
+            return build(source, *args)
+
+        monkeypatch.setattr(templates._MatcherSource, "build", counting_build)
+        text = "oneMatcherPerTemplate($x)"  # atoms that no other test compiles
+        source = "oneMatcherPerTemplate(a); oneMatcherPerTemplate((b));\n"
+        smap = classify(source, GO)
+        template = parse_template(text)
+        spec = parse_fact_spec(f'[match]\n{text}\n\n[rewrite]\nhit("$x").\n', "one", "go")
+        assert match_at(template, smap, 0).env["x"].text == "a"
+        assert [m.env["x"].text for m in iter_matches(template, smap)] == ["a", "(b)"]
+        assert [m.env["x"].text for m in iter_nested_matches(template, smap, 0, len(source))] == ["a", "(b)"]
+        db, matches, _ = facts_for_smap((spec,), smap, "one.go")
+        assert matches == {"one": 2} and db.to_dl_text() == 'hit("(b)").\nhit("a").\n'
+        assert built == [template.atoms]
