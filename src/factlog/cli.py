@@ -69,6 +69,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _file_arg(flag: str, path: str) -> str:
+    """The path a file flag gives.  An empty one is an input error naming
+    the flag: as a Path it would be the current directory, which the user
+    never named."""
+    if not path:
+        raise FactlogError(f"{flag} is empty")
+    return path
+
+
 def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
     """The preset the arguments name.  Over sources its specs are compiled
     here, so a broken spec fails before any input is read; over fact files
@@ -86,15 +95,16 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
     elif args.spec:
         if not args.lang:
             raise UsageError("--spec requires --lang")
-        preset = AnalysisPreset("custom", args.lang, tuple(Path(p) for p in args.spec), graph_relation="edge")
+        specs = tuple(Path(_file_arg("--spec", p)) for p in args.spec)
+        preset = AnalysisPreset("custom", args.lang, specs, graph_relation="edge")
     elif fact_inputs:
         # pure solver mode: inputs are fact files, no matching needed
         preset = AnalysisPreset("facts", args.lang or "", specs=())
     else:
         known = ", ".join(list_presets(args.preset_dir)) or "none found"
         raise UsageError(f"provide --preset (available: {known}) or --lang with --spec")
-    if args.program:
-        preset = preset._replace(program_text=read_text(args.program))
+    if args.program is not None:
+        preset = preset._replace(program_text=read_text(_file_arg("--program", args.program)))
         try:
             program = preset.program()  # fail fast, naming the file; the parse is kept
         except DatalogError as exc:

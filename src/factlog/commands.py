@@ -18,6 +18,7 @@ from .cli import (
     EXIT_OK,
     UsageError,
     _emit_diagnostics,
+    _file_arg,
     _gather_sources,
     _load_edb,
     _located,
@@ -147,7 +148,7 @@ def cmd_match(args: argparse.Namespace) -> int:
             raise SpecFormatError("--template is empty")
         template = compile_template(template, lang)
     else:
-        template = load_fact_spec(args.spec, language=args.lang).match
+        template = load_fact_spec(_file_arg("--spec", args.spec), language=args.lang).match
     files = discover_files(args.inputs, args.lang)
     if not files:
         raise FactlogError(f"no {args.lang} source files found under {args.inputs}")

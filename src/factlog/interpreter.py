@@ -1,11 +1,14 @@
 """The reference interpreter of rewrite rules: one match at a time, its
 conditions, its nested rewrites and its rows, read off the rule's plan.
 
-Fact generation does not run this code: each fact spec compiles to one
-generated function (see ``rewrite``).  The interpreter stays as the
-library's ``apply_rule`` and as the in-package reference the generated
-functions are checked against.  ``rewrite`` imports it the first time one
-of its names is read there, so a run over sources never compiles it.
+A fact spec of the shape every bundled spec has compiles to one generated
+function (see ``rewrite._generated``), which does not run this code.  Any
+other spec runs here, one outer match at a time: apply_rule, then _emit.
+The interpreter is also the library's ``apply_rule`` and the in-package
+reference the generated functions are checked against.  ``rewrite``
+imports it when a spec of another shape compiles, or the first time one of
+its names is read there, so a run over sources whose specs are all
+generated never compiles it.
 """
 
 from __future__ import annotations

@@ -35,15 +35,18 @@ malformed lines and their diagnostics read as they always have.
 A record holds only its fields: ``RewriteTemplate.lines`` and a rule's
 folded conditions, ``RuleSpec.plan``, sit beside them, made on first read.
 
-A spec runs as one generated function (see _SpecSource), made when the spec
-compiles for a language: the outer candidate loop over the match template's
-matcher, which returns offsets only, the rule's conditions as set
-membership of source slices, each nested descent as a loop over
-templates.offset_walk, and each planned row as a tuple display added
-straight to its relation's set.  Positions are computed only for holes a
-rewrite reads as ``.line`` or ``.column``.  The reference interpreter of
-rules it replaced (``apply_rule``) is in ``interpreter``, which this module
-imports only when that name is read.
+A spec of the shape every bundled spec has runs as one generated function
+(see _generated and _SpecSource), made when the spec compiles for a
+language: a flat rewrite, or a rewrite that is the one line ``$body`` of a
+nested target, with every hole it reads bound.  The function is the outer
+candidate loop over the match template's matcher, which returns offsets
+only, the rule's conditions as set membership of source slices, the one
+nested descent the rewrite reads as a loop over templates.offset_walk, and
+each planned row as a tuple display added straight to its relation's set.
+Positions are computed only for holes a rewrite reads as ``.line`` or
+``.column``.  Any other spec runs through the reference interpreter of
+rules (``apply_rule``, in ``interpreter``), which this module imports only
+when such a spec compiles or that name is read.
 """
 
 from __future__ import annotations
@@ -52,11 +55,11 @@ import bisect
 import re
 import sys
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
-from .errors import FactlogError, MalformedFact, MalformedHole, SpecFormatError, UnboundHole, read_text
+from .errors import FactlogError, MalformedFact, MalformedHole, SpecFormatError, read_text
 from .facts import Database, parse_fact_line
 from .languages import SourceMap, get_language
 from .templates import (
@@ -66,6 +69,7 @@ from .templates import (
     Property,
     Template,
     compile_template,
+    iter_matches,
     offset_matcher,
     offset_walk,
     parse_template,
@@ -516,10 +520,10 @@ def facts_for_smap(
 
     Returns the file's facts, the outer-template match count per spec name,
     and diagnostics (classifier warnings, then dropped fact lines), each
-    prefixed with the path.  Each spec runs as its generated function (see
-    _SpecSource), which gives what the reference interpreter gives: the
-    same rows and diagnostics in the same order, and the same error, an
-    unbound hole raising before a row's arity does.
+    prefixed with the path.  Each spec runs as its function (see
+    _spec_function): a generated one gives what the reference interpreter
+    gives, the same rows and diagnostics in the same order and the same
+    error.
     """
     db = Database()
     matches: dict[str, int] = {}
@@ -532,10 +536,58 @@ def facts_for_smap(
 
 @lru_cache(maxsize=256)
 def _spec_function(spec: FactSpec) -> Callable[[SourceMap, Database, list[str], str], int]:
-    """The spec's generated function, made once per spec: _build_spec makes
-    it when the spec compiles, and an unpickled copy of the spec, equal to
-    it, finds it here, in the cache a forked --jobs worker inherits."""
-    return _SpecSource(spec).build()
+    """The spec's function, made once per spec: _build_spec makes it when
+    the spec compiles, and an unpickled copy of the spec, equal to it, finds
+    it here, in the cache a forked --jobs worker inherits.  A spec of the
+    shape _generated admits gets its generated function; any other runs
+    through the reference interpreter."""
+    return _SpecSource(spec).build() if _generated(spec) else _interpreted(spec)
+
+
+def _generated(spec: FactSpec) -> bool:
+    """Whether the spec has the shape _SpecSource writes out, in which no
+    hole is unbound and no nested target is read as text: every condition
+    names a hole the outer match or an inner template binds, every nested
+    target is an outer hole, the outer rewrite reads only outer holes that
+    are not targets or is one line that is exactly a target, and each inner
+    rewrite reads only its inner match's holes and outer holes that are not
+    targets."""
+    outer = frozenset(spec.match.hole_names())
+    nested = spec.rule.nested_rewrites
+    targets = frozenset(nr.target for nr in nested)
+    plain = outer - targets
+    lines = spec.rewrite.lines
+    return (
+        spec.rule.plan.outer <= outer
+        and targets <= outer
+        and (plain.issuperset(_substituted(spec.rewrite)) or (len(lines) == 1 and lines[0].target in targets))
+        and all(plain.union(nr.inner_match.hole_names()).issuperset(_substituted(nr.inner_rewrite)) for nr in nested)
+    )
+
+
+def _interpreted(spec: FactSpec) -> Callable[[SourceMap, Database, list[str], str], int]:
+    """The function of a spec _SpecSource does not write out: each outer
+    match through the reference interpreter, apply_rule and then _emit, its
+    rows and text-path lines added once all are built."""
+    from . import interpreter
+
+    def facts(smap: SourceMap, db: Database, diagnostics: list[str], path: str) -> int:
+        count = 0
+        for m in iter_matches(spec.match, smap):
+            count += 1
+            out = interpreter.apply_rule(spec.rule, m.env, smap)
+            if out is None:
+                continue
+            items: list = []
+            interpreter._emit(spec.rewrite.lines, out.env.bindings, items, out.inner)
+            for item in items:
+                if type(item) is tuple:
+                    db.add(*item)
+                else:
+                    _add_text(db, item, diagnostics, path, smap, m.start)
+        return count
+
+    return facts
 
 
 def _add_text(db: Database, text: str, diagnostics: list[str], path: str, smap: SourceMap, start: int) -> None:
@@ -552,30 +604,6 @@ def _add_text(db: Database, text: str, diagnostics: list[str], path: str, smap: 
             db.add_fact(parse_fact_line(line))
         except MalformedFact as exc:
             diagnostics.append(f"{path}:{smap.line_of(start)}: dropped bad fact line: {exc}")
-
-
-def _add_items(db: Database, items: list, diagnostics: list[str], path: str, smap: SourceMap, start: int) -> None:
-    """Add a nested rewrite's kept items, rows as (relation, row) and
-    text-path lines as text, in order."""
-    for item in items:
-        if type(item) is tuple:
-            db.add(*item)
-        else:
-            _add_text(db, item, diagnostics, path, smap, start)
-
-
-class _Ref(NamedTuple):
-    """Where one hole's value comes from at one place of the generated
-    code.  key names its value and quote variables, pos its line and column
-    variables, and start and end the variables of its span; joined names
-    the variable holding a nested target's joined inner rewrites, when the
-    hole is one."""
-
-    key: str
-    pos: str
-    start: str
-    end: str
-    joined: str | None = None
 
 
 # The generated function: the outer candidate loop, written out so that a
@@ -606,45 +634,43 @@ def _indent(code: list[str], pad: str) -> str:
 
 
 class _SpecSource:
-    """The source of one spec's facts(smap, db, diagnostics, path), which
-    adds the spec's facts over one file to db and returns its count of
-    outer matches.  It does what the reference interpreter (interpreter.py)
-    does one match at a time, written out for this spec.
+    """The source of the facts(smap, db, diagnostics, path) of one spec of
+    the generated shape (see _generated), which adds the spec's facts over
+    one file to db and returns its count of outer matches.  It does what
+    the reference interpreter (interpreter.py) does one match at a time,
+    written out for this spec.
 
     The outer loop walks the template's candidate table and calls its
     matcher, which returns the match's end and each hole's span.  The
     rule's gates test a hole's source slice for membership in a constant
-    set and continue the loop on a veto.  Each nested rewrite loops over
-    the inner matches in the target's span that offset_walk yields, the
-    walk iter_nested_matches (or iter_matches, without "nested") takes, and
-    tests its inner conditions the same way.  Each planned row is a tuple
-    display of slices, constants and line or column arithmetic, added to
-    its relation's set through Database.adder; a line or column is computed
-    only for a hole that a row reads as one.  A line the plan cannot
-    express, or a row whose value bound inside quotes holds a quote, a
-    backslash or a newline, takes the text path: substitute over a
-    MatchEnvironment built there, then _add_text.
+    set and continue the loop on a veto.  A flat rewrite is its rows.  A
+    rewrite that is one nested target's line is one walk, over the inner
+    matches in the target's span that offset_walk yields (the walk
+    iter_nested_matches, or iter_matches without "nested", takes), of the
+    last nested rewrite of that target: its inner conditions tested the
+    same way, its rows added straight to db.  No other nested rewrite is
+    walked, as nothing reads it.
 
-    A nested rewrite's rows are added as its inner matches come when the
-    outer rewrite is exactly its target's line and nothing after it can
-    raise; otherwise they are kept in a list and added where the outer
-    rewrite names the target, as the interpreter adds them.  A joined
-    target's text is built only when a line reads it, and a nested rewrite
-    whose rows, text and errors nothing reads is not walked at all.  Which
-    holes are bound where is known here, so an unbound hole is a raise at
-    the place the interpreter would raise it.  Template text, hole names,
-    condition values, relation names and every other spec text reach the
-    code only as constants of its namespace (C0, C1, ...).
+    A hole is named by its key, o{k} for the outer match's hole k and
+    i{j}_{k} for hole k of nested rewrite j's inner match: s{key} and
+    e{key} hold its span.  Each planned row is a tuple display of slices,
+    constants and line or column arithmetic, added to its relation's set
+    through Database.adder; a line or column is computed only for a hole
+    that a row reads as one.  A line the plan cannot express, or a row
+    whose value bound inside quotes holds a quote, a backslash or a
+    newline, takes the text path: substitute over a MatchEnvironment built
+    there, then _add_text.  Template text, hole names, condition values,
+    relation names and every other spec text reach the code only as
+    constants of its namespace (C0, C1, ...).
     """
 
     def __init__(self, spec: FactSpec):
         self.spec = spec
-        self.outer = {name: k for k, name in enumerate(spec.match.hole_names())}
-        self.nested = spec.rule.nested_rewrites
+        self.outer = {name: f"o{k}" for k, name in enumerate(spec.match.hole_names())}
         self.consts: dict[tuple[type, object], str] = {}
         self.adders: dict[tuple[str, int], str] = {}
         self.positions = False  # whether some row reads a line or column
-        self.walks: list[int] = []  # the nested rewrites walked, in order
+        self.walked: int | None = None  # the nested rewrite walked, if any
 
     def const(self, value: object) -> str:
         key = (type(value), value)
@@ -653,86 +679,41 @@ class _SpecSource:
             name = self.consts[key] = f"C{len(self.consts)}"
         return name
 
-    def outer_ref(self, name: str, upto: int) -> _Ref | None:
-        """The outer hole, as nested rewrites before upto have rebound it."""
-        k = self.outer.get(name)
-        if k is None:
-            return None
-        joined = next((f"J{j}" for j in reversed(range(upto)) if self.nested[j].target == name), None)
-        return _Ref(joined or f"o{k}", f"o{k}", f"so{k}", f"eo{k}", joined)
-
-    def inner_ref(self, j: int, name: str) -> _Ref | None:
-        """A hole of nested rewrite j's inner rewrite: its inner match's
-        holes hide the outer ones."""
-        names = self.nested[j].inner_match.hole_names()
-        if name not in names:
-            return self.outer_ref(name, j)
-        key = f"i{j}_{names.index(name)}"
-        return _Ref(key, key, f"s{key}", f"e{key}")
-
-    @staticmethod
-    def reads(lines: tuple[LinePlan, ...], resolve, passed=frozenset()) -> list[tuple[str, _Ref | None]]:
-        """Each hole the lines read, in the order that building them reads
-        it, resolved; a line that passes a nested target's items through
-        reads nothing."""
-        return [
-            (name, resolve(name))
-            for line in lines
-            if not (line.relation is None and line.target in passed)
-            for name in _substituted(line.template)
-        ]
-
-    def raise_unbound(self, reads) -> list[str]:
-        """A raise of the first unbound hole read, or nothing."""
-        name = next((name for name, ref in reads if ref is None), None)
-        return [] if name is None else [f"raise UnboundHole({self.const(f'hole ${name} is not bound')})"]
-
-    def text_path(self, template: RewriteTemplate, resolve, items: str | None) -> str:
-        """The text path of a line: its text added to db, or appended to
-        the list items when that is set."""
-        text = self.text(template, resolve)
-        return f"add_text(db, {text}, diagnostics, path, smap, start)" if items is None else f"{items}.append({text})"
-
-    def text(self, template: RewriteTemplate, resolve) -> str:
-        """substitute over a MatchEnvironment of the holes template reads."""
+    def text(self, template: RewriteTemplate, keys: dict[str, str]) -> str:
+        """The text path of a line: substitute over a MatchEnvironment of
+        the holes it reads, added to db."""
         holes = []
         for name in dict.fromkeys(_substituted(template)):
-            ref = resolve(name)
-            value = ref.joined or f"src[{ref.start}:{ref.end}]"
-            holes.append(f"{self.const(name)}: new(Binding, ({value}, {ref.start}, {ref.end}) + line_col({ref.start}))")
-        return f"substitute({self.const(template)}, MatchEnvironment({{{', '.join(holes)}}}))"
+            key = keys[name]
+            holes.append(f"{self.const(name)}: new(Binding, (src[s{key}:e{key}], s{key}, e{key}) + line_col(s{key}))")
+        env = f"MatchEnvironment({{{', '.join(holes)}}})"
+        return f"add_text(db, substitute({self.const(template)}, {env}), diagnostics, path, smap, start)"
 
-    def lines(self, lines, resolve, items: str | None, passed: dict[str, str | None], needs: dict[str, _Ref]) -> list[str]:
-        """The code of the lines: rows and text-path lines added to db, or
-        appended to the list items when it is set.  passed maps each nested
-        target whose line passes its items through to its list, or to None
-        when they were added already.  needs gets the variables the code
-        reads, for the caller to set before it."""
+    def lines(self, lines: tuple[LinePlan, ...], keys: dict[str, str], needs: dict[str, str]) -> list[str]:
+        """The code of the lines, each hole read through keys: rows and
+        text-path lines added to db.  needs gets the variables the code
+        reads, each with its hole's key, for the caller to set before it."""
         code = []
         for line in lines:
-            if line.relation is None and line.target in passed:
-                if passed[line.target] is not None:
-                    code.append(f"add_items(db, {passed[line.target]}, diagnostics, path, smap, start)")
-                continue
             if line.relation is None:
-                code.append(self.text_path(line.template, resolve, items))
+                code.append(self.text(line.template, keys))
                 continue
             args, quoted = [], []
             for before, hole, after in line.args:
                 if hole is None:
                     args.append(self.const(before))
                     continue
-                ref = resolve(hole.name)
+                key = keys[hole.name]
                 if hole.prop is Property.VALUE:
-                    value = f"v_{ref.key}"
-                    needs[value] = ref
-                    quoted.append(f"q_{ref.key}")
+                    value = f"v_{key}"
+                    needs[value] = key
+                    quoted.append(f"q_{key}")
                 else:
                     self.positions = True
-                    needs[f"l_{ref.pos}"] = ref
+                    needs[f"l_{key}"] = key
                     if hole.prop is Property.COLUMN:
-                        needs[f"c_{ref.pos}"] = ref
-                    value = f"{'l' if hole.prop is Property.LINE else 'c'}_{ref.pos}"
+                        needs[f"c_{key}"] = key
+                    value = f"{'l' if hole.prop is Property.LINE else 'c'}_{key}"
                     if hole.offset:
                         value += f" {'+-'[hole.offset < 0]} {abs(hole.offset)}"
                     if after is None:
@@ -742,151 +723,97 @@ class _SpecSource:
                 parts = [self.const(p) for p in (before,) if p] + [value] + [self.const(p) for p in (after,) if p]
                 args.append(value if value[0] == "v" and len(parts) == 1 else f"intern({' + '.join(parts)})")
             row = f"({', '.join(args)}{',' * (len(args) == 1)})"
-            if items is None:
-                adder = self.adders.setdefault((line.relation, len(args)), f"A{len(self.adders)}")
-                add = [
-                    f"if {adder} is None:",
-                    f"    {adder} = claim(db, {self.const(line.relation)}, {len(args)})",
-                    f"{adder}({row})",
-                ]
-            else:
-                add = [f"{items}.append(({self.const(line.relation)}, {row}))"]
+            adder = self.adders.setdefault((line.relation, len(args)), f"A{len(self.adders)}")
+            add = [
+                f"if {adder} is None:",
+                f"    {adder} = claim(db, {self.const(line.relation)}, {len(args)})",
+                f"{adder}({row})",
+            ]
             if quoted:
-                text = self.text_path(line.template, resolve, items)
+                text = self.text(line.template, keys)
                 code += [f"if {' or '.join(dict.fromkeys(quoted))}:", "    " + text, "else:"] + ["    " + c for c in add]
             else:
                 code += add
         return code
 
     @staticmethod
-    def prelude(needs: dict[str, _Ref]) -> list[str]:
+    def prelude(needs: dict[str, str]) -> list[str]:
         """Set the variables that code reads: each value, interned, with
         whether it holds a quote, a backslash or a newline, and each line
         and column."""
         code = []
-        for var, ref in needs.items():
+        for var, key in needs.items():
             if var[0] == "v":
-                code.append(f"{var} = intern({ref.joined or f'src[{ref.start}:{ref.end}]'})")
-                code.append(f"q_{ref.key} = {_QUOTED.format(v=var)}")
+                code.append(f"{var} = intern(src[s{key}:e{key}])")
+                code.append(f"q_{key} = {_QUOTED.format(v=var)}")
             elif var[0] == "l":
-                code.append(f"{var} = bisect_right(starts, {ref.start})")
+                code.append(f"{var} = bisect_right(starts, s{key})")
             else:
-                code.append(f"{var} = {ref.start} - starts[l_{ref.pos} - 1] + 1")
+                code.append(f"{var} = s{key} - starts[l_{key} - 1] + 1")
         return code
 
     def build(self) -> Callable[[SourceMap, Database, list[str], str], int]:
         body = _indent(self.match(), "        ")
         setup = ["starts = smap.line_starts"] if self.positions else []
         setup.append(f"table, match = offset_matcher({self.const(self.spec.match)}, smap)")
-        for j in self.walks:
-            inner = self.const(self.nested[j].inner_match)
-            setup.append(f"walk{j} = offset_walk({inner}, smap, {self.spec.rule.nested})")
+        if self.walked is not None:
+            inner = self.const(self.spec.rule.nested_rewrites[self.walked].inner_match)
+            setup.append(f"walk{self.walked} = offset_walk({inner}, smap, {self.spec.rule.nested})")
         setup += [f"{adder} = None" for adder in self.adders.values()]
         namespace: dict[str, object] = {name: value for (_, value), name in self.consts.items()}
         namespace.update(
             offset_matcher=offset_matcher, offset_walk=offset_walk, bisect_left=bisect.bisect_left,
             bisect_right=bisect.bisect_right, intern=sys.intern, claim=Database.adder, substitute=substitute,
             MatchEnvironment=MatchEnvironment, Binding=Binding, new=tuple.__new__, add_text=_add_text,
-            add_items=_add_items, UnboundHole=UnboundHole,
         )
         source = _FUNCTION.format(setup=_indent(setup, "    "), body=body)
         exec(compile(source, "<spec>", "exec"), namespace)
         return namespace["facts"]  # type: ignore[return-value]
 
     def match(self) -> list[str]:
-        """The code for one outer match r at start: the rule, then the
+        """The code for one outer match r at start: the gates, then the
         outer rewrite."""
-        rule, nested, outer = self.spec.rule, self.nested, self.outer
-        code = [f"_, {', '.join(f'so{k}, eo{k}' for k in outer.values())} = r"] if outer else []
-        if rule.conditions or nested:
-            plan = rule.plan
-            if not plan.outer <= outer.keys():
-                # a condition names a hole no match binds: the conditions in
-                # order, up to that one, which raises
-                for cond in rule.conditions:
-                    if cond.hole in outer:
-                        op = "!=" if cond.op is CondOp.EQ else "=="
-                        code += [f"if src[so{outer[cond.hole]}:eo{outer[cond.hole]}] {op} {self.const(cond.value)}:", "    continue"]
-                    elif cond.hole not in plan.inner_names:
-                        msg = self.const(f"condition names unbound hole ${cond.hole}")
-                        return code + [f"raise UnboundHole({msg})"]
-            for hole, values, keep in plan.gates:
-                if hole in outer:
-                    k = outer[hole]
-                    code += [f"if src[so{k}:eo{k}] {'not in' if keep else 'in'} {self.const(values)}:", "    continue"]
+        outer = self.outer
+        code = [f"_, {', '.join(f's{key}, e{key}' for key in outer.values())} = r"] if outer else []
+        for hole, values, keep in self.spec.rule.plan.gates:
+            if hole in outer:
+                span = f"s{outer[hole]}:e{outer[hole]}"
+                code += [f"if src[{span}] {'not in' if keep else 'in'} {self.const(values)}:", "    continue"]
         lines = self.spec.rewrite.lines
-        resolve = partial(self.outer_ref, upto=len(nested))
-        targets = frozenset(nr.target for nr in nested)
-        reads = self.reads(lines, resolve, targets)
-        raises = self.raise_unbound(reads)
-        inner = [self.reads(nr.inner_rewrite.lines, partial(self.inner_ref, j)) for j, nr in enumerate(nested)]
-        inner_raises = [self.raise_unbound(r) for r in inner]
-        # what each nested rewrite must give: its items, where the outer
-        # rewrite passes them through, its joined text, where a line after
-        # it reads that, and its raise; a rewrite that gives none of them
-        # is not walked
-        passed = {line.target for line in lines if line.relation is None} & targets
-        last = {nr.target: j for j, nr in enumerate(nested)}
-        emits = [not raises and last[nr.target] == j and nr.target in passed for j, nr in enumerate(nested)]
-        joined = set() if raises else {ref.joined for _, ref in reads if ref is not None}
-        walked = [False] * len(nested)
-        for j in reversed(range(len(nested))):
-            walked[j] = emits[j] or f"J{j}" in joined or bool(inner_raises[j])
-            if walked[j] and not inner_raises[j]:
-                joined |= {ref.joined for _, ref in inner[j]}
-        items: dict[str, str | None] = {}
-        for j, nr in enumerate(nested):
-            if nr.target not in outer:
-                return code + [f"raise UnboundHole({self.const(f'hole ${nr.target} is not bound')})"]
-            if not walked[j]:
-                continue
-            # rows go straight to db when the outer rewrite is this target's
-            # line alone and no later nested rewrite can raise
-            later = nested[j + 1 :]
-            stream = len(lines) == 1 and all(n.target in outer and not r for n, r in zip(later, inner_raises[j + 1 :]))
-            if emits[j]:
-                items[nr.target] = None if stream else f"I{j}"
-            code += self.walk(j, inner_raises[j], items[nr.target] if emits[j] else None, emits[j], f"J{j}" in joined)
-        if raises:
-            return code + raises
-        needs: dict[str, _Ref] = {}
-        rows = self.lines(lines, resolve, None, items, needs)
+        target = lines[0].target if len(lines) == 1 else None
+        walked = [j for j, nr in enumerate(self.spec.rule.nested_rewrites) if nr.target == target]
+        if walked:
+            return code + self.walk(walked[-1])
+        needs: dict[str, str] = {}
+        rows = self.lines(lines, outer, needs)
         return code + self.prelude(needs) + rows
 
-    def walk(self, j: int, raises: list[str], items: str | None, emit: bool, join: bool) -> list[str]:
+    def walk(self, j: int) -> list[str]:
         """The code walking nested rewrite j's inner matches in its target's
-        span, for one outer match: its rows added, or appended to the list
-        items when that is set, when emit is; and the joined text J{j} when
-        join is."""
-        self.walks.append(j)
-        nr = self.nested[j]
-        resolve = partial(self.inner_ref, j)
+        span, for one outer match, each kept one's rows added to db."""
+        self.walked = j
+        nr = self.spec.rule.nested_rewrites[j]
         names = nr.inner_match.hole_names()
-        needs: dict[str, _Ref] = {}
-        kept = list(raises)
-        if emit and not raises:
-            kept += self.lines(nr.inner_rewrite.lines, resolve, items, {}, needs)
-        if join and not raises:
-            kept.append(f"K{j}.append({self.text(nr.inner_rewrite, resolve)})")
-        inner = {var: ref for var, ref in needs.items() if ref.start.startswith("si")}
-        kept = self.prelude(inner) + kept
+        keys = {**self.outer, **{name: f"i{j}_{k}" for k, name in enumerate(names)}}
+        needs: dict[str, str] = {}
+        kept = self.lines(nr.inner_rewrite.lines, keys, needs)
+        kept = self.prelude({var: key for var, key in needs.items() if key[0] == "i"}) + kept
         tests = [
-            f"src[si{j}_{names.index(hole)}:ei{j}_{names.index(hole)}] {'in' if keep else 'not in'} {self.const(values)}"
+            f"src[s{keys[hole]}:e{keys[hole]}] {'in' if keep else 'not in'} {self.const(values)}"
             for hole, values, keep in self.spec.rule.plan.nested[j][0]
         ]
         if tests and kept:
             kept = [f"if {' and '.join(tests)}:"] + ["    " + c for c in kept]
-        code = self.prelude({var: ref for var, ref in needs.items() if var not in inner})
-        code += [f"I{j} = []"] * (items is not None) + [f"K{j} = []"] * join
-        target = self.outer_ref(nr.target, 0)
+        code = self.prelude({var: key for var, key in needs.items() if key[0] == "o"})
         spans = "".join(f", si{j}_{k}, ei{j}_{k}" for k in range(len(names)))
-        code.append(f"for _, (_{spans}) in walk{j}({target.start}, {target.end}):")
-        code += ["    " + c for c in kept or ["pass"]]
-        return code + [f"J{j} = '\\n'.join(K{j})"] * join
+        target = self.outer[nr.target]
+        code.append(f"for _, (_{spans}) in walk{j}(s{target}, e{target}):")
+        return code + ["    " + c for c in kept or ["pass"]]
 
 
 # The reference interpreter's names resolve here, from the module that keeps
-# it, on first read (PEP 562), so a run over sources never compiles it.
+# it, on first read (PEP 562), so a run over sources whose specs are all
+# generated never compiles it.
 _INTERPRETER_NAMES = ("RuleOutput", "apply_rule")
 
 

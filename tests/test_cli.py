@@ -430,8 +430,7 @@ class TestMatch:
 
     def test_empty_spec_path_is_an_input_error(self, capsys, example_go):
         code, _, err = run(capsys, "match", example_go, "--lang", "go", "--spec", "")
-        assert code == EXIT_INPUT
-        assert "exactly one of" not in err
+        assert (code, err) == (EXIT_INPUT, "factlog: input error: --spec is empty\n")
 
 
 class TestBench:
@@ -740,13 +739,42 @@ class TestMatcherStaysOffTheDatalogPath:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert {*MATCHER, "factlog.corpus"} <= names
 
-    def test_a_source_solve_never_loads_the_interpreter(self, tmp_path, example_go):
-        # each spec runs as its generated function; the reference
-        # interpreter of rules loads only when its names are read
-        proc, names = imported_modules("solve", example_go, "--preset", "callgraph-go", "--out", str(tmp_path))
+    @pytest.mark.parametrize("preset", factlog.list_presets())
+    def test_a_source_solve_never_loads_the_interpreter(self, tmp_path, samples_dir, preset):
+        # every bundled spec has the generated shape and runs as its
+        # generated function; the reference interpreter of rules loads only
+        # when its names are read
+        from factlog.rewrite import _generated
+
+        loaded = factlog.load_preset(preset)
+        assert all(_generated(spec) for spec in loaded.fact_specs)
+        sample = samples_dir / {"arith": "liveness.arith"}.get(loaded.language, loaded.language)
+        proc, names = imported_modules("solve", str(sample), "--preset", preset, "--out", str(tmp_path))
         assert proc.returncode == EXIT_OK, proc.stderr
         assert {*MATCHER, "factlog.corpus"} <= names
         assert "factlog.interpreter" not in names
+
+    def test_a_spec_of_another_shape_runs_the_interpreter(self, tmp_path, samples_dir):
+        from test_rewrite import interpreted_facts_for_smap
+
+        from factlog.rewrite import _generated
+
+        # the callgraph-c spec with a second line in its outer rewrite
+        bundled = Path(factlog.__file__).parent / "presets" / "callgraph-c" / "functions.spec"
+        spec = tmp_path / "two.spec"
+        spec.write_text(bundled.read_text(encoding="utf-8") + 'fn("$f").\n', encoding="utf-8")
+        assert not _generated(factlog.load_fact_spec(spec, "c"))
+        out = tmp_path / "out"
+        argv = ("facts", str(samples_dir / "c"), "--lang", "c", "--spec", str(spec), "--out", str(out))
+        proc, names = imported_modules(*argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "factlog.interpreter" in names
+        want = factlog.Database()
+        for path in sorted((samples_dir / "c").glob("*.c")):
+            smap = factlog.classify(path.read_text(encoding="utf-8"), factlog.C)
+            want.merge(interpreted_facts_for_smap((factlog.load_fact_spec(spec, "c"),), smap, str(path))[0])
+        got = factlog.Database.from_dl_text((out / "facts.dl").read_text(encoding="utf-8"))
+        assert got.relations == want.relations and want.tuples("fn")
 
     def test_a_broken_spec_fails_only_runs_that_read_sources(self, capsys, tmp_path, example_go):
         # Specs are compiled on first use, so a fact-file run never reads a
@@ -903,6 +931,25 @@ class TestInputErrors:
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == EXIT_INPUT
         assert f"{bad}:2: not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["facts", "{c}", "--lang", "c", "--spec", "", "--out", "{out}"],
+            ["solve", "{c}", "--lang", "c", "--spec", "{spec}", "--spec", "", "--out", "{out}"],
+            ["match", "{c}", "--lang", "c", "--spec", ""],
+            ["solve", "{c}", "--preset", "callgraph-c", "--program", "", "--out", "{out}"],
+            ["query", "{c}", "--preset", "callgraph-c", "--program", "", "-q", "calls(X, Y)"],
+        ],
+    )
+    def test_an_empty_file_argument_names_its_flag(self, capsys, tmp_path, samples_dir, argv):
+        # not the current directory, and not ignored for the preset's file
+        spec = Path(factlog.__file__).parent / "presets" / "callgraph-c" / "functions.spec"
+        paths = {"c": samples_dir / "c", "spec": spec, "out": tmp_path / "out"}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        flag = argv[argv.index("") - 1]
+        assert (code, out, err) == (EXIT_INPUT, "", f"factlog: input error: {flag} is empty\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "name, content, message",

@@ -37,6 +37,7 @@ from factlog.rewrite import (
     RuleSpec,
     SubstLiteral,
     Substitution,
+    _generated,
     facts_for_smap,
     substitute,
 )
@@ -617,29 +618,124 @@ class TestGeneratedAgainstInterpreter:
         assert outcome(facts_for_smap, (spec,), smap) == want
 
 
+# Inner templates that bind $c and $d, and sources whose groups they match
+# with the condition values drawn (x, p, u and the empty run), quotes and
+# newlines among them
+PAIR_TEMPLATES = ("$c $d", "$c($d*)", "[$c $d*]", "$c $d*", "$c(...) $d", "$c($d)", "[$d $c]")
+SHAPE_PIECES = (
+    "x", "p", " ", "\n", "u\nv", "p(u)", "p(x)", "[p x]", "[x p]", '"q"', '"a\\"b"', "(p)", "12", "[]", "$", "x(p)",
+)
+_DRAWN_HOLE_RE = re.compile(r"\$(?:body|zz|a|b|c)(?![A-Za-z0-9_])")
+
+
+@st.composite
+def generated_shape_cases(draw):
+    """A spec over zz($a*;$b*;$body*) of the shape that is generated, with
+    conditions on $a and $b, and a GO source it matches.  Its rewrite is
+    flat, over $a and $b (and $body when nothing rewrites it), or the lone
+    line $body.  Its nested rewrites of $body share an inner template that
+    binds $c and $d, or $c alone, with conditions on each; their inner
+    rewrites read those holes, $a and $b."""
+    def on(holes):
+        ops, values = st.sampled_from(("==", "!=")), st.sampled_from(CONDITION_VALUES + ("u",))
+        return st.builds('${} {} "{}"'.format, st.sampled_from(holes), ops, values)
+
+    def renamed(text, holes):
+        return _DRAWN_HOLE_RE.sub(lambda m: "$" + draw(st.sampled_from(holes)), text)
+
+    lone = draw(st.integers(0, 2)) > 0
+    if draw(st.integers(0, 3)):
+        inner, templates = ("c", "d"), st.sampled_from(PAIR_TEMPLATES)
+    else:
+        one = CLAUSE_TEMPLATES.filter(lambda t: "$" in t)
+        inner, templates = ("c",), one.map(lambda t: re.sub(r"\$[xbc](?![A-Za-z0-9_])", "$c", t))
+    rule = draw(st.lists(on(("a", "b")), max_size=3))
+    rewrites = draw(st.integers(1 if lone else 0, 2))
+    least = int(draw(st.integers(0, 3)) > 0)
+    for hole in inner * bool(rewrites):
+        rule += draw(st.lists(on((hole,)), min_size=least, max_size=2))
+    template = draw(templates)
+    for _ in range(rewrites):
+        # an unclosed quote would run on into the rest of the rule
+        lines = renamed(draw(rewrite_lines(2, True).filter(lambda t: '"open' not in t)), (*inner, "a", "b"))
+        rule.append(f"rewrite $body {{ {template} -> {lines} }}")
+    if draw(st.booleans()):
+        rule.append("nested")
+    rule = draw(st.permutations(rule))
+    if lone:
+        rewrite = draw(st.sampled_from(("$body", "  $body  ", "$body.value")))
+    else:
+        free = ("a", "b") if rewrites else ("a", "b", "body")
+        rewrite = renamed(draw(rewrite_lines(4, False)), free)
+    rule_section = f"[rule]\nwhere {', '.join(rule)}\n\n" if rule else ""
+    pieces = st.lists(st.sampled_from(SHAPE_PIECES), max_size=6).map("".join)
+    source = "".join(
+        "\n" * draw(st.integers(0, 2)) + f"zz({draw(pieces)};{draw(pieces)};{draw(pieces)})\n"
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    return f"[match]\nzz($a*;$b*;$body*)\n\n{rule_section}[rewrite]\n{rewrite}\n", source
+
+
+class TestGeneratedShape:
+    @settings(max_examples=600, deadline=None)
+    @given(generated_shape_cases(), st.data())
+    def test_generated_specs_give_the_interpreters_facts(self, case, data):
+        spec_text, source = case
+        texts = [spec_text] + [data.draw(generated_shape_cases())[0] for _ in range(data.draw(st.integers(0, 1)))]
+        try:
+            specs = tuple(parse_fact_spec(text, name=f"t{k}", language="go") for k, text in enumerate(texts))
+        except FactlogError:
+            assume(False)
+        assert all(_generated(spec) for spec in specs)
+        smap = classify(source, GO)
+        assert outcome(facts_for_smap, specs, smap) == outcome(interpreted_facts_for_smap, specs, smap)
+
+    @pytest.mark.parametrize(
+        "rule, rewrite",
+        [
+            # the rewrite reads a nested target, or an unbound hole, or is
+            # not the target's line alone
+            ('where rewrite $body { $c(...) -> e("$c"). }', 'e("$body").'),
+            ('where rewrite $body { $c(...) -> e("$c"). }', "$body\ne(1)."),
+            ("", 'e("$zz").'),
+            # a condition or an inner rewrite reads an unbound hole or a target
+            ('where $zz != "x"', 'e("$a").'),
+            ('where rewrite $body { $c(...) -> e("$c", "$zz"). }', "$body"),
+            ('where rewrite $a { $c(...) -> e("$c"). }, rewrite $body { $c(...) -> e("$a"). }', "$body"),
+            # a target no match binds
+            ('where rewrite $zz { $c(...) -> e("$c"). }', 'e("$a").'),
+        ],
+    )
+    def test_any_other_spec_runs_the_interpreter(self, rule, rewrite):
+        rule_section = f"[rule]\n{rule}\n\n" if rule else ""
+        spec = parse_fact_spec(f"[match]\nzz($a*;$b*;$body*)\n\n{rule_section}[rewrite]\n{rewrite}\n", "t", "go")
+        assert not _generated(spec)
+        smap = classify("zz(x;y;p(u) x(p))\n", GO)
+        assert outcome(facts_for_smap, (spec,), smap) == outcome(interpreted_facts_for_smap, (spec,), smap)
+
+
 # Spec text that is Python code where the generated function's own code
 # would be: hole names of its locals, quotes, backslashes and newlines in
 # a literal, a condition value and the rewrite's literal arguments, and a
-# relation named like one of its locals.
-TRICKY_SPEC = (
+# relation named like one of its locals.  Each is two specs of the
+# generated shape: a flat rewrite, and the lone line of a nested target.
+TRICKY_SPECS = tuple(
     "[match]\n"
     'f($src, $count) "); import os; os._exit(3) #\\n\n\n'
     "[rule]\n"
     'where $count != "\'); os._exit(4) #", $src != "\\"\\\\n}", nested,\n'
     '  rewrite $count { $db(...) -> start("$src", "$db", "{C0}\\"\\\\", $db.line). }\n\n'
-    "[rewrite]\n"
-    'count("$src", "\'\'\'", $src.column).\n'
-    "$count\n"
+    f"[rewrite]\n{rewrite}\n"
+    for rewrite in ('count("$src", "\'\'\'", $src.column).', "$count")
 )
-PLAIN_SPEC = (
+PLAIN_SPECS = tuple(
     "[match]\n"
     'f($a, $b) "xxxxxxxxxxxxxxxxxxxxxxxxxxxx\n\n'
     "[rule]\n"
     'where $b != "yyyyyyyyyyyyyyyyyyy", $a != "zzzzz", nested,\n'
     '  rewrite $b { $c(...) -> p("$a", "$c", "www", $c.line). }\n\n'
-    "[rewrite]\n"
-    'q("$a", "v", $a.column).\n'
-    "$b\n"
+    f"[rewrite]\n{rewrite}\n"
+    for rewrite in ('q("$a", "v", $a.column).', "$b")
 )
 
 
@@ -653,15 +749,19 @@ class TestGeneratedSpecCode:
     def test_spec_text_reaches_the_code_only_as_constants(self):
         from factlog.rewrite import _spec_function
 
-        tricky, plain = parse_fact_spec(TRICKY_SPEC, "t", "arith"), parse_fact_spec(PLAIN_SPEC, "p", "arith")
-        assert tricky.match.hole_names() == ("src", "count")
-        assert tricky.rule.conditions[0].value == "'); os._exit(4) #"
-        # the same code as for the plain spec of the same shape: the text
-        # differs only in the namespace
-        assert _code_shape(_spec_function(tricky).__code__) == _code_shape(_spec_function(plain).__code__)
+        tricky = tuple(parse_fact_spec(text, f"t{k}", "arith") for k, text in enumerate(TRICKY_SPECS))
+        plain = tuple(parse_fact_spec(text, f"p{k}", "arith") for k, text in enumerate(PLAIN_SPECS))
+        assert tricky[0].match.hole_names() == ("src", "count")
+        assert tricky[0].rule.conditions[0].value == "'); os._exit(4) #"
+        for t, p in zip(tricky, plain):
+            # generated, so that the comparison is of generated code: the
+            # same code as for the plain spec of the same shape, the text
+            # differing only in the namespace
+            assert _generated(t) and _generated(p)
+            assert _code_shape(_spec_function(t).__code__) == _code_shape(_spec_function(p).__code__)
         source = 'f(a, {g(b); h()}) "); import os; os._exit(3) #\\n\nf(x, ()) "); import os; os._exit(3) #\\n\n'
         smap = classify(source, get_language("arith"))
-        db, matches, diagnostics = facts_for_smap((tricky,), smap, "m.go")
-        assert (db.relations, matches, diagnostics) == outcome(interpreted_facts_for_smap, (tricky,), smap)
+        db, matches, diagnostics = facts_for_smap(tricky, smap, "m.go")
+        assert (db.relations, matches, diagnostics) == outcome(interpreted_facts_for_smap, tricky, smap)
         assert db.tuples("count") == {("a", "'''", 3), ("x", "'''", 3)}
         assert db.tuples("start") == {("a", name, '{C0}"\\', 1) for name in ("g", "h")}
