@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 
 # The public names, by the module that defines them.
 _EXPORTS = {
-    "analyses": (
-        "AnalysisPreset RunStats discover_files list_presets load_preset run_analysis run_fact_generation"
-    ),
+    "analyses": "AnalysisPreset list_presets load_preset run_fact_generation",
+    "corpus": "RunStats discover_files run_analysis",
     "datalog": "evaluate stratify",
     "errors": (
         "ArityMismatch DatalogError DatalogSyntaxError DuplicateHoleName FactlogError LanguageError "
@@ -29,13 +28,14 @@ _EXPORTS = {
         "UnsafeRule UnstratifiableProgram"
     ),
     "facts": "Database Fact format_fact parse_fact_line",
+    "interpreter": "apply_rule",
     "languages": (
         "ARITH C GO ZIG LanguageDefinition Region SourceMap classify get_language language_names "
         "load_language_file register_language"
     ),
     "rewrite": (
-        "Condition FactSpec NestedRewrite RewriteTemplate RuleSpec apply_rule load_fact_spec "
-        "parse_fact_spec parse_rewrite_template parse_rule substitute"
+        "Condition FactSpec NestedRewrite RewriteTemplate RuleSpec load_fact_spec parse_fact_spec "
+        "parse_rewrite_template parse_rule substitute"
     ),
     "queries": "query",
     "syntax": "Atom BodyLiteral DatalogProgram DatalogRule Declaration Variable parse_program parse_query",

@@ -25,9 +25,8 @@ section that lends no keys to ``[preset]``.
 Only fact generation needs the matcher (``languages``, ``templates`` and
 ``rewrite``) and the corpus runners (``corpus``: ``run_fact_generation``,
 ``run_analysis``, ``discover_files`` and ``RunStats``), so they are imported
-inside the functions that generate facts, not here.  The runners' public
-names still resolve here: ``run_fact_generation`` imports its runner on the
-first call, and the others are imported from ``corpus`` on first access.
+inside the functions that generate facts, not here: ``discover_files`` and
+``run_fact_generation`` import theirs on the first call.
 ``load_preset`` reads ``preset.cfg`` and parses the program with the front
 end (``syntax``), failing fast on either and naming the file at fault; the
 parsed program keeps its file's path, so that an error found only when it
@@ -41,9 +40,10 @@ reads a spec file.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import DatalogError, FactlogError, SpecFormatError, in_file, read_ini, read_text
 from .syntax import DatalogProgram, parse_program
@@ -56,29 +56,19 @@ if TYPE_CHECKING:
 
 PRESET_DIR_ENV = "FACTLOG_PRESET_DIR"
 
-_CORPUS_NAMES = ("RunStats", "discover_files", "run_analysis")
 
-
-def __getattr__(name: str):
-    if name not in _CORPUS_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import corpus
-
-    return getattr(corpus, name)
-
-
-class _PresetFields(NamedTuple):
-    name: str
-    language: str
-    specs: tuple[FactSpec | Path, ...]
-    program_text: str = ""
-    primary_output: str = ""
-    fact_relations: tuple[str, ...] = ()
-    graph_relation: str | None = None
-
-
-class AnalysisPreset(_PresetFields):
+class AnalysisPreset(
+    namedtuple(
+        "AnalysisPreset",
+        "name language specs program_text primary_output fact_relations graph_relation",
+        defaults=("", "", (), None),
+    )
+):
     """A preset's settings, its fact specs and its Datalog program.
+
+    Fields: name: str, language: str, specs: tuple[FactSpec | Path, ...],
+    program_text: str = "", primary_output: str = "",
+    fact_relations: tuple[str, ...] = (), graph_relation: str | None = None.
 
     ``specs`` holds compiled FactSpecs or paths of spec files.  The paths
     are compiled for the preset's language the first time ``fact_specs`` is
@@ -167,9 +157,16 @@ def load_preset(name: str, base: str | Path | None = None) -> AnalysisPreset:
 # Fact generation
 
 
-# The runner, and the matcher's two steps per file.  They import their code
-# on the first call, and as names of this module a profiler can wrap them
-# (perfbench/tracing.py does).
+# File discovery, the runner, and the matcher's two steps per file.  They
+# import their code on the first call, and as names of this module a
+# profiler can wrap or call them (perfbench/tracing.py does).
+
+
+def discover_files(inputs: list[str | Path], language: str) -> list[Path]:
+    """A corpus's source files.  See ``corpus.discover_files``."""
+    from .corpus import discover_files
+
+    return discover_files(inputs, language)
 
 
 def run_fact_generation(

@@ -70,9 +70,9 @@ def _positive_int(text: str) -> int:
 
 
 def _file_arg(flag: str, path: str) -> str:
-    """The path a file flag gives.  An empty one is an input error naming
-    the flag: as a Path it would be the current directory, which the user
-    never named."""
+    """The path a file or directory flag gives.  An empty one is an input
+    error naming the flag: as a Path it would be the current directory,
+    which the user never named."""
     if not path:
         raise FactlogError(f"{flag} is empty")
     return path
@@ -89,9 +89,10 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
             load_language_file(path)
     if args.preset and args.spec:
         raise UsageError("--preset and --spec are mutually exclusive")
+    base = None if args.preset_dir is None else _file_arg("--preset-dir", args.preset_dir)
     fact_inputs = _all_fact_inputs([Path(p) for p in args.inputs])
     if args.preset:
-        preset = load_preset(args.preset, args.preset_dir)
+        preset = load_preset(args.preset, base)
     elif args.spec:
         if not args.lang:
             raise UsageError("--spec requires --lang")
@@ -101,7 +102,7 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
         # pure solver mode: inputs are fact files, no matching needed
         preset = AnalysisPreset("facts", args.lang or "", specs=())
     else:
-        known = ", ".join(list_presets(args.preset_dir)) or "none found"
+        known = ", ".join(list_presets(base)) or "none found"
         raise UsageError(f"provide --preset (available: {known}) or --lang with --spec")
     if args.program is not None:
         preset = preset._replace(program_text=read_text(_file_arg("--program", args.program)))
@@ -209,6 +210,7 @@ def _write_db(db: Database, out: Path, fmt: str, relations, dl_name: str) -> lis
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    out = Path(_file_arg("--out", args.out))
     preset = _resolve_preset(args)
     if not preset.program_text.strip():
         raise UsageError("solve needs a Datalog program: use --preset or --program")
@@ -220,7 +222,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (ArityMismatch, TypeMismatch) as exc:
         raise _located(exc, args, preset) from None
     idb = sorted(program.idb_relations())
-    written = _write_db(solved, Path(args.out), args.format, idb, "idb.dl")
+    written = _write_db(solved, out, args.format, idb, "idb.dl")
     for rel in idb:
         print(f"{rel}: {len(solved.tuples(rel))} tuples")
     for path in written:

@@ -44,11 +44,12 @@ def _summary_line(stats: RunStats) -> str:
 
 
 def cmd_facts(args: argparse.Namespace) -> int:
+    out = Path(_file_arg("--out", args.out))
     preset = _resolve_preset(args)
     files = _gather_sources(args, preset)
     db, stats, diagnostics = run_fact_generation(preset, files, jobs=args.jobs)
     _emit_diagnostics(diagnostics)
-    written = _write_db(db, Path(args.out), args.format, sorted(db.relations), "facts.dl")
+    written = _write_db(db, out, args.format, sorted(db.relations), "facts.dl")
     print(_summary_line(stats))
     for path in written:
         print(f"wrote {path}")

@@ -1,5 +1,5 @@
 """Corpus-level runners: file discovery, fact generation over many files,
-and the run statistics, a NamedTuple built once from a run's totals.
+and the run statistics, a named tuple built once from a run's totals.
 
 Only a run over sources enters this code, so ``analyses`` imports it on the
 first call of ``run_fact_generation`` and a run over fact files never
@@ -10,8 +10,8 @@ matcher steps are names of ``analyses`` that a profiler can wrap.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .analyses import AnalysisPreset, _process_file
 from .errors import FactlogError
@@ -25,20 +25,17 @@ EXTENSIONS: dict[str, tuple[str, ...]] = {
 }
 
 
-class RunStats(NamedTuple):
+class RunStats(namedtuple("RunStats", "files line_count fact_count function_count spec_matches elapsed_s")):
     """Corpus-level counters for one fact-generation run.
 
+    Fields: files: int, line_count: int, fact_count: int,
+    function_count: int, spec_matches: dict[str, int], elapsed_s: float.
     fact_count sums each file's unique facts over the preset's fact
     relations, so a call edge appearing in two files counts twice;
     function_count is the total number of outer-template matches.
     """
 
-    files: int
-    line_count: int
-    fact_count: int
-    function_count: int
-    spec_matches: dict[str, int]
-    elapsed_s: float
+    __slots__ = ()
 
     @property
     def kloc(self) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import count
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import UnstratifiableProgram, in_file
 from .facts import Database, row_error
@@ -35,11 +35,13 @@ from .syntax import (  # the front end's public names, re-exported
     DatalogProgram,
     DatalogRule,
     Declaration,
-    Term,
     Variable,
     parse_program,
     parse_query,
 )
+
+if TYPE_CHECKING:
+    from .syntax import Term
 
 _QUERY_NAMES = ("Goal", "goal_directed", "query")
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .errors import ArityMismatch, DatalogError, MalformedFact, TypeMismatch
 from .syntax import decode_symbol
@@ -43,9 +43,8 @@ _RELATION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
 
 
-class Fact(NamedTuple):
-    relation: str
-    args: tuple[str | int, ...]
+Fact = namedtuple("Fact", "relation args")
+Fact.__doc__ = "Fact(relation: str, args: tuple[str | int, ...]): one ground fact."
 
 
 def parse_fact_line(line: str) -> Fact:

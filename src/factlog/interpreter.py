@@ -6,16 +6,16 @@ function (see ``rewrite._generated``), which does not run this code.  Any
 other spec runs here, one outer match at a time: apply_rule, then _emit.
 The interpreter is also the library's ``apply_rule`` and the in-package
 reference the generated functions are checked against.  ``rewrite``
-imports it when a spec of another shape compiles, or the first time one of
-its names is read there, so a run over sources whose specs are all
-generated never compiles it.
+imports it only when a spec of another shape compiles, so a run over
+sources whose specs are all generated never compiles it.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import UnboundHole
 from .languages import SourceMap
@@ -23,13 +23,11 @@ from .rewrite import ArgPlan, LinePlan, RewriteTemplate, RuleSpec, substitute
 from .templates import Binding, MatchEnvironment, Property, iter_matches, iter_nested_matches
 
 
-class RuleOutput(NamedTuple):
-    """A match after its rule.  In env, a nested target is bound to its
-    inner rewrites joined by newlines, built when env first reads it; inner
-    holds each nested target's rows and text-path lines, in order."""
-
-    env: MatchEnvironment
-    inner: dict[str, list]
+RuleOutput = namedtuple("RuleOutput", "env inner")
+RuleOutput.__doc__ = """RuleOutput(env: MatchEnvironment, inner: dict[str, list]): a match after
+its rule.  In env, a nested target is bound to its inner rewrites joined by
+newlines, built when env first reads it; inner holds each nested target's
+rows and text-path lines, in order."""
 
 
 def apply_rule(rule: RuleSpec, env: MatchEnvironment, smap: SourceMap) -> RuleOutput | None:

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import LanguageError, read_ini
 
@@ -46,42 +47,39 @@ class Region(Enum):
 DEFAULT_BALANCED_PAIRS = (("(", ")"), ("[", "]"), ("{", "}"))
 
 
-class _LanguageFields(NamedTuple):
-    name: str
-    line_comment_prefixes: tuple[str, ...] = ()
-    block_comment_pairs: tuple[tuple[str, str], ...] = ()
-    string_delimiters: tuple[tuple[str, str, str | None], ...] = ()
-    balanced_pairs: tuple[tuple[str, str], ...] = DEFAULT_BALANCED_PAIRS
-    identifier_extra: str = "_."
-    value_prefix_chars: str = ""
-    nest_block_comments: bool = False
-
-
-class LanguageDefinition(_LanguageFields):
+class LanguageDefinition(
+    namedtuple(
+        "LanguageDefinition",
+        "name line_comment_prefixes block_comment_pairs string_delimiters balanced_pairs identifier_extra "
+        "value_prefix_chars nest_block_comments",
+        defaults=((), (), (), DEFAULT_BALANCED_PAIRS, "_.", "", False),
+    )
+):
     """Lexical profile of one language.
 
     Attributes:
-        name: registry key, lower case by convention.
-        line_comment_prefixes: each starts a comment that runs to end of line
-            (the newline itself stays code).
-        block_comment_pairs: (open, close) pairs; the delimiters are part of
-            the comment region.
-        string_delimiters: (open, close, escape) triples; escape may be None
-            for raw strings.  Open and close delimiters are classified as
-            STRING_DELIMITER, the contents as STRING_BODY.
-        balanced_pairs: single-character (open, close) pairs used by balance
-            scanning and expression holes.
-        identifier_extra: characters that count as identifier constituents in
-            addition to alphanumerics ('.' keeps qualified names together).
-        value_prefix_chars: characters allowed as a unary prefix of one
+        name (str): registry key, lower case by convention.
+        line_comment_prefixes (tuple[str, ...]): each starts a comment that
+            runs to end of line (the newline itself stays code).
+        block_comment_pairs (tuple[tuple[str, str], ...]): (open, close)
+            pairs; the delimiters are part of the comment region.
+        string_delimiters (tuple[tuple[str, str, str | None], ...]): (open,
+            close, escape) triples; escape may be None for raw strings.  Open
+            and close delimiters are classified as STRING_DELIMITER, the
+            contents as STRING_BODY.
+        balanced_pairs (tuple[tuple[str, str], ...]): single-character
+            (open, close) pairs used by balance scanning and expression holes.
+        identifier_extra (str): characters that count as identifier
+            constituents in addition to alphanumerics ('.' keeps qualified
+            names together).
+        value_prefix_chars (str): characters allowed as a unary prefix of one
             expression-hole unit ('*' lets go bind pointer types whole).
-        nest_block_comments: whether block comments nest.
+        nest_block_comments (bool): whether block comments nest.
     """
 
     __slots__ = ()
 
-    # A NamedTuple body cannot define __new__, so the fields live in a base
-    # class and the checks run here, for every construction and unpickling.
+    # The checks run for every construction and unpickling.
     def __new__(cls, *args, **kwargs) -> LanguageDefinition:
         self = super().__new__(cls, *args, **kwargs)
         if not self.name:

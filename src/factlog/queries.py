@@ -15,7 +15,7 @@ access.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .datalog import _compile_rule, check_edb, stratify
 from .errors import ArityMismatch, UnknownRelation
@@ -46,12 +46,9 @@ def query(db: Database, pattern: str | Atom) -> set[tuple]:
     return out
 
 
-class Goal(NamedTuple):
-    """What to evaluate for one query: ``query(evaluate(program, edb), pattern)``."""
-
-    program: DatalogProgram
-    edb: Database
-    pattern: Atom
+Goal = namedtuple("Goal", "program edb pattern")
+Goal.__doc__ = """Goal(program: DatalogProgram, edb: Database, pattern: Atom): what to
+evaluate for one query, ``query(evaluate(program, edb), pattern)``."""
 
 
 def goal_directed(program: DatalogProgram, edb: Database, pattern: Atom) -> Goal:

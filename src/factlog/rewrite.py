@@ -46,7 +46,7 @@ each planned row as a tuple display added straight to its relation's set.
 Positions are computed only for holes a rewrite reads as ``.line`` or
 ``.column``.  Any other spec runs through the reference interpreter of
 rules (``apply_rule``, in ``interpreter``), which this module imports only
-when such a spec compiles or that name is read.
+when such a spec compiles.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ from __future__ import annotations
 import bisect
 import re
 import sys
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar, Union
 
 from .errors import FactlogError, MalformedFact, MalformedHole, SpecFormatError, read_text
 from .facts import Database, parse_fact_line
@@ -80,50 +81,36 @@ from .templates import (
 # Rewrite templates
 
 
-class SubstLiteral(NamedTuple):
-    text: str
+SubstLiteral = namedtuple("SubstLiteral", "text")
+SubstLiteral.__doc__ = "SubstLiteral(text: str): rewrite text copied as it is."
+
+Substitution = namedtuple("Substitution", "name prop offset", defaults=(Property.VALUE, 0))
+Substitution.__doc__ = """Substitution(name: str, prop: Property = Property.VALUE, offset: int = 0):
+a hole's text, line or column; offset is nonzero only for line/column."""
+
+if TYPE_CHECKING:
+    RewriteAtom = Union[SubstLiteral, Substitution]
+
+ArgPlan = namedtuple("ArgPlan", "before hole after", defaults=(None, ""))
+ArgPlan.__doc__ = """ArgPlan(before: str | int, hole: Substitution | None = None,
+after: str | None = ""): one argument of a row plan.  Without a hole,
+``before`` is a literal symbol or integer.  A hole inside quotes gives
+``before`` + its text + ``after``, interned; one outside quotes (``after``
+None) gives its line or column plus its offset, an integer."""
+
+LinePlan = namedtuple("LinePlan", "template relation args target", defaults=(None, (), None))
+LinePlan.__doc__ = """LinePlan(template: RewriteTemplate, relation: str | None = None,
+args: tuple[ArgPlan, ...] = (), target: str | None = None): how one
+non-blank rewrite line becomes facts.  With a relation it is built as a row
+of args; otherwise, and at match time when a value bound inside quotes holds
+a quote, a backslash or a newline, ``template`` (the line alone) takes the
+text path.  ``target`` names the hole of a line that is exactly
+``$target``."""
 
 
-class Substitution(NamedTuple):
-    name: str
-    prop: Property = Property.VALUE
-    offset: int = 0  # nonzero only for line/column properties
-
-
-RewriteAtom = Union[SubstLiteral, Substitution]
-
-
-class ArgPlan(NamedTuple):
-    """One argument of a row plan.  Without a hole, ``before`` is a literal
-    symbol or integer.  A hole inside quotes gives ``before`` + its text +
-    ``after``, interned; one outside quotes (``after`` None) gives its line
-    or column plus its offset, an integer."""
-
-    before: str | int
-    hole: Substitution | None = None
-    after: str | None = ""
-
-
-class LinePlan(NamedTuple):
-    """How one non-blank rewrite line becomes facts.  With a relation it is
-    built as a row of args; otherwise, and at match time when a value bound
-    inside quotes holds a quote, a backslash or a newline, ``template`` (the
-    line alone) takes the text path.  ``target`` names the hole of a line
-    that is exactly ``$target``."""
-
-    template: RewriteTemplate
-    relation: str | None = None
-    args: tuple[ArgPlan, ...] = ()
-    target: str | None = None
-
-
-class _RewriteFields(NamedTuple):
-    text: str
-    atoms: tuple[RewriteAtom, ...]
-
-
-class RewriteTemplate(_RewriteFields):
-    """Rewrite text and its atoms; lines plans each non-blank line."""
+class RewriteTemplate(namedtuple("RewriteTemplate", "text atoms")):
+    """RewriteTemplate(text: str, atoms: tuple[RewriteAtom, ...]): rewrite
+    text and its atoms; lines plans each non-blank line."""
 
     @cached_property
     def lines(self) -> tuple[LinePlan, ...]:
@@ -242,19 +229,18 @@ class CondOp(Enum):
     NEQ = "!="
 
 
-class Condition(NamedTuple):
-    hole: str
-    op: CondOp
-    value: str
+class Condition(namedtuple("Condition", "hole op value")):
+    """Condition(hole: str, op: CondOp, value: str): ``$hole op "value"``."""
+
+    __slots__ = ()
 
     def holds(self, text: str) -> bool:
         return (text == self.value) if self.op is CondOp.EQ else (text != self.value)
 
 
-class NestedRewrite(NamedTuple):
-    target: str
-    inner_match: Template
-    inner_rewrite: RewriteTemplate
+NestedRewrite = namedtuple("NestedRewrite", "target inner_match inner_rewrite")
+NestedRewrite.__doc__ = """NestedRewrite(target: str, inner_match: Template, inner_rewrite:
+RewriteTemplate): ``rewrite $target { inner_match -> inner_rewrite }``."""
 
 
 # One hole's conditions as one test: the hole's text must be in the set
@@ -262,27 +248,20 @@ class NestedRewrite(NamedTuple):
 HoleTest = tuple[str, frozenset[str], bool]
 
 
-class RulePlan(NamedTuple):
-    """A rule's conditions folded, one test per hole.  gates are tested
-    against the outer match; outer names the holes they read that no inner
-    template binds, and inner_names the holes the inner templates bind.  Per
-    nested rewrite: the tests of its inner matches, and the outer holes its
-    rewrite reads."""
-
-    gates: tuple[HoleTest, ...]
-    outer: frozenset[str]
-    inner_names: frozenset[str]
-    nested: tuple[tuple[tuple[HoleTest, ...], tuple[str, ...]], ...]
+RulePlan = namedtuple("RulePlan", "gates outer inner_names nested")
+RulePlan.__doc__ = """RulePlan(gates: tuple[HoleTest, ...], outer: frozenset[str],
+inner_names: frozenset[str], nested: tuple[tuple[tuple[HoleTest, ...],
+tuple[str, ...]], ...]): a rule's conditions folded, one test per hole.
+gates are tested against the outer match; outer names the holes they read
+that no inner template binds, and inner_names the holes the inner templates
+bind.  Per nested rewrite: the tests of its inner matches, and the outer
+holes its rewrite reads."""
 
 
-class _RuleFields(NamedTuple):
-    nested: bool = False
-    conditions: tuple[Condition, ...] = ()
-    nested_rewrites: tuple[NestedRewrite, ...] = ()
-
-
-class RuleSpec(_RuleFields):
-    """A rule's items; plan folds them, and a copy made by _replace plans again."""
+class RuleSpec(namedtuple("RuleSpec", "nested conditions nested_rewrites", defaults=(False, (), ()))):
+    """RuleSpec(nested: bool = False, conditions: tuple[Condition, ...] = (),
+    nested_rewrites: tuple[NestedRewrite, ...] = ()): a rule's items; plan
+    folds them, and a copy made by _replace plans again."""
 
     @cached_property
     def plan(self) -> RulePlan:
@@ -393,14 +372,10 @@ def _clause_body(text: str, pos: int) -> tuple[int, int]:
 # Fact specs
 
 
-class FactSpec(NamedTuple):
-    """A named (match template, rule, rewrite template) triple for one language."""
-
-    name: str
-    language: str
-    match: Template
-    rule: RuleSpec
-    rewrite: RewriteTemplate
+FactSpec = namedtuple("FactSpec", "name language match rule rewrite")
+FactSpec.__doc__ = """FactSpec(name: str, language: str, match: Template, rule: RuleSpec,
+rewrite: RewriteTemplate): a named (match template, rule, rewrite template)
+triple for one language."""
 
 
 _SECTIONS = ("match", "rule", "rewrite")
@@ -809,17 +784,3 @@ class _SpecSource:
         target = self.outer[nr.target]
         code.append(f"for _, (_{spans}) in walk{j}(s{target}, e{target}):")
         return code + ["    " + c for c in kept or ["pass"]]
-
-
-# The reference interpreter's names resolve here, from the module that keeps
-# it, on first read (PEP 562), so a run over sources whose specs are all
-# generated never compiles it.
-_INTERPRETER_NAMES = ("RuleOutput", "apply_rule")
-
-
-def __getattr__(name: str):
-    if name not in _INTERPRETER_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import interpreter
-
-    return getattr(interpreter, name)

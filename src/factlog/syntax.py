@@ -31,13 +31,13 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from typing import Iterator, NamedTuple, Union
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import ArityMismatch, DatalogSyntaxError, TypeMismatch, UnsafeRule
 
 # \n, \r, and \t decode to control characters; any other \x folds to x
 DECODE_ESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
-_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def decode_symbol(body: str) -> str:
@@ -47,7 +47,7 @@ def decode_symbol(body: str) -> str:
     database re-parses losslessly either way.
     """
     if "\\" in body:
-        body = _ESCAPE_RE.sub(lambda m: DECODE_ESCAPES.get(m[1], m[1]), body)
+        body = re.sub(r"\\(.)", lambda m: DECODE_ESCAPES.get(m[1], m[1]), body, flags=re.DOTALL)
     return sys.intern(body)
 
 
@@ -55,21 +55,19 @@ def decode_symbol(body: str) -> str:
 # AST
 
 
-class Variable(NamedTuple):
-    name: str
+Variable = namedtuple("Variable", "name")
+Variable.__doc__ = "Variable(name: str): a rule variable; ``_`` is anonymous."
+
+if TYPE_CHECKING:
+    Term = Union[Variable, str, int]
 
 
-Term = Union[Variable, str, int]
-
-
-class Atom(NamedTuple):
-    """A relation applied to terms.  Equality and hash leave the source
+class Atom(namedtuple("Atom", "relation terms line column", defaults=(0, 0))):
+    """Atom(relation: str, terms: tuple[Term, ...], line: int = 0, column: int = 0):
+    a relation applied to terms.  Equality and hash leave the source
     position (line, column) out."""
 
-    relation: str
-    terms: tuple[Term, ...]
-    line: int = 0
-    column: int = 0
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Atom):
@@ -92,19 +90,18 @@ class Atom(NamedTuple):
                 yield t.name
 
 
-class BodyLiteral(NamedTuple):
-    atom: Atom
-    positive: bool = True
+BodyLiteral = namedtuple("BodyLiteral", "atom positive", defaults=(True,))
+BodyLiteral.__doc__ = "BodyLiteral(atom: Atom, positive: bool = True): a body atom, negated when not positive."
+
+DatalogRule = namedtuple("DatalogRule", "head body")
+DatalogRule.__doc__ = "DatalogRule(head: Atom, body: tuple[BodyLiteral, ...])"
 
 
-class DatalogRule(NamedTuple):
-    head: Atom
-    body: tuple[BodyLiteral, ...]
+class Declaration(namedtuple("Declaration", "relation params")):
+    """Declaration(relation: str, params: tuple[tuple[str, str | None], ...]):
+    each param is (name, "symbol" | "number" | None)."""
 
-
-class Declaration(NamedTuple):
-    relation: str
-    params: tuple[tuple[str, str | None], ...]  # (name, "symbol" | "number" | None)
+    __slots__ = ()
 
     @property
     def arity(self) -> int:
@@ -132,11 +129,8 @@ class DatalogProgram:
 # Tokenizer
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    column: int
+_Token = namedtuple("_Token", "kind value line column")
+_Token.__doc__ = "_Token(kind: str, value: str, line: int, column: int)"
 
 
 _TOKEN_RE = re.compile(

@@ -68,9 +68,10 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 
 from .errors import DuplicateHoleName, MalformedHole, UnboundHole
 from .languages import LanguageDefinition, SourceMap, char_class, identifier_char_re
@@ -92,26 +93,20 @@ class Property(Enum):
     COLUMN = "column"
 
 
-class Literal(NamedTuple):
-    text: str
+Literal = namedtuple("Literal", "text")
+Literal.__doc__ = "Literal(text: str): template text matched as source."
+
+Hole = namedtuple("Hole", "name kind")
+Hole.__doc__ = "Hole(name: str | None, kind: HoleKind): a hole; an anonymous one has no name."
+
+if TYPE_CHECKING:
+    Atom = Union[Literal, Hole]
 
 
-class Hole(NamedTuple):
-    name: str | None
-    kind: HoleKind
-
-
-Atom = Union[Literal, Hole]
-
-
-class _TemplateFields(NamedTuple):
-    text: str
-    atoms: tuple[Atom, ...]
-
-
-class Template(_TemplateFields):
-    """Parsed template: original text plus its atom sequence.  Its compiled
-    form is not a field: compile_template sets it on the copy it returns."""
+class Template(namedtuple("Template", "text atoms")):
+    """Template(text: str, atoms: tuple[Atom, ...]): parsed template, its
+    original text plus its atom sequence.  Its compiled form is not a
+    field: compile_template sets it on the copy it returns."""
 
     compiled: CompiledTemplate | None = None
 
@@ -158,22 +153,18 @@ def parse_template(text: str) -> Template:
 # Bindings and matches
 
 
-class Binding(NamedTuple):
-    """One hole's bound span.  text equals the source slice for matcher
-    output; rewrite rules may rebind with synthesized text."""
-
-    text: str
-    start: int
-    end: int
-    line: int
-    column: int
+Binding = namedtuple("Binding", "text start end line column")
+Binding.__doc__ = """Binding(text: str, start: int, end: int, line: int, column: int): one
+hole's bound span.  text equals the source slice for matcher output;
+rewrite rules may rebind with synthesized text."""
 
 
-class MatchEnvironment(NamedTuple):
-    """The bindings of one match, indexed by hole name: env[name] is the
-    Binding, and an unbound name raises UnboundHole."""
+class MatchEnvironment(namedtuple("MatchEnvironment", "bindings")):
+    """MatchEnvironment(bindings: dict[str, Binding]): the bindings of one
+    match, indexed by hole name: env[name] is the Binding, and an unbound
+    name raises UnboundHole."""
 
-    bindings: dict[str, Binding]
+    __slots__ = ()
 
     def __contains__(self, name: str) -> bool:
         return name in self.bindings
@@ -185,10 +176,8 @@ class MatchEnvironment(NamedTuple):
             raise UnboundHole(f"hole ${name} is not bound") from None
 
 
-class Match(NamedTuple):
-    start: int
-    end: int
-    env: MatchEnvironment
+Match = namedtuple("Match", "start end env")
+Match.__doc__ = "Match(start: int, end: int, env: MatchEnvironment): one match's span and bindings."
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +190,10 @@ _CODE_ONLY = re.compile("[cw]*")
 _BODY = re.compile("s*")
 
 
-class _Piece(NamedTuple):
-    ws: bool
-    text: str
-    ident_first: bool
-    ident_last: bool
+_Piece = namedtuple("_Piece", "ws text ident_first ident_last")
+_Piece.__doc__ = """_Piece(ws: bool, text: str, ident_first: bool, ident_last: bool): one
+whitespace or text chunk of a literal, and whether its ends are identifier
+characters."""
 
 
 def _split_literal(text: str, lang: LanguageDefinition) -> tuple[_Piece, ...]:
@@ -220,25 +208,21 @@ def _split_literal(text: str, lang: LanguageDefinition) -> tuple[_Piece, ...]:
     return tuple(pieces)
 
 
-class _CompiledFields(NamedTuple):
-    atoms: tuple[Atom, ...]
-    language: LanguageDefinition
-    pieces: tuple[tuple[_Piece, ...] | None, ...]
-    strategy: str
-    key: str  # "find" and "anchor": the chunk, after a space when whitespace precedes it
-    unit_start_re: re.Pattern[str]  # a left-maximal unit start
-
-
-class CompiledTemplate(_CompiledFields):
+class CompiledTemplate(namedtuple("CompiledTemplate", "atoms language pieces strategy key unit_start_re")):
     """A template's compiled form for one language, built once, when its
     spec loads.
+
+    Fields: atoms: tuple[Atom, ...], language: LanguageDefinition,
+    pieces: tuple[tuple[_Piece, ...] | None, ...], strategy: str, key: str
+    and unit_start_re: re.Pattern[str].
 
     pieces holds each literal atom split into whitespace and text chunks.
     strategy and key name the table of offsets where a match may start,
     built once per file by _candidates: "find" (a leading literal) and
     "anchor" (a leading expression or optional hole before a literal) are
-    found from a text chunk, see _anchor_candidates; "units" (a leading
-    hole with no text chunk after it) is every left-maximal unit start,
+    found from a text chunk, key, after a space when whitespace precedes
+    it, see _anchor_candidates; "units" (a leading hole with no text chunk
+    after it) is every left-maximal unit start, found by unit_start_re,
     "scan" every offset and "none" (the empty template) no offset.
     make_matcher(smap) runs the generated code: it returns match(start,
     hi), the one try at one offset (see _MatcherSource).  The code is

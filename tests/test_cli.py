@@ -743,7 +743,7 @@ class TestMatcherStaysOffTheDatalogPath:
     def test_a_source_solve_never_loads_the_interpreter(self, tmp_path, samples_dir, preset):
         # every bundled spec has the generated shape and runs as its
         # generated function; the reference interpreter of rules loads only
-        # when its names are read
+        # when a spec of another shape compiles
         from factlog.rewrite import _generated
 
         loaded = factlog.load_preset(preset)
@@ -753,6 +753,18 @@ class TestMatcherStaysOffTheDatalogPath:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert {*MATCHER, "factlog.corpus"} <= names
         assert "factlog.interpreter" not in names
+
+    def test_rewrite_has_no_interpreter_names(self):
+        # a profiler that wraps rewrite's names by getattr loads nothing more
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, factlog.rewrite; "
+                "print(getattr(factlog.rewrite, 'apply_rule', None), 'factlog.interpreter' in sys.modules)",
+            ],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "None False"
 
     def test_a_spec_of_another_shape_runs_the_interpreter(self, tmp_path, samples_dir):
         from test_rewrite import interpreted_facts_for_smap
@@ -806,9 +818,8 @@ class TestMatcherStaysOffTheDatalogPath:
 # What ``factlog`` exported when every layer was imported eagerly: each name
 # must still resolve, to the object its module defines.
 PACKAGE_EXPORTS = {
-    "analyses": (
-        "AnalysisPreset RunStats discover_files list_presets load_preset run_analysis run_fact_generation"
-    ),
+    "analyses": "AnalysisPreset list_presets load_preset run_fact_generation",
+    "corpus": "RunStats discover_files run_analysis",
     "datalog": (
         "Atom BodyLiteral DatalogProgram DatalogRule Declaration Variable evaluate parse_program "
         "parse_query query stratify"
@@ -819,13 +830,14 @@ PACKAGE_EXPORTS = {
         "UnsafeRule UnstratifiableProgram"
     ),
     "facts": "Database Fact format_fact parse_fact_line",
+    "interpreter": "apply_rule",
     "languages": (
         "ARITH C GO ZIG LanguageDefinition Region SourceMap classify get_language language_names "
         "load_language_file register_language"
     ),
     "rewrite": (
-        "Condition FactSpec NestedRewrite RewriteTemplate RuleSpec apply_rule load_fact_spec "
-        "parse_fact_spec parse_rewrite_template parse_rule substitute"
+        "Condition FactSpec NestedRewrite RewriteTemplate RuleSpec load_fact_spec parse_fact_spec "
+        "parse_rewrite_template parse_rule substitute"
     ),
     "templates": "Binding Hole HoleKind Match MatchEnvironment Template iter_matches parse_template",
 }
@@ -940,10 +952,16 @@ class TestInputErrors:
             ["match", "{c}", "--lang", "c", "--spec", ""],
             ["solve", "{c}", "--preset", "callgraph-c", "--program", "", "--out", "{out}"],
             ["query", "{c}", "--preset", "callgraph-c", "--program", "", "-q", "calls(X, Y)"],
+            ["facts", "{c}", "--preset", "callgraph-c", "--out", ""],
+            ["solve", "{c}", "--preset", "callgraph-c", "--out", ""],
+            ["solve", "{c}", "--preset", "callgraph-c", "--preset-dir", "", "--out", "{out}"],
+            ["query", "{c}", "--preset", "callgraph-c", "--preset-dir", "", "-q", "calls(X, Y)"],
+            ["facts", "{c}", "--preset-dir", "", "--out", "{out}"],
         ],
     )
     def test_an_empty_file_argument_names_its_flag(self, capsys, tmp_path, samples_dir, argv):
         # not the current directory, and not ignored for the preset's file
+        # or directory
         spec = Path(factlog.__file__).parent / "presets" / "callgraph-c" / "functions.spec"
         paths = {"c": samples_dir / "c", "spec": spec, "out": tmp_path / "out"}
         code, out, err = run(capsys, *(a.format(**paths) for a in argv))

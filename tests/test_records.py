@@ -1,17 +1,20 @@
 """The record types of every layer: value semantics, immutability, pickling
 and repr.
 
-Records are NamedTuples or small classes rather than generated dataclasses,
-so that importing factlog runs no code generation.  These checks pin what
-the dataclasses gave: which fields equality ignores, that a frozen record
-rejects assignment, that the --jobs pool can pickle what it sends, and the
-repr bytes that the preset digests in test_analyses.py read.
+Records are collections.namedtuple classes, or small classes, rather than
+generated dataclasses or typing.NamedTuple classes, so that importing
+factlog runs no code generation and evaluates no annotations.  These checks
+pin what the dataclasses gave: which fields equality ignores, that a frozen
+record rejects assignment, that the --jobs pool can pickle what it sends,
+and the repr bytes that the preset digests in test_analyses.py read.
 """
 
 from __future__ import annotations
 
 import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -190,6 +193,13 @@ def test_fields_cannot_be_set(name):
         setattr(record, field, getattr(record, field))
 
 
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_only_records_that_keep_what_they_derive_have_a_dict(name):
+    # every other record is slotted: its instances are bare tuples
+    keeps = name in {"AnalysisPreset", "RewriteTemplate", "RuleSpec", "Template"}
+    assert hasattr(records()[name], "__dict__") is keeps
+
+
 @pytest.mark.parametrize(
     "a, b, same",
     [
@@ -290,3 +300,25 @@ def test_replaced_rule_plans_its_new_conditions():
     other = rule._replace(conditions=(Condition("f", CondOp.EQ, "x"),))
     assert tuple(other) == (False, other.conditions, ())
     assert other.plan == _plan_rule(other.conditions, ()) != rule.plan
+
+
+def test_no_module_builds_a_forward_ref():
+    # typing.NamedTuple turns each string annotation of a record into a
+    # typing.ForwardRef when the class is defined
+    code = (
+        "import importlib, pkgutil, typing\n"
+        "made = []\n"
+        "init = typing.ForwardRef.__init__\n"
+        "def counted(self, arg, *args, **kwargs):\n"
+        "    made.append(arg)\n"
+        "    init(self, arg, *args, **kwargs)\n"
+        "typing.ForwardRef.__init__ = counted\n"
+        "import factlog\n"
+        "for name in factlog.list_presets():\n"
+        "    factlog.load_preset(name).program()\n"
+        "for module in pkgutil.iter_modules(factlog.__path__):\n"
+        "    importlib.import_module(f'factlog.{module.name}')\n"
+        "print(made)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
