@@ -57,6 +57,7 @@ def cmd_facts(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    out = None if args.out is None else Path(_file_arg("--out", args.out))
     preset = _resolve_preset(args)
     if args.relation:
         relation = args.relation
@@ -86,8 +87,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         raise FactlogError(f"graph export needs a binary relation; {relation!r} is not")
     body = "".join(f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";\n' for a, b in tuples)
     text = f"digraph {relation} {{\n{body}}}\n"
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text, encoding="utf-8")
         print(f"wrote {out}")

@@ -260,26 +260,13 @@ class Database:
                     self.add(name, tup)
 
     def add(self, relation: str, tup: tuple) -> None:
-        existing = self.relations.get(relation)
-        if not existing:
-            if existing is None:
-                self.relations[relation] = {tup}
-            else:
-                existing.add(tup)
-            self._arity[relation] = len(tup)
-            return
-        arity = self._arity.get(relation)
-        if arity is None:  # filled through self.relations
-            arity = self._arity[relation] = len(next(iter(existing)))
-        if arity != len(tup):
-            raise _arity_mismatch(relation, arity, len(tup))
-        existing.add(tup)
+        self.adder(relation, len(tup))(tup)
 
     def adder(self, relation: str, arity: int) -> Callable[[tuple], None]:
         """The add method of relation's set, for rows of arity, which skip
-        add's check from then on.  Raises ArityMismatch as add would for
-        such a row; the caller adds a row at once, so no empty relation
-        stays behind."""
+        the arity check from then on.  Raises ArityMismatch if relation
+        holds rows of another arity; an empty one takes any.  The caller
+        adds a row at once, so no empty relation stays behind."""
         existing = self.relations.get(relation)
         if existing:
             held = self._arity.get(relation)

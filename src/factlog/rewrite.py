@@ -38,11 +38,11 @@ folded conditions, ``RuleSpec.plan``, sit beside them, made on first read.
 A spec of the shape every bundled spec has runs as one generated function
 (see _generated and _SpecSource), made when the spec compiles for a
 language: a flat rewrite, or a rewrite that is the one line ``$body`` of a
-nested target, with every hole it reads bound.  The function is the outer
-candidate loop over the match template's matcher, which returns offsets
-only, the rule's conditions as set membership of source slices, the one
-nested descent the rewrite reads as a loop over templates.offset_walk, and
-each planned row as a tuple display added straight to its relation's set.
+nested target, with every hole it reads bound.  The function is a loop over
+the outer matches that templates.offset_walk yields, as offsets only, the
+rule's conditions as set membership of source slices, the one nested
+descent the rewrite reads as a loop over a second offset_walk, and each
+planned row as a tuple display added straight to its relation's set.
 Positions are computed only for holes a rewrite reads as ``.line`` or
 ``.column``.  Any other spec runs through the reference interpreter of
 rules (``apply_rule``, in ``interpreter``), which this module imports only
@@ -69,9 +69,9 @@ from .templates import (
     MatchEnvironment,
     Property,
     Template,
+    _environment,
     compile_template,
     iter_matches,
-    offset_matcher,
     offset_walk,
     parse_template,
 )
@@ -581,31 +581,7 @@ def _add_text(db: Database, text: str, diagnostics: list[str], path: str, smap: 
             diagnostics.append(f"{path}:{smap.line_of(start)}: dropped bad fact line: {exc}")
 
 
-# The generated function: the outer candidate loop, written out so that a
-# flat template's many matches pay no generator resume each.
-_FUNCTION = """\
-def facts(smap, db, diagnostics, path):
-    src = smap.source
-    n = len(src)
-    line_col = smap.line_col
-{setup}    nt = bisect_left(table, n)
-    count = 0
-    i = 0
-    while i < nt:
-        start = table[i]
-        r = match(start, n)
-        if r is None:
-            i += 1
-            continue
-        count += 1
-        i = bisect_left(table, r[0], i + 1)
-{body}    return count
-"""
 _QUOTED = "'\"' in {v} or '\\\\' in {v} or '\\n' in {v}"
-
-
-def _indent(code: list[str], pad: str) -> str:
-    return "".join(f"{pad}{line}\n" for line in code)
 
 
 class _SpecSource:
@@ -615,16 +591,16 @@ class _SpecSource:
     the reference interpreter (interpreter.py) does one match at a time,
     written out for this spec.
 
-    The outer loop walks the template's candidate table and calls its
-    matcher, which returns the match's end and each hole's span.  The
-    rule's gates test a hole's source slice for membership in a constant
-    set and continue the loop on a veto.  A flat rewrite is its rows.  A
-    rewrite that is one nested target's line is one walk, over the inner
-    matches in the target's span that offset_walk yields (the walk
-    iter_nested_matches, or iter_matches without "nested", takes), of the
-    last nested rewrite of that target: its inner conditions tested the
-    same way, its rows added straight to db.  No other nested rewrite is
-    walked, as nothing reads it.
+    The outer loop is a for loop over the matches that offset_walk's flat
+    walk yields, each as its start, its end and each hole's span.  Each of
+    the rule's gates tests a hole's source slice for membership in a
+    constant set and continues the loop on a veto.  A flat rewrite is its
+    rows.  A rewrite that is one nested target's line is a second loop of
+    the same form, over the inner matches in the target's span that
+    offset_walk yields (the walk iter_nested_matches, or iter_matches
+    without "nested", takes), of the last nested rewrite of that target:
+    its inner conditions veto the same way, its rows added straight to
+    db.  No other nested rewrite is walked, as nothing reads it.
 
     A hole is named by its key, o{k} for the outer match's hole k and
     i{j}_{k} for hole k of nested rewrite j's inner match: s{key} and
@@ -633,8 +609,9 @@ class _SpecSource:
     through Database.adder; a line or column is computed only for a hole
     that a row reads as one.  A line the plan cannot express, or a row
     whose value bound inside quotes holds a quote, a backslash or a
-    newline, takes the text path: substitute over a MatchEnvironment built
-    there, then _add_text.  Template text, hole names, condition values,
+    newline, takes the text path: substitute over the MatchEnvironment
+    that templates._environment builds from the spans, as for a Match,
+    then _add_text.  Template text, hole names, condition values,
     relation names and every other spec text reach the code only as
     constants of its namespace (C0, C1, ...).
     """
@@ -657,11 +634,9 @@ class _SpecSource:
     def text(self, template: RewriteTemplate, keys: dict[str, str]) -> str:
         """The text path of a line: substitute over a MatchEnvironment of
         the holes it reads, added to db."""
-        holes = []
-        for name in dict.fromkeys(_substituted(template)):
-            key = keys[name]
-            holes.append(f"{self.const(name)}: new(Binding, (src[s{key}:e{key}], s{key}, e{key}) + line_col(s{key}))")
-        env = f"MatchEnvironment({{{', '.join(holes)}}})"
+        names = tuple(dict.fromkeys(_substituted(template)))
+        spans = ", ".join(f"s{keys[name]}, e{keys[name]}" for name in names)
+        env = f"environment(smap, {self.const(names)}, ({spans}))"
         return f"add_text(db, substitute({self.const(template)}, {env}), diagnostics, path, smap, start)"
 
     def lines(self, lines: tuple[LinePlan, ...], keys: dict[str, str], needs: dict[str, str]) -> list[str]:
@@ -727,41 +702,53 @@ class _SpecSource:
                 code.append(f"{var} = s{key} - starts[l_{key} - 1] + 1")
         return code
 
+    def loop(
+        self, start: str, walk: str, holes: list[str], tests: Sequence[HoleTest], keys: dict[str, str],
+        body: list[str], count: bool = False,
+    ) -> list[str]:
+        """A for loop over the matches walk yields: start (a name, or _)
+        takes each match's start, and s{key}, e{key} the span of each key
+        of holes, in template order.  With count set it adds 1 to count
+        first.  Each of tests, HoleTests over keys, continues the loop on a
+        veto; body runs last."""
+        code = ["count += 1"] if count else []
+        for hole, values, keep in tests:
+            span = f"s{keys[hole]}:e{keys[hole]}"
+            code += [f"if src[{span}] {'not in' if keep else 'in'} {self.const(values)}:", "    continue"]
+        spans = "".join(f", s{key}, e{key}" for key in holes)
+        return [f"for {start}, (_{spans}) in {walk}:"] + ["    " + c for c in code + body or ["pass"]]
+
     def build(self) -> Callable[[SourceMap, Database, list[str], str], int]:
-        body = _indent(self.match(), "        ")
-        setup = ["starts = smap.line_starts"] if self.positions else []
-        setup.append(f"table, match = offset_matcher({self.const(self.spec.match)}, smap)")
+        outer = self.outer
+        gates = [test for test in self.spec.rule.plan.gates if test[0] in outer]
+        loop = self.loop("start", "outer(0, len(src))", list(outer.values()), gates, outer, self.match(), True)
+        code = ["src = smap.source", "starts = smap.line_starts"] if self.positions else ["src = smap.source"]
+        code.append(f"outer = offset_walk({self.const(self.spec.match)}, smap)")
         if self.walked is not None:
             inner = self.const(self.spec.rule.nested_rewrites[self.walked].inner_match)
-            setup.append(f"walk{self.walked} = offset_walk({inner}, smap, {self.spec.rule.nested})")
-        setup += [f"{adder} = None" for adder in self.adders.values()]
+            code.append(f"walk{self.walked} = offset_walk({inner}, smap, {self.spec.rule.nested})")
+        code += [f"{adder} = None" for adder in self.adders.values()]
+        code += ["count = 0", *loop, "return count"]
         namespace: dict[str, object] = {name: value for (_, value), name in self.consts.items()}
         namespace.update(
-            offset_matcher=offset_matcher, offset_walk=offset_walk, bisect_left=bisect.bisect_left,
-            bisect_right=bisect.bisect_right, intern=sys.intern, claim=Database.adder, substitute=substitute,
-            MatchEnvironment=MatchEnvironment, Binding=Binding, new=tuple.__new__, add_text=_add_text,
+            offset_walk=offset_walk, bisect_right=bisect.bisect_right, intern=sys.intern, claim=Database.adder,
+            substitute=substitute, environment=_environment, add_text=_add_text,
         )
-        source = _FUNCTION.format(setup=_indent(setup, "    "), body=body)
+        source = "\n".join(["def facts(smap, db, diagnostics, path):"] + ["    " + c for c in code])
         exec(compile(source, "<spec>", "exec"), namespace)
         return namespace["facts"]  # type: ignore[return-value]
 
     def match(self) -> list[str]:
-        """The code for one outer match r at start: the gates, then the
+        """The code for one outer match that its gates let through: the
         outer rewrite."""
-        outer = self.outer
-        code = [f"_, {', '.join(f's{key}, e{key}' for key in outer.values())} = r"] if outer else []
-        for hole, values, keep in self.spec.rule.plan.gates:
-            if hole in outer:
-                span = f"s{outer[hole]}:e{outer[hole]}"
-                code += [f"if src[{span}] {'not in' if keep else 'in'} {self.const(values)}:", "    continue"]
         lines = self.spec.rewrite.lines
         target = lines[0].target if len(lines) == 1 else None
         walked = [j for j, nr in enumerate(self.spec.rule.nested_rewrites) if nr.target == target]
         if walked:
-            return code + self.walk(walked[-1])
+            return self.walk(walked[-1])
         needs: dict[str, str] = {}
-        rows = self.lines(lines, outer, needs)
-        return code + self.prelude(needs) + rows
+        rows = self.lines(lines, self.outer, needs)
+        return self.prelude(needs) + rows
 
     def walk(self, j: int) -> list[str]:
         """The code walking nested rewrite j's inner matches in its target's
@@ -769,18 +756,12 @@ class _SpecSource:
         self.walked = j
         nr = self.spec.rule.nested_rewrites[j]
         names = nr.inner_match.hole_names()
-        keys = {**self.outer, **{name: f"i{j}_{k}" for k, name in enumerate(names)}}
+        inner = [f"i{j}_{k}" for k in range(len(names))]
+        keys = {**self.outer, **dict(zip(names, inner))}
         needs: dict[str, str] = {}
         kept = self.lines(nr.inner_rewrite.lines, keys, needs)
         kept = self.prelude({var: key for var, key in needs.items() if key[0] == "i"}) + kept
-        tests = [
-            f"src[s{keys[hole]}:e{keys[hole]}] {'in' if keep else 'not in'} {self.const(values)}"
-            for hole, values, keep in self.spec.rule.plan.nested[j][0]
-        ]
-        if tests and kept:
-            kept = [f"if {' and '.join(tests)}:"] + ["    " + c for c in kept]
         code = self.prelude({var: key for var, key in needs.items() if key[0] == "o"})
-        spans = "".join(f", si{j}_{k}, ei{j}_{k}" for k in range(len(names)))
         target = self.outer[nr.target]
-        code.append(f"for _, (_{spans}) in walk{j}(s{target}, e{target}):")
-        return code + ["    " + c for c in kept or ["pass"]]
+        walk = f"walk{j}(s{target}, e{target})"
+        return code + self.loop("_", walk, inner, self.spec.rule.plan.nested[j][0], keys, kept)

@@ -53,11 +53,11 @@ every offset finds what the candidates find.
 tests/oracles.py keeps an interpreter over the atoms as its reference.
 
 A matcher returns offsets only: the end of the match and each named
-hole's start and end.  A fact spec's generated function (see rewrite)
-slices a hole's text, and computes its line or column, only where a
-condition or a row reads it.  match_at, iter_matches and
-iter_nested_matches run the same matcher and the same walk, and build
-each Match from those offsets in one helper, _match_from_offsets.
+hole's start and end.  offset_walk is the one walk over a template's
+matches, and a fact spec's generated function (see rewrite) slices a
+hole's text, and computes its line or column, only where a condition or a
+row reads it.  Every Binding made from offsets, in a Match or on the
+generated function's text path, comes from one helper, _environment.
 
 The compiled form is not one of a Template's fields: compile_template
 sets it on the copy it returns, so equality, hashing, repr and _replace
@@ -629,13 +629,17 @@ class _MatcherSource:
 # Public matching API
 
 
-def _match_from_offsets(smap: SourceMap, names: tuple[str, ...], start: int, r: tuple) -> Match:
-    """The Match at start from r, what the matcher returned there: each of
-    names, the template's named holes, bound to its text and position."""
+def _environment(smap: SourceMap, names: tuple[str, ...], spans: tuple) -> MatchEnvironment:
+    """Each of names bound to its text and position: spans holds each one's
+    start and end, in the order of names."""
     src = smap.source
-    spans = iter(r[1:])
-    bindings = {name: Binding(src[s:e], s, e, *smap.line_col(s)) for name, s, e in zip(names, spans, spans)}
-    return Match(start, r[0], MatchEnvironment(bindings))
+    it = iter(spans)
+    return MatchEnvironment({name: Binding(src[s:e], s, e, *smap.line_col(s)) for name, s, e in zip(names, it, it)})
+
+
+def _match_from_offsets(smap: SourceMap, names: tuple[str, ...], start: int, r: tuple) -> Match:
+    """The Match at start from r, what the matcher returned there."""
+    return Match(start, r[0], _environment(smap, names, r[1:]))
 
 
 def match_at(template: Template, smap: SourceMap, start: int, hi: int | None = None) -> Match | None:
@@ -646,20 +650,15 @@ def match_at(template: Template, smap: SourceMap, start: int, hi: int | None = N
     return None if r is None else _match_from_offsets(smap, template.hole_names(), start, r)
 
 
-def offset_matcher(template: Template, smap: SourceMap) -> tuple[Sequence[int], Callable[[int, int], tuple | None]]:
-    """The sorted offsets of smap's file where a match of template may
-    start, and its match(start, hi): None, or the end offset followed by
-    each named hole's start and end, in template order.  A generated
-    fact-spec function walks these itself in its outer loop."""
-    t = _compiled_for(template, smap)
-    return _candidates(t, smap), t.make_matcher(smap)
-
-
 def offset_walk(
     template: Template, smap: SourceMap, nested: bool = False
 ) -> Callable[[int, int], Iterator[tuple[int, tuple]]]:
     """walk(lo, hi), which yields (start, r) for each match of template
-    within [lo, hi), r its offsets as match(start, hi) returns them.
+    within [lo, hi), r its offsets as match(start, hi) returns them: the
+    end, then each named hole's start and end.  It is the one walk over a
+    template's matches: iter_matches, iter_nested_matches and a generated
+    fact-spec function (see rewrite), for its outer matches and its nested
+    descent, take it.
 
     The flat walk yields non-overlapping matches in source order.  The
     nested walk also yields, recursively, the matches inside every balanced

@@ -957,6 +957,7 @@ class TestInputErrors:
             ["solve", "{c}", "--preset", "callgraph-c", "--preset-dir", "", "--out", "{out}"],
             ["query", "{c}", "--preset", "callgraph-c", "--preset-dir", "", "-q", "calls(X, Y)"],
             ["facts", "{c}", "--preset-dir", "", "--out", "{out}"],
+            ["graph", "{c}", "--preset", "callgraph-c", "--out", ""],
         ],
     )
     def test_an_empty_file_argument_names_its_flag(self, capsys, tmp_path, samples_dir, argv):

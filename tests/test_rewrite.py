@@ -765,3 +765,29 @@ class TestGeneratedSpecCode:
         assert (db.relations, matches, diagnostics) == outcome(interpreted_facts_for_smap, tricky, smap)
         assert db.tuples("count") == {("a", "'''", 3), ("x", "'''", 3)}
         assert db.tuples("start") == {("a", name, '{C0}"\\', 1) for name in ("g", "h")}
+
+    @pytest.mark.parametrize(
+        "preset, sample, walks",
+        [("callgraph-c", "c/scheduler.c", 2), ("liveness-arith", "liveness.arith", 1)],
+    )
+    def test_every_match_comes_from_offset_walk(self, monkeypatch, samples_dir, preset, sample, walks):
+        # one walk for the outer matches, and one for a nested descent
+        from factlog import load_preset, rewrite
+        from factlog.rewrite import _SpecSource
+
+        walk = rewrite.offset_walk
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(rewrite, "offset_walk", counted)
+        loaded = load_preset(preset)
+        smap = classify((samples_dir / sample).read_text(encoding="utf-8"), loaded.language_def())
+        for spec in loaded.fact_specs:
+            calls.clear()
+            db = Database()
+            count = _SpecSource(spec).build()(smap, db, [], sample)
+            assert len(calls) == walks and calls[0][0] == spec.match
+            assert (db.relations, {spec.name: count}) == outcome(interpreted_facts_for_smap, (spec,), smap)[:2]

@@ -456,7 +456,7 @@ def _agrees_with_interpreter(template, smap) -> list:
     the offset form against match_at at every offset, and the scan against
     the oracle's first-match scan."""
     n = len(smap.source)
-    _, offsets = templates.offset_matcher(template, smap)
+    offsets = templates._compiled_for(template, smap).make_matcher(smap)
     for start in range(n + 1):
         m = match_at(template, smap, start)
         assert _key(m) == _key(interpret_at(template, smap, start, n)), start
