@@ -13,6 +13,12 @@ Exit codes: 0 success, 2 usage errors, 3 input errors (missing or malformed
 files, bad specs), 4 analysis errors (Datalog syntax/safety/stratification/
 type failures, unknown relations or queries).
 
+Input paths reach the pipeline through one gate.  A run decides once, in
+``_resolve_preset``, whether its inputs are fact files; facts, bench and
+match never read them.  Every run over sources turns its paths into source
+files through ``_sources``, which refuses a missing path, a fact file or a
+corpus with no source file, and ``_generate`` runs fact generation over them.
+
 This module holds the shared plumbing, solve and query; each run compiles
 only the code its command enters.  The other four subcommands live in
 ``commands``, imported when one of them runs.  The corpus runners
@@ -79,9 +85,11 @@ def _file_arg(flag: str, path: str) -> str:
 
 
 def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
-    """The preset the arguments name.  Over sources its specs are compiled
-    here, so a broken spec fails before any input is read; over fact files
-    they are never read."""
+    """The preset the arguments name.  Here a run decides, once, whether
+    its inputs are fact files (``args.fact_inputs``): facts and bench read
+    only sources.  Over sources the preset's specs are compiled here, so a
+    broken spec fails before any input is read; over fact files they are
+    never read."""
     if args.langdef:
         from .languages import load_language_file
 
@@ -90,7 +98,9 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
     if args.preset and args.spec:
         raise UsageError("--preset and --spec are mutually exclusive")
     base = None if args.preset_dir is None else _file_arg("--preset-dir", args.preset_dir)
-    fact_inputs = _all_fact_inputs([Path(p) for p in args.inputs])
+    args.fact_inputs = args.command not in ("facts", "bench") and all(
+        any(p.glob("*.facts")) if p.is_dir() else p.suffix in FACT_SUFFIXES for p in map(Path, args.inputs)
+    )
     if args.preset:
         preset = load_preset(args.preset, base)
     elif args.spec:
@@ -98,7 +108,7 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
             raise UsageError("--spec requires --lang")
         specs = tuple(Path(_file_arg("--spec", p)) for p in args.spec)
         preset = AnalysisPreset("custom", args.lang, specs, graph_relation="edge")
-    elif fact_inputs:
+    elif args.fact_inputs:
         # pure solver mode: inputs are fact files, no matching needed
         preset = AnalysisPreset("facts", args.lang or "", specs=())
     else:
@@ -111,52 +121,57 @@ def _resolve_preset(args: argparse.Namespace) -> AnalysisPreset:
         except DatalogError as exc:
             raise in_file(exc, args.program) from None
         program.path = args.program
-    if not fact_inputs:
+    if not args.fact_inputs:
         preset.fact_specs  # compiled on this first read
     return preset
 
 
-def _gather_sources(args: argparse.Namespace, preset: AnalysisPreset) -> list[Path]:
+def _sources(inputs: list[str], language: str) -> list[Path]:
+    """The source files under the input paths: the one gate every run over
+    sources passes.  A missing path, or no source file at all, is an input
+    error and a fact file a usage error; each message names the path."""
     from .corpus import discover_files
 
-    for item in args.inputs:
+    for item in inputs:
         if Path(item).suffix in FACT_SUFFIXES and Path(item).is_file():
-            raise UsageError(f"{item} is a fact file; fact generation reads {preset.language} source files")
-    files = discover_files(args.inputs, preset.language)
+            raise UsageError(f"{item} is a fact file, not a {language} source file")
+    files = discover_files(inputs, language)  # raises on a missing path
     if not files:
-        raise FactlogError(f"no {preset.language} source files found under {args.inputs}")
+        raise FactlogError(f"no {language} source files found under {inputs}")
     return files
 
 
-def _all_fact_inputs(paths: list[Path]) -> bool:
-    return bool(paths) and all(
-        any(p.glob("*.facts")) if p.is_dir() else p.suffix in FACT_SUFFIXES for p in paths
-    )
+def _generate(args: argparse.Namespace, preset: AnalysisPreset, inputs: list[str]) -> tuple[Database, RunStats]:
+    """The facts and statistics of the sources under inputs; the
+    diagnostics go to stderr."""
+    db, stats, diagnostics = run_fact_generation(preset, _sources(inputs, preset.language), jobs=args.jobs)
+    for line in diagnostics:
+        print(line, file=sys.stderr)
+    return db, stats
 
 
-def _load_edb(args: argparse.Namespace, preset: AnalysisPreset) -> tuple[Database, RunStats | None, list[str]]:
+def _load_edb(args: argparse.Namespace, preset: AnalysisPreset) -> Database:
     """Fact files load directly; anything else goes through fact generation."""
+    if not args.fact_inputs:
+        return _generate(args, preset, args.inputs)[0]
     paths = [Path(p) for p in args.inputs]
     missing = [p for p in paths if not p.exists()]
     if missing:
         raise FactlogError(f"no such file or directory: {missing[0]}")
-    if _all_fact_inputs(paths):
-        column_types = _column_types(preset)
-        db = Database()
-        for p in paths:
-            if p.is_dir():
-                part = Database.from_facts_dir(p, column_types)
-            elif p.suffix == ".facts":
-                part = Database.from_facts_file(p, column_types)
-            else:
-                part = Database.from_dl_text(read_text(p), p)
-            try:
-                db.merge(part)
-            except ArityMismatch as exc:
-                raise _located(in_file(exc, p), args, preset) from None
-        return db, None, []
-    files = _gather_sources(args, preset)
-    return run_fact_generation(preset, files, jobs=args.jobs)
+    column_types = _column_types(preset)
+    db = Database()
+    for p in paths:
+        if p.is_dir():
+            part = Database.from_facts_dir(p, column_types)
+        elif p.suffix == ".facts":
+            part = Database.from_facts_file(p, column_types)
+        else:
+            part = Database.from_dl_text(read_text(p), p)
+        try:
+            db.merge(part)
+        except ArityMismatch as exc:
+            raise _located(in_file(exc, p), args, preset) from None
+    return db
 
 
 def _column_types(preset: AnalysisPreset) -> dict[str, tuple[str | None, ...]]:
@@ -169,11 +184,10 @@ def _located(exc: DatalogError, args: argparse.Namespace, preset: AnalysisPreset
     files, in argument and file order, that breaks an earlier row's arity
     or its relation's declaration; read again, on this error path only.
     Facts generated from sources have no line to name: exc stays."""
-    paths = [Path(p) for p in args.inputs]
-    if not _all_fact_inputs(paths):
+    if not args.fact_inputs:
         return exc
     types = _column_types(preset)
-    bad = first_bad_row(_fact_rows(paths, types), types)
+    bad = first_bad_row(_fact_rows([Path(p) for p in args.inputs], types), types)
     return exc if bad is None else type(bad[1])(f"{bad[0]}: {bad[1]}")
 
 
@@ -187,11 +201,6 @@ def _fact_rows(paths: list[Path], column_types: dict) -> Iterator[tuple[str, str
                 yield from ((f"{f}:{n}", f.stem, row) for n, row in read_rows(f, column_types.get(f.stem)))
         else:
             yield from ((f"{p}:{n}", relation, row) for n, relation, row in dl_rows(read_text(p)))
-
-
-def _emit_diagnostics(diagnostics: list[str]) -> None:
-    for line in diagnostics:
-        print(line, file=sys.stderr)
 
 
 def _write_db(db: Database, out: Path, fmt: str, relations, dl_name: str) -> list[Path]:
@@ -215,8 +224,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not preset.program_text.strip():
         raise UsageError("solve needs a Datalog program: use --preset or --program")
     program = preset.program()
-    edb, _, diagnostics = _load_edb(args, preset)
-    _emit_diagnostics(diagnostics)
+    edb = _load_edb(args, preset)
     try:
         solved = evaluate(program, edb)
     except (ArityMismatch, TypeMismatch) as exc:
@@ -235,8 +243,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     preset = _resolve_preset(args)
     pattern = parse_query(args.query)
-    edb, _, diagnostics = _load_edb(args, preset)
-    _emit_diagnostics(diagnostics)
+    edb = _load_edb(args, preset)
     db, asked = edb, pattern
     if preset.program_text.strip():
         program = preset.program()

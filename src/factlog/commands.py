@@ -13,18 +13,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .analyses import run_fact_generation
-from .cli import (
-    EXIT_OK,
-    UsageError,
-    _emit_diagnostics,
-    _file_arg,
-    _gather_sources,
-    _load_edb,
-    _located,
-    _resolve_preset,
-    _write_db,
-)
+from .cli import EXIT_OK, UsageError, _file_arg, _generate, _load_edb, _located, _resolve_preset, _sources, _write_db
 from .datalog import check_edb, evaluate
 from .errors import ArityMismatch, FactlogError, SpecFormatError, TypeMismatch, UnknownRelation
 
@@ -46,9 +35,7 @@ def _summary_line(stats: RunStats) -> str:
 def cmd_facts(args: argparse.Namespace) -> int:
     out = Path(_file_arg("--out", args.out))
     preset = _resolve_preset(args)
-    files = _gather_sources(args, preset)
-    db, stats, diagnostics = run_fact_generation(preset, files, jobs=args.jobs)
-    _emit_diagnostics(diagnostics)
+    db, stats = _generate(args, preset, args.inputs)
     written = _write_db(db, out, args.format, sorted(db.relations), "facts.dl")
     print(_summary_line(stats))
     for path in written:
@@ -67,8 +54,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         relation = preset.graph_relation or "edge"
     if not relation:
         raise UsageError("no graph relation: pass --relation")
-    edb, _, diagnostics = _load_edb(args, preset)
-    _emit_diagnostics(diagnostics)
+    edb = _load_edb(args, preset)
     db = edb
     if preset.program_text.strip():
         # the input is checked against the program's declarations even
@@ -101,17 +87,8 @@ def _dot_escape(value: str | int) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .corpus import discover_files
-
     preset = _resolve_preset(args)
-    rows: list[tuple[str, RunStats]] = []
-    for item in args.inputs:
-        if not Path(item).exists():
-            raise FactlogError(f"no such file or directory: {item}")
-        files = discover_files([item], preset.language)
-        _, stats, diagnostics = run_fact_generation(preset, files, jobs=args.jobs)
-        _emit_diagnostics(diagnostics)
-        rows.append((str(item), stats))
+    rows = [(item, _generate(args, preset, [item])[1]) for item in args.inputs]
     if args.json:
         import json  # here, not at the top: only bench --json and match print JSON
 
@@ -131,7 +108,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    from .corpus import discover_files
     from .languages import classify, get_language, load_language_file
     from .rewrite import load_fact_spec
     from .templates import compile_template, iter_matches, parse_template
@@ -150,9 +126,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         template = compile_template(template, lang)
     else:
         template = load_fact_spec(_file_arg("--spec", args.spec), language=args.lang).match
-    files = discover_files(args.inputs, args.lang)
-    if not files:
-        raise FactlogError(f"no {args.lang} source files found under {args.inputs}")
+    files = _sources(args.inputs, args.lang)
     import json  # here, not at the top: only bench --json and match print JSON
 
     for path in files:

@@ -1,9 +1,8 @@
 """The Datalog engine: stratifier and semi-naive evaluator.
 
-Programs come from the front end (``syntax``), which parses and checks them;
-its public names are imported here too, so ``datalog.parse_program`` and
-``datalog.Atom`` still resolve.  Negation must be stratified; evaluation runs
-one semi-naive fixpoint per stratum and returns the least model.
+Programs come from the front end (``syntax``), which parses and checks them.
+Negation must be stratified; evaluation runs one semi-naive fixpoint per
+stratum and returns the least model.
 
 Each rule is compiled, once per stratum, into one Python function per delta
 literal plus one for the seeding round: nested ``for`` loops that read
@@ -18,7 +17,9 @@ inserted, never rebuilt.
 Queries, ``query`` and the goal-directed ``goal_directed``, run through the
 same compiler but live in ``queries``, which ``solve`` never needs.  They
 still resolve here (``datalog.query``): this module imports them from
-``queries`` on first access.
+``queries`` on first access.  So do the front end's public names
+(``datalog.parse_program``, ``datalog.Atom``), read from ``syntax`` on
+access, as the package once exported them from here.
 """
 
 from __future__ import annotations
@@ -29,29 +30,24 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import UnstratifiableProgram, in_file
 from .facts import Database, row_error
-from .syntax import (  # the front end's public names, re-exported
-    Atom,
-    BodyLiteral,
-    DatalogProgram,
-    DatalogRule,
-    Declaration,
-    Variable,
-    parse_program,
-    parse_query,
-)
+from .syntax import Variable
 
 if TYPE_CHECKING:
-    from .syntax import Term
+    from .syntax import DatalogProgram, DatalogRule, Term
 
 _QUERY_NAMES = ("Goal", "goal_directed", "query")
 
 
 def __getattr__(name: str):
-    if name not in _QUERY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import queries
+    from . import _MODULE_OF
 
-    return getattr(queries, name)
+    if _MODULE_OF.get(name) == "syntax":
+        from . import syntax as module
+    elif name in _QUERY_NAMES:
+        from . import queries as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 # ---------------------------------------------------------------------------

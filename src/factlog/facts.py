@@ -246,14 +246,12 @@ def _lines(rows: set[tuple], texts: _Memo, head: str, sep: str, tail: str) -> li
 class Database:
     """Relations mapped to sets of ground tuples.
 
-    add checks each row against the arity it recorded for the relation,
-    not against a sample of its tuples; a relation filled through
-    relations directly is sampled once.
+    add checks each row against the arity of one of the relation's rows,
+    however the relation was filled; an empty relation takes any arity.
     """
 
     def __init__(self, relations: dict[str, set[tuple]] | None = None):
         self.relations: dict[str, set[tuple]] = {}
-        self._arity: dict[str, int] = {}
         if relations:
             for name, tuples in relations.items():
                 for tup in tuples:
@@ -268,16 +266,10 @@ class Database:
         holds rows of another arity; an empty one takes any.  The caller
         adds a row at once, so no empty relation stays behind."""
         existing = self.relations.get(relation)
-        if existing:
-            held = self._arity.get(relation)
-            if held is None:  # filled through self.relations
-                held = self._arity[relation] = len(next(iter(existing)))
-            if held != arity:
-                raise _arity_mismatch(relation, held, arity)
-            return existing.add
         if existing is None:
             existing = self.relations[relation] = set()
-        self._arity[relation] = arity
+        elif existing and (held := len(next(iter(existing)))) != arity:
+            raise _arity_mismatch(relation, held, arity)
         return existing.add
 
     def add_fact(self, fact: Fact) -> None:
@@ -380,7 +372,6 @@ class Database:
                 cells = map(values.__getitem__, ", ".join(texts).split(", "))
                 tuples.update(zip(*[cells] * arity))
             db.relations[relation] = tuples
-            db._arity[relation] = arity
         if bad:
             i, exc = bad
             raise exc if path is None else type(exc)(f"{path}:{i}: {exc}")

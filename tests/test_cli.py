@@ -89,15 +89,46 @@ class TestFacts:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("facts", "--preset", "callgraph-c", "--out", "{out}"),
+            ("bench", "--preset", "callgraph-c"),
+            ("match", "--lang", "c", "-t", "f($x)"),
+        ],
+        ids=["facts", "bench", "match"],
+    )
     @pytest.mark.parametrize("name", ["in.dl", "edge.facts"])
-    def test_fact_file_is_not_a_source(self, capsys, tmp_path, name):
+    def test_fact_file_is_not_a_source(self, capsys, tmp_path, name, argv):
+        # each command that reads sources refuses it, not only facts
         fact_file = tmp_path / name
-        fact_file.write_text('edge("a", "b").\n' if name.endswith(".dl") else "a\tb\n", encoding="utf-8")
+        fact_file.write_text('edge("a", "b").\nf(1).\n' if name.endswith(".dl") else "a\tb\n", encoding="utf-8")
         out = tmp_path / "out"
-        code, _, err = run(capsys, "facts", str(fact_file), "--preset", "callgraph-c", "--out", str(out))
-        assert code == EXIT_USAGE
+        command, *rest = (a.format(out=out) for a in argv)
+        code, stdout, err = run(capsys, command, str(fact_file), *rest)
+        assert (code, stdout) == (EXIT_USAGE, "")
         assert f"{fact_file} is a fact file" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("facts", "--out", "{out}"),
+            ("bench",),
+            ("bench", "--lang", "c"),
+        ],
+        ids=["facts", "bench", "bench-lang"],
+    )
+    def test_a_fact_file_without_a_preset_is_a_usage_error(self, capsys, tmp_path, argv):
+        # facts and bench read only sources, so no preset is made up for a
+        # fact file: they ask for one, as over a source file
+        fact_file = tmp_path / "x.dl"
+        fact_file.write_text('edge("a", "b").\n', encoding="utf-8")
+        command, *rest = (a.format(out=tmp_path / "out") for a in argv)
+        code, out, err = run(capsys, command, str(fact_file), *rest)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("factlog: usage error: provide --preset (available: ")
+        assert err.endswith(") or --lang with --spec\n")
 
     @pytest.mark.parametrize(
         "rule, rewrite, line",
@@ -455,6 +486,14 @@ class TestBench:
         assert len(rows) == 2
         assert rows[0]["fact_count"] == 4 and rows[0]["function_count"] == 3
         assert rows[1]["function_count"] > 0
+
+    def test_a_corpus_without_sources_is_an_input_error(self, capsys, tmp_path, example_go):
+        # as facts and match report it, not a row of zeros
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, err = run(capsys, "bench", example_go, str(empty), "--preset", "callgraph-c")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"factlog: input error: no c source files found under {[str(empty)]}\n"
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from factlog import (
     GO,
     C,
     ZIG,
+    ArityMismatch,
     Database,
     FactlogError,
     HoleKind,
@@ -498,7 +499,11 @@ class TestBulkReaderAgainstOracle:
         if isinstance(outcome, dict):
             # later adds check each relation's arity against its rows
             db = Database.from_dl_text(text)
-            assert all(db._arity[rel] == len(next(iter(rows))) for rel, rows in outcome.items())
+            for rel, rows in outcome.items():
+                row = next(iter(rows))
+                db.add(rel, row)
+                with pytest.raises(ArityMismatch):
+                    db.add(rel, (*row, 0))
 
     @pytest.mark.parametrize("bad", ['p("x").', 'p("x", 1', 'p("x",, 1).', 'p("x", 1) y'])
     def test_first_bad_line_after_a_thousand_good_ones(self, bad):
